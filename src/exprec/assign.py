@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import Dataset
-from .model import ExperienceAssignment, ModelParams
+from .model import ExperienceAssignment, ModelParams, _strict_encode, score
 
 # Cost matrices are plain float arrays of shape (E, n): cost[k][t] is the
 # squared prediction error of rating t under level k+1.
@@ -135,23 +135,10 @@ def assign_community_dp(costs: CostMatrix, E: int | None = None) -> np.ndarray:
 
 def prediction_costs(p: ModelParams, d: Dataset) -> CostMatrix:
     """Squared prediction error of every rating under every level: (E, n)."""
-    uidx = p.encode_users(d.user_seq)
-    iidx = p.encode_items(d.item_seq)
-    if (uidx < 0).any() or (iidx < 0).any():
-        raise ValueError("dataset contains keys unknown to the model parameters")
-    E = p.E
-    n = len(d)
-    costs = np.empty((E, n))
-    for e in range(E):
-        gu = p.user_factors[e, uidx]
-        gi = p.item_factors[e, iidx]
-        pred = (
-            p.alpha[e]
-            + p.user_bias[e, uidx]
-            + p.item_bias[e, iidx]
-            + np.einsum("ij,ij->i", gu, gi)
-        )
-        res = pred - d.values
+    uidx, iidx = _strict_encode(p, d)
+    costs = np.empty((p.E, len(d)))
+    for e in range(p.E):
+        res = score(p, e, uidx, iidx)[0] - d.values
         costs[e] = res * res
     return costs
 

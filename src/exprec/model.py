@@ -75,17 +75,6 @@ class ModelParams:
             item_factors=np.zeros((E, I, K)),
         )
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            users=self.users,
-            items=self.items,
-            alpha=self.alpha.copy(),
-            user_bias=self.user_bias.copy(),
-            item_bias=self.item_bias.copy(),
-            user_factors=self.user_factors.copy(),
-            item_factors=self.item_factors.copy(),
-        )
-
     def flatten(self) -> np.ndarray:
         blocks = []
         for e in range(self.E):
@@ -138,17 +127,9 @@ class ModelParams:
         """
         if not (1 <= level <= self.E):
             raise ValueError(f"level {level} out of range 1..{self.E}")
-        e = level - 1
-        score = float(self.alpha[e])
-        u = self._user_pos.get(user)
-        i = self._item_pos.get(item)
-        if u is not None:
-            score += float(self.user_bias[e, u])
-        if i is not None:
-            score += float(self.item_bias[e, i])
-        if u is not None and i is not None:
-            score += float(np.dot(self.user_factors[e, u], self.item_factors[e, i]))
-        return score
+        u = self._user_pos.get(user, -1)
+        i = self._item_pos.get(item, -1)
+        return float(predictions_for(self, np.array([level]), np.array([u]), np.array([i]))[0])
 
     def encode_users(self, user_seq) -> np.ndarray:
         """Integer positions for a user sequence, -1 for unknown users."""
@@ -167,9 +148,6 @@ class ExperienceAssignment:
     """
 
     levels: Mapping[str, np.ndarray]
-
-    def level_of(self, user: str, position: int) -> int:
-        return int(self.levels[user][position])
 
     def flat(self, d: Dataset) -> np.ndarray:
         """Levels aligned with the dataset's canonical rating order."""
@@ -214,22 +192,47 @@ class ExperienceAssignment:
         return max(int(lv.max()) for lv in self.levels.values() if len(lv))
 
 
+def score(p: ModelParams, lv0, uidx, iidx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predicted ratings ``alpha_e + b_u,e + b_i,e + <g_u,e, g_i,e>``.
+
+    ``lv0`` holds 0-based levels and ``uidx``/``iidx`` known user and item
+    positions; any one of them may be a single integer shared by every
+    rating.  Returns the predictions together with the gathered user and
+    item factor rows, which the gradient reuses.
+    """
+    gu = p.user_factors[lv0, uidx]
+    gi = p.item_factors[lv0, iidx]
+    pred = (
+        p.alpha[lv0]
+        + p.user_bias[lv0, uidx]
+        + p.item_bias[lv0, iidx]
+        + np.einsum("ij,ij->i", gu, gi)
+    )
+    return pred, gu, gi
+
+
 def predictions_for(
     p: ModelParams, levels: np.ndarray, uidx: np.ndarray, iidx: np.ndarray
 ) -> np.ndarray:
     """Vectorized predictions; ``levels`` is 1-based, indexes may be -1
-    for cold keys (their bias and factor terms are dropped)."""
-    lv0 = np.asarray(levels, dtype=np.int64) - 1
-    pred = p.alpha[lv0].copy()
-    known_u = uidx >= 0
-    known_i = iidx >= 0
-    pred[known_u] += p.user_bias[lv0[known_u], uidx[known_u]]
-    pred[known_i] += p.item_bias[lv0[known_i], iidx[known_i]]
-    both = known_u & known_i
-    gu = p.user_factors[lv0[both], uidx[both]]
-    gi = p.item_factors[lv0[both], iidx[both]]
-    pred[both] += np.einsum("ij,ij->i", gu, gi)
-    return pred
+    for cold keys, which contribute zero bias and zero factors."""
+    if (uidx < 0).any() or (iidx < 0).any():
+        # score a model cut down to the requested keys, in which the
+        # row of key -1 is all zeros
+        users, uidx = np.unique(uidx, return_inverse=True)
+        items, iidx = np.unique(iidx, return_inverse=True)
+
+        def rows(block, keys):
+            out = block[:, keys]
+            out[:, keys < 0] = 0.0
+            return out
+
+        p = ModelParams(
+            users=tuple(users), items=tuple(items), alpha=p.alpha,
+            user_bias=rows(p.user_bias, users), item_bias=rows(p.item_bias, items),
+            user_factors=rows(p.user_factors, users), item_factors=rows(p.item_factors, items),
+        )
+    return score(p, np.asarray(levels, dtype=np.int64) - 1, uidx, iidx)[0]
 
 
 def smoothness_penalty(p: ModelParams) -> float:
@@ -264,51 +267,28 @@ def error_term(
     p: ModelParams, lv0: np.ndarray, uidx: np.ndarray, iidx: np.ndarray, vals: np.ndarray
 ) -> float:
     """Mean squared prediction error over assigned levels (0-based)."""
-    gu = p.user_factors[lv0, uidx]
-    gi = p.item_factors[lv0, iidx]
-    pred = (
-        p.alpha[lv0]
-        + p.user_bias[lv0, uidx]
-        + p.item_bias[lv0, iidx]
-        + np.einsum("ij,ij->i", gu, gi)
-    )
-    res = pred - vals
+    res = score(p, lv0, uidx, iidx)[0] - vals
     return float(np.mean(res * res))
 
 
-def objective(
-    p: ModelParams,
-    a: ExperienceAssignment,
-    train: Dataset,
-    lam: float,
-    magnitude: float = 0.0,
-) -> float:
+def objective(p: ModelParams, a: ExperienceAssignment, train: Dataset, lam: float) -> float:
     """Training objective: mean squared error plus lam * smoothness.
 
-    ``magnitude`` adds an optional ridge term on all parameters; it
-    defaults to 0 and is only meant for ill-conditioned corpora.
+    As in the paper, smoothness between adjacent levels is the only
+    regulariser; there is no magnitude (ridge) term.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     lv0 = a.flat(train) - 1
     uidx, iidx = _strict_encode(p, train)
-    obj = error_term(p, lv0, uidx, iidx, train.values) + lam * smoothness_penalty(p)
-    if magnitude:
-        obj += magnitude * float(np.sum(p.flatten() ** 2))
-    return obj
+    return error_term(p, lv0, uidx, iidx, train.values) + lam * smoothness_penalty(p)
 
 
-def gradient(
-    p: ModelParams,
-    a: ExperienceAssignment,
-    train: Dataset,
-    lam: float,
-    magnitude: float = 0.0,
-) -> np.ndarray:
+def gradient(p: ModelParams, a: ExperienceAssignment, train: Dataset, lam: float) -> np.ndarray:
     """Analytic gradient of :func:`objective` in flattening order."""
     lv0 = a.flat(train) - 1
     uidx, iidx = _strict_encode(p, train)
-    _, grad = objective_and_gradient(p, lv0, uidx, iidx, train.values, lam, magnitude)
+    _, grad = objective_and_gradient(p, lv0, uidx, iidx, train.values, lam)
     return grad
 
 
@@ -319,7 +299,6 @@ def objective_and_gradient(
     iidx: np.ndarray,
     vals: np.ndarray,
     lam: float,
-    magnitude: float = 0.0,
 ) -> tuple[float, np.ndarray]:
     """Objective value and flat gradient, sharing one prediction pass.
 
@@ -331,14 +310,7 @@ def objective_and_gradient(
     U, I = len(p.users), len(p.items)
     n = len(vals)
 
-    gu = p.user_factors[lv0, uidx]
-    gi = p.item_factors[lv0, iidx]
-    pred = (
-        p.alpha[lv0]
-        + p.user_bias[lv0, uidx]
-        + p.item_bias[lv0, iidx]
-        + np.einsum("ij,ij->i", gu, gi)
-    )
+    pred, gu, gi = score(p, lv0, uidx, iidx)
     res = pred - vals
     err = float(np.mean(res * res))
 
@@ -378,12 +350,7 @@ def objective_and_gradient(
         users=p.users, items=p.items, alpha=g_alpha, user_bias=g_ub,
         item_bias=g_ib, user_factors=g_uf, item_factors=g_if,
     )
-    grad = grad_params.flatten()
-    if magnitude:
-        flat = p.flatten()
-        obj += magnitude * float(np.sum(flat * flat))
-        grad += 2.0 * magnitude * flat
-    return obj, grad
+    return obj, grad_params.flatten()
 
 
 def params_to_level_dicts(p: ModelParams) -> list[dict]:

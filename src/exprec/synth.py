@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from .dataset import Dataset, Rating
-from .model import ExperienceAssignment, ModelParams
+from .model import ExperienceAssignment, ModelParams, score
 
 _BLOCKS = ("alpha", "user_bias", "item_bias", "user_factors", "item_factors")
 
@@ -199,14 +199,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             # leavers walk their own trajectory at half speed
             traj = traj[np.arange(n_r) // 2]
         lv0 = traj - 1
-        gu = params.user_factors[lv0, j]
-        gi = params.item_factors[lv0, item_idx]
-        pred = (
-            params.alpha[lv0]
-            + params.user_bias[lv0, j]
-            + params.item_bias[lv0, item_idx]
-            + np.einsum("ij,ij->i", gu, gi)
-        )
+        pred = score(params, lv0, j, item_idx)[0]
         noise = rng.standard_normal(n_r) * sigma[lv0]
         values = pred + noise
         if cfg.clamp:

@@ -12,6 +12,7 @@ objective never increases.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +26,7 @@ from .dataset import Dataset, TrainingError
 from .model import (
     ExperienceAssignment,
     ModelParams,
+    _strict_encode,
     error_term,
     objective_and_gradient,
     params_from_level_dicts,
@@ -45,18 +47,16 @@ class TrainConfig:
     inner_max_iters: int = 1000
     seed: int = 0
     model_kind: ModelKind = ModelKind.USER_LEARNED
-    magnitude_penalty: float = 0.0
-    warm_start: bool = False
 
     def __post_init__(self):
         if self.E < 1 or self.K < 1:
             raise ValueError("E and K must be >= 1")
         if not self.lambda_grid:
             raise ValueError("lambda_grid must be non-empty")
-        if any(lam < 0 for lam in self.lambda_grid):
-            raise ValueError("lambda values must be >= 0")
-        if self.inner_tolerance <= 0:
-            raise ValueError("inner_tolerance must be > 0")
+        if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambda_grid):
+            raise ValueError("lambda values must be finite and >= 0")
+        if not (math.isfinite(self.inner_tolerance) and self.inner_tolerance > 0):
+            raise ValueError("inner_tolerance must be finite and > 0")
 
     @property
     def effective_E(self) -> int:
@@ -136,17 +136,6 @@ def initialize(train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, Experienc
     return p, assignment
 
 
-class _TrainData:
-    """Training set in integer-coded columnar form."""
-
-    def __init__(self, p: ModelParams, train: Dataset):
-        self.uidx = p.encode_users(train.user_seq)
-        self.iidx = p.encode_items(train.item_seq)
-        if (self.uidx < 0).any() or (self.iidx < 0).any():
-            raise ValueError("training data contains keys missing from the parameters")
-        self.vals = train.values
-
-
 _BLOCK_NAMES = ("alpha", "user_bias", "item_bias", "user_factors", "item_factors")
 
 
@@ -174,18 +163,16 @@ def theta_step(
     which keeps recorded error terms non-increasing across every step.
     """
     lv0 = a.flat(train) - 1
-    data = _TrainData(p, train)
+    uidx, iidx = _strict_encode(p, train)
     users, items, E, K = p.users, p.items, p.E, p.K
 
     def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
         px = ModelParams.from_flat(x, users, items, E, K)
-        return objective_and_gradient(
-            px, lv0, data.uidx, data.iidx, data.vals, lam, cfg.magnitude_penalty
-        )
+        return objective_and_gradient(px, lv0, uidx, iidx, train.values, lam)
 
     x0 = p.flatten()
     obj_in, _ = fun(x0)
-    err_in = error_term(p, lv0, data.uidx, data.iidx, data.vals)
+    err_in = error_term(p, lv0, uidx, iidx, train.values)
     result = minimize(
         fun,
         x0,
@@ -205,7 +192,7 @@ def theta_step(
             f"divergence in theta step (lambda={lam}): non-finite {bad or 'objective'}"
         )
     obj_out = float(result.fun)
-    err_out = error_term(candidate, lv0, data.uidx, data.iidx, data.vals)
+    err_out = error_term(candidate, lv0, uidx, iidx, train.values)
     if obj_out > obj_in or err_out > err_in:
         return p
     return candidate
@@ -228,18 +215,14 @@ def fit_single_lambda(
     cfg: TrainConfig,
     lam: float,
     progress: ProgressFn | None = None,
-    start: tuple[ModelParams, ExperienceAssignment] | None = None,
 ) -> FittedModel:
-    if start is not None:
-        p, a = start[0].copy(), start[1]
-    else:
-        p, a = initialize(train, cfg)
-    data = _TrainData(p, train)
+    p, a = initialize(train, cfg)
+    uidx, iidx = _strict_encode(p, train)
     history: list[HistoryEntry] = []
     for it in range(1, cfg.max_outer_iters + 1):
         p = theta_step(p, a, train, lam, cfg)
         lv0 = a.flat(train) - 1
-        err = error_term(p, lv0, data.uidx, data.iidx, data.vals)
+        err = error_term(p, lv0, uidx, iidx, train.values)
         obj = err + lam * smoothness_penalty(p)
         history.append(HistoryEntry(it, "theta", err, obj, 0))
 
@@ -247,7 +230,7 @@ def fit_single_lambda(
         changed = new_a.n_changes(a)
         a = new_a
         lv0 = a.flat(train) - 1
-        err = error_term(p, lv0, data.uidx, data.iidx, data.vals)
+        err = error_term(p, lv0, uidx, iidx, train.values)
         obj = err + lam * smoothness_penalty(p)
         history.append(HistoryEntry(it, "e", err, obj, changed))
         if progress is not None:
@@ -268,58 +251,35 @@ def fit(
     """Train one model per lambda in the grid and keep the one with the
     smallest validation MSE (ties go to the earliest grid entry).
 
-    By default each grid point restarts from the same seeded
-    initialization, so results do not depend on grid order or on
-    ``threads``.  With ``cfg.warm_start`` the grid is processed in the
-    order given and each point starts from the previous point's solution;
-    a grid sorted from heavy to light smoothing then behaves like an
-    annealing schedule, which helps on corpora where cold alternation
-    stalls in poor assignments.
+    Every grid point restarts from the same seeded initialization, so
+    results do not depend on grid order or on ``threads``.  With a single
+    level (``cfg.effective_E == 1``) the smoothness term is identically
+    zero and every grid point would train the same model, so only
+    ``lambda_grid[0]`` is trained.  A grid point that raises
+    :class:`TrainingError` is dropped; if every point fails, the error
+    lists each lambda with its message.
     """
-    from .evaluator import mse  # local import; evaluator depends on FittedModel
+    grid = list(cfg.lambda_grid) if cfg.effective_E > 1 else [cfg.lambda_grid[0]]
 
-    grid = list(cfg.lambda_grid)
-    results: list[FittedModel | None] = [None] * len(grid)
-    failures: dict[float, str] = {}
-
-    if cfg.warm_start:
-        start = None
-        for i, lam in enumerate(grid):
-            try:
-                model = fit_single_lambda(train, cfg, lam, progress=progress, start=start)
-                results[i] = model
-                start = (model.params, model.assignment)
-            except TrainingError as exc:
-                failures[lam] = str(exc)
-                start = None
-        return _select(results, failures, grid, train, validation, mse)
-
-    def run(idx_lam):
-        idx, lam = idx_lam
-        return idx, fit_single_lambda(train, cfg, lam, progress=progress)
+    def attempt(lam: float) -> FittedModel | str:
+        try:
+            return fit_single_lambda(train, cfg, lam, progress=progress)
+        except TrainingError as exc:
+            return str(exc)
 
     if threads > 1 and len(grid) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run, (i, lam)) for i, lam in enumerate(grid)]
-            for lam, fut in zip(grid, futures):
-                try:
-                    idx, model = fut.result()
-                    results[idx] = model
-                except TrainingError as exc:
-                    failures[lam] = str(exc)
+            outcomes = list(pool.map(attempt, grid))
     else:
-        for i, lam in enumerate(grid):
-            try:
-                _, model = run((i, lam))
-                results[i] = model
-            except TrainingError as exc:
-                failures[lam] = str(exc)
-
-    return _select(results, failures, grid, train, validation, mse)
+        outcomes = list(map(attempt, grid))
+    fitted = [o for o in outcomes if isinstance(o, FittedModel)]
+    failures = {lam: o for lam, o in zip(grid, outcomes) if isinstance(o, str)}
+    return _select(fitted, failures, train, validation)
 
 
-def _select(results, failures, grid, train, validation, mse_fn) -> FittedModel:
-    fitted = [m for m in results if m is not None]
+def _select(fitted, failures, train, validation) -> FittedModel:
+    from .evaluator import mse  # local import; evaluator depends on FittedModel
+
     if not fitted:
         detail = "; ".join(f"lambda={lam}: {msg}" for lam, msg in failures.items())
         raise TrainingError(f"all lambda values failed: {detail}")
@@ -330,7 +290,7 @@ def _select(results, failures, grid, train, validation, mse_fn) -> FittedModel:
     best = None
     best_mse = np.inf
     for m in fitted:
-        report = mse_fn(m, validation, train)
+        report = mse(m, validation, train)
         if report.mse < best_mse:
             best, best_mse = m, report.mse
     return best

@@ -201,19 +201,6 @@ class TestGradient:
         rel = np.abs(numeric[mask] - analytic[mask]) / np.abs(analytic[mask])
         assert rel.max() < 1e-4
 
-    def test_magnitude_penalty_gradient(self):
-        p, a, d, lam = random_instance(44)
-        analytic = gradient(p, a, d, lam, magnitude=0.05)
-        x = p.flatten()
-        h = 1e-5
-        j = 7
-        up, down = x.copy(), x.copy()
-        up[j] += h
-        down[j] -= h
-        f_up = objective(ModelParams.from_flat(up, p.users, p.items, p.E, p.K), a, d, lam, 0.05)
-        f_down = objective(ModelParams.from_flat(down, p.users, p.items, p.E, p.K), a, d, lam, 0.05)
-        assert analytic[j] == pytest.approx((f_up - f_down) / (2 * h), rel=1e-5)
-
 
 class TestFlattenRoundTrip:
     def test_round_trip(self):

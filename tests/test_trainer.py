@@ -1,8 +1,12 @@
 """Initialization, descent steps, and the outer training loop."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+from exprec import trainer
 from exprec.assign import ModelKind
 from exprec.dataset import Dataset, Rating, SplitScheme, SplitSpec, TrainingError, split
 from exprec.model import ExperienceAssignment, objective, smoothness_penalty
@@ -22,6 +26,21 @@ def small_corpus(seed=0, n_users=20, n_items=25, per_user=12, **kwargs):
 
 
 EMPTY = Dataset([], scale_max=5.0)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("grid", [(math.nan,), (1.0, math.inf), (-math.inf,), (-1.0,), ()])
+    def test_rejects_bad_lambda_grid(self, grid):
+        with pytest.raises(ValueError):
+            TrainConfig(lambda_grid=grid)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_rejects_bad_inner_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            TrainConfig(inner_tolerance=tol)
+
+    def test_accepts_zero_lambda(self):
+        assert TrainConfig(lambda_grid=(0.0, 1.0)).lambda_grid == (0.0, 1.0)
 
 
 class TestInitialize:
@@ -196,3 +215,56 @@ class TestFit:
             cfg = TrainConfig(seed=2, model_kind=kind, lambda_grid=(1e-5,), max_outer_iters=6)
             m = fit(data, EMPTY, cfg)
             assert find_monotonicity_violation(kind, data, m.assignment) is None
+
+
+class TestFitGrid:
+    """The grid loop: per-lambda failures, thread independence, E=1 collapse."""
+
+    @pytest.fixture(scope="class")
+    def split_corpus(self):
+        data, _ = small_corpus(seed=15, n_users=15, per_user=12, level_drift=0.3)
+        train, valid, _ = split(data, SplitSpec(SplitScheme.RANDOM, 0.1, 0.15, seed=3))
+        return train, valid
+
+    @staticmethod
+    def fail_on(monkeypatch, bad):
+        calls = []
+        real = trainer.fit_single_lambda
+
+        def fake(train, cfg, lam, progress=None):
+            calls.append(lam)
+            if lam in bad:
+                raise TrainingError(f"planted failure at {lam}")
+            return real(train, cfg, lam, progress=progress)
+
+        monkeypatch.setattr(trainer, "fit_single_lambda", fake)
+        return calls
+
+    def test_partial_failure_same_model_for_any_thread_count(self, split_corpus, monkeypatch):
+        train, valid = split_corpus
+        cfg = TrainConfig(E=3, K=2, seed=2, lambda_grid=(1e-4, 1.0, 100.0), max_outer_iters=3,
+                          inner_max_iters=40)
+        self.fail_on(monkeypatch, {1.0})
+        serial = fit(train, valid, cfg, threads=1)
+        threaded = fit(train, valid, cfg, threads=2)
+        assert serial.lam in (1e-4, 100.0)
+        assert json.dumps(serial.to_json_dict()) == json.dumps(threaded.to_json_dict())
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_all_failures_listed(self, split_corpus, monkeypatch, threads):
+        train, valid = split_corpus
+        grid = (1e-4, 1.0, 100.0)
+        self.fail_on(monkeypatch, set(grid))
+        with pytest.raises(TrainingError) as info:
+            fit(train, valid, TrainConfig(E=3, K=2, lambda_grid=grid), threads=threads)
+        for lam in grid:
+            assert f"lambda={lam}: planted failure at {lam}" in str(info.value)
+
+    def test_flat_trains_first_grid_point_only(self, split_corpus, monkeypatch):
+        train, valid = split_corpus
+        calls = self.fail_on(monkeypatch, set())
+        cfg = TrainConfig(K=2, seed=2, model_kind=ModelKind.FLAT, lambda_grid=(10.0, 1.0, 0.1),
+                          max_outer_iters=3, inner_max_iters=40)
+        m = fit(train, valid, cfg, threads=2)
+        assert calls == [10.0]
+        assert m.lam == 10.0
