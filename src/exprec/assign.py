@@ -85,42 +85,83 @@ def uniform_user_schedule(d: Dataset, E: int) -> ExperienceAssignment:
     return ExperienceAssignment(levels)
 
 
+def _monotone_dp(costs: np.ndarray) -> np.ndarray:
+    """The DP kernel: cheapest non-decreasing level path of B sequences.
+
+    ``costs`` has shape (L, B, E), one row of E level costs per rating,
+    rows in chronological order.  Returns (L, B) 0-based levels.  A
+    sequence shorter than L is left-padded with zero rows: they add
+    nothing to any path's cost and the tie-break puts them at the lowest
+    level, so the real rows get the levels they get alone.
+
+    Ties: among all optimal paths the lexicographically smallest is
+    returned, found by a greedy forward pass over the suffix cost-to-go
+    table (the first argmin at each step is the lowest feasible level).
+    """
+    if not np.isfinite(costs).all():
+        raise ValueError("non-finite cost entry")
+    L, B, E = costs.shape
+    # G[t, b, e]: cheapest completion of rows t.. of sequence b given row
+    # t sits at level e and later levels never decrease.
+    G = np.array(costs, dtype=np.float64)
+    top_down = G[:, :, ::-1]  # a view; accumulating along it gives suffix minima
+    for t in range(L - 2, -1, -1):
+        top_down[t] += np.minimum.accumulate(top_down[t + 1], axis=1)
+
+    # P[t, b, p]: the level the forward pass picks at row t after level p
+    # at row t - 1.  Each P[t, b] is a monotone map on the levels, so the
+    # path is a prefix composition of maps, done as a log-depth scan:
+    # afterwards P[t] = P[t] o P[t - 1] o ... o P[0], and the path starts
+    # from the lowest level.
+    P = np.empty((L, B, E), dtype=np.min_scalar_type(E - 1))
+    for p in range(E):
+        P[:, :, p] = p + np.argmin(G[:, :, p:], axis=2)
+    d = 1
+    while d < L:
+        P[d:] = np.take_along_axis(P[d:], P[:-d], axis=2)
+        d *= 2
+    return P[:, :, 0].astype(np.int64)
+
+
 def assign_user_dp(costs: CostMatrix, E: int | None = None) -> np.ndarray:
     """Cheapest non-decreasing level sequence for one ordered rating list.
 
     ``costs`` has one row per level and one column per rating, columns in
-    chronological order.  Returns 1-based levels.  Runtime O(n * E).
-
-    Ties: among all optimal sequences the lexicographically smallest is
-    returned, found by a greedy forward pass over the suffix cost-to-go
-    table (the first argmin at each step is the lowest feasible level).
+    chronological order.  Returns 1-based levels, the lexicographically
+    smallest among equally cheap sequences.  Runtime O(n * E).
     """
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2:
         raise ValueError("cost matrix must be 2-dimensional")
-    n_levels, n = costs.shape
-    if E is not None and E != n_levels:
-        raise ValueError(f"E={E} disagrees with cost matrix rows {n_levels}")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if not np.isfinite(costs).all():
-        raise ValueError("non-finite cost entry")
+    if E is not None and E != costs.shape[0]:
+        raise ValueError(f"E={E} disagrees with cost matrix rows {costs.shape[0]}")
+    return _monotone_dp(costs.T[:, None, :])[:, 0] + 1
 
-    # G[e, t]: cheapest completion of ratings t.. given rating t sits at
-    # level e and later levels never decrease.
-    G = np.empty_like(costs)
-    G[:, -1] = costs[:, -1]
-    for t in range(n - 2, -1, -1):
-        suffix_best = np.minimum.accumulate(G[::-1, t + 1])[::-1]
-        G[:, t] = costs[:, t] + suffix_best
 
-    levels = np.empty(n, dtype=np.int64)
-    prev = int(np.argmin(G[:, 0]))
-    levels[0] = prev
-    for t in range(1, n):
-        prev = prev + int(np.argmin(G[prev:, t]))
-        levels[t] = prev
-    return levels + 1
+def assign_batch_dp(costs: CostMatrix, segments) -> list[np.ndarray]:
+    """``assign_user_dp(costs[:, s])`` for every index array ``s`` in
+    ``segments``, one kernel call per bucket of similar lengths.
+
+    A bucket holds lengths in [2^k, 2^(k+1)), so zero padding at most
+    doubles its rows and one long sequence does not set L for all.
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    lengths = np.array([len(s) for s in segments], dtype=np.int64)
+    out: list[np.ndarray] = [None] * len(segments)
+    buckets = np.frexp(lengths)[1]  # k + 1 for 2^k <= length < 2^(k+1), 0 for 0
+    for k in np.unique(buckets):
+        members = np.nonzero(buckets == k)[0]
+        lens = lengths[members]
+        L, B = int(lens.max()), len(members)
+        cols = np.concatenate([segments[j] for j in members])
+        seq = np.repeat(np.arange(B), lens)
+        row = np.arange(len(cols)) - np.repeat(np.cumsum(lens) - L, lens)
+        batch = np.zeros((L, B, costs.shape[0]))
+        batch[row, seq] = costs[:, cols].T
+        levels = _monotone_dp(batch)[row, seq] + 1
+        for j, lv in zip(members, np.split(levels, np.cumsum(lens)[:-1])):
+            out[j] = lv
+    return out
 
 
 def assign_community_dp(costs: CostMatrix, E: int | None = None) -> np.ndarray:
@@ -162,11 +203,8 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
 
     costs = prediction_costs(p, d)
     if kind is ModelKind.USER_LEARNED:
-        levels = {}
-        for user in d.users:
-            positions = d.user_index[user]
-            levels[user] = assign_user_dp(costs[:, positions], E)
-        return ExperienceAssignment(levels)
+        levels = assign_batch_dp(costs, [d.user_index[u] for u in d.users])
+        return ExperienceAssignment(dict(zip(d.users, levels)))
     if kind is ModelKind.COMMUNITY_LEARNED:
         order = d.global_time_order()
         path = assign_community_dp(costs[:, order], E)

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -167,6 +168,19 @@ class Dataset:
         if bg is not None and not any(r.user == bg for r in subset):
             bg = None
         return Dataset(subset, scale_max=self.scale_max, background_user=bg)
+
+    @cached_property
+    def codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each rating's position in ``users`` and in ``items``, computed
+        once per dataset; the arrays are read-only because every caller
+        shares them."""
+        user_pos = {u: j for j, u in enumerate(self.users)}
+        item_pos = {i: j for j, i in enumerate(self.items)}
+        ucode = np.array([user_pos[u] for u in self.user_seq], dtype=np.int64)
+        icode = np.array([item_pos[i] for i in self.item_seq], dtype=np.int64)
+        ucode.flags.writeable = False
+        icode.flags.writeable = False
+        return ucode, icode
 
     def global_time_order(self) -> np.ndarray:
         """Positions sorted by (timestamp, user, item).

@@ -14,7 +14,8 @@ item factor rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -33,12 +34,8 @@ class ModelParams:
     item_bias: np.ndarray     # (E, I)
     user_factors: np.ndarray  # (E, U, K)
     item_factors: np.ndarray  # (E, I, K)
-    _user_pos: dict = field(init=False, repr=False)
-    _item_pos: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._user_pos = {u: i for i, u in enumerate(self.users)}
-        self._item_pos = {it: i for i, it in enumerate(self.items)}
         E, U, K = self.user_factors.shape
         if self.alpha.shape != (E,):
             raise ValueError("alpha shape mismatch")
@@ -46,6 +43,16 @@ class ModelParams:
             raise ValueError("bias shape mismatch")
         if self.item_factors.shape != (E, len(self.items), K):
             raise ValueError("factor shape mismatch")
+
+    # key -> position maps, built on first use: the models made for every
+    # L-BFGS evaluation never look a key up
+    @cached_property
+    def _user_pos(self) -> dict[str, int]:
+        return {u: i for i, u in enumerate(self.users)}
+
+    @cached_property
+    def _item_pos(self) -> dict[str, int]:
+        return {it: i for i, it in enumerate(self.items)}
 
     @property
     def E(self) -> int:
@@ -252,15 +259,21 @@ def smoothness_penalty(p: ModelParams) -> float:
 
 
 def _strict_encode(p: ModelParams, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    uidx = p.encode_users(d.user_seq)
-    iidx = p.encode_items(d.item_seq)
-    if (uidx < 0).any():
-        missing = d.user_seq[int(np.argmax(uidx < 0))]
-        raise ValueError(f"user {missing!r} not in model parameters")
-    if (iidx < 0).any():
-        missing = d.item_seq[int(np.argmax(iidx < 0))]
-        raise ValueError(f"item {missing!r} not in model parameters")
+    """Every rating's user and item position in ``p``; raises ValueError
+    naming the first rating whose user or item ``p`` does not hold."""
+    uidx, iidx = d.codes
+    if p.users != d.users:
+        uidx = _require_known(p.encode_users(d.users)[uidx], d.user_seq, "user")
+    if p.items != d.items:
+        iidx = _require_known(p.encode_items(d.items)[iidx], d.item_seq, "item")
     return uidx, iidx
+
+
+def _require_known(idx: np.ndarray, keys: list[str], kind: str) -> np.ndarray:
+    if (idx < 0).any():
+        missing = keys[int(np.argmax(idx < 0))]
+        raise ValueError(f"{kind} {missing!r} not in model parameters")
+    return idx
 
 
 def error_term(

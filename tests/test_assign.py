@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from exprec.assign import (
     ModelKind,
     assign_all,
+    assign_batch_dp,
     assign_community_dp,
     assign_user_dp,
     find_monotonicity_violation,
@@ -14,13 +15,39 @@ from exprec.assign import (
     uniform_community_schedule,
     uniform_user_schedule,
 )
-from exprec.dataset import Dataset, Rating
+from exprec.dataset import BACKGROUND_USER, Dataset, Rating, pool_infrequent_users
 from exprec.model import ExperienceAssignment, ModelParams
-from exprec.synth import brute_force_assign
+from exprec.synth import SynthConfig, brute_force_assign, generate
 
 
 def make_dataset(rows):
     return Dataset([Rating(u, i, v, t, v) for (u, i, v, t) in rows])
+
+
+def reference_dp(costs):
+    """The per-column Python loop the batched kernel replaced: the
+    reference for sequences too long to enumerate."""
+    G = np.empty_like(costs)
+    G[:, -1] = costs[:, -1]
+    for t in range(costs.shape[1] - 2, -1, -1):
+        G[:, t] = costs[:, t] + np.minimum.accumulate(G[::-1, t + 1])[::-1]
+    levels = np.empty(costs.shape[1], dtype=np.int64)
+    prev = 0
+    for t in range(costs.shape[1]):
+        prev += int(np.argmin(G[prev:, t]))
+        levels[t] = prev
+    return levels + 1
+
+
+def shuffled_batch(cost_list, rng):
+    """One cost matrix holding every sequence's columns in shuffled order,
+    and each sequence's column positions in it."""
+    lengths = [c.shape[1] for c in cost_list]
+    joined = np.concatenate(cost_list, axis=1)
+    perm = rng.permutation(joined.shape[1])
+    where = np.argsort(perm)  # column j of ``joined`` sits at where[j]
+    segments = np.split(where, np.cumsum(lengths)[:-1])
+    return joined[:, perm], segments
 
 
 class TestUniformCommunitySchedule:
@@ -103,9 +130,12 @@ class TestUserDP:
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=1, max_value=8),
         st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
     )
-    def test_matches_brute_force(self, E, n, seed):
-        costs = np.random.default_rng(seed).random((E, n))
+    def test_matches_brute_force(self, E, n, seed, tied):
+        rng = np.random.default_rng(seed)
+        # integer costs in {0, 1, 2} tie often, continuous ones never
+        costs = rng.integers(0, 3, size=(E, n)).astype(float) if tied else rng.random((E, n))
         dp = assign_user_dp(costs)
         oracle = brute_force_assign(costs)
         assert np.array_equal(dp, oracle)
@@ -123,6 +153,37 @@ class TestUserDP:
                 total = costs[path, cols].sum()
                 assert total <= prev_cost + 1e-12
                 prev_cost = total
+
+
+class TestBatchDP:
+    @pytest.mark.parametrize("E", [1, 2, 3, 5])
+    def test_ragged_tied_batch_matches_single_and_oracle(self, E):
+        rng = np.random.default_rng(E)
+        # length-1 sequences, zero padding inside every bucket, and two long
+        # sequences sharing the top bucket
+        lengths = [0, 1, 1, 2, 3, 5, 8, 12, 1500, 2000, *rng.integers(1, 13, size=40)]
+        cost_list = [rng.integers(0, 3, size=(E, n)).astype(float) for n in lengths]
+        costs, segments = shuffled_batch(cost_list, rng)
+        got = assign_batch_dp(costs, segments)
+        assert len(got) == len(cost_list)
+        for c, levels in zip(cost_list, got):
+            assert levels.dtype == np.int64
+            assert np.array_equal(levels, assign_user_dp(c))
+            if c.shape[1] <= 12:
+                assert np.array_equal(levels, brute_force_assign(c))
+            if c.shape[1] > 0:
+                assert np.array_equal(levels, reference_dp(c))
+
+    def test_long_sequence_matches_reference(self):
+        rng = np.random.default_rng(11)
+        for costs in (rng.random((5, 3000)), rng.integers(0, 3, size=(4, 3000)).astype(float)):
+            assert np.array_equal(assign_user_dp(costs), reference_dp(costs))
+
+    def test_non_finite_cost_in_batch(self):
+        costs = np.zeros((2, 5))
+        costs[1, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite cost entry"):
+            assign_batch_dp(costs, [np.arange(3), np.arange(3, 5)])
 
 
 class TestCommunityDP:
@@ -183,6 +244,30 @@ class TestAssignAll:
         order = d.global_time_order()
         assert list(flat[order]) == [1, 1, 1, 2, 2, 2]
 
+    def test_user_learned_equals_per_user_dp_loop(self):
+        data, _ = generate(SynthConfig(n_users=60, n_items=80, ratings_per_user=(2, 40), seed=4))
+        d = pool_infrequent_users(data, min_ratings=10)
+        assert BACKGROUND_USER in d.users
+        assert len(d.user_index[BACKGROUND_USER]) > 40
+        rng = np.random.default_rng(5)
+        p = ModelParams.from_flat(
+            rng.normal(0, 0.5, size=ModelParams.zeros(d.users, d.items, 4, 2).n_params),
+            d.users, d.items, 4, 2,
+        )
+        a = assign_all(ModelKind.USER_LEARNED, p, d)
+        costs = prediction_costs(p, d)
+        assert set(a.levels) == set(d.users)
+        for user in d.users:
+            want = assign_user_dp(costs[:, d.user_index[user]])
+            assert np.array_equal(a.levels[user], want)
+
+    @pytest.mark.parametrize("kind", [ModelKind.USER_LEARNED, ModelKind.COMMUNITY_LEARNED])
+    def test_nan_parameters_raise(self, kind):
+        p, d = tiny_model_and_data(E=3)
+        p.item_factors[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite cost entry"):
+            assign_all(kind, p, d)
+
     def test_every_kind_satisfies_its_constraint(self):
         rng = np.random.default_rng(3)
         rows = []
@@ -223,3 +308,30 @@ class TestPredictionCosts:
         assert np.allclose(costs[0], (1.0 - 2.0) ** 2)
         assert np.allclose(costs[1], (4.0 - 2.0) ** 2)
         assert (costs >= 0).all()
+
+    def test_subset_keys_match_full_costs(self):
+        # a dataset holding only some of the model's users and items is
+        # encoded against the model's own key positions
+        rng = np.random.default_rng(9)
+        rows = [(f"u{j}", f"i{k}", float(rng.uniform(0, 5)), 10 * j + k)
+                for j in range(4) for k in range(5)]
+        full = make_dataset(rows)
+        p = ModelParams.from_flat(
+            rng.normal(0, 0.5, size=ModelParams.zeros(full.users, full.items, 2, 2).n_params),
+            full.users, full.items, 2, 2,
+        )
+        keep = [pos for pos in range(len(full)) if full.user_seq[pos] != "u1"
+                and full.item_seq[pos] not in ("i0", "i3")]
+        sub = full.subset(keep)
+        assert sub.users != p.users and sub.items != p.items
+        assert np.array_equal(prediction_costs(p, sub), prediction_costs(p, full)[:, keep])
+
+    def test_unknown_keys_named(self):
+        p, d = tiny_model_and_data(E=2)
+        stranger = make_dataset([("a", "x", 1.0, 0), ("zed", "x", 1.0, 1)])
+        with pytest.raises(ValueError, match="user 'zed' not in model parameters"):
+            prediction_costs(p, stranger)
+        # the first unknown item in rating order, not in sorted order
+        odd = make_dataset([("a", "x", 1.0, 0), ("a", "q2", 1.0, 1), ("b", "q1", 1.0, 2)])
+        with pytest.raises(ValueError, match="item 'q2' not in model parameters"):
+            prediction_costs(p, odd)

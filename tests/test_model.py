@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from exprec.dataset import Dataset, Rating
+from exprec.dataset import Dataset, Rating, SplitScheme, SplitSpec, split
 from exprec.model import (
     ExperienceAssignment,
     ModelParams,
@@ -15,6 +15,8 @@ from exprec.model import (
     params_to_level_dicts,
     smoothness_penalty,
 )
+from exprec.synth import SynthConfig, generate
+from exprec.trainer import TrainConfig, fit_single_lambda
 
 
 def finite_difference_gradient(p, a, d, lam, h=1e-5):
@@ -228,3 +230,39 @@ class TestSerialization:
         assert q.users == p.users and q.items == p.items
         for block in ("alpha", "user_bias", "item_bias", "user_factors", "item_factors"):
             assert np.array_equal(getattr(p, block), getattr(q, block))
+
+
+class TestRestrictTo:
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        d, _ = generate(SynthConfig(n_users=30, n_items=60, ratings_per_user=(5, 30), seed=2))
+        cfg = TrainConfig(E=3, K=2, lambda_grid=(1.0,), max_outer_iters=2)
+        return d, fit_single_lambda(d, cfg, 1.0).assignment
+
+    def test_projects_onto_each_final_split_part(self, fitted):
+        d, a = fitted
+        full_level = {
+            (u, int(d.times[pos]), d.item_seq[pos]): int(lv)
+            for u in d.users
+            for pos, lv in zip(d.user_index[u], a.levels[u])
+        }
+        assert len(set(full_level.values())) > 1
+        parts = split(d, SplitSpec(scheme=SplitScheme.FINAL))
+        projected = [a.restrict_to(d, part) for part in parts]
+        for part, sub in zip(parts, projected):
+            assert set(sub.levels) == set(part.users)
+            for u in part.users:
+                want = [full_level[(u, int(part.times[q]), part.item_seq[q])]
+                        for q in part.user_index[u]]
+                assert sub.levels[u].tolist() == want
+        # a final split keeps each user's chronology: train, then
+        # validation, then test
+        for u in d.users:
+            pieces = [sub.levels[u] for sub in projected if u in sub.levels]
+            assert np.array_equal(np.concatenate(pieces), a.levels[u])
+
+    def test_user_missing_from_full_raises(self, fitted):
+        d, a = fitted
+        stranger = Dataset([Rating("stranger", d.items[0], 3.0, 0, 3.0)])
+        with pytest.raises(KeyError):
+            a.restrict_to(d, stranger)
