@@ -19,6 +19,7 @@ from exprec.dataset import (
     parse_reviews,
     pool_infrequent_users,
     split,
+    write_reviews,
 )
 
 
@@ -115,6 +116,116 @@ class TestParseReviews:
         text = "user\titem\tscore\ttimestamp\nu1\ti1\t3\t0\n"
         with pytest.raises(DataError, match="missing column"):
             parse_reviews(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "stamp, message",
+        [
+            ("soon", "line 3: non-numeric timestamp 'soon'"),
+            ("12.5", "line 3: non-integer timestamp 12.5"),
+            ("nan", "line 3: non-integer timestamp nan"),
+            ("-7", "line 3: negative timestamp -7"),
+        ],
+    )
+    def test_timestamp_errors_name_line(self, stamp, message):
+        text = f"user\titem\trating\ttimestamp\nu1\ti1\t3\t0\nu1\ti2\t3\t{stamp}\n"
+        with pytest.raises(ParseError) as info:
+            parse_reviews(io.StringIO(text))
+        assert str(info.value) == message
+        assert info.value.line_no == 3
+
+    def test_blank_lines_count_in_line_numbers(self):
+        text = "user\titem\trating\ttimestamp\n\nu1\ti1\t3\t0\n   \nu1\ti2\tbad\t1\n"
+        with pytest.raises(ParseError) as info:
+            parse_reviews(io.StringIO(text))
+        assert str(info.value) == "line 5: non-numeric rating 'bad'"
+
+    def test_blank_lines_skipped(self):
+        text = "user\titem\trating\ttimestamp\n\nu1\ti1\t3\t0\n\t\n\nu1\ti2\t4\t1\n\n"
+        d = parse_reviews(io.StringIO(text))
+        assert [(r.item, r.value) for r in d.ratings] == [("i1", 3.0), ("i2", 4.0)]
+
+    def test_first_bad_row_wins_across_checks(self):
+        # row 3 fails the range check, row 4 the column count, row 5 the
+        # rating parse: the earliest row is reported whatever its check
+        text = (
+            "user\titem\trating\ttimestamp\n"
+            "u1\ti1\t3\t0\n"
+            "u1\ti2\t9\t1\n"
+            "u1\ti3\t3\n"
+            "u1\ti4\tbad\t2\n"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_reviews(io.StringIO(text))
+        assert str(info.value) == "line 3: rating out of range: 9.0 not in [0, 5.0]"
+
+    def test_column_count_before_later_value_errors(self):
+        text = "user\titem\trating\ttimestamp\nu1\ti1\t3\t0\textra\nu1\ti2\tbad\t-1\n"
+        with pytest.raises(ParseError) as info:
+            parse_reviews(io.StringIO(text))
+        assert str(info.value) == "line 2: expected 4 columns, got 5"
+
+    def test_rating_checked_before_timestamp_in_one_row(self):
+        text = "user\titem\trating\ttimestamp\nu1\ti1\tbad\tlate\n"
+        with pytest.raises(ParseError, match="line 2: non-numeric rating 'bad'"):
+            parse_reviews(io.StringIO(text))
+        text = "user\titem\trating\ttimestamp\nu1\ti1\t3\t-1.5\n"
+        with pytest.raises(ParseError, match="line 2: non-integer timestamp -1.5"):
+            parse_reviews(io.StringIO(text))
+
+    def test_duplicate_equal_timestamps_keep_first_row(self):
+        text = (
+            "user\titem\trating\ttimestamp\n"
+            "u1\ti9\t4\t10\n"
+            "u2\ti9\t1\t10\n"
+            "u1\ti9\t2\t10\n"
+            "u1\ti9\t3\t30\n"
+            "u1\ti9\t5\t10\n"
+        )
+        d = parse_reviews(io.StringIO(text))
+        assert [(r.user, r.value, r.timestamp) for r in d.ratings] == [
+            ("u1", 4.0, 10), ("u2", 1.0, 10)
+        ]
+        assert d.duplicates_dropped == 3
+
+    def test_fields_stripped_and_whitespace_numbers(self):
+        text = "user\titem\trating\ttimestamp\n u1 \t i1\t 2.5 \t 3 \n"
+        d = parse_reviews(io.StringIO(text))
+        assert d.users == ("u1",) and d.items == ("i1",)
+        assert (d.ratings[0].value, d.ratings[0].timestamp) == (2.5, 3)
+
+    def test_bytes_source_and_custom_delimiter(self):
+        text = "user,item,rating,timestamp\nv\tä,é,4,2\nv\tä,b,1,1\n"
+        d = parse_reviews(text.encode("utf-8"), FormatConfig(delimiter=","))
+        assert [(r.user, r.item) for r in d.ratings] == [("v\tä", "b"), ("v\tä", "é")]
+
+
+class TestWriteReviews:
+    def test_output_bytes(self, tmp_path):
+        d = Dataset(
+            [
+                Rating("u2", "i1", 0.1 + 0.2, 5, 1.2),
+                Rating("u1", "i2", 4.0, 7, 16.0),
+                Rating("u1", "i1", 1 / 3, 7, 2.0),
+            ],
+            scale_max=20.0,
+        )
+        path = tmp_path / "out.tsv"
+        write_reviews(d, path)
+        assert path.read_bytes() == (
+            b"user\titem\trating\ttimestamp\traw\n"
+            b"u1\ti1\t0.3333333333333333\t7\t2.0\n"
+            b"u1\ti2\t4.0\t7\t16.0\n"
+            b"u2\ti1\t0.30000000000000004\t5\t1.2\n"
+        )
+
+    def test_round_trip(self, tmp_path):
+        rows = [("a", "x", 1.25, 3), ("b", "x", 4.5, 1), ("a", "y", 0.0, 3)]
+        d = make_dataset(rows)
+        path = tmp_path / "out.tsv"
+        write_reviews(d, path)
+        back = parse_reviews(path)
+        assert back.ratings == tuple(Rating(r.user, r.item, r.value, r.timestamp, r.value)
+                                     for r in d.ratings)
 
 
 class TestDatasetInvariants:
