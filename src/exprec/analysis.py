@@ -75,13 +75,15 @@ def acquired_taste_scores(
     p = m.params
     if p.E < 2:
         raise ValueError("taste scores need E >= 2; a flat model has no expert/beginner contrast")
+    rows, bounds = train.item_rows
+    code = {item: k for k, item in enumerate(train.items)}
     scores = []
-    for item in p.items:
-        positions = train.item_index.get(item)
-        n = len(positions) if positions is not None else 0
+    for j, item in enumerate(p.items):
+        k = code.get(item)
+        positions = rows[bounds[k] : bounds[k + 1]] if k is not None else rows[:0]
+        n = len(positions)
         if n < min_ratings:
             continue
-        j = p.item_position(item)
         beginner = float(p.item_bias[0, j])
         expert = float(p.item_bias[p.E - 1, j])
         scores.append(
@@ -158,19 +160,17 @@ def agreement_variance(
     E = m.params.E
     n = len(train)
     x = np.empty(n, dtype=np.float64)
-    for user in train.users:
-        positions = train.user_index[user]
-        levels = m.assignment.levels[user]
-        x[positions] = interpolate_trajectory(
-            train.times[positions], levels, train.times[positions]
-        )
+    for user, times, out in zip(train.users, train.per_user(train.times), train.per_user(x)):
+        out[:] = interpolate_trajectory(times, m.assignment.levels[user], times)
 
     half = window / 2.0 + 1e-9
     grid = np.round(np.arange(1.0, E + step / 2.0, step), 6)
     points: list[AgreementPoint] = []
-    item_data = [
-        (x[pos], train.values[pos]) for pos in train.item_index.values()
-    ]
+    # items in order of first rating, the order the cohort variances are
+    # summed in
+    rows, bounds = train.item_rows
+    item_rows = [rows[bounds[k] : bounds[k + 1]] for k in np.argsort(rows[bounds[:-1]])]
+    item_data = [(x[pos], train.values[pos]) for pos in item_rows]
     for center in grid:
         variances = []
         for item_x, item_vals in item_data:
@@ -205,9 +205,8 @@ def progression_stats(m: "FittedModel", train: Dataset) -> tuple[list[Progressio
     E = m.params.E
     entries: dict[str, list[dict[int, tuple[int, int]]]] = {"reached_top": [], "reached_all_but_top": []}
     counts = {"reached_top": 0, "reached_all_but_top": 0, "already_experienced": 0}
-    for user in train.users:
+    for user, times in zip(train.users, train.per_user(train.times)):
         levels = m.assignment.levels[user]
-        times = train.times[train.user_index[user]]
         first, terminal = int(levels[0]), int(levels[-1])
         if first == E:
             counts["already_experienced"] += 1
@@ -261,11 +260,10 @@ def retention_curves(
     """
     corpus_end = int(d.times.max())
     cohorts: dict[str, list[np.ndarray]] = {"left": [], "stayed": []}
-    for user in d.users:
-        positions = d.user_index[user]
-        if len(positions) < prefix:
+    for user, times in zip(d.users, d.per_user(d.times)):
+        if len(times) < prefix:
             continue
-        last = int(d.times[positions][-1])
+        last = int(times[-1])
         label = "left" if corpus_end - last > gap else "stayed"
         cohorts[label].append(m.assignment.levels[user][:prefix])
 

@@ -44,18 +44,21 @@ class ModelKind(str, Enum):
         return self in (ModelKind.COMMUNITY_UNIFORM, ModelKind.COMMUNITY_LEARNED)
 
 
-def _uniform_levels(times: np.ndarray, t_min: int, t_max: int, E: int) -> np.ndarray:
-    """Level per timestamp on an E-interval grid over [t_min, t_max].
+def _uniform_levels(times: np.ndarray, t_min, t_max, E: int) -> np.ndarray:
+    """Level per timestamp on an E-interval grid over [t_min, t_max];
+    the bounds are scalars or one pair per timestamp.
 
     Intervals are half-open with the last one closed, so t_max lands on
     level E.  A degenerate span puts everything at level 1.
     """
-    span = int(t_max) - int(t_min)
-    if span <= 0:
-        return np.ones(len(times), dtype=np.int64)
+    span = t_max - t_min
     # integer arithmetic keeps boundary ratings on the correct side
-    levels = (times.astype(np.int64) - int(t_min)) * E // span + 1
-    return np.minimum(levels, E)
+    levels = (times - t_min) * E // np.maximum(span, 1) + 1
+    return np.where(span > 0, np.minimum(levels, E), 1)
+
+
+def _by_user(d: Dataset, flat: np.ndarray) -> ExperienceAssignment:
+    return ExperienceAssignment(dict(zip(d.users, d.per_user(flat))))
 
 
 def uniform_community_schedule(d: Dataset, E: int) -> ExperienceAssignment:
@@ -64,12 +67,7 @@ def uniform_community_schedule(d: Dataset, E: int) -> ExperienceAssignment:
         raise ValueError("E must be >= 1")
     if len(d) == 0:
         raise ValueError("empty dataset")
-    t_min, t_max = int(d.times.min()), int(d.times.max())
-    levels = {}
-    for user in d.users:
-        times = d.times[d.user_index[user]]
-        levels[user] = _uniform_levels(times, t_min, t_max, E)
-    return ExperienceAssignment(levels)
+    return _by_user(d, _uniform_levels(d.times, d.times.min(), d.times.max(), E))
 
 
 def uniform_user_schedule(d: Dataset, E: int) -> ExperienceAssignment:
@@ -78,11 +76,9 @@ def uniform_user_schedule(d: Dataset, E: int) -> ExperienceAssignment:
         raise ValueError("E must be >= 1")
     if len(d) == 0:
         raise ValueError("empty dataset")
-    levels = {}
-    for user in d.users:
-        times = d.times[d.user_index[user]]
-        levels[user] = _uniform_levels(times, int(times[0]), int(times[-1]), E)
-    return ExperienceAssignment(levels)
+    first = d.times[d.offsets[:-1]][d.user_code]
+    last = d.times[d.offsets[1:] - 1][d.user_code]
+    return _by_user(d, _uniform_levels(d.times, first, last, E))
 
 
 def _monotone_dp(costs: np.ndarray) -> np.ndarray:
@@ -192,9 +188,7 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
     treated like any single user.
     """
     if kind is ModelKind.FLAT:
-        return ExperienceAssignment(
-            {u: np.ones(len(d.user_index[u]), dtype=np.int64) for u in d.users}
-        )
+        return _by_user(d, np.ones(len(d), dtype=np.int64))
     E = p.E
     if kind is ModelKind.COMMUNITY_UNIFORM:
         return uniform_community_schedule(d, E)
@@ -203,16 +197,14 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
 
     costs = prediction_costs(p, d)
     if kind is ModelKind.USER_LEARNED:
-        levels = assign_batch_dp(costs, [d.user_index[u] for u in d.users])
+        levels = assign_batch_dp(costs, d.per_user(np.arange(len(d))))
         return ExperienceAssignment(dict(zip(d.users, levels)))
     if kind is ModelKind.COMMUNITY_LEARNED:
         order = d.global_time_order()
         path = assign_community_dp(costs[:, order], E)
         flat = np.empty(len(d), dtype=np.int64)
         flat[order] = path
-        return ExperienceAssignment(
-            {u: flat[d.user_index[u]] for u in d.users}
-        )
+        return _by_user(d, flat)
     raise ValueError(f"unknown model kind: {kind!r}")
 
 
@@ -233,9 +225,8 @@ def find_monotonicity_violation(
         bad = np.nonzero(np.diff(seq) < 0)[0]
         if len(bad):
             pos = int(order[bad[0] + 1])
-            user = d.user_seq[pos]
-            within = int(np.nonzero(d.user_index[user] == pos)[0][0])
-            return user, within
+            j = int(d.user_code[pos])
+            return d.users[j], pos - int(d.offsets[j])
         return None
     for user in d.users:
         lv = a.levels[user]

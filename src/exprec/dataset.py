@@ -1,25 +1,30 @@
 """Rating corpora: parsing, normalization, background pooling, and splits.
 
 A :class:`Dataset` is an immutable, canonically ordered collection of
-ratings.  Canonical order is by user id (ascending), then per user by
-(timestamp, item id).  Everything downstream (schedules, DP assignment,
-serialized models) relies on this order being total and deterministic.
+ratings, stored as numpy columns.  Canonical order is by user id
+(ascending), then per user by (timestamp, item id).  Everything downstream
+(schedules, DP assignment, serialized models) relies on this order being
+total and deterministic.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress
+from operator import methodcaller
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 BACKGROUND_USER = "__background__"
+_WRITE_ROWS = 1 << 16  # rows formatted per write, bounding the text held at once
 
 
 class DataError(Exception):
@@ -99,98 +104,231 @@ def normalize_rating(raw: float, scale_max: float) -> float:
     return 5.0 * raw / scale_max
 
 
+class Columns(NamedTuple):
+    """Rating columns in any row order.  ``user_code``/``item_code`` index
+    the ``users``/``items`` key tables, which need be neither sorted nor
+    all used: :class:`Dataset` drops unused keys, sorts the rest and
+    renumbers the codes."""
+
+    users: Sequence[str]
+    items: Sequence[str]
+    user_code: np.ndarray
+    item_code: np.ndarray
+    times: np.ndarray
+    values: np.ndarray
+    raw_values: np.ndarray
+
+
 class Dataset:
-    """Immutable rating collection with per-user and per-item indexes."""
+    """Immutable rating collection stored as read-only numpy columns.
+
+    ``users`` and ``items`` are the sorted distinct ids.  Row ``r`` is
+    the rating of user ``users[user_code[r]]`` for item
+    ``items[item_code[r]]`` at ``times[r]``, with normalized value
+    ``values[r]`` and original value ``raw_values[r]``.  Codes follow id
+    order, so the canonical order is the integer order of (user_code,
+    times, item_code), and user ``users[j]`` owns the contiguous rows
+    ``offsets[j]:offsets[j + 1]``.
+
+    Build one from :class:`Rating` objects or from :class:`Columns`.
+    ``ratings``, ``user_ratings``, ``user_seq``, ``item_seq``,
+    ``user_index`` and ``item_index`` are per-row and per-key views built
+    on first use.
+    """
 
     def __init__(
         self,
-        ratings: Iterable[Rating],
+        ratings: Iterable[Rating] = (),
         scale_max: float = 5.0,
         background_user: str | None = None,
         duplicates_dropped: int = 0,
+        *,
+        columns: Columns | None = None,
     ):
-        ratings = sorted(ratings, key=lambda r: (r.user, r.timestamp, r.item))
-        self._ratings: tuple[Rating, ...] = tuple(ratings)
+        if columns is None:
+            columns = _columns_of(ratings)
+        user_code, self.users = _sorted_keys(columns.users, columns.user_code)
+        item_code, self.items = _sorted_keys(columns.items, columns.item_code)
+        # lexsort is stable: rows equal in all three keys (a pooled user's
+        # repeated item) keep their input order
+        order = np.lexsort((item_code, columns.times, user_code))
+        self.user_code = _frozen(user_code[order])
+        self.item_code = _frozen(item_code[order])
+        self.times = _frozen(np.asarray(columns.times, dtype=np.int64)[order])
+        self.values = _frozen(np.asarray(columns.values, dtype=np.float64)[order])
+        self.raw_values = _frozen(np.asarray(columns.raw_values, dtype=np.float64)[order])
+        counts = np.bincount(self.user_code, minlength=len(self.users))
+        self.offsets = _frozen(np.concatenate(([0], np.cumsum(counts))))
         self.scale_max = float(scale_max)
         self.background_user = background_user
         self.duplicates_dropped = duplicates_dropped
+        self._validate()
 
-        n = len(self._ratings)
-        self.values = np.array([r.value for r in self._ratings], dtype=np.float64)
-        self.times = np.array([r.timestamp for r in self._ratings], dtype=np.int64)
-        self.user_seq: list[str] = [r.user for r in self._ratings]
-        self.item_seq: list[str] = [r.item for r in self._ratings]
-
-        user_index: dict[str, list[int]] = {}
-        item_index: dict[str, list[int]] = {}
-        for pos, r in enumerate(self._ratings):
-            user_index.setdefault(r.user, []).append(pos)
-            item_index.setdefault(r.item, []).append(pos)
-        self.user_index: dict[str, np.ndarray] = {
-            u: np.array(p, dtype=np.int64) for u, p in user_index.items()
-        }
-        self.item_index: dict[str, np.ndarray] = {
-            i: np.array(p, dtype=np.int64) for i, p in item_index.items()
-        }
-        self.users: tuple[str, ...] = tuple(sorted(user_index))
-        self.items: tuple[str, ...] = tuple(sorted(item_index))
-
-        self._validate(n)
-
-    def _validate(self, n: int) -> None:
-        if n and self.times.min() < 0:
+    def _validate(self) -> None:
+        if len(self) and self.times.min() < 0:
             raise DataError("negative timestamp")
-        seen: set[tuple[str, str]] = set()
-        for r in self._ratings:
-            if r.user == self.background_user:
-                # pooled pseudo-user may legitimately hold several ratings
-                # of the same item, contributed by distinct original users
-                continue
-            key = (r.user, r.item)
-            if key in seen:
-                raise DataError(f"duplicate (user, item) pair: {key}")
-            seen.add(key)
+        # the pooled pseudo-user may legitimately hold several ratings of
+        # the same item, contributed by distinct original users
+        key = self.user_code * len(self.items) + self.item_code
+        bg = self._code_of(self.users, self.background_user)
+        if bg is not None:
+            key = key[self.user_code != bg]
+        key = np.sort(key)
+        repeated = key[1:][key[1:] == key[:-1]]
+        if len(repeated):
+            u, i = divmod(int(repeated[0]), len(self.items))
+            raise DataError(f"duplicate (user, item) pair: {(self.users[u], self.items[i])}")
 
     def __len__(self) -> int:
-        return len(self._ratings)
+        return len(self.times)
 
-    @property
-    def ratings(self) -> tuple[Rating, ...]:
-        return self._ratings
+    @staticmethod
+    def _code_of(keys: tuple[str, ...], key: str | None) -> int | None:
+        j = bisect_left(keys, key) if key is not None else len(keys)
+        return j if j < len(keys) and keys[j] == key else None
 
-    def user_ratings(self, user: str) -> tuple[Rating, ...]:
-        """A user's ratings in chronological (timestamp, item) order."""
-        return tuple(self._ratings[p] for p in self.user_index[user])
+    def user_rows(self, user: str) -> slice:
+        """The rows holding one user's ratings; KeyError for an unknown user."""
+        j = self._code_of(self.users, user)
+        if j is None:
+            raise KeyError(user)
+        return slice(int(self.offsets[j]), int(self.offsets[j + 1]))
 
-    def subset(self, positions: Sequence[int]) -> "Dataset":
-        subset = [self._ratings[p] for p in positions]
-        bg = self.background_user
-        if bg is not None and not any(r.user == bg for r in subset):
-            bg = None
-        return Dataset(subset, scale_max=self.scale_max, background_user=bg)
+    def per_user(self, column: np.ndarray) -> list[np.ndarray]:
+        """``column`` (one entry per row) cut into each user's run of rows,
+        in ``users`` order; the parts are views."""
+        return np.split(column, self.offsets[1:-1]) if self.users else []
 
     @cached_property
-    def codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each rating's position in ``users`` and in ``items``, computed
-        once per dataset; the arrays are read-only because every caller
-        shares them."""
-        user_pos = {u: j for j, u in enumerate(self.users)}
-        item_pos = {i: j for j, i in enumerate(self.items)}
-        ucode = np.array([user_pos[u] for u in self.user_seq], dtype=np.int64)
-        icode = np.array([item_pos[i] for i in self.item_seq], dtype=np.int64)
-        ucode.flags.writeable = False
-        icode.flags.writeable = False
-        return ucode, icode
+    def item_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows grouped by item: ``rows[bounds[j]:bounds[j + 1]]`` are the
+        rows of item ``items[j]``, ascending."""
+        rows = _frozen(np.argsort(self.item_code, kind="stable"))
+        counts = np.bincount(self.item_code, minlength=len(self.items))
+        return rows, _frozen(np.concatenate(([0], np.cumsum(counts))))
+
+    @cached_property
+    def _time_order(self) -> np.ndarray:
+        # rows of equal time already stand in (user, item) order, and the
+        # sort is stable
+        return _frozen(np.argsort(self.times, kind="stable"))
 
     def global_time_order(self) -> np.ndarray:
-        """Positions sorted by (timestamp, user, item).
+        """Positions sorted by (timestamp, user, item), computed once.
 
         This is the total order used for community-level assignment; the
         (user, item) tail breaks cross-user timestamp ties deterministically.
         """
-        users = np.array(self.user_seq, dtype=object)
-        items = np.array(self.item_seq, dtype=object)
-        return np.lexsort((items, users, self.times))
+        return self._time_order
+
+    def subset(self, positions: Sequence[int]) -> "Dataset":
+        positions = np.asarray(positions, dtype=np.int64)
+        user_code = self.user_code[positions]
+        bg = self.background_user
+        code = self._code_of(self.users, bg)
+        if code is None or not (user_code == code).any():
+            bg = None
+        return Dataset(
+            scale_max=self.scale_max,
+            background_user=bg,
+            columns=Columns(
+                self.users, self.items, user_code, self.item_code[positions],
+                self.times[positions], self.values[positions], self.raw_values[positions],
+            ),
+        )
+
+    # --- views for callers that want rows or per-key positions ---------------
+
+    def _rows(self, rows: slice) -> tuple[Rating, ...]:
+        return tuple(map(
+            Rating,
+            map(self.users.__getitem__, self.user_code[rows].tolist()),
+            map(self.items.__getitem__, self.item_code[rows].tolist()),
+            self.values[rows].tolist(),
+            self.times[rows].tolist(),
+            self.raw_values[rows].tolist(),
+        ))
+
+    @cached_property
+    def ratings(self) -> tuple[Rating, ...]:
+        return self._rows(slice(None))
+
+    def user_ratings(self, user: str) -> tuple[Rating, ...]:
+        """A user's ratings in chronological (timestamp, item) order."""
+        return self._rows(self.user_rows(user))
+
+    @cached_property
+    def user_seq(self) -> tuple[str, ...]:
+        return tuple(map(self.users.__getitem__, self.user_code.tolist()))
+
+    @cached_property
+    def item_seq(self) -> tuple[str, ...]:
+        return tuple(map(self.items.__getitem__, self.item_code.tolist()))
+
+    @cached_property
+    def user_index(self) -> Mapping[str, np.ndarray]:
+        rows = _frozen(np.arange(len(self)))
+        return MappingProxyType(dict(zip(self.users, self.per_user(rows))))
+
+    @cached_property
+    def item_index(self) -> Mapping[str, np.ndarray]:
+        """Item -> its rows, ascending; items in order of first rating."""
+        rows, bounds = self.item_rows
+        first_seen = np.argsort(rows[bounds[:-1]]).tolist()
+        return MappingProxyType(
+            {self.items[j]: rows[bounds[j] : bounds[j + 1]] for j in first_seen}
+        )
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _encode(keys: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct keys in order of first appearance, and each entry's
+    position among them."""
+    pos = {k: j for j, k in enumerate(dict.fromkeys(keys))}
+    return list(pos), np.fromiter(map(pos.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+def _sorted_keys(keys: Sequence[str], codes: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Drop the keys no code uses, sort the rest, and renumber ``codes``
+    to match."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(keys)))
+    ids = [keys[j] for j in used.tolist()]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.zeros(len(keys), dtype=np.int64)
+    rank[used[order]] = np.arange(len(ids))
+    return rank[codes], tuple(ids[j] for j in order)
+
+
+def _columns_of(ratings: Iterable[Rating]) -> Columns:
+    rows = list(ratings)
+    users, user_code = _encode([r.user for r in rows])
+    items, item_code = _encode([r.item for r in rows])
+    return Columns(
+        users, items, user_code, item_code,
+        np.array([r.timestamp for r in rows], dtype=np.int64),
+        np.array([r.value for r in rows], dtype=np.float64),
+        np.array([r.raw_value for r in rows], dtype=np.float64),
+    )
+
+
+def _floats(texts: list[str]) -> tuple[np.ndarray, int]:
+    """``float()`` of each text up to the first it rejects, and the index
+    of that one (``len(texts)`` when it accepts all)."""
+    try:
+        return np.fromiter(map(float, texts), dtype=np.float64, count=len(texts)), len(texts)
+    except ValueError:
+        pass
+    out = []
+    for text in texts:
+        try:
+            out.append(float(text))
+        except ValueError:
+            break
+    return np.array(out, dtype=np.float64), len(out)
 
 
 def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
@@ -198,73 +336,108 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
 
     The first line must be a header naming at least the four configured
     columns.  Duplicate (user, item) pairs keep the earliest-timestamp row
-    and bump ``Dataset.duplicates_dropped``; each product is kept at most
-    once per user.  Row-level problems raise :class:`ParseError` with the
-    offending line number.
+    (the first of equally early ones) and bump
+    ``Dataset.duplicates_dropped``; each product is kept at most once per
+    user.  Row-level problems raise :class:`ParseError` with the line
+    number of the first offending row; blank lines are skipped but
+    counted.
     """
     stream = _open_text(source)
     try:
         header_line = stream.readline()
-        if not header_line.strip():
-            raise DataError("empty dataset: no header row")
-        header = [c.strip() for c in header_line.rstrip("\n").split(config.delimiter)]
-        col = {}
-        for name in (config.user_col, config.item_col, config.rating_col, config.timestamp_col):
-            if name not in header:
-                raise DataError(f"missing column {name!r} in header {header}")
-            col[name] = header.index(name)
-        n_cols = len(header)
-
-        best: dict[tuple[str, str], Rating] = {}
-        order: list[tuple[str, str]] = []
-        duplicates = 0
-        for line_no, line in enumerate(stream, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split(config.delimiter)
-            if len(fields) != n_cols:
-                raise ParseError(line_no, f"expected {n_cols} columns, got {len(fields)}")
-            user = fields[col[config.user_col]].strip()
-            item = fields[col[config.item_col]].strip()
-            try:
-                raw = float(fields[col[config.rating_col]])
-            except ValueError:
-                raise ParseError(line_no, f"non-numeric rating {fields[col[config.rating_col]]!r}")
-            try:
-                ts_f = float(fields[col[config.timestamp_col]])
-            except ValueError:
-                raise ParseError(
-                    line_no, f"non-numeric timestamp {fields[col[config.timestamp_col]]!r}"
-                )
-            if not ts_f.is_integer():
-                raise ParseError(line_no, f"non-integer timestamp {ts_f}")
-            ts = int(ts_f)
-            if ts < 0:
-                raise ParseError(line_no, f"negative timestamp {ts}")
-            try:
-                value = normalize_rating(raw, config.scale_max)
-            except DataError as exc:
-                raise ParseError(line_no, str(exc))
-
-            rating = Rating(user=user, item=item, value=value, timestamp=ts, raw_value=raw)
-            key = (user, item)
-            if key in best:
-                duplicates += 1
-                if rating.timestamp < best[key].timestamp:
-                    best[key] = rating
-            else:
-                best[key] = rating
-                order.append(key)
-
-        if not best:
-            raise DataError("empty dataset: no data rows")
-        return Dataset(
-            (best[k] for k in order),
-            scale_max=config.scale_max,
-            duplicates_dropped=duplicates,
-        )
+        body = stream.read()
     finally:
         stream.close()
+    if not header_line.strip():
+        raise DataError("empty dataset: no header row")
+    delim = config.delimiter
+    header = [c.strip() for c in header_line.rstrip("\n").split(delim)]
+    col = {}
+    for name in (config.user_col, config.item_col, config.rating_col, config.timestamp_col):
+        if name not in header:
+            raise DataError(f"missing column {name!r} in header {header}")
+        col[name] = header.index(name)
+    n_cols = len(header)
+
+    # each stage's text is dropped once the next one holds it, which
+    # bounds the peak memory of a large file
+    lines = body.split("\n")
+    del body
+    filled = np.fromiter(map(bool, map(str.strip, lines)), dtype=bool, count=len(lines))
+    line_no = np.flatnonzero(filled) + 2
+    if not filled.all():
+        lines = list(compress(lines, filled))
+
+    # Each check runs on the rows before the first failure found so far,
+    # in the order a row is checked, so the error raised is the first
+    # failing check of the first bad row.
+    limit, error = len(lines), None
+    counts = np.fromiter(map(methodcaller("count", delim), lines), dtype=np.int64, count=len(lines))
+    bad = np.flatnonzero(counts != n_cols - 1)
+    if len(bad):
+        limit = int(bad[0])
+        error = f"expected {n_cols} columns, got {counts[limit] + 1}"
+    fields = delim.join(lines[:limit]).split(delim) if limit else []
+    del lines
+    users = list(map(str.strip, fields[col[config.user_col] :: n_cols]))
+    items = list(map(str.strip, fields[col[config.item_col] :: n_cols]))
+    raw_texts = fields[col[config.rating_col] :: n_cols]
+    time_texts = fields[col[config.timestamp_col] :: n_cols]
+    del fields
+
+    raw, stop = _floats(raw_texts)
+    if stop < limit:
+        limit, error = stop, f"non-numeric rating {raw_texts[stop]!r}"
+    stamps, stop = _floats(time_texts[:limit])
+    if stop < limit:
+        limit, error = stop, f"non-numeric timestamp {time_texts[stop]!r}"
+    scale_max = config.scale_max
+    checks = (
+        (lambda: ~(np.isfinite(stamps) & (np.floor(stamps) == stamps)),
+         lambda j: f"non-integer timestamp {float(stamps[j])}"),
+        (lambda: stamps < 0, lambda j: f"negative timestamp {int(stamps[j])}"),
+        (lambda: stamps >= 2.0**63, lambda j: f"timestamp out of range {int(stamps[j])}"),
+        (lambda: ~((raw >= 0.0) & (raw <= scale_max)) | (scale_max <= 0),
+         lambda j: _range_error(float(raw[j]), scale_max)),
+    )
+    for failing, message in checks:
+        hits = np.flatnonzero(failing()[:limit])
+        if len(hits):
+            limit = int(hits[0])
+            error = message(limit)
+    if error is not None:
+        raise ParseError(int(line_no[limit]), error)
+    if not limit:
+        raise DataError("empty dataset: no data rows")
+
+    user_keys, user_code = _encode(users)
+    item_keys, item_code = _encode(items)
+    times = stamps.astype(np.int64)
+    # one sort by (user, item, timestamp); it is stable, so the first row
+    # of each pair is its earliest, and the first in the file among ties
+    key = user_code * len(item_keys) + item_code
+    by_key = np.lexsort((times, key))
+    first = np.ones(limit, dtype=bool)
+    first[1:] = key[by_key[1:]] != key[by_key[:-1]]
+    keep = by_key[first]
+    raw = raw[:limit]
+    return Dataset(
+        scale_max=scale_max,
+        duplicates_dropped=limit - len(keep),
+        columns=Columns(
+            user_keys, item_keys, user_code[keep], item_code[keep], times[keep],
+            5.0 * raw[keep] / scale_max, raw[keep],
+        ),
+    )
+
+
+def _range_error(raw: float, scale_max: float) -> str:
+    """The message ``normalize_rating`` rejects ``raw`` with."""
+    try:
+        normalize_rating(raw, scale_max)
+    except DataError as exc:
+        return str(exc)
+    raise AssertionError(f"rating {raw} is in range")
 
 
 def pool_infrequent_users(d: Dataset, min_ratings: int = 50) -> Dataset:
@@ -278,17 +451,18 @@ def pool_infrequent_users(d: Dataset, min_ratings: int = 50) -> Dataset:
         raise DataError("min_ratings must be >= 1")
     if BACKGROUND_USER in d.users:
         raise DataError(f"reserved user id {BACKGROUND_USER!r} already present")
-    infrequent = [u for u in d.users if len(d.user_index[u]) < min_ratings]
-    if not infrequent:
+    infrequent = np.bincount(d.user_code, minlength=len(d.users)) < min_ratings
+    if not infrequent.any():
         return d
-    move = set(infrequent)
-    pooled = [
-        Rating(BACKGROUND_USER, r.item, r.value, r.timestamp, r.raw_value)
-        if r.user in move
-        else r
-        for r in d.ratings
-    ]
-    return Dataset(pooled, scale_max=d.scale_max, background_user=BACKGROUND_USER)
+    user_code = np.where(infrequent[d.user_code], len(d.users), d.user_code)
+    return Dataset(
+        scale_max=d.scale_max,
+        background_user=BACKGROUND_USER,
+        columns=Columns(
+            d.users + (BACKGROUND_USER,), d.items, user_code, d.item_code,
+            d.times, d.values, d.raw_values,
+        ),
+    )
 
 
 def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
@@ -297,38 +471,31 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     Final scheme: the chronologically last ceil(test_fraction * n) ratings
     of each user are test, the preceding ceil(validation_fraction * n) are
     validation.  Random scheme: the same per-user quotas, drawn uniformly
-    without replacement from a generator seeded with ``spec.seed``.
+    without replacement from a generator seeded with ``spec.seed``, one
+    permutation per user in ``d.users`` order.
 
     Every user keeps at least one training rating; when the quotas would
     leave none, the test quota shrinks first, then validation.
     """
-    rng = np.random.default_rng(spec.seed)
-    train_pos: list[int] = []
-    val_pos: list[int] = []
-    test_pos: list[int] = []
-    for user in d.users:
-        positions = d.user_index[user]
-        n = len(positions)
-        n_test = math.ceil(spec.test_fraction * n)
-        n_val = math.ceil(spec.validation_fraction * n)
-        n_val = min(n_val, n - 1)
-        n_test = min(n_test, n - 1 - n_val)
-        if spec.scheme is SplitScheme.FINAL:
-            test_sel = set(range(n - n_test, n))
-            val_sel = set(range(n - n_test - n_val, n - n_test))
-        else:
-            perm = rng.permutation(n)
-            test_sel = set(int(j) for j in perm[:n_test])
-            val_sel = set(int(j) for j in perm[n_test : n_test + n_val])
-        for j in range(n):
-            pos = int(positions[j])
-            if j in test_sel:
-                test_pos.append(pos)
-            elif j in val_sel:
-                val_pos.append(pos)
-            else:
-                train_pos.append(pos)
-    return d.subset(train_pos), d.subset(val_pos), d.subset(test_pos)
+    start = d.offsets[:-1]
+    n = np.diff(d.offsets)
+    n_val = np.minimum(np.ceil(spec.validation_fraction * n).astype(np.int64), n - 1)
+    n_test = np.minimum(np.ceil(spec.test_fraction * n).astype(np.int64), n - 1 - n_val)
+    user = d.user_code
+    rank = np.arange(len(d)) - start[user]
+    # draw[r]: the turn at which row r is drawn from its user's ratings;
+    # the first n_test turns go to test, the next n_val to validation
+    if spec.scheme is SplitScheme.FINAL:
+        draw = n[user] - 1 - rank
+    else:
+        rng = np.random.default_rng(spec.seed)
+        perms = [rng.permutation(k) for k in n.tolist()]
+        draw = np.empty(len(d), dtype=np.int64)
+        draw[start[user] + np.concatenate([np.empty(0, np.int64), *perms])] = rank
+    test = draw < n_test[user]
+    val = ~test & (draw < (n_test + n_val)[user])
+    train = ~(test | val)
+    return tuple(d.subset(np.flatnonzero(part)) for part in (train, val, test))
 
 
 def write_reviews(d: Dataset, path, config: FormatConfig = FormatConfig()) -> None:
@@ -344,11 +511,19 @@ def write_reviews(d: Dataset, path, config: FormatConfig = FormatConfig()) -> No
             )
             + "\n"
         )
-        for r in d.ratings:
-            fh.write(
-                delim.join((r.user, r.item, repr(r.value), str(r.timestamp), repr(r.raw_value)))
-                + "\n"
-            )
+        for lo in range(0, len(d), _WRITE_ROWS):
+            rows = slice(lo, lo + _WRITE_ROWS)
+            values = list(map(repr, d.values[rows].tolist()))
+            # on the 5-point scale the raw values are the normalized ones
+            raws = (values if np.array_equal(d.values[rows], d.raw_values[rows])
+                    else map(repr, d.raw_values[rows].tolist()))
+            fh.write("\n".join(map(delim.join, zip(
+                map(d.users.__getitem__, d.user_code[rows].tolist()),
+                map(d.items.__getitem__, d.item_code[rows].tolist()),
+                values,
+                map(str, d.times[rows].tolist()),
+                raws,
+            ))) + "\n")
 
 
 def write_split_manifest(path, spec: SplitSpec, parts: dict[str, Dataset]) -> None:

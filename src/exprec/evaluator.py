@@ -50,48 +50,40 @@ class EvalReport:
         }
 
 
-def _nearest_level(times: np.ndarray, levels: np.ndarray, t: int) -> int:
-    """Level of the training rating closest in time to t; equidistant
-    neighbors resolve to the earlier one."""
-    j = int(np.searchsorted(times, t, side="left"))
-    if j == 0:
-        return int(levels[0])
-    if j == len(times):
-        return int(levels[-1])
-    # times[j-1] < t <= times[j]
-    if abs(int(times[j - 1]) - t) <= abs(int(times[j]) - t):
-        return int(levels[j - 1])
-    return int(levels[j])
-
-
 def assign_test_levels(m: "FittedModel", test: Dataset, train: Dataset) -> np.ndarray:
     """Experience level for every test rating, aligned with the test
     dataset's canonical order.
 
-    Users absent from training fall back to the background pseudo-user's
-    history when one exists, else to level 1 with a warning.
+    Each test rating takes the level of its user's training rating
+    closest in time, the earlier of two equidistant ones.  Users absent
+    from training fall back to the background pseudo-user's history when
+    one exists, else to level 1 with a warning.
     """
-    per_user: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for user in train.users:
-        positions = train.user_index[user]
-        per_user[user] = (train.times[positions], m.assignment.levels[user])
+    levels = m.assignment.flat(train)
+    code = {u: j for j, u in enumerate(train.users)}
+    fallback = code.get(BACKGROUND_USER, -1) if train.background_user else -1
+    source = np.array([code.get(u, fallback) for u in test.users], dtype=np.int64)
+    out = np.ones(len(test), dtype=np.int64)
+    if (source < 0).any():
+        user = test.users[int(np.argmax(source < 0))]
+        warnings.warn(f"user {user!r} has no training history; assigning level 1")
+    rows = np.flatnonzero(source[test.user_code] >= 0)
+    src = source[test.user_code[rows]]
+    t = test.times[rows]
 
-    background = per_user.get(BACKGROUND_USER) if train.background_user else None
-    out = np.empty(len(test), dtype=np.int64)
-    warned = False
-    for user in test.users:
-        positions = test.user_index[user]
-        t_test = test.times[positions]
-        source = per_user.get(user, background)
-        if source is None:
-            if not warned:
-                warnings.warn(f"user {user!r} has no training history; assigning level 1")
-                warned = True
-            out[positions] = 1
-            continue
-        times, levels = source
-        for pos, t in zip(positions, t_test):
-            out[pos] = _nearest_level(times, levels, int(t))
+    # train rows are sorted by (user, time): one search over (user, time
+    # rank) keys finds each test rating's insertion point within its
+    # source user's rows lo:hi
+    _, rank = np.unique(np.concatenate((train.times, t)), return_inverse=True)
+    width = int(rank.max()) + 1 if len(rank) else 1
+    keys = train.user_code * width + rank[: len(train)]
+    j = np.searchsorted(keys, src * width + rank[len(train) :], side="left")
+    lo, hi = train.offsets[src], train.offsets[src + 1]
+    before = np.maximum(j - 1, lo)
+    after = np.minimum(j, hi - 1)
+    # train.times[before] < t <= train.times[after] inside the run
+    nearer_after = train.times[after] - t < t - train.times[before]
+    out[rows] = levels[np.where(nearer_after, after, before)]
     return out
 
 
@@ -106,8 +98,8 @@ def mse(
     if len(test) == 0:
         raise DataError("empty test set")
     levels = assign_test_levels(m, test, train)
-    uidx = m.params.encode_users(test.user_seq)
-    iidx = m.params.encode_items(test.item_seq)
+    uidx = m.params.encode_users(test.users)[test.user_code]
+    iidx = m.params.encode_items(test.items)[test.item_code]
     pred = predictions_for(m.params, levels, uidx, iidx)
     sq = (pred - test.values) ** 2
     clamped = (np.clip(pred, 0.0, 5.0) - test.values) ** 2

@@ -119,12 +119,6 @@ class ModelParams:
         return cls(users=users, items=items, alpha=alpha, user_bias=ub,
                    item_bias=ib, user_factors=uf, item_factors=itf)
 
-    def user_position(self, user: str) -> int | None:
-        return self._user_pos.get(user)
-
-    def item_position(self, item: str) -> int | None:
-        return self._item_pos.get(item)
-
     def predict(self, level: int, user: str, item: str) -> float:
         """Score one (user, item) pair at the given experience level.
 
@@ -157,20 +151,23 @@ class ExperienceAssignment:
     levels: Mapping[str, np.ndarray]
 
     def flat(self, d: Dataset) -> np.ndarray:
-        """Levels aligned with the dataset's canonical rating order."""
-        out = np.empty(len(d), dtype=np.int64)
-        for user in d.users:
-            if user not in self.levels:
-                raise ValueError(f"missing assignment for user {user!r}")
-            lv = self.levels[user]
-            positions = d.user_index[user]
-            if len(lv) != len(positions):
-                raise ValueError(
-                    f"assignment for user {user!r} has {len(lv)} levels, "
-                    f"dataset has {len(positions)} ratings"
-                )
-            out[positions] = lv
-        return out
+        """Levels aligned with the dataset's canonical rating order: each
+        user's levels, concatenated in ``d.users`` order."""
+        parts = [self.levels.get(user) for user in d.users]
+        got = np.array([-1 if lv is None else len(lv) for lv in parts], dtype=np.int64)
+        want = np.diff(d.offsets)
+        bad = np.flatnonzero(got != want)
+        if len(bad):
+            j = int(bad[0])
+            if parts[j] is None:
+                raise ValueError(f"missing assignment for user {d.users[j]!r}")
+            raise ValueError(
+                f"assignment for user {d.users[j]!r} has {got[j]} levels, "
+                f"dataset has {want[j]} ratings"
+            )
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(parts).astype(np.int64, copy=False)
 
     def n_changes(self, other: "ExperienceAssignment") -> int:
         changed = 0
@@ -261,17 +258,20 @@ def smoothness_penalty(p: ModelParams) -> float:
 def _strict_encode(p: ModelParams, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Every rating's user and item position in ``p``; raises ValueError
     naming the first rating whose user or item ``p`` does not hold."""
-    uidx, iidx = d.codes
+    uidx, iidx = d.user_code, d.item_code
     if p.users != d.users:
-        uidx = _require_known(p.encode_users(d.users)[uidx], d.user_seq, "user")
+        uidx = _require_known(p.encode_users(d.users), uidx, d.users, "user")
     if p.items != d.items:
-        iidx = _require_known(p.encode_items(d.items)[iidx], d.item_seq, "item")
+        iidx = _require_known(p.encode_items(d.items), iidx, d.items, "item")
     return uidx, iidx
 
 
-def _require_known(idx: np.ndarray, keys: list[str], kind: str) -> np.ndarray:
+def _require_known(pos: np.ndarray, codes: np.ndarray, keys: tuple[str, ...], kind: str) -> np.ndarray:
+    """``pos[codes]``: the model position of every rating's key, given
+    ``pos``, the model position (or -1) of each of the dataset's keys."""
+    idx = pos[codes]
     if (idx < 0).any():
-        missing = keys[int(np.argmax(idx < 0))]
+        missing = keys[codes[int(np.argmax(idx < 0))]]
         raise ValueError(f"{kind} {missing!r} not in model parameters")
     return idx
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.stats import spearmanr
 
-from .dataset import Dataset, Rating
+from .dataset import Columns, Dataset
 from .model import ExperienceAssignment, ModelParams, score
 
 _BLOCKS = ("alpha", "user_bias", "item_bias", "user_factors", "item_factors")
@@ -176,7 +176,10 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
     leaver = rng.random(cfg.n_users) < cfg.leaver_fraction
 
-    ratings: list[Rating] = []
+    counts: list[int] = []
+    item_parts: list[np.ndarray] = []
+    time_parts: list[np.ndarray] = []
+    value_parts: list[np.ndarray] = []
     levels: dict[str, np.ndarray] = {}
     clamp_count = 0
     for j, user in enumerate(users):
@@ -207,19 +210,22 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             clamp_count += int(np.sum(clamped != values))
             values = clamped
         levels[user] = traj
-        for t, item_j, v in zip(times, item_idx, values):
-            ratings.append(
-                Rating(user=user, item=items[int(item_j)], value=float(v),
-                       timestamp=int(t), raw_value=float(v))
-            )
+        counts.append(n_r)
+        item_parts.append(item_idx)
+        time_parts.append(times)
+        value_parts.append(values)
 
-    dataset = Dataset(ratings, scale_max=5.0)
+    values = np.concatenate(value_parts)
+    dataset = Dataset(scale_max=5.0, columns=Columns(
+        users, items, np.repeat(np.arange(cfg.n_users), counts), np.concatenate(item_parts),
+        np.concatenate(time_parts), values, values,
+    ))
     truth = GroundTruth(
         true_params=params,
         true_levels=ExperienceAssignment(levels),
         leaver_flags={u: bool(flag) for u, flag in zip(users, leaver)},
         clamp_count=clamp_count,
-        n_ratings=len(ratings),
+        n_ratings=len(dataset),
     )
     return dataset, truth
 

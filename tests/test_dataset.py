@@ -1,10 +1,11 @@
 """Parsing, normalization, pooling, and split behavior."""
 
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from exprec.dataset import (
     BACKGROUND_USER,
@@ -27,6 +28,140 @@ def make_dataset(rows, scale_max=5.0):
     return Dataset(
         [Rating(u, i, v, t, v) for (u, i, v, t) in rows], scale_max=scale_max
     )
+
+
+class ReferenceDataset:
+    """The row-based store the columnar Dataset replaced: sorted Rating
+    objects with per-key position lists.  The reference for
+    ``reference_parse``, ``reference_pool`` and ``reference_split``."""
+
+    def __init__(self, ratings, background_user=None, duplicates_dropped=0):
+        self.ratings = tuple(sorted(ratings, key=lambda r: (r.user, r.timestamp, r.item)))
+        self.background_user = background_user
+        self.duplicates_dropped = duplicates_dropped
+        self.user_index = {}
+        for pos, r in enumerate(self.ratings):
+            self.user_index.setdefault(r.user, []).append(pos)
+        self.users = tuple(sorted(self.user_index))
+        self.items = tuple(sorted({r.item for r in self.ratings}))
+
+    @property
+    def codes(self):
+        user_pos = {u: j for j, u in enumerate(self.users)}
+        item_pos = {i: j for j, i in enumerate(self.items)}
+        return (np.array([user_pos[r.user] for r in self.ratings], dtype=np.int64),
+                np.array([item_pos[r.item] for r in self.ratings], dtype=np.int64))
+
+    def global_time_order(self):
+        users = np.array([r.user for r in self.ratings], dtype=object)
+        items = np.array([r.item for r in self.ratings], dtype=object)
+        times = np.array([r.timestamp for r in self.ratings], dtype=np.int64)
+        return np.lexsort((items, users, times))
+
+    def subset(self, positions):
+        subset = [self.ratings[p] for p in positions]
+        bg = self.background_user
+        if bg is not None and not any(r.user == bg for r in subset):
+            bg = None
+        return ReferenceDataset(subset, background_user=bg)
+
+
+def reference_parse(text, config=FormatConfig()):
+    lines = text.split("\n")
+    header = [c.strip() for c in lines[0].split(config.delimiter)]
+    col = {name: header.index(name) for name in
+           (config.user_col, config.item_col, config.rating_col, config.timestamp_col)}
+    best, order, duplicates = {}, [], 0
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(config.delimiter)
+        if len(fields) != len(header):
+            raise ParseError(line_no, f"expected {len(header)} columns, got {len(fields)}")
+        user = fields[col[config.user_col]].strip()
+        item = fields[col[config.item_col]].strip()
+        try:
+            raw = float(fields[col[config.rating_col]])
+        except ValueError:
+            raise ParseError(line_no, f"non-numeric rating {fields[col[config.rating_col]]!r}")
+        try:
+            ts_f = float(fields[col[config.timestamp_col]])
+        except ValueError:
+            raise ParseError(
+                line_no, f"non-numeric timestamp {fields[col[config.timestamp_col]]!r}"
+            )
+        if not ts_f.is_integer():
+            raise ParseError(line_no, f"non-integer timestamp {ts_f}")
+        ts = int(ts_f)
+        if ts < 0:
+            raise ParseError(line_no, f"negative timestamp {ts}")
+        try:
+            value = normalize_rating(raw, config.scale_max)
+        except DataError as exc:
+            raise ParseError(line_no, str(exc))
+        rating = Rating(user, item, value, ts, raw)
+        key = (user, item)
+        if key in best:
+            duplicates += 1
+            if ts < best[key].timestamp:
+                best[key] = rating
+        else:
+            best[key] = rating
+            order.append(key)
+    if not best:
+        raise DataError("empty dataset: no data rows")
+    return ReferenceDataset((best[k] for k in order), duplicates_dropped=duplicates)
+
+
+def reference_pool(d, min_ratings):
+    move = {u for u in d.users if len(d.user_index[u]) < min_ratings}
+    if not move:
+        return d
+    pooled = [Rating(BACKGROUND_USER, r.item, r.value, r.timestamp, r.raw_value)
+              if r.user in move else r for r in d.ratings]
+    return ReferenceDataset(pooled, background_user=BACKGROUND_USER)
+
+
+def reference_split(d, spec):
+    rng = np.random.default_rng(spec.seed)
+    parts = ([], [], [])  # train, validation, test
+    for user in d.users:
+        positions = d.user_index[user]
+        n = len(positions)
+        n_val = min(math.ceil(spec.validation_fraction * n), n - 1)
+        n_test = min(math.ceil(spec.test_fraction * n), n - 1 - n_val)
+        if spec.scheme is SplitScheme.FINAL:
+            test_sel = set(range(n - n_test, n))
+            val_sel = set(range(n - n_test - n_val, n - n_test))
+        else:
+            perm = rng.permutation(n)
+            test_sel = set(int(j) for j in perm[:n_test])
+            val_sel = set(int(j) for j in perm[n_test : n_test + n_val])
+        for j, pos in enumerate(positions):
+            parts[2 if j in test_sel else 1 if j in val_sel else 0].append(pos)
+    return tuple(d.subset(p) for p in parts)
+
+
+def assert_same(got, want):
+    assert got.ratings == want.ratings
+    assert got.users == want.users
+    assert got.items == want.items
+    assert got.background_user == want.background_user
+    assert got.duplicates_dropped == want.duplicates_dropped
+    for a, b in zip((got.user_code, got.item_code), want.codes):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.global_time_order(), want.global_time_order())
+    assert [len(got.user_index[u]) for u in got.users] == [len(want.user_index[u]) for u in want.users]
+
+
+# ids with spaces to strip, non-ASCII characters and a shared prefix; few
+# items and timestamps, so ties and repeated pairs are common
+IDS = st.text(alphabet="ab äé日_", min_size=1, max_size=3).filter(lambda s: s.strip() == s)
+ROWS = st.lists(
+    st.tuples(IDS, st.sampled_from(["x", "y", "ü", "x2", "日"]),
+              st.floats(0, 5), st.integers(0, 4)),
+    max_size=40,
+)
 
 
 class TestNormalizeRating:
@@ -60,7 +195,9 @@ class TestNormalizeRating:
         a = min(a, scale)
         b = min(b, scale)
         if a < b:
-            assert normalize_rating(a, scale) < normalize_rating(b, scale)
+            # rescaling may round neighbouring doubles to one value (5e-324
+            # out of 10 is 0.0), so order is kept but not always strictly
+            assert normalize_rating(a, scale) <= normalize_rating(b, scale)
 
 
 class TestParseReviews:
@@ -124,6 +261,7 @@ class TestParseReviews:
             ("12.5", "line 3: non-integer timestamp 12.5"),
             ("nan", "line 3: non-integer timestamp nan"),
             ("-7", "line 3: negative timestamp -7"),
+            ("1e19", "line 3: timestamp out of range 10000000000000000000"),
         ],
     )
     def test_timestamp_errors_name_line(self, stamp, message):
@@ -348,3 +486,88 @@ class TestSplit:
         d = make_dataset([("u", "a", 1.0, 1), ("u", "b", 1.0, 2), ("v", "a", 1.0, 3)])
         train, val, test = split(d, SplitSpec(SplitScheme.FINAL, 0.4, 0.4, seed=0))
         assert "u" in train.users and "v" in train.users
+
+
+class TestMatchesRowReference:
+    @settings(max_examples=150, deadline=None)
+    @given(ROWS, st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_build_pool_and_split(self, rows, min_ratings, seed):
+        # unique (user, item) pairs outside the background user
+        rows = list({(u, i): (u, i, v, t) for u, i, v, t in rows}.values())
+        ratings = [Rating(u, i, v, t, v) for u, i, v, t in rows]
+        got, want = Dataset(ratings), ReferenceDataset(ratings)
+        assert_same(got, want)
+        got, want = pool_infrequent_users(got, min_ratings), reference_pool(want, min_ratings)
+        assert_same(got, want)
+        for scheme in SplitScheme:
+            spec = SplitSpec(scheme, 0.3, 0.2, seed=seed)
+            for got_part, want_part in zip(split(got, spec), reference_split(want, spec)):
+                assert_same(got_part, want_part)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(IDS, st.sampled_from(["x", " y", "ü"]), st.sampled_from(["1", "2.5", "4"]),
+                          st.sampled_from(["0", "3", "3.0", " 7 "])),
+                st.tuples(st.just("u"), st.just("x"),
+                          st.sampled_from(["1", "bad", "6", "nan", "-1"]),
+                          st.sampled_from(["2", "soon", "2.5", "-3", "inf"])),
+            ).map("\t".join) | st.sampled_from(["", "  ", "u\tx\t1", "u\tx\t1\t2\t3"]),
+            max_size=25,
+        )
+    )
+    def test_parse(self, lines):
+        text = "user\titem\trating\ttimestamp\n" + "\n".join(lines) + "\n"
+        try:
+            want = reference_parse(text)
+        except DataError as exc:
+            with pytest.raises(type(exc)) as info:
+                parse_reviews(io.StringIO(text))
+            assert str(info.value) == str(exc)
+            return
+        assert_same(parse_reviews(io.StringIO(text)), want)
+
+    def test_pooled_repeats_keep_input_order(self):
+        # two users rate item x at the same time; pooled, the background
+        # user holds (x, 5) twice, in the order of the original users
+        rows = [("b", "x", 2.0, 5), ("a", "x", 1.0, 5), ("a", "y", 3.0, 5), ("c", "z", 4.0, 9)]
+        ratings = [Rating(u, i, v, t, v) for u, i, v, t in rows]
+        got = pool_infrequent_users(Dataset(ratings), 3)
+        want = reference_pool(ReferenceDataset(ratings), 3)
+        assert_same(got, want)
+        assert [r.value for r in got.ratings] == [1.0, 2.0, 3.0, 4.0]
+
+
+class TestColumns:
+    def test_columns_offsets_and_read_only(self):
+        d = make_dataset([("b", "x", 1.0, 3), ("a", "y", 2.0, 1), ("a", "x", 3.0, 1)])
+        assert d.users == ("a", "b") and d.items == ("x", "y")
+        assert d.user_code.tolist() == [0, 0, 1]
+        assert d.item_code.tolist() == [0, 1, 0]
+        assert d.offsets.tolist() == [0, 2, 3]
+        assert d.user_rows("b") == slice(2, 3)
+        with pytest.raises(KeyError):
+            d.user_rows("zed")
+        for column in (d.user_code, d.item_code, d.times, d.values, d.raw_values, d.offsets):
+            assert not column.flags.writeable
+
+    def test_global_time_order_computed_once(self):
+        d = make_dataset([("b", "x", 1.0, 3), ("a", "y", 2.0, 1), ("a", "x", 3.0, 1)])
+        order = d.global_time_order()
+        assert order.tolist() == [0, 1, 2]
+        assert d.global_time_order() is order
+        assert not order.flags.writeable
+
+    def test_subset_drops_unused_keys(self):
+        d = make_dataset([("b", "x", 1.0, 3), ("a", "y", 2.0, 1), ("a", "x", 3.0, 1)])
+        sub = d.subset([2, 0])
+        assert sub.users == ("a", "b") and sub.items == ("x",)
+        assert sub.user_code.tolist() == [0, 1] and sub.item_code.tolist() == [0, 0]
+        assert d.subset([1]).items == ("y",)
+
+    def test_empty(self):
+        d = Dataset([], scale_max=5.0)
+        assert len(d) == 0 and d.users == () and d.offsets.tolist() == [0]
+        assert d.ratings == () and d.global_time_order().tolist() == []
+        assert [len(part) for part in split(d, SplitSpec())] == [0, 0, 0]

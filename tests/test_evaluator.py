@@ -1,5 +1,7 @@
 """Test-time level assignment, MSE reports, and model comparison."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,30 @@ def model_with(users, items, E=5, K=1, kind=ModelKind.USER_LEARNED, assignment=N
 
 def dataset(rows):
     return Dataset([Rating(u, i, v, t, v) for (u, i, v, t) in rows])
+
+
+def reference_test_levels(m, test, train):
+    """The per-rating loop the vectorized search replaced."""
+
+    def nearest(times, levels, t):
+        j = int(np.searchsorted(times, t, side="left"))
+        if j == 0:
+            return int(levels[0])
+        if j == len(times):
+            return int(levels[-1])
+        if abs(int(times[j - 1]) - t) <= abs(int(times[j]) - t):
+            return int(levels[j - 1])
+        return int(levels[j])
+
+    per_user = {u: (train.times[train.user_index[u]], m.assignment.levels[u]) for u in train.users}
+    background = per_user.get(BACKGROUND_USER) if train.background_user else None
+    out = np.empty(len(test), dtype=np.int64)
+    for user in test.users:
+        positions = test.user_index[user]
+        source = per_user.get(user, background)
+        for pos in positions:
+            out[pos] = 1 if source is None else nearest(*source, int(test.times[pos]))
+    return out
 
 
 class TestAssignTestLevels:
@@ -62,6 +88,26 @@ class TestAssignTestLevels:
         test = dataset([("stranger", "a", 1.0, 99)])
         m = model_with((BACKGROUND_USER,), ("a", "b"), assignment={BACKGROUND_USER: np.array([2, 5])})
         assert list(assign_test_levels(m, test, train)) == [5]
+
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_matches_per_rating_loop(self, pooled):
+        # few distinct times: ties with training ratings, equidistant
+        # neighbours, and test ratings before and after every history
+        rng = np.random.default_rng(5)
+        rows = [(f"u{int(rng.integers(0, 8))}", f"i{j}", 1.0, int(rng.integers(0, 12)))
+                for j in range(300)]
+        train = Dataset(
+            [Rating(BACKGROUND_USER if pooled and u == "u0" else u, i, v, t, v)
+             for u, i, v, t in rows[:200]],
+            background_user=BACKGROUND_USER if pooled else None,
+        )
+        test = dataset(rows[200:] + [("stranger", "i0", 1.0, 6), ("other", "i1", 1.0, 3)])
+        levels = {u: np.sort(rng.integers(1, 6, size=len(train.user_index[u]))) for u in train.users}
+        m = model_with(train.users, train.items, assignment=levels)
+        with pytest.warns(UserWarning, match="'other'") if not pooled else nullcontext():
+            got = assign_test_levels(m, test, train)
+        assert np.array_equal(got, reference_test_levels(m, test, train))
 
 
 class TestMse:

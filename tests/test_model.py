@@ -165,6 +165,17 @@ class TestObjective:
         with pytest.raises(ValueError, match="missing assignment"):
             objective(p, bad, d, 0.0)
 
+    def test_flat_joins_users_in_order_and_checks_lengths(self):
+        d = Dataset([Rating(u, i, 1.0, t, 1.0)
+                     for u, i, t in (("v", "i", 0), ("u", "j", 2), ("u", "i", 1), ("w", "i", 5))])
+        a = ExperienceAssignment({"w": np.array([3]), "u": np.array([1, 2]), "v": np.array([4])})
+        assert a.flat(d).tolist() == [1, 2, 4, 3]
+        short = ExperienceAssignment({"u": np.array([1]), "v": np.array([4])})
+        with pytest.raises(ValueError, match="user 'u' has 1 levels, dataset has 2 ratings"):
+            short.flat(d)
+        with pytest.raises(ValueError, match="missing assignment for user 'w'"):
+            ExperienceAssignment({"u": np.array([1, 2]), "v": np.array([4])}).flat(d)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
