@@ -75,13 +75,10 @@ def acquired_taste_scores(
     p = m.params
     if p.E < 2:
         raise ValueError("taste scores need E >= 2; a flat model has no expert/beginner contrast")
-    rows, bounds = train.item_rows
-    code = {item: k for k, item in enumerate(train.items)}
     scores = []
     for j, item in enumerate(p.items):
-        k = code.get(item)
-        positions = rows[bounds[k] : bounds[k + 1]] if k is not None else rows[:0]
-        n = len(positions)
+        positions = train.item_index.get(item)
+        n = len(positions) if positions is not None else 0
         if n < min_ratings:
             continue
         beginner = float(p.item_bias[0, j])
@@ -166,11 +163,9 @@ def agreement_variance(
     half = window / 2.0 + 1e-9
     grid = np.round(np.arange(1.0, E + step / 2.0, step), 6)
     points: list[AgreementPoint] = []
-    # items in order of first rating, the order the cohort variances are
-    # summed in
-    rows, bounds = train.item_rows
-    item_rows = [rows[bounds[k] : bounds[k + 1]] for k in np.argsort(rows[bounds[:-1]])]
-    item_data = [(x[pos], train.values[pos]) for pos in item_rows]
+    item_data = [
+        (x[pos], train.values[pos]) for pos in train.item_index.values()
+    ]
     for center in grid:
         variances = []
         for item_x, item_vals in item_data:

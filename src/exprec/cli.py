@@ -169,8 +169,7 @@ def cmd_ingest(args) -> int:
         print(f"dropped {d.duplicates_dropped} duplicate (user, item) rows", file=sys.stderr)
     pooled = pool_infrequent_users(d, args.min_ratings)
     if pooled.background_user:
-        rows = pooled.user_rows(pooled.background_user)
-        n_bg = rows.stop - rows.start
+        n_bg = len(pooled.user_index[pooled.background_user])
         print(f"pooled {n_bg} ratings into {pooled.background_user}", file=sys.stderr)
     # output is on the normalized scale: read it back with --scale-max 5
     write_reviews(pooled, args.out)

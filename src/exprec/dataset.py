@@ -187,25 +187,10 @@ class Dataset:
         j = bisect_left(keys, key) if key is not None else len(keys)
         return j if j < len(keys) and keys[j] == key else None
 
-    def user_rows(self, user: str) -> slice:
-        """The rows holding one user's ratings; KeyError for an unknown user."""
-        j = self._code_of(self.users, user)
-        if j is None:
-            raise KeyError(user)
-        return slice(int(self.offsets[j]), int(self.offsets[j + 1]))
-
     def per_user(self, column: np.ndarray) -> list[np.ndarray]:
         """``column`` (one entry per row) cut into each user's run of rows,
         in ``users`` order; the parts are views."""
         return np.split(column, self.offsets[1:-1]) if self.users else []
-
-    @cached_property
-    def item_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows grouped by item: ``rows[bounds[j]:bounds[j + 1]]`` are the
-        rows of item ``items[j]``, ascending."""
-        rows = _frozen(np.argsort(self.item_code, kind="stable"))
-        counts = np.bincount(self.item_code, minlength=len(self.items))
-        return rows, _frozen(np.concatenate(([0], np.cumsum(counts))))
 
     @cached_property
     def _time_order(self) -> np.ndarray:
@@ -255,7 +240,10 @@ class Dataset:
 
     def user_ratings(self, user: str) -> tuple[Rating, ...]:
         """A user's ratings in chronological (timestamp, item) order."""
-        return self._rows(self.user_rows(user))
+        j = self._code_of(self.users, user)
+        if j is None:
+            raise KeyError(user)
+        return self._rows(slice(int(self.offsets[j]), int(self.offsets[j + 1])))
 
     @cached_property
     def user_seq(self) -> tuple[str, ...]:
@@ -273,7 +261,9 @@ class Dataset:
     @cached_property
     def item_index(self) -> Mapping[str, np.ndarray]:
         """Item -> its rows, ascending; items in order of first rating."""
-        rows, bounds = self.item_rows
+        rows = _frozen(np.argsort(self.item_code, kind="stable"))
+        counts = np.bincount(self.item_code, minlength=len(self.items))
+        bounds = np.concatenate(([0], np.cumsum(counts)))
         first_seen = np.argsort(rows[bounds[:-1]]).tolist()
         return MappingProxyType(
             {self.items[j]: rows[bounds[j] : bounds[j + 1]] for j in first_seen}
@@ -514,8 +504,10 @@ def write_reviews(d: Dataset, path, config: FormatConfig = FormatConfig()) -> No
         for lo in range(0, len(d), _WRITE_ROWS):
             rows = slice(lo, lo + _WRITE_ROWS)
             values = list(map(repr, d.values[rows].tolist()))
-            # on the 5-point scale the raw values are the normalized ones
-            raws = (values if np.array_equal(d.values[rows], d.raw_values[rows])
+            # on the 5-point scale the raw values are the normalized ones;
+            # equal bits (so -0.0 is not 0.0) give equal reprs
+            raws = (values if np.array_equal(d.values[rows].view(np.uint64),
+                                             d.raw_values[rows].view(np.uint64))
                     else map(repr, d.raw_values[rows].tolist()))
             fh.write("\n".join(map(delim.join, zip(
                 map(d.users.__getitem__, d.user_code[rows].tolist()),

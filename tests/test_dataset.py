@@ -195,9 +195,13 @@ class TestNormalizeRating:
         a = min(a, scale)
         b = min(b, scale)
         if a < b:
-            # rescaling may round neighbouring doubles to one value (5e-324
-            # out of 10 is 0.0), so order is kept but not always strictly
-            assert normalize_rating(a, scale) <= normalize_rating(b, scale)
+            lo, hi = normalize_rating(a, scale), normalize_rating(b, scale)
+            assert lo <= hi
+            # for scale > 5 there are more doubles in [0, scale] than in
+            # [0, 5], so neighbours can round to one value (5e-324 of 10 is
+            # 0.0); order is strict once the gap exceeds the rounding error
+            if 5.0 * (b - a) / scale > 8 * math.ulp(5.0 * b / scale):
+                assert lo < hi
 
 
 class TestParseReviews:
@@ -354,6 +358,16 @@ class TestWriteReviews:
             b"u1\ti1\t0.3333333333333333\t7\t2.0\n"
             b"u1\ti2\t4.0\t7\t16.0\n"
             b"u2\ti1\t0.30000000000000004\t5\t1.2\n"
+        )
+
+    def test_raw_column_keeps_sign_of_zero(self, tmp_path):
+        d = Dataset([Rating("u", "i", 0.0, 1, -0.0), Rating("u", "j", 5.0, 2, 5.0)])
+        path = tmp_path / "out.tsv"
+        write_reviews(d, path)
+        assert path.read_bytes() == (
+            b"user\titem\trating\ttimestamp\traw\n"
+            b"u\ti\t0.0\t1\t-0.0\n"
+            b"u\tj\t5.0\t2\t5.0\n"
         )
 
     def test_round_trip(self, tmp_path):
@@ -546,9 +560,9 @@ class TestColumns:
         assert d.user_code.tolist() == [0, 0, 1]
         assert d.item_code.tolist() == [0, 1, 0]
         assert d.offsets.tolist() == [0, 2, 3]
-        assert d.user_rows("b") == slice(2, 3)
+        assert [r.item for r in d.user_ratings("b")] == ["x"]
         with pytest.raises(KeyError):
-            d.user_rows("zed")
+            d.user_ratings("zed")
         for column in (d.user_code, d.item_code, d.times, d.values, d.raw_values, d.offsets):
             assert not column.flags.writeable
 
