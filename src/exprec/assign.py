@@ -216,24 +216,19 @@ def find_monotonicity_violation(
     Per-user kinds require each user's level sequence (in the canonical
     chronological order) to be non-decreasing; community kinds require
     the same over the global (timestamp, user, item) order.  Returns the
-    first offending (user, index-within-user) or None.
+    first offending (user, index-within-user) or None.  Raises ValueError
+    when ``a`` does not hold exactly one level per rating of ``d``.
     """
-    if kind.is_community:
-        order = d.global_time_order()
-        flat = a.flat(d)
-        seq = flat[order]
-        bad = np.nonzero(np.diff(seq) < 0)[0]
-        if len(bad):
-            pos = int(order[bad[0] + 1])
-            j = int(d.user_code[pos])
-            return d.users[j], pos - int(d.offsets[j])
+    order = d.global_time_order() if kind.is_community else np.arange(len(d))
+    drops = np.diff(a.flat(d)[order]) < 0
+    if not kind.is_community:
+        drops &= np.diff(d.user_code) == 0  # a new user may start lower
+    bad = np.flatnonzero(drops)
+    if not len(bad):
         return None
-    for user in d.users:
-        lv = a.levels[user]
-        bad = np.nonzero(np.diff(lv) < 0)[0]
-        if len(bad):
-            return user, int(bad[0] + 1)
-    return None
+    pos = int(order[bad[0] + 1])
+    j = int(d.user_code[pos])
+    return d.users[j], pos - int(d.offsets[j])
 
 
 def assert_monotone(kind: ModelKind, d: Dataset, a: ExperienceAssignment) -> None:

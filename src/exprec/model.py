@@ -7,13 +7,14 @@ is predicted by level e's parameters only; adjacent levels are tied
 together by a smoothness penalty on their parameter differences.
 
 Flattening order (used by gradients and serialization) is level-major;
-within one level: alpha, user biases in sorted user order, item biases
-in sorted item order, user factor rows (user-major, then factor index),
-item factor rows.
+within one level the blocks follow :data:`BLOCKS`: alpha, user biases in
+sorted user order, item biases in sorted item order, user factor rows
+(user-major, then factor index), item factor rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -21,6 +22,28 @@ from typing import Mapping
 import numpy as np
 
 from .dataset import Dataset
+
+
+# The parameter blocks of one level, in flattening order; also the
+# ModelParams field order after users/items and the key order of a saved level.
+BLOCKS = ("alpha", "user_bias", "item_bias", "user_factors", "item_factors")
+
+
+def _level_shapes(U: int, I: int, K: int) -> tuple[tuple[int, ...], ...]:
+    """Shape of one level's part of each block, in :data:`BLOCKS` order."""
+    return ((), (U,), (I,), (U, K), (I, K))
+
+
+def _split_levels(vec: np.ndarray, E: int, U: int, I: int, K: int) -> list[np.ndarray]:
+    """Cut a level-major flat vector into one (E, ...) view of it per block."""
+    shapes = _level_shapes(U, I, K)
+    sizes = [math.prod(shape) for shape in shapes]
+    per_level = sum(sizes)
+    if vec.shape != (E * per_level,):
+        raise ValueError(f"expected flat vector of length {E * per_level}, got {vec.shape}")
+    rows = vec.reshape(E, per_level)
+    bounds = np.cumsum([0, *sizes])
+    return [rows[:, a:b].reshape(E, *shape) for shape, a, b in zip(shapes, bounds, bounds[1:])]
 
 
 @dataclass(eq=False)
@@ -36,13 +59,11 @@ class ModelParams:
     item_factors: np.ndarray  # (E, I, K)
 
     def __post_init__(self):
-        E, U, K = self.user_factors.shape
-        if self.alpha.shape != (E,):
-            raise ValueError("alpha shape mismatch")
-        if self.user_bias.shape != (E, U) or self.item_bias.shape != (E, len(self.items)):
-            raise ValueError("bias shape mismatch")
-        if self.item_factors.shape != (E, len(self.items), K):
-            raise ValueError("factor shape mismatch")
+        lead = self.alpha.shape[:1]  # (E,)
+        shapes = _level_shapes(len(self.users), len(self.items), self.user_factors.shape[-1])
+        for name, block, shape in zip(BLOCKS, self.blocks(), shapes):
+            if block.shape != lead + shape:
+                raise ValueError(f"{name} has shape {block.shape}, expected {lead + shape}")
 
     # key -> position maps, built on first use: the models made for every
     # L-BFGS evaluation never look a key up
@@ -64,60 +85,29 @@ class ModelParams:
 
     @property
     def n_params(self) -> int:
-        U, I, K = len(self.users), len(self.items), self.K
-        return self.E * (1 + U + I + U * K + I * K)
+        return sum(block.size for block in self.blocks())
+
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The parameter arrays in :data:`BLOCKS` order."""
+        return tuple(getattr(self, name) for name in BLOCKS)
 
     @classmethod
     def zeros(cls, users, items, E: int, K: int) -> "ModelParams":
-        users = tuple(users)
-        items = tuple(items)
-        U, I = len(users), len(items)
-        return cls(
-            users=users,
-            items=items,
-            alpha=np.zeros(E),
-            user_bias=np.zeros((E, U)),
-            item_bias=np.zeros((E, I)),
-            user_factors=np.zeros((E, U, K)),
-            item_factors=np.zeros((E, I, K)),
-        )
+        users, items = tuple(users), tuple(items)
+        shapes = _level_shapes(len(users), len(items), K)
+        return cls(users, items, *(np.zeros((E, *shape)) for shape in shapes))
 
     def flatten(self) -> np.ndarray:
-        blocks = []
-        for e in range(self.E):
-            blocks.append(self.alpha[e : e + 1])
-            blocks.append(self.user_bias[e])
-            blocks.append(self.item_bias[e])
-            blocks.append(self.user_factors[e].ravel())
-            blocks.append(self.item_factors[e].ravel())
-        return np.concatenate(blocks)
+        rows = [block.reshape(self.E, -1) for block in self.blocks()]
+        return np.concatenate(rows, axis=1).ravel()
 
     @classmethod
     def from_flat(cls, vec: np.ndarray, users, items, E: int, K: int) -> "ModelParams":
-        users = tuple(users)
-        items = tuple(items)
-        U, I = len(users), len(items)
-        per_level = 1 + U + I + U * K + I * K
-        if vec.shape != (E * per_level,):
-            raise ValueError(f"expected flat vector of length {E * per_level}, got {vec.shape}")
-        alpha = np.empty(E)
-        ub = np.empty((E, U))
-        ib = np.empty((E, I))
-        uf = np.empty((E, U, K))
-        itf = np.empty((E, I, K))
-        for e in range(E):
-            chunk = vec[e * per_level : (e + 1) * per_level]
-            alpha[e] = chunk[0]
-            o = 1
-            ub[e] = chunk[o : o + U]
-            o += U
-            ib[e] = chunk[o : o + I]
-            o += I
-            uf[e] = chunk[o : o + U * K].reshape(U, K)
-            o += U * K
-            itf[e] = chunk[o : o + I * K].reshape(I, K)
-        return cls(users=users, items=items, alpha=alpha, user_bias=ub,
-                   item_bias=ib, user_factors=uf, item_factors=itf)
+        """Blocks viewing a copy of ``vec``: the caller (L-BFGS) may reuse
+        its buffer."""
+        users, items = tuple(users), tuple(items)
+        blocks = _split_levels(np.array(vec, dtype=np.float64), E, len(users), len(items), K)
+        return cls(users, items, *blocks)
 
     def predict(self, level: int, user: str, item: str) -> float:
         """Score one (user, item) pair at the given experience level.
@@ -180,11 +170,13 @@ class ExperienceAssignment:
         matching each subset rating by (timestamp, item)."""
         out = {}
         for user in subset.users:
-            full_pos = full.user_index[user]
-            key_to_level = {
-                (int(full.times[p]), full.item_seq[p]): int(lv)
-                for p, lv in zip(full_pos, self.levels[user])
-            }
+            key_to_level: dict[tuple[int, str], int] = {}
+            for p, lv in zip(full.user_index[user], self.levels[user]):
+                key = (int(full.times[p]), full.item_seq[p])
+                if key_to_level.setdefault(key, int(lv)) != lv:
+                    raise ValueError(
+                        f"user {user!r} has two levels for timestamp {key[0]}, item {key[1]!r}"
+                    )
             sub_pos = subset.user_index[user]
             out[user] = np.array(
                 [key_to_level[(int(subset.times[p]), subset.item_seq[p])] for p in sub_pos],
@@ -245,13 +237,9 @@ def smoothness_penalty(p: ModelParams) -> float:
     Every scalar parameter (offset, biases, factor entries) is weighted
     equally.  A single-level model has an empty sum, 0.0.
     """
-    if p.E <= 1:
-        return 0.0
-    total = float(np.sum((p.alpha[:-1] - p.alpha[1:]) ** 2))
-    total += float(np.sum((p.user_bias[:-1] - p.user_bias[1:]) ** 2))
-    total += float(np.sum((p.item_bias[:-1] - p.item_bias[1:]) ** 2))
-    total += float(np.sum((p.user_factors[:-1] - p.user_factors[1:]) ** 2))
-    total += float(np.sum((p.item_factors[:-1] - p.item_factors[1:]) ** 2))
+    total = 0.0
+    for block in p.blocks():
+        total += float(np.sum((block[:-1] - block[1:]) ** 2))
     return total
 
 
@@ -331,11 +319,11 @@ def objective_and_gradient(
     coef = (2.0 / n) * res
     lin_u = lv0 * U + uidx
     lin_i = lv0 * I + iidx
-    g_alpha = np.bincount(lv0, weights=coef, minlength=E)
-    g_ub = np.bincount(lin_u, weights=coef, minlength=E * U).reshape(E, U)
-    g_ib = np.bincount(lin_i, weights=coef, minlength=E * I).reshape(E, I)
-    g_uf = np.empty((E, U, K))
-    g_if = np.empty((E, I, K))
+    grad = np.empty(p.n_params)
+    g_alpha, g_ub, g_ib, g_uf, g_if = grads = _split_levels(grad, E, U, I, K)
+    g_alpha[:] = np.bincount(lv0, weights=coef, minlength=E)
+    g_ub[:] = np.bincount(lin_u, weights=coef, minlength=E * U).reshape(E, U)
+    g_ib[:] = np.bincount(lin_i, weights=coef, minlength=E * I).reshape(E, I)
     for k in range(K):
         g_uf[:, :, k] = np.bincount(
             lin_u, weights=coef * gi[:, k], minlength=E * U
@@ -345,45 +333,30 @@ def objective_and_gradient(
         ).reshape(E, I)
 
     pen = 0.0
-    if E > 1:
-        for block, g_block in (
-            (p.alpha, g_alpha),
-            (p.user_bias, g_ub),
-            (p.item_bias, g_ib),
-            (p.user_factors, g_uf),
-            (p.item_factors, g_if),
-        ):
-            diff = block[:-1] - block[1:]
-            pen += float(np.sum(diff * diff))
-            g_block[:-1] += 2.0 * lam * diff
-            g_block[1:] -= 2.0 * lam * diff
+    for block, g_block in zip(p.blocks(), grads):
+        diff = block[:-1] - block[1:]
+        pen += float(np.sum(diff * diff))
+        g_block[:-1] += 2.0 * lam * diff
+        g_block[1:] -= 2.0 * lam * diff
+    return err + lam * pen, grad
 
-    obj = err + lam * pen
-    grad_params = ModelParams(
-        users=p.users, items=p.items, alpha=g_alpha, user_bias=g_ub,
-        item_bias=g_ib, user_factors=g_uf, item_factors=g_if,
-    )
-    return obj, grad_params.flatten()
+
+def _row_keys(p: ModelParams) -> tuple[tuple[str, ...] | None, ...]:
+    """The key of each row of a level's block, in :data:`BLOCKS` order;
+    None for the unkeyed offset."""
+    return (None, p.users, p.items, p.users, p.items)
 
 
 def params_to_level_dicts(p: ModelParams) -> list[dict]:
-    """JSON-ready per-level parameter maps, keys in sorted order."""
-    levels = []
-    for e in range(p.E):
-        levels.append(
-            {
-                "alpha": float(p.alpha[e]),
-                "user_bias": {u: float(p.user_bias[e, j]) for j, u in enumerate(p.users)},
-                "item_bias": {i: float(p.item_bias[e, j]) for j, i in enumerate(p.items)},
-                "user_factors": {
-                    u: [float(x) for x in p.user_factors[e, j]] for j, u in enumerate(p.users)
-                },
-                "item_factors": {
-                    i: [float(x) for x in p.item_factors[e, j]] for j, i in enumerate(p.items)
-                },
-            }
-        )
-    return levels
+    """JSON-ready per-level parameter maps in :data:`BLOCKS` order, keys
+    in sorted order."""
+    return [
+        {
+            name: block[e].tolist() if keys is None else dict(zip(keys, block[e].tolist()))
+            for name, block, keys in zip(BLOCKS, p.blocks(), _row_keys(p))
+        }
+        for e in range(p.E)
+    ]
 
 
 def params_from_level_dicts(levels: list[dict], K: int) -> ModelParams:
@@ -396,11 +369,6 @@ def params_from_level_dicts(levels: list[dict], K: int) -> ModelParams:
     for e, lvl in enumerate(levels):
         if tuple(sorted(lvl["user_bias"])) != users or tuple(sorted(lvl["item_bias"])) != items:
             raise ValueError("levels disagree on user/item key sets")
-        p.alpha[e] = lvl["alpha"]
-        for j, u in enumerate(users):
-            p.user_bias[e, j] = lvl["user_bias"][u]
-            p.user_factors[e, j] = lvl["user_factors"][u]
-        for j, i in enumerate(items):
-            p.item_bias[e, j] = lvl["item_bias"][i]
-            p.item_factors[e, j] = lvl["item_factors"][i]
+        for name, block, keys in zip(BLOCKS, p.blocks(), _row_keys(p)):
+            block[e] = lvl[name] if keys is None else [lvl[name][k] for k in keys]
     return p

@@ -19,9 +19,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from .dataset import Columns, Dataset
-from .model import ExperienceAssignment, ModelParams, score
-
-_BLOCKS = ("alpha", "user_bias", "item_bias", "user_factors", "item_factors")
+from .model import BLOCKS, ExperienceAssignment, ModelParams, score
 
 
 class TrajectoryKind(str, Enum):
@@ -82,11 +80,11 @@ class SynthConfig:
     @property
     def drift_by_block(self) -> dict[str, float]:
         if isinstance(self.level_drift, (int, float)):
-            return {name: float(self.level_drift) for name in _BLOCKS}
-        unknown = set(self.level_drift) - set(_BLOCKS)
+            return {name: float(self.level_drift) for name in BLOCKS}
+        unknown = set(self.level_drift) - set(BLOCKS)
         if unknown:
             raise ValueError(f"unknown drift blocks: {sorted(unknown)}")
-        return {name: float(self.level_drift.get(name, 0.0)) for name in _BLOCKS}
+        return {name: float(self.level_drift.get(name, 0.0)) for name in BLOCKS}
 
 
 @dataclass(eq=False)
@@ -114,15 +112,8 @@ def _planted_params(cfg: SynthConfig, rng: np.random.Generator,
     p.item_factors[0] = rng.normal(0.0, fs, size=(I, K))
     drift = cfg.drift_by_block
     for e in range(1, E):
-        p.alpha[e] = p.alpha[e - 1] + rng.normal(0.0, drift["alpha"])
-        p.user_bias[e] = p.user_bias[e - 1] + rng.normal(0.0, drift["user_bias"], size=U)
-        p.item_bias[e] = p.item_bias[e - 1] + rng.normal(0.0, drift["item_bias"], size=I)
-        p.user_factors[e] = p.user_factors[e - 1] + rng.normal(
-            0.0, drift["user_factors"], size=(U, K)
-        )
-        p.item_factors[e] = p.item_factors[e - 1] + rng.normal(
-            0.0, drift["item_factors"], size=(I, K)
-        )
+        for name, block in zip(BLOCKS, p.blocks()):
+            block[e] = block[e - 1] + rng.normal(0.0, drift[name], size=block.shape[1:])
     return p
 
 

@@ -24,6 +24,7 @@ from scipy.optimize import minimize
 from .assign import ModelKind, assign_all, assert_monotone
 from .dataset import Dataset, TrainingError
 from .model import (
+    BLOCKS,
     ExperienceAssignment,
     ModelParams,
     _strict_encode,
@@ -136,12 +137,9 @@ def initialize(train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, Experienc
     return p, assignment
 
 
-_BLOCK_NAMES = ("alpha", "user_bias", "item_bias", "user_factors", "item_factors")
-
-
 def _nonfinite_block(p: ModelParams) -> str | None:
-    for name in _BLOCK_NAMES:
-        if not np.isfinite(getattr(p, name)).all():
+    for name, block in zip(BLOCKS, p.blocks()):
+        if not np.isfinite(block).all():
             return name
     return None
 

@@ -298,6 +298,16 @@ class TestMonotonicityValidator:
         # but it is fine per user
         assert find_monotonicity_violation(ModelKind.USER_LEARNED, d, a) is None
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_assignment_not_matching_dataset_raises(self, kind):
+        d = make_dataset([("u", "a", 1.0, 0), ("u", "b", 1.0, 1), ("v", "b", 1.0, 2)])
+        short = ExperienceAssignment({"u": np.array([1]), "v": np.array([1])})
+        with pytest.raises(ValueError, match="'u' has 1 levels, dataset has 2 ratings"):
+            find_monotonicity_violation(kind, d, short)
+        missing = ExperienceAssignment({"u": np.array([1, 2])})
+        with pytest.raises(ValueError, match="missing assignment for user 'v'"):
+            find_monotonicity_violation(kind, d, missing)
+
 
 class TestPredictionCosts:
     def test_costs_are_squared_errors(self):

@@ -183,6 +183,24 @@ class TestValidateCommand:
         assert rc == 2
         assert "monotonicity violated at user=" in captured.out + captured.err
 
+    @pytest.mark.parametrize("new_user", [True, False])
+    def test_train_file_not_matching_assignment_exits_2(
+        self, split_dir, model_path, tmp_path, capsys, new_user
+    ):
+        # one more rating, by a user the model lacks or by a known user
+        lines = (split_dir / "train.tsv").read_text().splitlines()
+        user, _, *rest = lines[-1].split("\t")
+        if new_user:
+            user, want = "zz_new", "error: missing assignment for user 'zz_new'\n"
+        else:
+            want = f"error: assignment for user {user!r} has "
+        train = tmp_path / "train.tsv"
+        train.write_text("\n".join(lines + ["\t".join([user, "i_extra", *rest])]) + "\n")
+        rc = main(["validate", "--model", str(model_path), "--train", str(train)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(want) and err.count("\n") == 1
+
 
 class TestIngestCommand:
     def test_normalizes_and_pools(self, tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Prediction, smoothness penalty, objective, and gradient correctness."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from exprec.dataset import Dataset, Rating, SplitScheme, SplitSpec, split
+from exprec.dataset import BACKGROUND_USER, Dataset, Rating, SplitScheme, SplitSpec, split
 from exprec.model import (
+    BLOCKS,
     ExperienceAssignment,
     ModelParams,
     gradient,
@@ -232,6 +234,27 @@ class TestFlattenRoundTrip:
         flat = p.flatten()
         assert list(flat[:12]) == [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 2, 0]
 
+    def test_blocks_order_is_field_and_saved_key_order(self):
+        p, _, _, _ = random_instance(56)
+        assert BLOCKS == tuple(f.name for f in fields(ModelParams))[2:]
+        for level in params_to_level_dicts(p):
+            assert tuple(level) == BLOCKS
+
+    def test_from_flat_copies_its_input(self):
+        p, _, _, _ = random_instance(57)
+        x = p.flatten()
+        q = ModelParams.from_flat(x, p.users, p.items, p.E, p.K)
+        x[:] = np.nan  # L-BFGS owns and reuses the buffer
+        assert np.array_equal(q.flatten(), p.flatten())
+
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_block_of_wrong_shape_raises(self, name):
+        p, _, _, _ = random_instance(58)
+        blocks = dict(zip(BLOCKS, p.blocks()))
+        blocks[name] = blocks[name][..., None]
+        with pytest.raises(ValueError, match=f"^{name} has shape"):
+            ModelParams(p.users, p.items, **blocks)
+
 
 class TestSerialization:
     def test_level_dicts_round_trip_exactly(self):
@@ -277,3 +300,15 @@ class TestRestrictTo:
         stranger = Dataset([Rating("stranger", d.items[0], 3.0, 0, 3.0)])
         with pytest.raises(KeyError):
             a.restrict_to(d, stranger)
+
+    def test_pooled_key_with_two_levels_raises(self):
+        # the pooled user rated item x twice at time 5, at different levels
+        full = Dataset(
+            [Rating(BACKGROUND_USER, i, v, t, v) for i, t, v in
+             (("x", 5, 1.0), ("x", 5, 4.0), ("y", 9, 2.0))],
+            background_user=BACKGROUND_USER,
+        )
+        a = ExperienceAssignment({BACKGROUND_USER: np.array([1, 2, 2])})
+        want = f"user {BACKGROUND_USER!r} has two levels for timestamp 5, item 'x'"
+        with pytest.raises(ValueError, match=want):
+            a.restrict_to(full, full.subset([0, 2]))
