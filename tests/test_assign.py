@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from exprec.assign import (
     ModelKind,
+    _monotone_dp,
     assign_all,
     assign_batch_dp,
     assign_community_dp,
@@ -186,6 +187,16 @@ class TestBatchDP:
             assign_batch_dp(costs, [np.arange(3), np.arange(3, 5)])
 
 
+def random_costs(rng, kind, E, L):
+    """Continuous costs (never tie), integers in {0, 1, 2} (tie often), or
+    signed continuous costs, which the public API accepts."""
+    if kind == "tied":
+        return rng.integers(0, 3, size=(E, L)).astype(float)
+    if kind == "signed":
+        return rng.normal(size=(E, L))
+    return rng.random((E, L))
+
+
 class TestCommunityDP:
     def test_derived_example(self):
         costs = np.array([[0.0, 0.0, 9.0, 9.0], [9.0, 9.0, 0.0, 0.0]])
@@ -193,6 +204,65 @@ class TestCommunityDP:
 
     def test_single_level(self):
         assert list(assign_community_dp(np.ones((1, 3)))) == [1, 1, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["random", "tied", "signed"]),
+    )
+    def test_matches_reference_and_brute_force(self, E, L, seed, kind):
+        costs = random_costs(np.random.default_rng(seed), kind, E, L)
+        got = assign_community_dp(costs)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _monotone_dp(costs.T[:, None, :])[:, 0] + 1)
+        if L <= 12:
+            assert np.array_equal(got, brute_force_assign(costs))
+
+    @pytest.mark.parametrize("E", [1, 2, 5])
+    def test_empty_sequence(self, E):
+        got = assign_community_dp(np.empty((E, 0)), E)
+        assert got.dtype == np.int64 and len(got) == 0
+
+    def test_single_column_takes_first_cheapest_level(self):
+        assert list(assign_community_dp(np.array([[3.0], [1.0], [2.0]]))) == [2]
+        assert list(assign_community_dp(np.array([[3.0], [1.0], [1.0]]))) == [2]
+
+    def test_single_level_random_costs(self):
+        costs = np.random.default_rng(2).normal(size=(1, 500))
+        assert np.array_equal(assign_community_dp(costs), np.ones(500, dtype=np.int64))
+
+    @pytest.mark.parametrize("E", [2, 5])
+    def test_equal_rows_stay_at_level_one(self, E):
+        # what initialize's shared factors give: every path costs the same,
+        # and prefix sums of equal rows still round differently per length
+        row = np.random.default_rng(E).random(20_000) * 3
+        costs = np.tile(row, (E, 1))
+        assert np.array_equal(assign_community_dp(costs), np.ones(20_000, dtype=np.int64))
+        signed_zeros = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]])
+        assert list(assign_community_dp(signed_zeros)) == [1, 1, 1]
+
+    def test_long_sequence_matches_reference(self):
+        rng = np.random.default_rng(13)
+        for kind in ("random", "tied", "signed"):
+            costs = random_costs(rng, kind, 5, 4000)
+            assert np.array_equal(assign_community_dp(costs), reference_dp(costs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost(self, bad):
+        costs = np.ones((3, 6))
+        costs[1, 4] = bad
+        with pytest.raises(ValueError, match="non-finite cost entry"):
+            assign_community_dp(costs)
+        # equal rows are checked too, before any shortcut
+        costs[:, 4] = bad
+        with pytest.raises(ValueError, match="non-finite cost entry"):
+            assign_community_dp(costs)
+
+    def test_mismatched_E(self):
+        with pytest.raises(ValueError, match="disagrees with cost matrix rows"):
+            assign_community_dp(np.ones((2, 3)), E=4)
 
 
 def tiny_model_and_data(E=2, favored_level=None):
