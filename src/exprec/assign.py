@@ -12,6 +12,16 @@ The learned kinds minimize squared prediction error over all monotone
 non-decreasing level sequences with an O(n * E) dynamic program; among
 equally cheap sequences the lexicographically smallest wins (lower
 levels preferred earlier), which keeps training reproducible.
+
+:func:`_monotone_dp` is the reference kernel and the per-user path: a
+right fold over the rows, one Python step per row.  Kind ``c`` has a
+single sequence, the whole corpus timeline, so its path is just E - 1
+change points; :func:`assign_community_dp` finds them with per-level
+prefix sums and suffix minima, one Python step per level.  It returns
+that path only under a certificate that it is the path the reference
+returns: equal cost rows (all level 1), or every change-point decision
+winning by more than a rounding bound tau of both kernels.  Otherwise it
+falls back to :func:`_monotone_dp`, so the two never disagree.
 """
 
 from __future__ import annotations
@@ -163,11 +173,93 @@ def assign_batch_dp(costs: CostMatrix, segments) -> list[np.ndarray]:
 def assign_community_dp(costs: CostMatrix, E: int | None = None) -> np.ndarray:
     """One DP pass over the globally time-sorted rating sequence.
 
-    Identical mechanics to :func:`assign_user_dp`; the caller provides
-    columns sorted by (timestamp, user, item), so the result segments the
-    whole corpus timeline into at most E contiguous eras.
+    The same contract as :func:`assign_user_dp`, returning the same path;
+    the caller provides columns sorted by (timestamp, user, item), so the
+    result segments the whole corpus timeline into at most E contiguous
+    eras.  The path is computed as change points (Bellman 1961; Jackson
+    et al. 2005, optimal partitioning of an interval).  With 0-based
+    levels e, L columns and prefix sums ``P_e[k] = sum_{j<k} c_e[j]``,
+    the cheapest cost of columns k.. on levels >= e is
+    ``D_e[k] = min_{k' >= k} V_e[k'] - P_e[k]`` with
+    ``V_e[k'] = P_e[k'] + D_{e+1}[k']``: level e ends at k', and the
+    top level runs to the end.  The backward pass is one reversed
+    ``np.minimum.accumulate`` per level; the forward pass leaves each
+    level at the *latest* k' attaining the minimum of V_e over k' >= k,
+    which is the lexicographically smallest optimal path.
+
+    Certificate.  The result is that path only if one of these holds,
+    and otherwise :func:`_monotone_dp`'s:
+
+    (a) every cost row equals the first (signed zeros aside); every path
+        then costs the same and the reference keeps level 1 throughout;
+    (b) at every forward decision the margin, the second-smallest V_e
+        over the decision's range minus the smallest, exceeds tau.
+
+    Why (b) suffices.  Every exact quantity either kernel forms (a P_e,
+    a D_e, a V_e, and the reference's right-fold values) is a sum of cost
+    entries over distinct columns, so its magnitude is at most
+    ``M = sum_t max_e |c_e[t]|``.  With unit roundoff u = 2^-53 and
+    gamma_n = n u / (1 - n u), recursive summation gives
+    ``|fl(P_e[k]) - P_e[k]| <= gamma_L M`` (Higham 2002, section 4.2,
+    eq. 4.4).  Each later addition or subtraction adds at most u|result|,
+    and a minimum adds nothing, so every level's D and V carry at most
+    two prefix-sum errors and two roundings more than the level above:
+    every V is within ``eps_V = 2 E (gamma_L M + 1.01 u M)`` of exact.
+    The reference rounds once per row, so its values are within
+    ``eps_G = 1.01 (L - 1) u M`` (the factor 1.01 holds while
+    E L < 10^13).  A computed margin above ``2 (eps_V + eps_G)`` (times
+    1 + u for its own subtraction) makes the exact margin exceed
+    ``2 eps_G``: the exact optimum is unique and equals the fast path,
+    and every argmin the reference takes along it is decided by more
+    than its rounding, since each of its alternatives is beaten by at
+    least one decision's margin.  ``tau = 3 (2E + 1)(L + 1) u M`` bounds
+    that.  A non-finite tau or a magnitude that could overflow falls
+    back too.
     """
-    return assign_user_dp(costs, E)
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2:
+        raise ValueError("cost matrix must be 2-dimensional")
+    if E is not None and E != costs.shape[0]:
+        raise ValueError(f"E={E} disagrees with cost matrix rows {costs.shape[0]}")
+    if not np.isfinite(costs).all():
+        raise ValueError("non-finite cost entry")
+    if (costs == costs[0]).all():
+        return np.ones(costs.shape[1], dtype=np.int64)
+    path = _change_points(costs)
+    if path is None:
+        path = _monotone_dp(costs.T[:, None, :])[:, 0]
+    return path + 1
+
+
+def _change_points(costs: np.ndarray) -> np.ndarray | None:
+    """0-based change-point path of finite ``costs`` (E, L), or None when
+    a decision's margin does not exceed tau (see assign_community_dp)."""
+    E, L = costs.shape
+    M = np.maximum(costs.max(axis=0), -costs.min(axis=0)).sum()
+    if not np.isfinite(2 * M):  # then no partial sum below can overflow
+        return None
+    tau = 3 * (2 * E + 1) * (L + 1) * (np.finfo(np.float64).eps / 2) * M
+    # V[e] holds P_e until the backward pass reaches level e, then V_e
+    V = np.zeros((E, L + 1))
+    np.cumsum(costs, axis=1, out=V[:, 1:])
+    D = V[-1, -1] - V[-1]
+    for e in range(E - 2, -1, -1):
+        v = V[e] + D
+        D = np.minimum.accumulate(v[::-1])[::-1]
+        D -= V[e]
+        V[e] = v
+    path = np.empty(L, dtype=np.int64)
+    k = 0
+    for e in range(E - 1):
+        seg = V[e, k:]
+        end = len(seg) - 1 - int(np.argmin(seg[::-1]))  # latest minimum
+        runner_up = min(seg[:end].min(initial=np.inf), seg[end + 1:].min(initial=np.inf))
+        if not runner_up - seg[end] > tau:
+            return None
+        path[k:k + end] = e
+        k += end
+    path[k:] = E - 1
+    return path
 
 
 def prediction_costs(p: ModelParams, d: Dataset) -> CostMatrix:

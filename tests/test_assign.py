@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exprec import assign
 from exprec.assign import (
     ModelKind,
     _monotone_dp,
@@ -263,6 +264,49 @@ class TestCommunityDP:
     def test_mismatched_E(self):
         with pytest.raises(ValueError, match="disagrees with cost matrix rows"):
             assign_community_dp(np.ones((2, 3)), E=4)
+
+    @staticmethod
+    def spy_reference(monkeypatch):
+        calls = []
+        real = assign._monotone_dp
+
+        def spy(costs):
+            calls.append(costs.shape)
+            return real(costs)
+
+        monkeypatch.setattr(assign, "_monotone_dp", spy)
+        return calls
+
+    def test_near_tie_falls_back_to_reference(self, monkeypatch):
+        calls = self.spy_reference(monkeypatch)
+        # the rows differ, but ending level 1 at column 3 or 4 differs by
+        # one ulp of the total, far inside tau
+        costs = np.ones((2, 4))
+        costs[1, 3] = np.nextafter(1.0, 2.0)
+        got = assign_community_dp(costs)
+        assert calls == [(4, 1, 2)]
+        assert list(got) == [1, 1, 1, 1]
+        assert np.array_equal(got, brute_force_assign(costs))
+
+    def test_tied_integers_fall_back_to_reference(self, monkeypatch):
+        calls = self.spy_reference(monkeypatch)
+        # [1, 1, 1] and [1, 2, 2] both cost 1
+        costs = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        assert list(assign_community_dp(costs)) == [1, 1, 1]
+        assert calls == [(3, 1, 2)]
+
+    def test_clear_margins_and_equal_rows_skip_reference(self, monkeypatch):
+        calls = self.spy_reference(monkeypatch)
+        rng = np.random.default_rng(17)
+        # three eras, each fit best by its own level
+        costs = rng.random((3, 3000)) + 1.0
+        for e, cols in enumerate((slice(0, 1000), slice(1000, 2000), slice(2000, 3000))):
+            costs[e, cols] -= 1.0
+        want = np.repeat([1, 2, 3], 1000)
+        assert np.array_equal(assign_community_dp(costs), want)
+        assert np.array_equal(assign_community_dp(np.tile(costs[0], (3, 1))), np.ones(3000))
+        assert calls == []
+        assert np.array_equal(want, reference_dp(costs))
 
 
 def tiny_model_and_data(E=2, favored_level=None):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from exprec import validate
 from exprec.cli import main
 from exprec.dataset import FormatConfig, parse_reviews
 from exprec.trainer import FittedModel
@@ -170,6 +171,17 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("PASS") == 3
+
+    @pytest.mark.parametrize("kernel", ["assign_user_dp", "assign_community_dp"])
+    def test_wrong_dp_kernel_named(self, split_dir, model_path, monkeypatch, capsys, kernel):
+        # a kernel that never leaves level 1 fails on the first instance
+        # whose optimum does
+        monkeypatch.setattr(validate, kernel, lambda costs: np.ones(costs.shape[1], dtype=np.int64))
+        rc = main(["validate", "--model", str(model_path), "--train", str(split_dir / "train.tsv")])
+        out = capsys.readouterr().out
+        assert rc == 2
+        line = next(line for line in out.splitlines() if line.startswith("dp_vs_oracle"))
+        assert "FAIL" in line and f" {kernel}: dp=[1" in line
 
     def test_corrupted_assignment_exits_2(self, corpus, split_dir, model_path, tmp_path, capsys):
         doc = json.loads(Path(model_path).read_text())
