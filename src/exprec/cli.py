@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -233,13 +234,21 @@ def cmd_fit(args) -> int:
     def progress(lam, it, obj, changed):
         print(f"iter={it} obj={obj:.8g} changed={changed}", file=sys.stderr)
 
-    model = fit(
-        train,
-        valid,
-        cfg,
-        progress=None if args.threads > 1 else progress,
-        threads=args.threads,
-    )
+    # a lambda that fails while others succeed is reported, not dropped
+    warnings = logging.StreamHandler(sys.stderr)
+    warnings.setFormatter(logging.Formatter("warning: %(message)s"))
+    trainer_log = logging.getLogger("exprec.trainer")
+    trainer_log.addHandler(warnings)
+    try:
+        model = fit(
+            train,
+            valid,
+            cfg,
+            progress=None if args.threads > 1 else progress,
+            threads=args.threads,
+        )
+    finally:
+        trainer_log.removeHandler(warnings)
     model.save(args.out)
     print(f"selected lambda={model.lam}", file=sys.stderr)
     return 0

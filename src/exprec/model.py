@@ -184,9 +184,6 @@ class ExperienceAssignment:
             )
         return ExperienceAssignment(out)
 
-    def max_level(self) -> int:
-        return max(int(lv.max()) for lv in self.levels.values() if len(lv))
-
 
 def score(p: ModelParams, lv0, uidx, iidx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predicted ratings ``alpha_e + b_u,e + b_i,e + <g_u,e, g_i,e>``.

@@ -12,6 +12,7 @@ objective never increases.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,6 +37,8 @@ from .model import (
 )
 
 DEFAULT_LAMBDA_GRID = (1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -81,9 +84,6 @@ class FittedModel:
     kind: ModelKind
     lam: float
     train_history: list[HistoryEntry] = field(default_factory=list)
-
-    def predict(self, level: int, user: str, item: str) -> float:
-        return self.params.predict(level, user, item)
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,8 +254,9 @@ def fit(
     level (``cfg.effective_E == 1``) the smoothness term is identically
     zero and every grid point would train the same model, so only
     ``lambda_grid[0]`` is trained.  A grid point that raises
-    :class:`TrainingError` is dropped; if every point fails, the error
-    lists each lambda with its message.
+    :class:`TrainingError` is dropped with one WARNING on the
+    ``exprec.trainer`` logger, in grid order; if every point fails, the
+    error lists each lambda with its message.
     """
     grid = list(cfg.lambda_grid) if cfg.effective_E > 1 else [cfg.lambda_grid[0]]
 
@@ -272,6 +273,8 @@ def fit(
         outcomes = list(map(attempt, grid))
     fitted = [o for o in outcomes if isinstance(o, FittedModel)]
     failures = {lam: o for lam, o in zip(grid, outcomes) if isinstance(o, str)}
+    for lam, msg in failures.items():
+        logger.warning("lambda=%s failed: %s", lam, msg)
     return _select(fitted, failures, train, validation)
 
 

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exprec import validate
+from exprec import trainer, validate
 from exprec.cli import main
-from exprec.dataset import FormatConfig, parse_reviews
+from exprec.dataset import FormatConfig, TrainingError, parse_reviews
 from exprec.trainer import FittedModel
 
 
@@ -145,6 +145,33 @@ class TestFitEvaluateCompare:
         assert main(args + ["--threads", "1", "--out", str(p1)]) == 0
         assert main(args + ["--threads", "4", "--out", str(p4)]) == 0
         assert p1.read_bytes() == p4.read_bytes()
+
+
+    def test_failed_lambda_warned_on_stderr(self, split_dir, tmp_path, monkeypatch, capsys):
+        real = trainer.fit_single_lambda
+
+        def fail_at_1e_3(train, cfg, lam, progress=None):
+            if lam == 1e-3:
+                raise TrainingError("planted failure")
+            return real(train, cfg, lam, progress=progress)
+
+        monkeypatch.setattr(trainer, "fit_single_lambda", fail_at_1e_3)
+        args = [
+            "fit", "--input", str(split_dir / "train.tsv"), "--valid", str(split_dir / "valid.tsv"),
+            "--model", "c", "--E", "3", "--K", "2", "--seed", "2", "--max-outer-iters", "3",
+        ]
+        alone = tmp_path / "alone.json"
+        assert main(args + ["--lambda-grid", "1e-5", "--out", str(alone)]) == 0
+        assert "warning:" not in capsys.readouterr().err
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.json"
+            rc = main(args + ["--lambda-grid", "1e-5,1e-3", "--threads", threads, "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 0
+            assert err.count("warning:") == 1
+            assert "warning: lambda=0.001 failed: planted failure\n" in err
+            # the surviving lambda's model, byte for byte
+            assert out.read_bytes() == alone.read_bytes()
 
 
 class TestAnalyzeCommand:

@@ -53,8 +53,8 @@ class TestGenerate:
     def test_never_expert_stays_below_top(self):
         cfg = SynthConfig(n_users=12, n_items=30, ratings_per_user=10, E=5,
                           trajectory_kind=TrajectoryKind.NEVER_EXPERT, leaver_fraction=0.0, seed=0)
-        _, truth = generate(cfg)
-        assert truth.true_levels.max_level() <= 4
+        data, truth = generate(cfg)
+        assert truth.true_levels.flat(data).max() <= 4
 
     def test_planted_trajectories_monotone(self):
         cfg = SynthConfig(n_users=25, n_items=40, ratings_per_user=(5, 20), seed=8)

@@ -1,6 +1,7 @@
 """Initialization, descent steps, and the outer training loop."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -240,15 +241,35 @@ class TestFitGrid:
         monkeypatch.setattr(trainer, "fit_single_lambda", fake)
         return calls
 
-    def test_partial_failure_same_model_for_any_thread_count(self, split_corpus, monkeypatch):
+    def test_partial_failure_same_model_for_any_thread_count(self, split_corpus, monkeypatch,
+                                                             caplog):
         train, valid = split_corpus
         cfg = TrainConfig(E=3, K=2, seed=2, lambda_grid=(1e-4, 1.0, 100.0), max_outer_iters=3,
                           inner_max_iters=40)
         self.fail_on(monkeypatch, {1.0})
-        serial = fit(train, valid, cfg, threads=1)
-        threaded = fit(train, valid, cfg, threads=2)
+        caplog.set_level(logging.WARNING, logger="exprec.trainer")
+        models = []
+        for threads in (1, 2):
+            caplog.clear()
+            models.append(fit(train, valid, cfg, threads=threads))
+            # the failed lambda is logged once, not silently dropped
+            assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+                ("exprec.trainer", "WARNING", "lambda=1.0 failed: planted failure at 1.0")
+            ]
+        serial, threaded = models
         assert serial.lam in (1e-4, 100.0)
         assert json.dumps(serial.to_json_dict()) == json.dumps(threaded.to_json_dict())
+
+    def test_failures_logged_in_grid_order(self, split_corpus, monkeypatch, caplog):
+        train, valid = split_corpus
+        grid = (1e-4, 1.0, 100.0)
+        self.fail_on(monkeypatch, set(grid))
+        caplog.set_level(logging.WARNING, logger="exprec.trainer")
+        with pytest.raises(TrainingError):
+            fit(train, valid, TrainConfig(E=3, K=2, lambda_grid=grid), threads=2)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"lambda={lam} failed: planted failure at {lam}" for lam in grid
+        ]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_all_failures_listed(self, split_corpus, monkeypatch, threads):
