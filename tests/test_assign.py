@@ -230,10 +230,6 @@ class TestCommunityDP:
         assert list(assign_community_dp(np.array([[3.0], [1.0], [2.0]]))) == [2]
         assert list(assign_community_dp(np.array([[3.0], [1.0], [1.0]]))) == [2]
 
-    def test_single_level_random_costs(self):
-        costs = np.random.default_rng(2).normal(size=(1, 500))
-        assert np.array_equal(assign_community_dp(costs), np.ones(500, dtype=np.int64))
-
     @pytest.mark.parametrize("E", [2, 5])
     def test_equal_rows_stay_at_level_one(self, E):
         # what initialize's shared factors give: every path costs the same,
@@ -277,15 +273,17 @@ class TestCommunityDP:
         monkeypatch.setattr(assign, "_monotone_dp", spy)
         return calls
 
-    def test_near_tie_falls_back_to_reference(self, monkeypatch):
+    @pytest.mark.parametrize("L", [2, 4])
+    def test_near_tie_falls_back_to_reference(self, monkeypatch, L):
         calls = self.spy_reference(monkeypatch)
-        # the rows differ, but ending level 1 at column 3 or 4 differs by
-        # one ulp of the total, far inside tau
-        costs = np.ones((2, 4))
-        costs[1, 3] = np.nextafter(1.0, 2.0)
+        # the rows differ only in the last column, by one ulp: the computed
+        # margin is 2^-52 at L = 2 and 0 at L = 4, both inside tau
+        costs = np.ones((2, L))
+        costs[:, 0] = 0.0
+        costs[1, -1] = np.nextafter(1.0, 2.0)
         got = assign_community_dp(costs)
-        assert calls == [(4, 1, 2)]
-        assert list(got) == [1, 1, 1, 1]
+        assert calls == [(L, 1, 2)]
+        assert list(got) == [1] * L
         assert np.array_equal(got, brute_force_assign(costs))
 
     def test_tied_integers_fall_back_to_reference(self, monkeypatch):
