@@ -213,8 +213,8 @@ def assign_community_dp(costs: CostMatrix, E: int | None = None) -> np.ndarray:
     and every argmin the reference takes along it is decided by more
     than its rounding, since each of its alternatives is beaten by at
     least one decision's margin.  ``tau = 3 (2E + 1)(L + 1) u M`` bounds
-    that.  A non-finite tau or a magnitude that could overflow falls
-    back too.
+    that.  An M so large that a partial sum could overflow (2M not
+    finite) falls back too.
     """
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2:

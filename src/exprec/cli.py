@@ -235,10 +235,10 @@ def cmd_fit(args) -> int:
         print(f"iter={it} obj={obj:.8g} changed={changed}", file=sys.stderr)
 
     # a lambda that fails while others succeed is reported, not dropped
-    warnings = logging.StreamHandler(sys.stderr)
-    warnings.setFormatter(logging.Formatter("warning: %(message)s"))
+    to_stderr = logging.StreamHandler(sys.stderr)
+    to_stderr.setFormatter(logging.Formatter("warning: %(message)s"))
     trainer_log = logging.getLogger("exprec.trainer")
-    trainer_log.addHandler(warnings)
+    trainer_log.addHandler(to_stderr)
     try:
         model = fit(
             train,
@@ -248,7 +248,7 @@ def cmd_fit(args) -> int:
             threads=args.threads,
         )
     finally:
-        trainer_log.removeHandler(warnings)
+        trainer_log.removeHandler(to_stderr)
     model.save(args.out)
     print(f"selected lambda={model.lam}", file=sys.stderr)
     return 0
