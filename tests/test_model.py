@@ -5,16 +5,22 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from exprec.dataset import BACKGROUND_USER, Dataset, Rating, SplitScheme, SplitSpec, split
+from exprec.assign import prediction_costs
+from exprec.dataset import BACKGROUND_USER, Columns, Dataset, Rating, SplitScheme, SplitSpec, split
 from exprec.model import (
     BLOCKS,
     ExperienceAssignment,
     ModelParams,
+    error_term,
     gradient,
     objective,
+    objective_and_gradient,
     params_from_level_dicts,
     params_to_level_dicts,
+    predictions_for,
+    score,
     smoothness_penalty,
 )
 from exprec.synth import SynthConfig, generate
@@ -98,6 +104,137 @@ class TestPredict:
             + float(np.dot(p.user_factors[0, 0], p.item_factors[0, 0]))
         )
         assert p.predict(1, "u", "i") == pytest.approx(manual, rel=1e-15)
+
+
+def reference_score(p, lv0, uidx, iidx):
+    """Independent oracle for ``model.score``: two-array fancy indexing
+    into the (E, keys, ...) blocks; any index may be a scalar."""
+    gu = p.user_factors[lv0, uidx]
+    gi = p.item_factors[lv0, iidx]
+    pred = (
+        p.alpha[lv0]
+        + p.user_bias[lv0, uidx]
+        + p.item_bias[lv0, iidx]
+        + np.einsum("ij,ij->i", gu, gi)
+    )
+    return pred, gu, gi
+
+
+def reference_objective_and_gradient(p, lv0, uidx, iidx, vals, lam):
+    """The objective and its gradient from ``reference_score``, with the
+    same bincount scatters and penalty loop, so that a kernel that
+    gathers the same rows another way must agree bit for bit."""
+    E, K, U, I = p.E, p.K, len(p.users), len(p.items)
+    pred, gu, gi = reference_score(p, lv0, uidx, iidx)
+    res = pred - vals
+    err = float(np.mean(res * res))
+    coef = (2.0 / len(vals)) * res
+    lin_u = lv0 * U + uidx
+    lin_i = lv0 * I + iidx
+    grads = [np.bincount(lv0, weights=coef, minlength=E)]
+    grads.append(np.bincount(lin_u, weights=coef, minlength=E * U).reshape(E, U))
+    grads.append(np.bincount(lin_i, weights=coef, minlength=E * I).reshape(E, I))
+    g_uf, g_if = np.empty((E, U, K)), np.empty((E, I, K))
+    for k in range(K):
+        g_uf[:, :, k] = np.bincount(lin_u, weights=coef * gi[:, k], minlength=E * U).reshape(E, U)
+        g_if[:, :, k] = np.bincount(lin_i, weights=coef * gu[:, k], minlength=E * I).reshape(E, I)
+    grads += [g_uf, g_if]
+    pen = 0.0
+    for block, g_block in zip(p.blocks(), grads):
+        diff = block[:-1] - block[1:]
+        pen += float(np.sum(diff * diff))
+        g_block[:-1] += 2.0 * lam * diff
+        g_block[1:] -= 2.0 * lam * diff
+    flat = np.concatenate([g.reshape(E, -1) for g in grads], axis=1).ravel()
+    return err + lam * pen, flat
+
+
+def kernel_instance(E, K, n_users, n_items, n, seed, packed):
+    """A dataset of up to n ratings on distinct random (user, item)
+    pairs, random unsorted levels and random parameters; ``packed``
+    parameters are views of one flat vector, as L-BFGS hands them over,
+    otherwise separate arrays."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.choice(n_users * n_items, size=min(n, n_users * n_items), replace=False)
+    n = len(pairs)
+    d = Dataset(columns=Columns(
+        [f"u{j}" for j in range(n_users)], [f"i{j}" for j in range(n_items)],
+        pairs // n_items, pairs % n_items,
+        rng.permutation(n).astype(np.int64), rng.uniform(0, 5, n), np.zeros(n),
+    ))
+    shell = ModelParams.zeros(d.users, d.items, E, K)
+    x = rng.normal(0.0, 0.5, size=shell.n_params)
+    p = ModelParams.from_flat(x, d.users, d.items, E, K)
+    if not packed:
+        p = ModelParams(d.users, d.items, *(block.copy() for block in p.blocks()))
+    lv0 = rng.integers(0, E, n)
+    return p, d, lv0
+
+
+class TestScoreKernel:
+    """``score`` and every caller of it agree bit for bit with
+    ``reference_score``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        E=st.integers(1, 5), K=st.integers(1, 4),
+        n_users=st.integers(1, 6), n_items=st.integers(1, 6),
+        n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), packed=st.booleans(),
+        lam=st.sampled_from([0.0, 0.37, 1e3]),
+    )
+    def test_matches_reference(self, E, K, n_users, n_items, n, seed, packed, lam):
+        p, d, lv0 = kernel_instance(E, K, n_users, n_items, n, seed, packed)
+        n = len(d)
+        uidx, iidx, vals = d.user_code, d.item_code, d.values
+
+        def same(got, want):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+        for got, want in zip(score(p, lv0, uidx, iidx), reference_score(p, lv0, uidx, iidx)):
+            same(got, want)
+        # a scalar user, as synth.generate scores one user's ratings
+        j = int(uidx[0])
+        for got, want in zip(score(p, lv0, j, iidx), reference_score(p, lv0, j, iidx)):
+            same(got, want)
+
+        obj, grad = objective_and_gradient(p, lv0, uidx, iidx, vals, lam)
+        ref_obj, ref_grad = reference_objective_and_gradient(p, lv0, uidx, iidx, vals, lam)
+        assert obj == ref_obj
+        same(grad, ref_grad)
+        res = reference_score(p, lv0, uidx, iidx)[0] - vals
+        assert error_term(p, lv0, uidx, iidx, vals) == float(np.mean(res * res))
+
+        # a scalar level, as prediction_costs scores every rating at level e
+        want = np.empty((E, n))
+        for e in range(E):
+            res = reference_score(p, e, uidx, iidx)[0] - vals
+            want[e] = res * res
+        same(prediction_costs(p, d), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        E=st.integers(1, 5), K=st.integers(1, 4),
+        n_users=st.integers(1, 6), n_items=st.integers(1, 6),
+        n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), packed=st.booleans(),
+    )
+    def test_predictions_for_cold_keys(self, E, K, n_users, n_items, n, seed, packed):
+        p, d, lv0 = kernel_instance(E, K, n_users, n_items, n, seed, packed)
+        n = len(d)
+        rng = np.random.default_rng(seed + 1)
+        uidx = np.where(rng.random(n) < 0.3, -1, d.user_code)
+        iidx = np.where(rng.random(n) < 0.3, -1, d.item_code)
+        # the oracle: one extra all-zero row per block for key -1
+        blocks = [p.alpha]
+        for block in p.blocks()[1:]:
+            pad = np.zeros_like(block[:, :1])
+            blocks.append(np.concatenate([block, pad], axis=1))
+        padded = ModelParams(p.users + ("cold",), p.items + ("cold",), *blocks)
+        want = reference_score(padded, lv0, uidx % (len(p.users) + 1), iidx % (len(p.items) + 1))[0]
+        got = predictions_for(p, lv0 + 1, uidx, iidx)
+        assert got.tobytes() == want.tobytes()
+        assert predictions_for(p, lv0 + 1, d.user_code, d.item_code).tobytes() == (
+            reference_score(p, lv0, d.user_code, d.item_code)[0].tobytes()
+        )
 
 
 class TestSmoothness:
