@@ -39,6 +39,7 @@ from .model import (
     gradient,
     objective,
     smoothness_penalty,
+    training_rows,
 )
 from .synth import (
     GroundTruth,
@@ -94,6 +95,7 @@ __all__ = [
     "smoothness_penalty",
     "split",
     "theta_step",
+    "training_rows",
     "uniform_community_schedule",
     "uniform_user_schedule",
     "write_reviews",

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import Dataset
-from .model import ExperienceAssignment, ModelParams, _strict_encode, score
+from .model import ExperienceAssignment, ModelParams, RowIndex, _strict_encode, score
 
 # Cost matrices are plain float arrays of shape (E, n): cost[k][t] is the
 # squared prediction error of rating t under level k+1.
@@ -267,7 +267,7 @@ def prediction_costs(p: ModelParams, d: Dataset) -> CostMatrix:
     uidx, iidx = _strict_encode(p, d)
     costs = np.empty((p.E, len(d)))
     for e in range(p.E):
-        res = score(p, e, uidx, iidx)[0] - d.values
+        res = score(p, RowIndex.of(p, e, uidx, iidx))[0] - d.values
         costs[e] = res * res
     return costs
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -159,12 +159,6 @@ class ExperienceAssignment:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts).astype(np.int64, copy=False)
 
-    def n_changes(self, other: "ExperienceAssignment") -> int:
-        changed = 0
-        for user, lv in self.levels.items():
-            changed += int(np.sum(lv != other.levels[user]))
-        return changed
-
     def restrict_to(self, full: Dataset, subset: Dataset) -> "ExperienceAssignment":
         """Project an assignment made on ``full`` onto a subset of it,
         matching each subset rating by (timestamp, item)."""
@@ -185,20 +179,39 @@ class ExperienceAssignment:
         return ExperienceAssignment(out)
 
 
-def score(p: ModelParams, lv0, uidx, iidx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class RowIndex(NamedTuple):
+    """Where a set of ratings' parameters sit in a model's blocks.
+
+    ``lv0`` holds 0-based levels; ``lin_u`` and ``lin_i`` are the
+    ratings' rows in the user and item blocks viewed as (E * U, ...) and
+    (E * I, ...).  A training step builds one and reuses it for every
+    evaluation, since the rows do not move while the assignment is fixed.
+    """
+
+    lv0: np.ndarray
+    lin_u: np.ndarray
+    lin_i: np.ndarray
+
+    @classmethod
+    def of(cls, p: ModelParams, lv0, uidx, iidx) -> "RowIndex":
+        """Rows of known user and item positions; any one of ``lv0``,
+        ``uidx``, ``iidx`` may be a single integer shared by every rating."""
+        return cls(lv0, lv0 * len(p.users) + uidx, lv0 * len(p.items) + iidx)
+
+
+def score(p: ModelParams, rows: RowIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predicted ratings ``alpha_e + b_u,e + b_i,e + <g_u,e, g_i,e>``.
 
-    ``lv0`` holds 0-based levels and ``uidx``/``iidx`` known user and item
-    positions; any one of them may be a single integer shared by every
-    rating.  Returns the predictions together with the gathered user and
-    item factor rows, which the gradient reuses.
+    Returns the predictions together with the gathered user and item
+    factor rows, which the gradient reuses.
     """
-    gu = p.user_factors[lv0, uidx]
-    gi = p.item_factors[lv0, iidx]
+    K = p.K
+    gu = p.user_factors.reshape(-1, K).take(rows.lin_u, axis=0)
+    gi = p.item_factors.reshape(-1, K).take(rows.lin_i, axis=0)
     pred = (
-        p.alpha[lv0]
-        + p.user_bias[lv0, uidx]
-        + p.item_bias[lv0, iidx]
+        p.alpha.take(rows.lv0)
+        + p.user_bias.reshape(-1).take(rows.lin_u)
+        + p.item_bias.reshape(-1).take(rows.lin_i)
         + np.einsum("ij,ij->i", gu, gi)
     )
     return pred, gu, gi
@@ -225,7 +238,7 @@ def predictions_for(
             user_bias=rows(p.user_bias, users), item_bias=rows(p.item_bias, items),
             user_factors=rows(p.user_factors, users), item_factors=rows(p.item_factors, items),
         )
-    return score(p, np.asarray(levels, dtype=np.int64) - 1, uidx, iidx)[0]
+    return score(p, RowIndex.of(p, np.asarray(levels, dtype=np.int64) - 1, uidx, iidx))[0]
 
 
 def smoothness_penalty(p: ModelParams) -> float:
@@ -261,11 +274,14 @@ def _require_known(pos: np.ndarray, codes: np.ndarray, keys: tuple[str, ...], ki
     return idx
 
 
-def error_term(
-    p: ModelParams, lv0: np.ndarray, uidx: np.ndarray, iidx: np.ndarray, vals: np.ndarray
-) -> float:
-    """Mean squared prediction error over assigned levels (0-based)."""
-    res = score(p, lv0, uidx, iidx)[0] - vals
+def training_rows(p: ModelParams, a: ExperienceAssignment, d: Dataset) -> RowIndex:
+    """The rows of every rating of ``d`` at its assigned level."""
+    return RowIndex.of(p, a.flat(d) - 1, *_strict_encode(p, d))
+
+
+def error_term(p: ModelParams, rows: RowIndex, vals: np.ndarray) -> float:
+    """Mean squared prediction error of the ratings at ``rows``."""
+    res = score(p, rows)[0] - vals
     return float(np.mean(res * res))
 
 
@@ -277,26 +293,17 @@ def objective(p: ModelParams, a: ExperienceAssignment, train: Dataset, lam: floa
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    lv0 = a.flat(train) - 1
-    uidx, iidx = _strict_encode(p, train)
-    return error_term(p, lv0, uidx, iidx, train.values) + lam * smoothness_penalty(p)
+    return error_term(p, training_rows(p, a, train), train.values) + lam * smoothness_penalty(p)
 
 
 def gradient(p: ModelParams, a: ExperienceAssignment, train: Dataset, lam: float) -> np.ndarray:
     """Analytic gradient of :func:`objective` in flattening order."""
-    lv0 = a.flat(train) - 1
-    uidx, iidx = _strict_encode(p, train)
-    _, grad = objective_and_gradient(p, lv0, uidx, iidx, train.values, lam)
+    _, grad = objective_and_gradient(p, training_rows(p, a, train), train.values, lam)
     return grad
 
 
 def objective_and_gradient(
-    p: ModelParams,
-    lv0: np.ndarray,
-    uidx: np.ndarray,
-    iidx: np.ndarray,
-    vals: np.ndarray,
-    lam: float,
+    p: ModelParams, rows: RowIndex, vals: np.ndarray, lam: float
 ) -> tuple[float, np.ndarray]:
     """Objective value and flat gradient, sharing one prediction pass.
 
@@ -308,14 +315,13 @@ def objective_and_gradient(
     U, I = len(p.users), len(p.items)
     n = len(vals)
 
-    pred, gu, gi = score(p, lv0, uidx, iidx)
+    pred, gu, gi = score(p, rows)
     res = pred - vals
     err = float(np.mean(res * res))
 
     # bincount over combined (level, key) indexes is much faster than np.add.at
     coef = (2.0 / n) * res
-    lin_u = lv0 * U + uidx
-    lin_i = lv0 * I + iidx
+    lv0, lin_u, lin_i = rows
     grad = np.empty(p.n_params)
     g_alpha, g_ub, g_ib, g_uf, g_if = grads = _split_levels(grad, E, U, I, K)
     g_alpha[:] = np.bincount(lv0, weights=coef, minlength=E)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from .dataset import Columns, Dataset
-from .model import BLOCKS, ExperienceAssignment, ModelParams, score
+from .model import BLOCKS, ExperienceAssignment, ModelParams, RowIndex, score
 
 
 class TrajectoryKind(str, Enum):
@@ -193,7 +193,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             # leavers walk their own trajectory at half speed
             traj = traj[np.arange(n_r) // 2]
         lv0 = traj - 1
-        pred = score(params, lv0, j, item_idx)[0]
+        pred = score(params, RowIndex.of(params, lv0, j, item_idx))[0]
         noise = rng.standard_normal(n_r) * sigma[lv0]
         values = pred + noise
         if cfg.clamp:

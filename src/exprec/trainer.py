@@ -28,6 +28,7 @@ from .model import (
     BLOCKS,
     ExperienceAssignment,
     ModelParams,
+    RowIndex,
     _strict_encode,
     error_term,
     objective_and_gradient,
@@ -122,7 +123,8 @@ def initialize(train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, Experienc
     """Seeded starting point: offsets at the global mean, zero biases,
     small factors drawn once and shared by every level (so the smoothness
     penalty starts at exactly zero), and the kind's schedule as the
-    initial assignment."""
+    initial assignment.  For learned kinds that is all level 1: every
+    level predicts alike, and the DP breaks ties toward lower levels."""
     if len(train) == 0:
         raise TrainingError("empty training set")
     E = cfg.effective_E
@@ -133,8 +135,8 @@ def initialize(train: Dataset, cfg: TrainConfig) -> tuple[ModelParams, Experienc
     itf = rng.uniform(-0.01, 0.01, size=(len(train.items), cfg.K))
     p.user_factors[:] = uf
     p.item_factors[:] = itf
-    assignment = assign_all(cfg.model_kind, p, train)
-    return p, assignment
+    kind = ModelKind.FLAT if cfg.model_kind.is_learned else cfg.model_kind
+    return p, assign_all(kind, p, train)
 
 
 def _nonfinite_block(p: ModelParams) -> str | None:
@@ -146,12 +148,13 @@ def _nonfinite_block(p: ModelParams) -> str | None:
 
 def theta_step(
     p: ModelParams,
-    a: ExperienceAssignment,
-    train: Dataset,
+    rows: RowIndex,
+    vals: np.ndarray,
     lam: float,
     cfg: TrainConfig,
 ) -> ModelParams:
-    """Minimize the objective in the parameters with assignments fixed.
+    """Minimize the objective in the parameters with assignments fixed:
+    the ratings ``vals`` at ``rows`` (see :func:`model.training_rows`).
 
     L-BFGS with 10 memory pairs; stops when the relative objective
     decrease falls below ``inner_tolerance`` or after ``inner_max_iters``
@@ -160,17 +163,15 @@ def theta_step(
     that trades error for smoothness is rejected in favor of the input,
     which keeps recorded error terms non-increasing across every step.
     """
-    lv0 = a.flat(train) - 1
-    uidx, iidx = _strict_encode(p, train)
     users, items, E, K = p.users, p.items, p.E, p.K
 
     def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
         px = ModelParams.from_flat(x, users, items, E, K)
-        return objective_and_gradient(px, lv0, uidx, iidx, train.values, lam)
+        return objective_and_gradient(px, rows, vals, lam)
 
     x0 = p.flatten()
     obj_in, _ = fun(x0)
-    err_in = error_term(p, lv0, uidx, iidx, train.values)
+    err_in = error_term(p, rows, vals)
     result = minimize(
         fun,
         x0,
@@ -190,7 +191,7 @@ def theta_step(
             f"divergence in theta step (lambda={lam}): non-finite {bad or 'objective'}"
         )
     obj_out = float(result.fun)
-    err_out = error_term(candidate, lv0, uidx, iidx, train.values)
+    err_out = error_term(candidate, rows, vals)
     if obj_out > obj_in or err_out > err_in:
         return p
     return candidate
@@ -216,19 +217,20 @@ def fit_single_lambda(
 ) -> FittedModel:
     p, a = initialize(train, cfg)
     uidx, iidx = _strict_encode(p, train)
+    rows = RowIndex.of(p, a.flat(train) - 1, uidx, iidx)
+    vals = train.values
     history: list[HistoryEntry] = []
     for it in range(1, cfg.max_outer_iters + 1):
-        p = theta_step(p, a, train, lam, cfg)
-        lv0 = a.flat(train) - 1
-        err = error_term(p, lv0, uidx, iidx, train.values)
+        p = theta_step(p, rows, vals, lam, cfg)
+        err = error_term(p, rows, vals)
         obj = err + lam * smoothness_penalty(p)
         history.append(HistoryEntry(it, "theta", err, obj, 0))
 
-        new_a = e_step(p, train, cfg.model_kind)
-        changed = new_a.n_changes(a)
-        a = new_a
-        lv0 = a.flat(train) - 1
-        err = error_term(p, lv0, uidx, iidx, train.values)
+        a = e_step(p, train, cfg.model_kind)
+        new_rows = RowIndex.of(p, a.flat(train) - 1, uidx, iidx)
+        changed = int(np.count_nonzero(new_rows.lv0 != rows.lv0))
+        rows = new_rows
+        err = error_term(p, rows, vals)
         obj = err + lam * smoothness_penalty(p)
         history.append(HistoryEntry(it, "e", err, obj, changed))
         if progress is not None:

@@ -19,6 +19,7 @@ from exprec.model import (
     objective_and_gradient,
     params_from_level_dicts,
     params_to_level_dicts,
+    RowIndex,
     predictions_for,
     score,
     smoothness_penalty,
@@ -190,19 +191,20 @@ class TestScoreKernel:
         def same(got, want):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-        for got, want in zip(score(p, lv0, uidx, iidx), reference_score(p, lv0, uidx, iidx)):
+        rows = RowIndex.of(p, lv0, uidx, iidx)
+        for got, want in zip(score(p, rows), reference_score(p, lv0, uidx, iidx)):
             same(got, want)
         # a scalar user, as synth.generate scores one user's ratings
         j = int(uidx[0])
-        for got, want in zip(score(p, lv0, j, iidx), reference_score(p, lv0, j, iidx)):
+        for got, want in zip(score(p, RowIndex.of(p, lv0, j, iidx)), reference_score(p, lv0, j, iidx)):
             same(got, want)
 
-        obj, grad = objective_and_gradient(p, lv0, uidx, iidx, vals, lam)
+        obj, grad = objective_and_gradient(p, rows, vals, lam)
         ref_obj, ref_grad = reference_objective_and_gradient(p, lv0, uidx, iidx, vals, lam)
         assert obj == ref_obj
         same(grad, ref_grad)
         res = reference_score(p, lv0, uidx, iidx)[0] - vals
-        assert error_term(p, lv0, uidx, iidx, vals) == float(np.mean(res * res))
+        assert error_term(p, rows, vals) == float(np.mean(res * res))
 
         # a scalar level, as prediction_costs scores every rating at level e
         want = np.empty((E, n))
