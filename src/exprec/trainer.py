@@ -29,12 +29,12 @@ from .model import (
     ExperienceAssignment,
     ModelParams,
     RowIndex,
-    _strict_encode,
     error_term,
     objective_and_gradient,
     params_from_level_dicts,
     params_to_level_dicts,
     smoothness_penalty,
+    training_rows,
 )
 
 DEFAULT_LAMBDA_GRID = (1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0)
@@ -154,7 +154,7 @@ def theta_step(
     cfg: TrainConfig,
 ) -> ModelParams:
     """Minimize the objective in the parameters with assignments fixed:
-    the ratings ``vals`` at ``rows`` (see :func:`model.training_rows`).
+    the ratings ``vals`` at ``rows`` (see :func:`training_rows`).
 
     L-BFGS with 10 memory pairs; stops when the relative objective
     decrease falls below ``inner_tolerance`` or after ``inner_max_iters``
@@ -216,8 +216,7 @@ def fit_single_lambda(
     progress: ProgressFn | None = None,
 ) -> FittedModel:
     p, a = initialize(train, cfg)
-    uidx, iidx = _strict_encode(p, train)
-    rows = RowIndex.of(p, a.flat(train) - 1, uidx, iidx)
+    rows = training_rows(p, a, train)
     vals = train.values
     history: list[HistoryEntry] = []
     for it in range(1, cfg.max_outer_iters + 1):
@@ -227,7 +226,7 @@ def fit_single_lambda(
         history.append(HistoryEntry(it, "theta", err, obj, 0))
 
         a = e_step(p, train, cfg.model_kind)
-        new_rows = RowIndex.of(p, a.flat(train) - 1, uidx, iidx)
+        new_rows = training_rows(p, a, train)
         changed = int(np.count_nonzero(new_rows.lv0 != rows.lv0))
         rows = new_rows
         err = error_term(p, rows, vals)
