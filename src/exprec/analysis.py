@@ -157,8 +157,10 @@ def agreement_variance(
     E = m.params.E
     n = len(train)
     x = np.empty(n, dtype=np.float64)
-    for user, times, out in zip(train.users, train.per_user(train.times), train.per_user(x)):
-        out[:] = interpolate_trajectory(times, m.assignment.levels[user], times)
+    for times, levels, out in zip(
+        train.per_user(train.times), train.per_user(m.assignment.flat(train)), train.per_user(x)
+    ):
+        out[:] = interpolate_trajectory(times, levels, times)
 
     half = window / 2.0 + 1e-9
     grid = np.round(np.arange(1.0, E + step / 2.0, step), 6)
@@ -200,8 +202,7 @@ def progression_stats(m: "FittedModel", train: Dataset) -> tuple[list[Progressio
     E = m.params.E
     entries: dict[str, list[dict[int, tuple[int, int]]]] = {"reached_top": [], "reached_all_but_top": []}
     counts = {"reached_top": 0, "reached_all_but_top": 0, "already_experienced": 0}
-    for user, times in zip(train.users, train.per_user(train.times)):
-        levels = m.assignment.levels[user]
+    for times, levels in zip(train.per_user(train.times), train.per_user(m.assignment.flat(train))):
         first, terminal = int(levels[0]), int(levels[-1])
         if first == E:
             counts["already_experienced"] += 1
@@ -255,12 +256,12 @@ def retention_curves(
     """
     corpus_end = int(d.times.max())
     cohorts: dict[str, list[np.ndarray]] = {"left": [], "stayed": []}
-    for user, times in zip(d.users, d.per_user(d.times)):
+    for times, levels in zip(d.per_user(d.times), d.per_user(m.assignment.flat(d))):
         if len(times) < prefix:
             continue
         last = int(times[-1])
         label = "left" if corpus_end - last > gap else "stayed"
-        cohorts[label].append(m.assignment.levels[user][:prefix])
+        cohorts[label].append(levels[:prefix])
 
     points: list[RetentionPoint] = []
     for label in ("left", "stayed"):

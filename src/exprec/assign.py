@@ -67,17 +67,13 @@ def _uniform_levels(times: np.ndarray, t_min, t_max, E: int) -> np.ndarray:
     return np.where(span > 0, np.minimum(levels, E), 1)
 
 
-def _by_user(d: Dataset, flat: np.ndarray) -> ExperienceAssignment:
-    return ExperienceAssignment(dict(zip(d.users, d.per_user(flat))))
-
-
 def uniform_community_schedule(d: Dataset, E: int) -> ExperienceAssignment:
     """Model (a): levels from E equal-width bins over the corpus time span."""
     if E < 1:
         raise ValueError("E must be >= 1")
     if len(d) == 0:
         raise ValueError("empty dataset")
-    return _by_user(d, _uniform_levels(d.times, d.times.min(), d.times.max(), E))
+    return ExperienceAssignment.of(d, _uniform_levels(d.times, d.times.min(), d.times.max(), E))
 
 
 def uniform_user_schedule(d: Dataset, E: int) -> ExperienceAssignment:
@@ -88,7 +84,7 @@ def uniform_user_schedule(d: Dataset, E: int) -> ExperienceAssignment:
         raise ValueError("empty dataset")
     first = d.times[d.offsets[:-1]][d.user_code]
     last = d.times[d.offsets[1:] - 1][d.user_code]
-    return _by_user(d, _uniform_levels(d.times, first, last, E))
+    return ExperienceAssignment.of(d, _uniform_levels(d.times, first, last, E))
 
 
 def _monotone_dp(costs: np.ndarray) -> np.ndarray:
@@ -280,7 +276,7 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
     treated like any single user.
     """
     if kind is ModelKind.FLAT:
-        return _by_user(d, np.ones(len(d), dtype=np.int64))
+        return ExperienceAssignment.of(d, np.ones(len(d), dtype=np.int64))
     E = p.E
     if kind is ModelKind.COMMUNITY_UNIFORM:
         return uniform_community_schedule(d, E)
@@ -290,13 +286,13 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
     costs = prediction_costs(p, d)
     if kind is ModelKind.USER_LEARNED:
         levels = assign_batch_dp(costs, d.per_user(np.arange(len(d))))
-        return ExperienceAssignment(dict(zip(d.users, levels)))
+        return ExperienceAssignment.of(d, np.concatenate(levels))
     if kind is ModelKind.COMMUNITY_LEARNED:
         order = d.global_time_order()
         path = assign_community_dp(costs[:, order], E)
-        flat = np.empty(len(d), dtype=np.int64)
-        flat[order] = path
-        return _by_user(d, flat)
+        column = np.empty(len(d), dtype=np.int64)
+        column[order] = path
+        return ExperienceAssignment.of(d, column)
     raise ValueError(f"unknown model kind: {kind!r}")
 
 

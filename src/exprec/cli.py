@@ -307,6 +307,7 @@ def _load_genres(path) -> dict[str, str]:
 def cmd_analyze(args) -> int:
     model = FittedModel.load(args.model)
     train = _load_dataset(args.train, args)
+    model.assignment.flat(train)  # a mismatched train file fails before any output
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -395,7 +396,7 @@ def cmd_synth(args) -> int:
             "K": truth.true_params.K,
             "levels": params_to_level_dicts(truth.true_params),
         },
-        "true_levels": {u: [int(x) for x in lv] for u, lv in sorted(truth.true_levels.levels.items())},
+        "true_levels": {u: lv.tolist() for u, lv in truth.true_levels.levels.items()},
         "leaver_flags": dict(sorted(truth.leaver_flags.items())),
         "clamp_count": truth.clamp_count,
         "n_ratings": truth.n_ratings,

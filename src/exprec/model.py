@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _frozen
 
 
 # The parameter blocks of one level, in flattening order; also the
@@ -130,53 +131,58 @@ class ModelParams:
         return np.array([self._item_pos.get(i, -1) for i in item_seq], dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
 class ExperienceAssignment:
-    """Per-rating experience levels, keyed by user.
+    """Per-rating experience levels, in 1..E, laid out as a dataset's rows.
 
-    ``levels[user]`` is an integer array aligned with that user's ratings
-    in chronological (timestamp, item) order, values in 1..E.
+    ``column`` holds one level per rating, read-only, in the canonical
+    order of a dataset whose sorted ``users`` own the rows
+    ``offsets[j]:offsets[j + 1]``: each user's ratings in chronological
+    (timestamp, item) order.  ``levels[user]`` views one user's part of
+    it, built on first use.
     """
 
-    levels: Mapping[str, np.ndarray]
+    def __init__(self, levels: Mapping[str, Sequence[int]]):
+        """From each user's level sequence, users in any order."""
+        self.users = tuple(sorted(levels))
+        parts = [np.asarray(levels[u], dtype=np.int64) for u in self.users]
+        self.offsets = _frozen(np.cumsum([0, *map(len, parts)]))
+        self.column = _frozen(np.concatenate([np.empty(0, dtype=np.int64), *parts]))
+
+    @classmethod
+    def of(cls, d: Dataset, column: np.ndarray) -> "ExperienceAssignment":
+        """The levels ``column`` of ``d``'s rows, sharing ``d.users`` and
+        ``d.offsets``."""
+        column = np.asarray(column, dtype=np.int64)
+        if column.shape != (len(d),):
+            raise ValueError(f"expected {len(d)} levels, got shape {column.shape}")
+        a = cls.__new__(cls)
+        a.users, a.offsets, a.column = d.users, d.offsets, _frozen(column.view())
+        return a
+
+    @cached_property
+    def levels(self) -> Mapping[str, np.ndarray]:
+        return MappingProxyType(dict(zip(self.users, np.split(self.column, self.offsets[1:-1]))))
 
     def flat(self, d: Dataset) -> np.ndarray:
-        """Levels aligned with the dataset's canonical rating order: each
-        user's levels, concatenated in ``d.users`` order."""
-        parts = [self.levels.get(user) for user in d.users]
-        got = np.array([-1 if lv is None else len(lv) for lv in parts], dtype=np.int64)
-        want = np.diff(d.offsets)
-        bad = np.flatnonzero(got != want)
-        if len(bad):
-            j = int(bad[0])
-            if parts[j] is None:
-                raise ValueError(f"missing assignment for user {d.users[j]!r}")
-            raise ValueError(
-                f"assignment for user {d.users[j]!r} has {got[j]} levels, "
-                f"dataset has {want[j]} ratings"
-            )
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts).astype(np.int64, copy=False)
+        """``column``, once it is checked to be laid out as ``d``'s rows.
 
-    def restrict_to(self, full: Dataset, subset: Dataset) -> "ExperienceAssignment":
-        """Project an assignment made on ``full`` onto a subset of it,
-        matching each subset rating by (timestamp, item)."""
-        out = {}
-        for user in subset.users:
-            key_to_level: dict[tuple[int, str], int] = {}
-            for p, lv in zip(full.user_index[user], self.levels[user]):
-                key = (int(full.times[p]), full.item_seq[p])
-                if key_to_level.setdefault(key, int(lv)) != lv:
-                    raise ValueError(
-                        f"user {user!r} has two levels for timestamp {key[0]}, item {key[1]!r}"
-                    )
-            sub_pos = subset.user_index[user]
-            out[user] = np.array(
-                [key_to_level[(int(subset.times[p]), subset.item_seq[p])] for p in sub_pos],
-                dtype=np.int64,
-            )
-        return ExperienceAssignment(out)
+        Only ``d.users`` and ``d.offsets`` are read, so ``d`` may also be
+        another assignment.  Raises ValueError naming the first user, in id
+        order, whose level count differs from its rating count in ``d``.
+        """
+        if self.users == d.users and np.array_equal(self.offsets, d.offsets):
+            return self.column
+        have = dict(zip(self.users, np.diff(self.offsets).tolist()))
+        want = dict(zip(d.users, np.diff(d.offsets).tolist()))
+        for user in sorted(have.keys() | want.keys()):
+            if user not in have:
+                raise ValueError(f"missing assignment for user {user!r}")
+            if have[user] != want.get(user):
+                raise ValueError(
+                    f"assignment for user {user!r} has {have[user]} levels, "
+                    f"dataset has {want.get(user, 0)} ratings"
+                )
+        raise ValueError("assignment and dataset order their users differently")
 
 
 class RowIndex(NamedTuple):

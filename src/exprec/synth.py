@@ -192,6 +192,8 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         if leaver[j]:
             # leavers walk their own trajectory at half speed
             traj = traj[np.arange(n_r) // 2]
+        # the dataset orders tied timestamps by item; so must the levels
+        item_idx = item_idx[np.lexsort((item_idx, times))]
         lv0 = traj - 1
         pred = score(params, RowIndex.of(params, lv0, j, item_idx))[0]
         noise = rng.standard_normal(n_r) * sigma[lv0]
@@ -258,24 +260,12 @@ class RecoveryScore:
 
 def recovery_score(truth: GroundTruth, fitted) -> RecoveryScore:
     """Spearman rank correlation between planted and fitted levels over
-    all training ratings.  Rank correlation absorbs monotone relabelings
-    of the level indices.  A constant fitted assignment has no defined
-    correlation and is reported as 0.0 with ``defined=False``."""
-    planted = []
-    recovered = []
-    for user in sorted(truth.true_levels.levels):
-        got = fitted.assignment.levels[user]
-        want = truth.true_levels.levels[user]
-        if len(got) != len(want):
-            raise ValueError(
-                f"user {user!r}: fitted assignment covers {len(got)} ratings, ground truth "
-                f"{len(want)}; restrict the truth to the training subset first "
-                "(ExperienceAssignment.restrict_to)"
-            )
-        planted.append(want)
-        recovered.append(got)
-    x = np.concatenate(planted)
-    y = np.concatenate(recovered)
+    all training ratings; both assignments must cover the same ratings.
+    Rank correlation absorbs monotone relabelings of the level indices.
+    A constant fitted assignment has no defined correlation and is
+    reported as 0.0 with ``defined=False``."""
+    x = truth.true_levels.column
+    y = fitted.assignment.flat(truth.true_levels)
     if np.all(y == y[0]) or np.all(x == x[0]):
         return RecoveryScore(score=0.0, defined=False)
     rho = spearmanr(x, y).statistic

@@ -93,7 +93,7 @@ class FittedModel:
             "K": self.params.K,
             "lambda": self.lam,
             "levels": params_to_level_dicts(self.params),
-            "assignment": {u: [int(x) for x in lv] for u, lv in sorted(self.assignment.levels.items())},
+            "assignment": {u: lv.tolist() for u, lv in self.assignment.levels.items()},
         }
 
     @classmethod
@@ -101,12 +101,9 @@ class FittedModel:
         params = params_from_level_dicts(doc["levels"], K=int(doc["K"]))
         if params.E != int(doc["E"]):
             raise ValueError("serialized E disagrees with level count")
-        assignment = ExperienceAssignment(
-            {u: np.array(lv, dtype=np.int64) for u, lv in doc["assignment"].items()}
-        )
         return cls(
             params=params,
-            assignment=assignment,
+            assignment=ExperienceAssignment(doc["assignment"]),
             kind=ModelKind(doc["model_kind"]),
             lam=float(doc["lambda"]),
         )
@@ -222,15 +219,16 @@ def fit_single_lambda(
     for it in range(1, cfg.max_outer_iters + 1):
         p = theta_step(p, rows, vals, lam, cfg)
         err = error_term(p, rows, vals)
-        obj = err + lam * smoothness_penalty(p)
-        history.append(HistoryEntry(it, "theta", err, obj, 0))
+        pen = lam * smoothness_penalty(p)
+        history.append(HistoryEntry(it, "theta", err, err + pen, 0))
 
         a = e_step(p, train, cfg.model_kind)
         new_rows = training_rows(p, a, train)
         changed = int(np.count_nonzero(new_rows.lv0 != rows.lv0))
         rows = new_rows
-        err = error_term(p, rows, vals)
-        obj = err + lam * smoothness_penalty(p)
+        if changed:  # else the rows, and so the error, are the theta entry's
+            err = error_term(p, rows, vals)
+        obj = err + pen
         history.append(HistoryEntry(it, "e", err, obj, changed))
         if progress is not None:
             progress(lam, it, obj, changed)

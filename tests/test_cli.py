@@ -222,23 +222,38 @@ class TestValidateCommand:
         assert rc == 2
         assert "monotonicity violated at user=" in captured.out + captured.err
 
-    @pytest.mark.parametrize("new_user", [True, False])
+    @pytest.mark.parametrize("mismatch", ["new_user", "extra_rating", "missing_user"])
+    @pytest.mark.parametrize("command", ["validate", "analyze", "evaluate"])
     def test_train_file_not_matching_assignment_exits_2(
-        self, split_dir, model_path, tmp_path, capsys, new_user
+        self, split_dir, model_path, tmp_path, capsys, command, mismatch
     ):
-        # one more rating, by a user the model lacks or by a known user
+        # one more rating, by a user the model lacks or by a known user, or
+        # no ratings of a known user
         lines = (split_dir / "train.tsv").read_text().splitlines()
         user, _, *rest = lines[-1].split("\t")
-        if new_user:
-            user, want = "zz_new", "error: missing assignment for user 'zz_new'\n"
+        if mismatch == "new_user":
+            lines.append("\t".join(["zz_new", "i_extra", *rest]))
+            want = "error: missing assignment for user 'zz_new'\n"
+        elif mismatch == "extra_rating":
+            lines.append("\t".join([user, "i_extra", *rest]))
+            want = f"error: assignment for user {user!r} has "
         else:
+            lines = [line for line in lines if line.split("\t")[0] != user]
             want = f"error: assignment for user {user!r} has "
         train = tmp_path / "train.tsv"
-        train.write_text("\n".join(lines + ["\t".join([user, "i_extra", *rest])]) + "\n")
-        rc = main(["validate", "--model", str(model_path), "--train", str(train)])
+        train.write_text("\n".join(lines) + "\n")
+        extra = {
+            "validate": [],
+            "analyze": ["--out-dir", str(tmp_path / "out")],
+            "evaluate": ["--test", str(split_dir / "test.tsv"), "--out", str(tmp_path / "out")],
+        }[command]
+        rc = main([command, "--model", str(model_path), "--train", str(train), *extra])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(want) and err.count("\n") == 1
+        if mismatch == "missing_user":
+            assert "dataset has 0 ratings" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestIngestCommand:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exprec.assign import prediction_costs
-from exprec.dataset import BACKGROUND_USER, Columns, Dataset, Rating, SplitScheme, SplitSpec, split
+from exprec.dataset import Columns, Dataset, Rating
 from exprec.model import (
     BLOCKS,
     ExperienceAssignment,
@@ -24,8 +24,6 @@ from exprec.model import (
     score,
     smoothness_penalty,
 )
-from exprec.synth import SynthConfig, generate
-from exprec.trainer import TrainConfig, fit_single_lambda
 
 
 def finite_difference_gradient(p, a, d, lam, h=1e-5):
@@ -316,6 +314,15 @@ class TestObjective:
             short.flat(d)
         with pytest.raises(ValueError, match="missing assignment for user 'w'"):
             ExperienceAssignment({"u": np.array([1, 2]), "v": np.array([4])}).flat(d)
+        extra = ExperienceAssignment({**a.levels, "uu": np.array([1, 1])})
+        with pytest.raises(ValueError, match="user 'uu' has 2 levels, dataset has 0 ratings"):
+            extra.flat(d)
+        col = ExperienceAssignment.of(d, np.array([1, 2, 4, 3]))
+        assert col.flat(d) is col.column
+        assert not col.column.flags.writeable
+        assert {u: lv.tolist() for u, lv in col.levels.items()} == {"u": [1, 2], "v": [4], "w": [3]}
+        with pytest.raises(ValueError, match="expected 4 levels"):
+            ExperienceAssignment.of(d, np.ones(3))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
@@ -403,51 +410,3 @@ class TestSerialization:
         assert q.users == p.users and q.items == p.items
         for block in ("alpha", "user_bias", "item_bias", "user_factors", "item_factors"):
             assert np.array_equal(getattr(p, block), getattr(q, block))
-
-
-class TestRestrictTo:
-    @pytest.fixture(scope="class")
-    def fitted(self):
-        d, _ = generate(SynthConfig(n_users=30, n_items=60, ratings_per_user=(5, 30), seed=2))
-        cfg = TrainConfig(E=3, K=2, lambda_grid=(1.0,), max_outer_iters=2)
-        return d, fit_single_lambda(d, cfg, 1.0).assignment
-
-    def test_projects_onto_each_final_split_part(self, fitted):
-        d, a = fitted
-        full_level = {
-            (u, int(d.times[pos]), d.item_seq[pos]): int(lv)
-            for u in d.users
-            for pos, lv in zip(d.user_index[u], a.levels[u])
-        }
-        assert len(set(full_level.values())) > 1
-        parts = split(d, SplitSpec(scheme=SplitScheme.FINAL))
-        projected = [a.restrict_to(d, part) for part in parts]
-        for part, sub in zip(parts, projected):
-            assert set(sub.levels) == set(part.users)
-            for u in part.users:
-                want = [full_level[(u, int(part.times[q]), part.item_seq[q])]
-                        for q in part.user_index[u]]
-                assert sub.levels[u].tolist() == want
-        # a final split keeps each user's chronology: train, then
-        # validation, then test
-        for u in d.users:
-            pieces = [sub.levels[u] for sub in projected if u in sub.levels]
-            assert np.array_equal(np.concatenate(pieces), a.levels[u])
-
-    def test_user_missing_from_full_raises(self, fitted):
-        d, a = fitted
-        stranger = Dataset([Rating("stranger", d.items[0], 3.0, 0, 3.0)])
-        with pytest.raises(KeyError):
-            a.restrict_to(d, stranger)
-
-    def test_pooled_key_with_two_levels_raises(self):
-        # the pooled user rated item x twice at time 5, at different levels
-        full = Dataset(
-            [Rating(BACKGROUND_USER, i, v, t, v) for i, t, v in
-             (("x", 5, 1.0), ("x", 5, 4.0), ("y", 9, 2.0))],
-            background_user=BACKGROUND_USER,
-        )
-        a = ExperienceAssignment({BACKGROUND_USER: np.array([1, 2, 2])})
-        want = f"user {BACKGROUND_USER!r} has two levels for timestamp 5, item 'x'"
-        with pytest.raises(ValueError, match=want):
-            a.restrict_to(full, full.subset([0, 2]))

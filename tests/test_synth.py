@@ -5,7 +5,7 @@ import pytest
 
 from exprec.assign import ModelKind, assign_user_dp, find_monotonicity_violation
 from exprec.dataset import Dataset
-from exprec.model import ExperienceAssignment
+from exprec.model import ExperienceAssignment, predictions_for
 from exprec.synth import (
     GroundTruth,
     SynthConfig,
@@ -72,15 +72,19 @@ class TestGenerate:
         assert data.values.max() <= 5.0
 
     def test_clamp_off_keeps_exact_predictions(self):
-        cfg = SynthConfig(n_users=10, n_items=30, ratings_per_user=6, noise_sigma=0.0,
-                          level_drift=0.0, seed=5, clamp=False)
-        data, truth = generate(cfg)
-        p = truth.true_params
-        for r in data.ratings:
-            user_pos = data.user_index[r.user]
-            j = int(np.nonzero(data.times[user_pos] == r.timestamp)[0][0])
-            level = int(truth.true_levels.levels[r.user][j])
-            assert p.predict(level, r.user, r.item) == pytest.approx(r.value, abs=1e-12)
+        # horizon=10 squeezes each user's ratings onto ties, which the
+        # dataset orders by item; the planted levels must follow that order
+        for horizon in (SynthConfig.horizon, 10):
+            cfg = SynthConfig(n_users=10, n_items=30, ratings_per_user=6, noise_sigma=0.0,
+                              level_drift=0.3, seed=5, clamp=False, horizon=horizon)
+            data, truth = generate(cfg)
+            p = truth.true_params
+            uidx = p.encode_users(data.users)[data.user_code]
+            iidx = p.encode_items(data.items)[data.item_code]
+            pred = predictions_for(p, truth.true_levels.flat(data), uidx, iidx)
+            assert np.allclose(pred, data.values, rtol=0.0, atol=1e-12), horizon
+            if horizon == 10:
+                assert (np.diff(data.times)[np.diff(data.user_code) == 0] == 0).any()
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):

@@ -169,6 +169,19 @@ class TestFit:
         objs = [h.objective for h in m.train_history]
         assert all(b <= a + 1e-15 for a, b in zip(objs, objs[1:]))
 
+    @pytest.mark.parametrize("kind", [ModelKind.USER_LEARNED, ModelKind.COMMUNITY_LEARNED,
+                                      ModelKind.USER_UNIFORM])
+    def test_converged_e_entry_repeats_theta_entry(self, kind):
+        # an e step that moves no level leaves the error and objective as
+        # they were after the theta step, to the last bit
+        data, _ = small_corpus(seed=8, n_users=15, per_user=10)
+        cfg = TrainConfig(seed=3, model_kind=kind, E=3, lambda_grid=(1.0,), max_outer_iters=50)
+        history = fit_single_lambda(data, cfg, 1.0).train_history
+        theta, e = history[-2:]
+        assert (theta.step, e.step, e.assignment_changes) == ("theta", "e", 0)
+        assert e.error_term.hex() == theta.error_term.hex()
+        assert e.objective.hex() == theta.objective.hex()
+
     def test_termination_within_cap(self):
         data, _ = small_corpus(seed=9)
         cfg = TrainConfig(seed=3, lambda_grid=(1e-5,), max_outer_iters=4)
