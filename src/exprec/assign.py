@@ -125,7 +125,7 @@ def _monotone_dp(costs: np.ndarray) -> np.ndarray:
     return P[:, :, 0].astype(np.int64)
 
 
-def assign_user_dp(costs: CostMatrix, E: int | None = None) -> np.ndarray:
+def assign_user_dp(costs: CostMatrix) -> np.ndarray:
     """Cheapest non-decreasing level sequence for one ordered rating list.
 
     ``costs`` has one row per level and one column per rating, columns in
@@ -135,8 +135,6 @@ def assign_user_dp(costs: CostMatrix, E: int | None = None) -> np.ndarray:
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2:
         raise ValueError("cost matrix must be 2-dimensional")
-    if E is not None and E != costs.shape[0]:
-        raise ValueError(f"E={E} disagrees with cost matrix rows {costs.shape[0]}")
     return _monotone_dp(costs.T[:, None, :])[:, 0] + 1
 
 
@@ -166,7 +164,7 @@ def assign_batch_dp(costs: CostMatrix, segments) -> list[np.ndarray]:
     return out
 
 
-def assign_community_dp(costs: CostMatrix, E: int | None = None) -> np.ndarray:
+def assign_community_dp(costs: CostMatrix) -> np.ndarray:
     """One DP pass over the globally time-sorted rating sequence.
 
     The same contract as :func:`assign_user_dp`, returning the same path;
@@ -215,8 +213,6 @@ def assign_community_dp(costs: CostMatrix, E: int | None = None) -> np.ndarray:
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2:
         raise ValueError("cost matrix must be 2-dimensional")
-    if E is not None and E != costs.shape[0]:
-        raise ValueError(f"E={E} disagrees with cost matrix rows {costs.shape[0]}")
     if not np.isfinite(costs).all():
         raise ValueError("non-finite cost entry")
     if (costs == costs[0]).all():
@@ -277,11 +273,10 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
     """
     if kind is ModelKind.FLAT:
         return ExperienceAssignment.of(d, np.ones(len(d), dtype=np.int64))
-    E = p.E
     if kind is ModelKind.COMMUNITY_UNIFORM:
-        return uniform_community_schedule(d, E)
+        return uniform_community_schedule(d, p.E)
     if kind is ModelKind.USER_UNIFORM:
-        return uniform_user_schedule(d, E)
+        return uniform_user_schedule(d, p.E)
 
     costs = prediction_costs(p, d)
     if kind is ModelKind.USER_LEARNED:
@@ -289,7 +284,7 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
         return ExperienceAssignment.of(d, np.concatenate(levels))
     if kind is ModelKind.COMMUNITY_LEARNED:
         order = d.global_time_order()
-        path = assign_community_dp(costs[:, order], E)
+        path = assign_community_dp(costs[:, order])
         column = np.empty(len(d), dtype=np.int64)
         column[order] = path
         return ExperienceAssignment.of(d, column)

@@ -1,10 +1,11 @@
 """Command line interface wiring the pipeline together.
 
 Subcommands: ingest, split, fit, evaluate, compare, analyze, synth,
-validate.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 training failure.  Model kinds are spelled lf/a/b/c/d on the command
-line: flat, community-uniform, user-uniform, community-learned,
-user-learned.
+validate.  Exit codes: 0 success, 1 usage error, 2 data error or
+unreadable file, 3 training failure.  Log records and library warnings
+print as one ``warning:`` line each on stderr.  Model kinds are spelled
+lf/a/b/c/d on the command line: flat, community-uniform, user-uniform,
+community-learned, user-learned.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import json
 import logging
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from . import analysis as analysis_mod
 from . import validate as validate_mod
 from .assign import ModelKind
 from .dataset import (
+    BACKGROUND_USER,
     DataError,
     Dataset,
     FormatConfig,
@@ -50,23 +53,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_format_flags(p: argparse.ArgumentParser, scale_default: float = 5.0):
+def _add_format_flags(p: argparse.ArgumentParser):
     p.add_argument("--delimiter", default="\t")
     p.add_argument("--user-col", default="user")
     p.add_argument("--item-col", default="item")
     p.add_argument("--rating-col", default="rating")
     p.add_argument("--timestamp-col", default="timestamp")
-    p.add_argument("--scale-max", type=float, default=scale_default)
+    p.add_argument("--scale-max", type=float, default=5.0)
 
 
-def _format_config(args, scale_max=None) -> FormatConfig:
+def _format_config(args) -> FormatConfig:
     return FormatConfig(
         delimiter=args.delimiter,
         user_col=args.user_col,
         item_col=args.item_col,
         rating_col=args.rating_col,
         timestamp_col=args.timestamp_col,
-        scale_max=args.scale_max if scale_max is None else scale_max,
+        scale_max=args.scale_max,
     )
 
 
@@ -78,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="exprec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[], help="parse, normalize, and pool a raw review file")
+    p = sub.add_parser("ingest", help="parse, normalize, and pool a raw review file")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-ratings", type=int, default=50,
@@ -165,13 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_ingest(args) -> int:
-    d = parse_reviews(args.input, _format_config(args))
-    if d.duplicates_dropped:
-        print(f"dropped {d.duplicates_dropped} duplicate (user, item) rows", file=sys.stderr)
+    d = _load_dataset(args.input, args)
     pooled = pool_infrequent_users(d, args.min_ratings)
-    if pooled.background_user:
-        n_bg = len(pooled.user_index[pooled.background_user])
-        print(f"pooled {n_bg} ratings into {pooled.background_user}", file=sys.stderr)
+    if pooled is not d:
+        n_bg = len(pooled.user_index[BACKGROUND_USER])
+        print(f"pooled {n_bg} ratings into {BACKGROUND_USER}", file=sys.stderr)
     # output is on the normalized scale: read it back with --scale-max 5
     write_reviews(pooled, args.out)
     return 0
@@ -234,21 +235,13 @@ def cmd_fit(args) -> int:
     def progress(lam, it, obj, changed):
         print(f"iter={it} obj={obj:.8g} changed={changed}", file=sys.stderr)
 
-    # a lambda that fails while others succeed is reported, not dropped
-    to_stderr = logging.StreamHandler(sys.stderr)
-    to_stderr.setFormatter(logging.Formatter("warning: %(message)s"))
-    trainer_log = logging.getLogger("exprec.trainer")
-    trainer_log.addHandler(to_stderr)
-    try:
-        model = fit(
-            train,
-            valid,
-            cfg,
-            progress=None if args.threads > 1 else progress,
-            threads=args.threads,
-        )
-    finally:
-        trainer_log.removeHandler(to_stderr)
+    model = fit(
+        train,
+        valid,
+        cfg,
+        progress=None if args.threads > 1 else progress,
+        threads=args.threads,
+    )
     model.save(args.out)
     print(f"selected lambda={model.lam}", file=sys.stderr)
     return 0
@@ -432,14 +425,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse signals usage problems (and --help) via SystemExit
         return 1 if exc.code not in (0, None) else 0
+    # log records (a failed lambda, dropped duplicate rows) print as one
+    # line each, and library warnings go the same way, without the source
+    # location warnings.warn would add
+    to_stderr = logging.StreamHandler(sys.stderr)
+    to_stderr.setFormatter(logging.Formatter("warning: %(message)s"))
+    log = logging.getLogger("exprec")
+    log.addHandler(to_stderr)
     try:
-        return args.func(args)
-    except (DataError, ValueError) as exc:
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: log.warning("%s", message)
+            return args.func(args)
+    except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 3
+    finally:
+        log.removeHandler(to_stderr)
 
 
 if __name__ == "__main__":

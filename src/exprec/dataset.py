@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +26,8 @@ import numpy as np
 
 BACKGROUND_USER = "__background__"
 _WRITE_ROWS = 1 << 16  # rows formatted per write, bounding the text held at once
+
+logger = logging.getLogger(__name__)
 
 
 class DataError(Exception):
@@ -131,20 +134,14 @@ class Dataset:
     ``offsets[j]:offsets[j + 1]``.
 
     Build one from :class:`Rating` objects or from :class:`Columns`.
+    The user id :data:`BACKGROUND_USER` is the pooled pseudo-user (see
+    :func:`pool_infrequent_users`), which may rate an item more than once.
     ``ratings``, ``user_ratings``, ``user_seq``, ``item_seq``,
     ``user_index`` and ``item_index`` are per-row and per-key views built
     on first use.
     """
 
-    def __init__(
-        self,
-        ratings: Iterable[Rating] = (),
-        scale_max: float = 5.0,
-        background_user: str | None = None,
-        duplicates_dropped: int = 0,
-        *,
-        columns: Columns | None = None,
-    ):
+    def __init__(self, ratings: Iterable[Rating] = (), *, columns: Columns | None = None):
         if columns is None:
             columns = _columns_of(ratings)
         user_code, self.users = _sorted_keys(columns.users, columns.user_code)
@@ -159,9 +156,6 @@ class Dataset:
         self.raw_values = _frozen(np.asarray(columns.raw_values, dtype=np.float64)[order])
         counts = np.bincount(self.user_code, minlength=len(self.users))
         self.offsets = _frozen(np.concatenate(([0], np.cumsum(counts))))
-        self.scale_max = float(scale_max)
-        self.background_user = background_user
-        self.duplicates_dropped = duplicates_dropped
         self._validate()
 
     def _validate(self) -> None:
@@ -170,7 +164,7 @@ class Dataset:
         # the pooled pseudo-user may legitimately hold several ratings of
         # the same item, contributed by distinct original users
         key = self.user_code * len(self.items) + self.item_code
-        bg = self._code_of(self.users, self.background_user)
+        bg = self._code_of(self.users, BACKGROUND_USER)
         if bg is not None:
             key = key[self.user_code != bg]
         key = np.sort(key)
@@ -183,8 +177,8 @@ class Dataset:
         return len(self.times)
 
     @staticmethod
-    def _code_of(keys: tuple[str, ...], key: str | None) -> int | None:
-        j = bisect_left(keys, key) if key is not None else len(keys)
+    def _code_of(keys: tuple[str, ...], key: str) -> int | None:
+        j = bisect_left(keys, key)
         return j if j < len(keys) and keys[j] == key else None
 
     def per_user(self, column: np.ndarray) -> list[np.ndarray]:
@@ -208,19 +202,10 @@ class Dataset:
 
     def subset(self, positions: Sequence[int]) -> "Dataset":
         positions = np.asarray(positions, dtype=np.int64)
-        user_code = self.user_code[positions]
-        bg = self.background_user
-        code = self._code_of(self.users, bg)
-        if code is None or not (user_code == code).any():
-            bg = None
-        return Dataset(
-            scale_max=self.scale_max,
-            background_user=bg,
-            columns=Columns(
-                self.users, self.items, user_code, self.item_code[positions],
-                self.times[positions], self.values[positions], self.raw_values[positions],
-            ),
-        )
+        return Dataset(columns=Columns(
+            self.users, self.items, self.user_code[positions], self.item_code[positions],
+            self.times[positions], self.values[positions], self.raw_values[positions],
+        ))
 
     # --- views for callers that want rows or per-key positions ---------------
 
@@ -326,11 +311,12 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
 
     The first line must be a header naming at least the four configured
     columns.  Duplicate (user, item) pairs keep the earliest-timestamp row
-    (the first of equally early ones) and bump
-    ``Dataset.duplicates_dropped``; each product is kept at most once per
-    user.  Row-level problems raise :class:`ParseError` with the line
-    number of the first offending row; blank lines are skipped but
-    counted.
+    (the first of equally early ones), and one WARNING on this module's
+    logger counts the rows dropped; each product is kept at most once per
+    user.  The pooled user :data:`BACKGROUND_USER` keeps every row, in
+    file order among equal ones.  Row-level problems raise
+    :class:`ParseError` with the line number of the first offending row;
+    blank lines are skipped but counted.
     """
     stream = _open_text(source)
     try:
@@ -409,16 +395,16 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
     by_key = np.lexsort((times, key))
     first = np.ones(limit, dtype=bool)
     first[1:] = key[by_key[1:]] != key[by_key[:-1]]
+    if BACKGROUND_USER in user_keys:
+        first |= user_code[by_key] == user_keys.index(BACKGROUND_USER)
     keep = by_key[first]
+    if len(keep) < limit:
+        logger.warning("dropped %d duplicate (user, item) rows", limit - len(keep))
     raw = raw[:limit]
-    return Dataset(
-        scale_max=scale_max,
-        duplicates_dropped=limit - len(keep),
-        columns=Columns(
-            user_keys, item_keys, user_code[keep], item_code[keep], times[keep],
-            5.0 * raw[keep] / scale_max, raw[keep],
-        ),
-    )
+    return Dataset(columns=Columns(
+        user_keys, item_keys, user_code[keep], item_code[keep], times[keep],
+        5.0 * raw[keep] / scale_max, raw[keep],
+    ))
 
 
 def _range_error(raw: float, scale_max: float) -> str:
@@ -445,14 +431,10 @@ def pool_infrequent_users(d: Dataset, min_ratings: int = 50) -> Dataset:
     if not infrequent.any():
         return d
     user_code = np.where(infrequent[d.user_code], len(d.users), d.user_code)
-    return Dataset(
-        scale_max=d.scale_max,
-        background_user=BACKGROUND_USER,
-        columns=Columns(
-            d.users + (BACKGROUND_USER,), d.items, user_code, d.item_code,
-            d.times, d.values, d.raw_values,
-        ),
-    )
+    return Dataset(columns=Columns(
+        d.users + (BACKGROUND_USER,), d.items, user_code, d.item_code,
+        d.times, d.values, d.raw_values,
+    ))
 
 
 def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:

@@ -56,12 +56,12 @@ def assign_test_levels(m: "FittedModel", test: Dataset, train: Dataset) -> np.nd
 
     Each test rating takes the level of its user's training rating
     closest in time, the earlier of two equidistant ones.  Users absent
-    from training fall back to the background pseudo-user's history when
-    one exists, else to level 1 with a warning.
+    from training fall back to the history of :data:`BACKGROUND_USER`
+    when ``train`` holds it, else to level 1 with a warning.
     """
     levels = m.assignment.flat(train)
     code = {u: j for j, u in enumerate(train.users)}
-    fallback = code.get(BACKGROUND_USER, -1) if train.background_user else -1
+    fallback = code.get(BACKGROUND_USER, -1)
     source = np.array([code.get(u, fallback) for u in test.users], dtype=np.int64)
     out = np.ones(len(test), dtype=np.int64)
     if (source < 0).any():

@@ -209,7 +209,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         value_parts.append(values)
 
     values = np.concatenate(value_parts)
-    dataset = Dataset(scale_max=5.0, columns=Columns(
+    dataset = Dataset(columns=Columns(
         users, items, np.repeat(np.arange(cfg.n_users), counts), np.concatenate(item_parts),
         np.concatenate(time_parts), values, values,
     ))
@@ -223,7 +223,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     return dataset, truth
 
 
-def brute_force_assign(costs: np.ndarray, E: int | None = None) -> np.ndarray:
+def brute_force_assign(costs: np.ndarray) -> np.ndarray:
     """Exhaustive oracle for the monotone assignment DP.
 
     Enumerates every non-decreasing level sequence (there are
@@ -233,8 +233,6 @@ def brute_force_assign(costs: np.ndarray, E: int | None = None) -> np.ndarray:
     """
     costs = np.asarray(costs, dtype=np.float64)
     n_levels, n = costs.shape
-    if E is not None and E != n_levels:
-        raise ValueError(f"E={E} disagrees with cost matrix rows {n_levels}")
     if n > 12 or n_levels > 5:
         raise ValueError(f"instance too large for enumeration: n={n}, E={n_levels}")
     if n == 0:

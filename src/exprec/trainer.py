@@ -167,8 +167,8 @@ def theta_step(
         return objective_and_gradient(px, rows, vals, lam)
 
     x0 = p.flatten()
-    obj_in, _ = fun(x0)
     err_in = error_term(p, rows, vals)
+    obj_in = err_in + lam * smoothness_penalty(p)
     result = minimize(
         fun,
         x0,

@@ -91,7 +91,7 @@ def check_gradient(seed: int = 0, rel_tol: float = 1e-4) -> CheckResult:
         for i in items:
             ratings.append(Rating(u, i, float(rng.uniform(0, 5)), t, 0.0))
             t += 1
-    d = Dataset(ratings, scale_max=5.0)
+    d = Dataset(ratings)
     a = ExperienceAssignment(
         {u: np.sort(rng.integers(1, E + 1, size=5)) for u in users}
     )

@@ -107,7 +107,7 @@ class TestUserDP:
     def test_derived_example(self):
         # enumeration of {111, 112, 122, 222} gives costs {2, 1, 0, 1}
         costs = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-        assert list(assign_user_dp(costs, 2)) == [1, 2, 2]
+        assert list(assign_user_dp(costs)) == [1, 2, 2]
 
     def test_lexicographic_tie_break(self):
         assert list(assign_user_dp(np.ones((3, 5)))) == [1] * 5
@@ -122,10 +122,6 @@ class TestUserDP:
         costs = np.array([[0.0, np.nan], [1.0, 0.0]])
         with pytest.raises(ValueError, match="non-finite"):
             assign_user_dp(costs)
-
-    def test_mismatched_E(self):
-        with pytest.raises(ValueError):
-            assign_user_dp(np.ones((2, 3)), E=4)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -201,7 +197,7 @@ def random_costs(rng, kind, E, L):
 class TestCommunityDP:
     def test_derived_example(self):
         costs = np.array([[0.0, 0.0, 9.0, 9.0], [9.0, 9.0, 0.0, 0.0]])
-        assert list(assign_community_dp(costs, 2)) == [1, 1, 2, 2]
+        assert list(assign_community_dp(costs)) == [1, 1, 2, 2]
 
     def test_single_level(self):
         assert list(assign_community_dp(np.ones((1, 3)))) == [1, 1, 1]
@@ -223,7 +219,7 @@ class TestCommunityDP:
 
     @pytest.mark.parametrize("E", [1, 2, 5])
     def test_empty_sequence(self, E):
-        got = assign_community_dp(np.empty((E, 0)), E)
+        got = assign_community_dp(np.empty((E, 0)))
         assert got.dtype == np.int64 and len(got) == 0
 
     def test_single_column_takes_first_cheapest_level(self):
@@ -256,10 +252,6 @@ class TestCommunityDP:
         costs[:, 4] = bad
         with pytest.raises(ValueError, match="non-finite cost entry"):
             assign_community_dp(costs)
-
-    def test_mismatched_E(self):
-        with pytest.raises(ValueError, match="disagrees with cost matrix rows"):
-            assign_community_dp(np.ones((2, 3)), E=4)
 
     @staticmethod
     def spy_reference(monkeypatch):

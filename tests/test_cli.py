@@ -69,6 +69,25 @@ class TestUsageErrors:
         assert main(["frobnicate"]) == 1
 
 
+class TestMissingFile:
+    @pytest.mark.parametrize("case", ["evaluate --test", "evaluate --model", "fit --config"])
+    def test_exits_2_with_one_error_line(self, split_dir, model_path, tmp_path, capsys, case):
+        missing = str(tmp_path / "missing.tsv")
+        out = str(tmp_path / "out.json")
+        train, valid, test = (str(split_dir / name) for name in ("train.tsv", "valid.tsv", "test.tsv"))
+        argv = {
+            "evaluate --test": ["evaluate", "--model", str(model_path), "--test", missing],
+            "evaluate --model": ["evaluate", "--model", missing, "--test", test],
+            "fit --config": ["fit", "--valid", valid, "--config", missing],
+        }[case]
+        flag = "--train" if argv[0] == "evaluate" else "--input"
+        rc = main(argv + [flag, train, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
+        assert not Path(out).exists()
+
+
 class TestSynthCommand:
     def test_writes_corpus_and_truth(self, corpus):
         _, corpus_path, truth_path = corpus
@@ -191,6 +210,16 @@ class TestAnalyzeCommand:
                      "progression.csv", "retention.csv"):
             assert (out_dir / name).exists(), name
 
+    def test_library_warning_printed_as_one_line(self, split_dir, model_path, tmp_path, capsys):
+        # at the default prefixes no user of this corpus leaves
+        rc = main(["analyze", "--model", str(model_path), "--train", str(split_dir / "train.tsv"),
+                   "--out-dir", str(tmp_path / "analysis")])
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert "warning: retention cohort 'left' is empty; curve omitted\n" in err
+        assert "UserWarning" not in err and "analysis.py" not in err
+        assert all(line.startswith(("warning: ", "progression cohorts: ")) for line in err.splitlines())
+
 
 class TestValidateCommand:
     def test_valid_model_passes(self, corpus, split_dir, model_path, capsys):
@@ -271,3 +300,25 @@ class TestIngestCommand:
         d = parse_reviews(out, FormatConfig(scale_max=5.0))
         assert "__background__" in d.users
         assert d.values.max() <= 5.0
+
+    def test_duplicates_reported(self, tmp_path, capsys):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("user\titem\trating\ttimestamp\nu\ti\t4\t2\nu\ti\t3\t1\nv\ti\t1\t1\n")
+        rc = main(["ingest", "--input", str(raw), "--out", str(tmp_path / "clean.tsv"),
+                   "--min-ratings", "1"])
+        assert rc == 0
+        assert capsys.readouterr().err == "warning: dropped 1 duplicate (user, item) rows\n"
+
+    def test_synth_ingest_split_keeps_every_rating(self, corpus, tmp_path, capsys):
+        # every user of the corpus is pooled, so the pooled user rates
+        # items many times over; split must keep each of those ratings
+        _, corpus_path, truth_path = corpus
+        ingested = tmp_path / "ingested.tsv"
+        assert main(["ingest", "--input", str(corpus_path), "--out", str(ingested),
+                     "--min-ratings", "50"]) == 0
+        n_rows = len(ingested.read_text().splitlines()) - 1
+        assert n_rows == json.loads(truth_path.read_text())["n_ratings"]
+        assert main(["split", "--input", str(ingested), "--out-dir", str(tmp_path / "split")]) == 0
+        manifest = json.loads((tmp_path / "split" / "split.json").read_text())
+        assert sum(manifest["rows"].values()) == n_rows
+        assert capsys.readouterr().err == f"pooled {n_rows} ratings into __background__\n"

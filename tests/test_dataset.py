@@ -1,6 +1,7 @@
 """Parsing, normalization, pooling, and split behavior."""
 
 import io
+import logging
 import math
 
 import numpy as np
@@ -22,12 +23,16 @@ from exprec.dataset import (
     split,
     write_reviews,
 )
+from exprec.synth import SynthConfig, generate
 
 
-def make_dataset(rows, scale_max=5.0):
-    return Dataset(
-        [Rating(u, i, v, t, v) for (u, i, v, t) in rows], scale_max=scale_max
-    )
+def make_dataset(rows):
+    return Dataset([Rating(u, i, v, t, v) for (u, i, v, t) in rows])
+
+
+def duplicate_warnings(caplog):
+    return [r.getMessage() for r in caplog.records
+            if (r.name, r.levelno) == ("exprec.dataset", logging.WARNING)]
 
 
 class ReferenceDataset:
@@ -35,10 +40,8 @@ class ReferenceDataset:
     objects with per-key position lists.  The reference for
     ``reference_parse``, ``reference_pool`` and ``reference_split``."""
 
-    def __init__(self, ratings, background_user=None, duplicates_dropped=0):
+    def __init__(self, ratings):
         self.ratings = tuple(sorted(ratings, key=lambda r: (r.user, r.timestamp, r.item)))
-        self.background_user = background_user
-        self.duplicates_dropped = duplicates_dropped
         self.user_index = {}
         for pos, r in enumerate(self.ratings):
             self.user_index.setdefault(r.user, []).append(pos)
@@ -59,11 +62,7 @@ class ReferenceDataset:
         return np.lexsort((items, users, times))
 
     def subset(self, positions):
-        subset = [self.ratings[p] for p in positions]
-        bg = self.background_user
-        if bg is not None and not any(r.user == bg for r in subset):
-            bg = None
-        return ReferenceDataset(subset, background_user=bg)
+        return ReferenceDataset(self.ratings[p] for p in positions)
 
 
 def reference_parse(text, config=FormatConfig()):
@@ -71,7 +70,7 @@ def reference_parse(text, config=FormatConfig()):
     header = [c.strip() for c in lines[0].split(config.delimiter)]
     col = {name: header.index(name) for name in
            (config.user_col, config.item_col, config.rating_col, config.timestamp_col)}
-    best, order, duplicates = {}, [], 0
+    best, order = {}, []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -102,7 +101,6 @@ def reference_parse(text, config=FormatConfig()):
         rating = Rating(user, item, value, ts, raw)
         key = (user, item)
         if key in best:
-            duplicates += 1
             if ts < best[key].timestamp:
                 best[key] = rating
         else:
@@ -110,7 +108,7 @@ def reference_parse(text, config=FormatConfig()):
             order.append(key)
     if not best:
         raise DataError("empty dataset: no data rows")
-    return ReferenceDataset((best[k] for k in order), duplicates_dropped=duplicates)
+    return ReferenceDataset(best[k] for k in order)
 
 
 def reference_pool(d, min_ratings):
@@ -119,7 +117,7 @@ def reference_pool(d, min_ratings):
         return d
     pooled = [Rating(BACKGROUND_USER, r.item, r.value, r.timestamp, r.raw_value)
               if r.user in move else r for r in d.ratings]
-    return ReferenceDataset(pooled, background_user=BACKGROUND_USER)
+    return ReferenceDataset(pooled)
 
 
 def reference_split(d, spec):
@@ -146,8 +144,6 @@ def assert_same(got, want):
     assert got.ratings == want.ratings
     assert got.users == want.users
     assert got.items == want.items
-    assert got.background_user == want.background_user
-    assert got.duplicates_dropped == want.duplicates_dropped
     for a, b in zip((got.user_code, got.item_code), want.codes):
         assert np.array_equal(a, b)
     assert np.array_equal(got.global_time_order(), want.global_time_order())
@@ -214,7 +210,7 @@ class TestParseReviews:
         assert r.raw_value == 17
         assert r.timestamp == 1200000000
 
-    def test_duplicate_keeps_earliest(self):
+    def test_duplicate_keeps_earliest(self, caplog):
         text = (
             "user\titem\trating\ttimestamp\n"
             "u1\ti9\t4\t20\n"
@@ -223,7 +219,7 @@ class TestParseReviews:
         d = parse_reviews(io.StringIO(text))
         assert len(d) == 1
         assert d.ratings[0].timestamp == 10
-        assert d.duplicates_dropped == 1
+        assert duplicate_warnings(caplog) == ["dropped 1 duplicate (user, item) rows"]
 
     def test_rating_out_of_range_names_line(self):
         text = "user\titem\trating\ttimestamp\nu1\ti9\t25\t0\n"
@@ -314,7 +310,7 @@ class TestParseReviews:
         with pytest.raises(ParseError, match="line 2: non-integer timestamp -1.5"):
             parse_reviews(io.StringIO(text))
 
-    def test_duplicate_equal_timestamps_keep_first_row(self):
+    def test_duplicate_equal_timestamps_keep_first_row(self, caplog):
         text = (
             "user\titem\trating\ttimestamp\n"
             "u1\ti9\t4\t10\n"
@@ -327,7 +323,25 @@ class TestParseReviews:
         assert [(r.user, r.value, r.timestamp) for r in d.ratings] == [
             ("u1", 4.0, 10), ("u2", 1.0, 10)
         ]
-        assert d.duplicates_dropped == 3
+        assert duplicate_warnings(caplog) == ["dropped 3 duplicate (user, item) rows"]
+
+    def test_reserved_user_keeps_every_row(self, caplog):
+        # a file user named like the pooled user is the pooled user: its
+        # repeated items stay, in file order among equal (item, time) rows
+        text = (
+            "user\titem\trating\ttimestamp\n"
+            f"{BACKGROUND_USER}\ti9\t4\t10\n"
+            "u1\ti9\t1\t10\n"
+            f"{BACKGROUND_USER}\ti9\t2\t10\n"
+            f"{BACKGROUND_USER}\ti9\t3\t5\n"
+            "u1\ti9\t5\t10\n"
+        )
+        d = parse_reviews(io.StringIO(text))
+        assert [(r.user, r.value, r.timestamp) for r in d.ratings] == [
+            (BACKGROUND_USER, 3.0, 5), (BACKGROUND_USER, 4.0, 10), (BACKGROUND_USER, 2.0, 10),
+            ("u1", 1.0, 10),
+        ]
+        assert duplicate_warnings(caplog) == ["dropped 1 duplicate (user, item) rows"]
 
     def test_fields_stripped_and_whitespace_numbers(self):
         text = "user\titem\trating\ttimestamp\n u1 \t i1\t 2.5 \t 3 \n"
@@ -348,8 +362,7 @@ class TestWriteReviews:
                 Rating("u2", "i1", 0.1 + 0.2, 5, 1.2),
                 Rating("u1", "i2", 4.0, 7, 16.0),
                 Rating("u1", "i1", 1 / 3, 7, 2.0),
-            ],
-            scale_max=20.0,
+            ]
         )
         path = tmp_path / "out.tsv"
         write_reviews(d, path)
@@ -379,6 +392,23 @@ class TestWriteReviews:
         assert back.ratings == tuple(Rating(r.user, r.item, r.value, r.timestamp, r.value)
                                      for r in d.ratings)
 
+    def test_pooled_round_trip(self, tmp_path, caplog):
+        # the pooled user's repeated items survive the file: same keys,
+        # codes, times and row order (values may move in the last bit when
+        # parse renormalizes them)
+        corpus, _ = generate(SynthConfig(n_users=30, n_items=10, ratings_per_user=(2, 9), seed=3))
+        pooled = pool_infrequent_users(corpus, 6)
+        bg = pooled.user_code == pooled.users.index(BACKGROUND_USER)
+        assert len(np.unique(pooled.item_code[bg])) < bg.sum()  # repeats to keep
+        path = tmp_path / "pooled.tsv"
+        write_reviews(pooled, path)
+        back = parse_reviews(path)
+        assert back.users == pooled.users and back.items == pooled.items
+        for column in ("user_code", "item_code", "times"):
+            assert np.array_equal(getattr(back, column), getattr(pooled, column)), column
+        np.testing.assert_allclose(back.values, pooled.values, rtol=1e-15, atol=0)
+        assert duplicate_warnings(caplog) == []
+
 
 class TestDatasetInvariants:
     def test_per_user_chronological_order_with_item_tiebreak(self):
@@ -403,7 +433,6 @@ class TestPooling:
         pooled = pool_infrequent_users(make_dataset(rows), 50)
         assert set(pooled.users) == {"a", BACKGROUND_USER}
         assert len(pooled.user_index[BACKGROUND_USER]) == 5
-        assert pooled.background_user == BACKGROUND_USER
 
     def test_no_op_when_all_frequent(self):
         rows = [("a", f"x{j}", 1.0, j) for j in range(60)]
@@ -411,7 +440,6 @@ class TestPooling:
         d = make_dataset(rows)
         pooled = pool_infrequent_users(d, 50)
         assert pooled is d
-        assert pooled.background_user is None
 
     def test_boundary_single_user(self):
         rows = [("a", f"x{j}", 1.0, j) for j in range(49)]
@@ -581,7 +609,7 @@ class TestColumns:
         assert d.subset([1]).items == ("y",)
 
     def test_empty(self):
-        d = Dataset([], scale_max=5.0)
+        d = Dataset([])
         assert len(d) == 0 and d.users == () and d.offsets.tolist() == [0]
         assert d.ratings == () and d.global_time_order().tolist() == []
         assert [len(part) for part in split(d, SplitSpec())] == [0, 0, 0]

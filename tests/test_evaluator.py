@@ -1,12 +1,15 @@
 """Test-time level assignment, MSE reports, and model comparison."""
 
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from exprec.assign import ModelKind
-from exprec.dataset import BACKGROUND_USER, DataError, Dataset, Rating
+from exprec.dataset import (
+    BACKGROUND_USER, DataError, Dataset, Rating, parse_reviews, pool_infrequent_users, write_reviews,
+)
 from exprec.evaluator import assign_test_levels, benefit_percent, compare, mse
 from exprec.model import ExperienceAssignment, ModelParams
 from exprec.trainer import FittedModel
@@ -42,7 +45,7 @@ def reference_test_levels(m, test, train):
         return int(levels[j])
 
     per_user = {u: (train.times[train.user_index[u]], m.assignment.levels[u]) for u in train.users}
-    background = per_user.get(BACKGROUND_USER) if train.background_user else None
+    background = per_user.get(BACKGROUND_USER)
     out = np.empty(len(test), dtype=np.int64)
     for user in test.users:
         positions = test.user_index[user]
@@ -82,13 +85,28 @@ class TestAssignTestLevels:
 
     def test_unknown_user_uses_background_history(self):
         train = Dataset(
-            [Rating(BACKGROUND_USER, "a", 1.0, 0, 1.0), Rating(BACKGROUND_USER, "b", 1.0, 100, 1.0)],
-            background_user=BACKGROUND_USER,
+            [Rating(BACKGROUND_USER, "a", 1.0, 0, 1.0), Rating(BACKGROUND_USER, "b", 1.0, 100, 1.0)]
         )
         test = dataset([("stranger", "a", 1.0, 99)])
         m = model_with((BACKGROUND_USER,), ("a", "b"), assignment={BACKGROUND_USER: np.array([2, 5])})
         assert list(assign_test_levels(m, test, train)) == [5]
 
+    def test_parsed_pooled_train_file_uses_background_history(self, tmp_path):
+        # the pooled user is known by its id alone, so a train file read
+        # back from disk still serves unseen test users
+        rows = [("big", f"i{k}", 1.0, k) for k in range(4)]
+        rows += [("small1", "a", 1.0, 0), ("small2", "a", 1.0, 100), ("small2", "b", 1.0, 200)]
+        path = tmp_path / "train.tsv"
+        write_reviews(pool_infrequent_users(dataset(rows), 3), path)
+        train = parse_reviews(path)
+        assert len(train.user_index[BACKGROUND_USER]) == 3
+        test = dataset([("stranger", "a", 1.0, 190)])
+        m = model_with(train.users, train.items, assignment={
+            "big": np.array([1, 1, 2, 2]), BACKGROUND_USER: np.array([1, 3, 4]),
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(assign_test_levels(m, test, train)) == [4]
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_matches_per_rating_loop(self, pooled):
@@ -99,8 +117,7 @@ class TestAssignTestLevels:
                 for j in range(300)]
         train = Dataset(
             [Rating(BACKGROUND_USER if pooled and u == "u0" else u, i, v, t, v)
-             for u, i, v, t in rows[:200]],
-            background_user=BACKGROUND_USER if pooled else None,
+             for u, i, v, t in rows[:200]]
         )
         test = dataset(rows[200:] + [("stranger", "i0", 1.0, 6), ("other", "i1", 1.0, 3)])
         levels = {u: np.sort(rng.integers(1, 6, size=len(train.user_index[u]))) for u in train.users}
@@ -153,7 +170,7 @@ class TestMse:
         train = dataset([("u", "a", 3.0, 0)])
         m = model_with(("u",), ("a",), E=1, kind=ModelKind.FLAT, assignment={"u": np.array([1])})
         with pytest.raises(DataError):
-            mse(m, Dataset([], scale_max=5.0), train)
+            mse(m, Dataset([]), train)
 
     def test_weighted_per_level_recombines_to_overall(self):
         rng = np.random.default_rng(3)

@@ -173,5 +173,5 @@ class TestNoiseFreeFlatRefit:
         data, truth = generate(cfg)
         tc = TrainConfig(model_kind=ModelKind.FLAT, lambda_grid=(1.0,), seed=1,
                          inner_tolerance=1e-12, inner_max_iters=4000)
-        m = fit(data, Dataset([], scale_max=5.0), tc)
+        m = fit(data, Dataset([]), tc)
         assert m.train_history[-1].error_term < 1e-4

@@ -26,7 +26,7 @@ def small_corpus(seed=0, n_users=20, n_items=25, per_user=12, **kwargs):
     return generate(cfg)
 
 
-EMPTY = Dataset([], scale_max=5.0)
+EMPTY = Dataset([])
 
 
 class TestTrainConfig:
@@ -122,6 +122,29 @@ class TestThetaStep:
         f3 = objective(p3, a, data, 1e-4)
         assert f3 <= f2
         assert f2 - f3 <= max(1.0, abs(f2)) * 1e-4
+
+    def test_objective_evaluated_only_by_the_optimizer(self, monkeypatch):
+        # the entry objective comes from the error term, not from one more
+        # objective-and-gradient pass whose gradient would be thrown away
+        data, _ = small_corpus(seed=3)
+        cfg = TrainConfig(seed=5, lambda_grid=(1e-4,), inner_max_iters=20)
+        p, a = initialize(data, cfg)
+        calls, results = [], []
+        real_objective, real_minimize = trainer.objective_and_gradient, trainer.minimize
+
+        def counted(*args):
+            calls.append(1)
+            return real_objective(*args)
+
+        def recorded(*args, **kwargs):
+            results.append(real_minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(trainer, "objective_and_gradient", counted)
+        monkeypatch.setattr(trainer, "minimize", recorded)
+        theta_step(p, training_rows(p, a, data), data.values, 1e-4, cfg)
+        assert len(results) == 1 and results[0].nfev > 0
+        assert len(calls) == results[0].nfev
 
 
 class TestEStep:
