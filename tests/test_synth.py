@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from exprec.assign import ModelKind, assign_user_dp, find_monotonicity_violation
-from exprec.dataset import Dataset
-from exprec.model import ExperienceAssignment, predictions_for
+from exprec.dataset import Columns, Dataset
+from exprec.model import ExperienceAssignment, RowIndex, predictions_for, score
 from exprec.synth import (
     GroundTruth,
     SynthConfig,
     TrajectoryKind,
+    _planted_params,
+    _trajectory,
     brute_force_assign,
     generate,
     recovery_score,
@@ -24,6 +26,95 @@ def as_fitted(truth, assignment=None, kind=ModelKind.USER_LEARNED):
         kind=kind,
         lam=0.0,
     )
+
+
+def reference_generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
+    """``generate`` as one loop over users: draws, times, item order,
+    predictions, noise and clamping, all per user."""
+    rng = np.random.default_rng(cfg.seed)
+    users = tuple(f"u{j:05d}" for j in range(cfg.n_users))
+    items = tuple(f"i{j:05d}" for j in range(cfg.n_items))
+    params = _planted_params(cfg, rng, users, items)
+    sigma = cfg.sigma_by_level
+    lo, hi = cfg.rating_range
+    leaver = rng.random(cfg.n_users) < cfg.leaver_fraction
+    counts, item_parts, time_parts, value_parts = [], [], [], []
+    levels = {}
+    clamp_count = 0
+    for j, user in enumerate(users):
+        n_r = int(rng.integers(lo, hi + 1)) if hi > lo else lo
+        item_idx = np.sort(rng.choice(cfg.n_items, size=n_r, replace=False))
+        rng.shuffle(item_idx)
+        if leaver[j]:
+            start = rng.uniform(0.0, 0.5 * cfg.horizon)
+            end = start + rng.uniform(0.25, 0.5) * (cfg.horizon - start)
+        else:
+            start = rng.uniform(0.0, 0.8 * cfg.horizon)
+            end = float(cfg.horizon)
+        times = np.linspace(start, end, n_r).astype(np.int64) if n_r > 1 else np.array(
+            [int(start)], dtype=np.int64
+        )
+        traj = _trajectory(cfg, rng, cfg.trajectory_kind, n_r)
+        if leaver[j]:
+            traj = traj[np.arange(n_r) // 2]
+        item_idx = item_idx[np.lexsort((item_idx, times))]
+        lv0 = traj - 1
+        pred = score(params, RowIndex.of(params, lv0, j, item_idx))[0]
+        values = pred + rng.standard_normal(n_r) * sigma[lv0]
+        if cfg.clamp:
+            clamped = np.clip(values, 0.0, 5.0)
+            clamp_count += int(np.sum(clamped != values))
+            values = clamped
+        levels[user] = traj
+        counts.append(n_r)
+        item_parts.append(item_idx)
+        time_parts.append(times)
+        value_parts.append(values)
+    values = np.concatenate(value_parts)
+    dataset = Dataset(columns=Columns(
+        users, items, np.repeat(np.arange(cfg.n_users), counts), np.concatenate(item_parts),
+        np.concatenate(time_parts), values, values,
+    ))
+    truth = GroundTruth(
+        true_params=params,
+        true_levels=ExperienceAssignment(levels),
+        leaver_flags={u: bool(flag) for u, flag in zip(users, leaver)},
+        clamp_count=clamp_count,
+        n_ratings=len(dataset),
+    )
+    return dataset, truth
+
+
+REFERENCE_BASE = dict(n_users=60, n_items=40, ratings_per_user=(2, 25), seed=11)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"horizon": 10},                       # tied timestamps within a user
+    {"ratings_per_user": 1},
+    {"ratings_per_user": (20, 40)},        # hi == n_items
+    {"leaver_fraction": 0.0},
+    {"leaver_fraction": 1.0},
+    {"alpha0": 4.8, "noise_sigma": 0.5},   # many clamped ratings
+    {"alpha0": 4.8, "noise_sigma": 0.5, "clamp": False},
+    {"E": 3, "noise_sigma": (0.05, 0.3, 0.8)},
+    *({"trajectory_kind": kind} for kind in TrajectoryKind),
+    {"n_users": 100, "n_items": 100, "ratings_per_user": (30, 60), "seed": 3},
+], ids=lambda o: "-".join(f"{k}={getattr(v, 'value', v)}" for k, v in o.items()) or "base")
+def test_generate_matches_reference(overrides):
+    cfg = SynthConfig(**{**REFERENCE_BASE, **overrides})
+    data, truth = generate(cfg)
+    ref, ref_truth = reference_generate(cfg)
+    for name in ("user_code", "item_code", "times", "values", "raw_values", "offsets"):
+        got, want = getattr(data, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert data.users == ref.users and data.items == ref.items
+    assert truth.true_levels.users == ref_truth.true_levels.users
+    assert truth.true_levels.offsets.tobytes() == ref_truth.true_levels.offsets.tobytes()
+    assert truth.true_levels.column.tobytes() == ref_truth.true_levels.column.tobytes()
+    assert truth.leaver_flags == ref_truth.leaver_flags
+    assert truth.clamp_count == ref_truth.clamp_count
+    assert truth.n_ratings == ref_truth.n_ratings
 
 
 class TestGenerate:
