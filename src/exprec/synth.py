@@ -16,7 +16,6 @@ from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .dataset import Columns, Dataset
 from .model import BLOCKS, ExperienceAssignment, ModelParams, RowIndex, score
@@ -167,55 +166,60 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
     leaver = rng.random(cfg.n_users) < cfg.leaver_fraction
 
-    counts: list[int] = []
+    # the loop makes only the random draws, in their fixed order; the rest
+    # is done once for the whole corpus below
+    counts = np.empty(cfg.n_users, dtype=np.int64)
+    start = np.empty(cfg.n_users)
+    end = np.full(cfg.n_users, float(cfg.horizon))
     item_parts: list[np.ndarray] = []
-    time_parts: list[np.ndarray] = []
-    value_parts: list[np.ndarray] = []
-    levels: dict[str, np.ndarray] = {}
-    clamp_count = 0
-    for j, user in enumerate(users):
+    traj_parts: list[np.ndarray] = []
+    noise_parts: list[np.ndarray] = []
+    for j in range(cfg.n_users):
         n_r = int(rng.integers(lo, hi + 1)) if hi > lo else lo
         item_idx = np.sort(rng.choice(cfg.n_items, size=n_r, replace=False))
         rng.shuffle(item_idx)
         # staggered onboarding decouples personal clocks from corpus time;
         # leavers join early enough that their exits clear retention gaps
         if leaver[j]:
-            start = rng.uniform(0.0, 0.5 * cfg.horizon)
-            end = start + rng.uniform(0.25, 0.5) * (cfg.horizon - start)
+            start[j] = rng.uniform(0.0, 0.5 * cfg.horizon)
+            end[j] = start[j] + rng.uniform(0.25, 0.5) * (cfg.horizon - start[j])
         else:
-            start = rng.uniform(0.0, 0.8 * cfg.horizon)
-            end = float(cfg.horizon)
-        times = np.linspace(start, end, n_r).astype(np.int64) if n_r > 1 else np.array(
-            [int(start)], dtype=np.int64
-        )
-        traj = _trajectory(cfg, rng, cfg.trajectory_kind, n_r)
-        if leaver[j]:
-            # leavers walk their own trajectory at half speed
-            traj = traj[np.arange(n_r) // 2]
-        # the dataset orders tied timestamps by item; so must the levels
-        item_idx = item_idx[np.lexsort((item_idx, times))]
-        lv0 = traj - 1
-        pred = score(params, RowIndex.of(params, lv0, j, item_idx))[0]
-        noise = rng.standard_normal(n_r) * sigma[lv0]
-        values = pred + noise
-        if cfg.clamp:
-            clamped = np.clip(values, 0.0, 5.0)
-            clamp_count += int(np.sum(clamped != values))
-            values = clamped
-        levels[user] = traj
-        counts.append(n_r)
+            start[j] = rng.uniform(0.0, 0.8 * cfg.horizon)
+        counts[j] = n_r
         item_parts.append(item_idx)
-        time_parts.append(times)
-        value_parts.append(values)
+        traj_parts.append(_trajectory(cfg, rng, cfg.trajectory_kind, n_r))
+        noise_parts.append(rng.standard_normal(n_r))
 
-    values = np.concatenate(value_parts)
-    dataset = Dataset(columns=Columns(
-        users, items, np.repeat(np.arange(cfg.n_users), counts), np.concatenate(item_parts),
-        np.concatenate(time_parts), values, values,
-    ))
+    user_code = np.repeat(np.arange(cfg.n_users), counts)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    pos = np.arange(len(user_code)) - offsets[user_code]   # rank within the user
+    # each user's np.linspace(start, end, n_r): pos * step + start, the last
+    # row set to end; a single rating sits at start
+    step = (end - start) / np.maximum(counts - 1, 1)
+    times = pos * step[user_code] + start[user_code]
+    many = counts > 1
+    times[offsets[1:][many] - 1] = end[many]
+    times = times.astype(np.int64)
+    # the dataset orders a user's tied timestamps by item; times already
+    # ascend within each user, so only the items move
+    item_code = np.concatenate(item_parts)
+    item_code = item_code[np.lexsort((item_code, times, user_code))]
+    # leavers walk their own trajectory at half speed
+    walked = np.where(leaver[user_code], pos // 2, pos)
+    levels = np.concatenate(traj_parts)[offsets[user_code] + walked]
+    lv0 = levels - 1
+    values = score(params, RowIndex.of(params, lv0, user_code, item_code))[0]
+    values += np.concatenate(noise_parts) * sigma[lv0]
+    clamp_count = 0
+    if cfg.clamp:
+        clamped = np.clip(values, 0.0, 5.0)
+        clamp_count = int(np.count_nonzero(clamped != values))
+        values = clamped
+
+    dataset = Dataset(columns=Columns(users, items, user_code, item_code, times, values, values))
     truth = GroundTruth(
         true_params=params,
-        true_levels=ExperienceAssignment(levels),
+        true_levels=ExperienceAssignment(dict(zip(users, np.split(levels, offsets[1:-1])))),
         leaver_flags={u: bool(flag) for u, flag in zip(users, leaver)},
         clamp_count=clamp_count,
         n_ratings=len(dataset),
@@ -262,6 +266,8 @@ def recovery_score(truth: GroundTruth, fitted) -> RecoveryScore:
     Rank correlation absorbs monotone relabelings of the level indices.
     A constant fitted assignment has no defined correlation and is
     reported as 0.0 with ``defined=False``."""
+    from scipy.stats import spearmanr  # loading it takes about a second
+
     x = truth.true_levels.column
     y = fitted.assignment.flat(truth.true_levels)
     if np.all(y == y[0]) or np.all(x == x[0]):

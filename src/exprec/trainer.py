@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .assign import ModelKind, assign_all, assert_monotone
 from .dataset import Dataset, TrainingError
@@ -141,6 +140,14 @@ def _nonfinite_block(p: ModelParams) -> str | None:
         if not np.isfinite(block).all():
             return name
     return None
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``.  The import runs on the first call, so
+    that importing exprec does not load scipy.optimize."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def theta_step(
