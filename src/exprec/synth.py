@@ -168,12 +168,9 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
     # the loop makes only the random draws, in their fixed order; the rest
     # is done once for the whole corpus below
-    counts = np.empty(cfg.n_users, dtype=np.int64)
     start = np.empty(cfg.n_users)
     end = np.full(cfg.n_users, float(cfg.horizon))
-    item_parts: list[np.ndarray] = []
-    traj_parts: list[np.ndarray] = []
-    noise_parts: list[np.ndarray] = []
+    item_parts, traj_parts, noise_parts = [], [], []
     for j in range(cfg.n_users):
         n_r = int(rng.integers(lo, hi + 1)) if hi > lo else lo
         item_idx = np.sort(rng.choice(cfg.n_items, size=n_r, replace=False))
@@ -185,11 +182,11 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             end[j] = start[j] + rng.uniform(0.25, 0.5) * (cfg.horizon - start[j])
         else:
             start[j] = rng.uniform(0.0, 0.8 * cfg.horizon)
-        counts[j] = n_r
         item_parts.append(item_idx)
         traj_parts.append(_trajectory(cfg, rng, cfg.trajectory_kind, n_r))
         noise_parts.append(rng.standard_normal(n_r))
 
+    counts = np.fromiter(map(len, item_parts), dtype=np.int64, count=cfg.n_users)
     user_code = np.repeat(np.arange(cfg.n_users), counts)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     pos = np.arange(len(user_code)) - offsets[user_code]   # rank within the user
