@@ -1,6 +1,6 @@
 """Start-up cost: importing exprec and running the commands that never fit
-must not load scipy.stats or scipy.optimize, which take most of a second
-each to import.  Each check runs in a fresh interpreter and reads
+must not load scipy.stats or scipy.optimize, which together take about a
+second to import.  Each check runs in a fresh interpreter and reads
 ``sys.modules``, not a clock, so a busy host cannot flake it."""
 
 import json
