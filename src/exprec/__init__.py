@@ -36,7 +36,6 @@ from .evaluator import EvalReport, assign_test_levels, benefit_percent, compare,
 from .model import (
     ExperienceAssignment,
     ModelParams,
-    gradient,
     objective,
     smoothness_penalty,
     training_rows,
@@ -83,7 +82,6 @@ __all__ = [
     "find_monotonicity_violation",
     "fit",
     "generate",
-    "gradient",
     "initialize",
     "mse",
     "normalize_rating",

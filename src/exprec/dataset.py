@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -133,12 +132,12 @@ class Dataset:
     times, item_code), and user ``users[j]`` owns the contiguous rows
     ``offsets[j]:offsets[j + 1]``.
 
-    Build one from :class:`Rating` objects or from :class:`Columns`.
+    Build one from :class:`Rating` objects or from :class:`Columns`;
+    rows are read back only through the columns.
     The user id :data:`BACKGROUND_USER` is the pooled pseudo-user (see
     :func:`pool_infrequent_users`), which may rate an item more than once.
-    ``ratings``, ``user_ratings``, ``user_seq``, ``item_seq``,
-    ``user_index`` and ``item_index`` are per-row and per-key views built
-    on first use.
+    ``item_seq``, ``user_index`` and ``item_index`` are per-row and
+    per-key views built on first use.
     """
 
     def __init__(self, ratings: Iterable[Rating] = (), *, columns: Columns | None = None):
@@ -164,9 +163,8 @@ class Dataset:
         # the pooled pseudo-user may legitimately hold several ratings of
         # the same item, contributed by distinct original users
         key = self.user_code * len(self.items) + self.item_code
-        bg = self._code_of(self.users, BACKGROUND_USER)
-        if bg is not None:
-            key = key[self.user_code != bg]
+        if BACKGROUND_USER in self.users:
+            key = key[self.user_code != self.users.index(BACKGROUND_USER)]
         key = np.sort(key)
         repeated = key[1:][key[1:] == key[:-1]]
         if len(repeated):
@@ -175,11 +173,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @staticmethod
-    def _code_of(keys: tuple[str, ...], key: str) -> int | None:
-        j = bisect_left(keys, key)
-        return j if j < len(keys) and keys[j] == key else None
 
     def per_user(self, column: np.ndarray) -> list[np.ndarray]:
         """``column`` (one entry per row) cut into each user's run of rows,
@@ -206,33 +199,6 @@ class Dataset:
             self.users, self.items, self.user_code[positions], self.item_code[positions],
             self.times[positions], self.values[positions], self.raw_values[positions],
         ))
-
-    # --- views for callers that want rows or per-key positions ---------------
-
-    def _rows(self, rows: slice) -> tuple[Rating, ...]:
-        return tuple(map(
-            Rating,
-            map(self.users.__getitem__, self.user_code[rows].tolist()),
-            map(self.items.__getitem__, self.item_code[rows].tolist()),
-            self.values[rows].tolist(),
-            self.times[rows].tolist(),
-            self.raw_values[rows].tolist(),
-        ))
-
-    @cached_property
-    def ratings(self) -> tuple[Rating, ...]:
-        return self._rows(slice(None))
-
-    def user_ratings(self, user: str) -> tuple[Rating, ...]:
-        """A user's ratings in chronological (timestamp, item) order."""
-        j = self._code_of(self.users, user)
-        if j is None:
-            raise KeyError(user)
-        return self._rows(slice(int(self.offsets[j]), int(self.offsets[j + 1])))
-
-    @cached_property
-    def user_seq(self) -> tuple[str, ...]:
-        return tuple(map(self.users.__getitem__, self.user_code.tolist()))
 
     @cached_property
     def item_seq(self) -> tuple[str, ...]:

@@ -110,25 +110,12 @@ class ModelParams:
         blocks = _split_levels(np.array(vec, dtype=np.float64), E, len(users), len(items), K)
         return cls(users, items, *blocks)
 
-    def predict(self, level: int, user: str, item: str) -> float:
-        """Score one (user, item) pair at the given experience level.
-
-        The score is not clamped to the rating scale.  Unknown users or
-        items contribute zero bias and zero factor vectors, so the
-        prediction degrades gracefully to the known terms.
-        """
-        if not (1 <= level <= self.E):
-            raise ValueError(f"level {level} out of range 1..{self.E}")
-        u = self._user_pos.get(user, -1)
-        i = self._item_pos.get(item, -1)
-        return float(predictions_for(self, np.array([level]), np.array([u]), np.array([i]))[0])
-
-    def encode_users(self, user_seq) -> np.ndarray:
+    def encode_users(self, users) -> np.ndarray:
         """Integer positions for a user sequence, -1 for unknown users."""
-        return np.array([self._user_pos.get(u, -1) for u in user_seq], dtype=np.int64)
+        return np.array([self._user_pos.get(u, -1) for u in users], dtype=np.int64)
 
-    def encode_items(self, item_seq) -> np.ndarray:
-        return np.array([self._item_pos.get(i, -1) for i in item_seq], dtype=np.int64)
+    def encode_items(self, items) -> np.ndarray:
+        return np.array([self._item_pos.get(i, -1) for i in items], dtype=np.int64)
 
 
 class ExperienceAssignment:
@@ -300,12 +287,6 @@ def objective(p: ModelParams, a: ExperienceAssignment, train: Dataset, lam: floa
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     return error_term(p, training_rows(p, a, train), train.values) + lam * smoothness_penalty(p)
-
-
-def gradient(p: ModelParams, a: ExperienceAssignment, train: Dataset, lam: float) -> np.ndarray:
-    """Analytic gradient of :func:`objective` in flattening order."""
-    _, grad = objective_and_gradient(p, training_rows(p, a, train), train.values, lam)
-    return grad
 
 
 def objective_and_gradient(

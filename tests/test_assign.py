@@ -434,7 +434,7 @@ class TestPredictionCosts:
             rng.normal(0, 0.5, size=ModelParams.zeros(full.users, full.items, 2, 2).n_params),
             full.users, full.items, 2, 2,
         )
-        keep = [pos for pos in range(len(full)) if full.user_seq[pos] != "u1"
+        keep = [pos for pos in range(len(full)) if full.users[full.user_code[pos]] != "u1"
                 and full.item_seq[pos] not in ("i0", "i3")]
         sub = full.subset(keep)
         assert sub.users != p.users and sub.items != p.items

@@ -3,6 +3,7 @@
 import io
 import logging
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -30,6 +31,16 @@ def make_dataset(rows):
     return Dataset([Rating(u, i, v, t, v) for (u, i, v, t) in rows])
 
 
+def rows_of(d):
+    """``d``'s rows as (user, item, value, timestamp, raw) tuples, in
+    canonical order."""
+    return list(zip(
+        map(d.users.__getitem__, d.user_code.tolist()),
+        map(d.items.__getitem__, d.item_code.tolist()),
+        d.values.tolist(), d.times.tolist(), d.raw_values.tolist(),
+    ))
+
+
 def duplicate_warnings(caplog):
     return [r.getMessage() for r in caplog.records
             if (r.name, r.levelno) == ("exprec.dataset", logging.WARNING)]
@@ -41,28 +52,28 @@ class ReferenceDataset:
     ``reference_parse``, ``reference_pool`` and ``reference_split``."""
 
     def __init__(self, ratings):
-        self.ratings = tuple(sorted(ratings, key=lambda r: (r.user, r.timestamp, r.item)))
+        self.rows = tuple(sorted(ratings, key=lambda r: (r.user, r.timestamp, r.item)))
         self.user_index = {}
-        for pos, r in enumerate(self.ratings):
+        for pos, r in enumerate(self.rows):
             self.user_index.setdefault(r.user, []).append(pos)
         self.users = tuple(sorted(self.user_index))
-        self.items = tuple(sorted({r.item for r in self.ratings}))
+        self.items = tuple(sorted({r.item for r in self.rows}))
 
     @property
     def codes(self):
         user_pos = {u: j for j, u in enumerate(self.users)}
         item_pos = {i: j for j, i in enumerate(self.items)}
-        return (np.array([user_pos[r.user] for r in self.ratings], dtype=np.int64),
-                np.array([item_pos[r.item] for r in self.ratings], dtype=np.int64))
+        return (np.array([user_pos[r.user] for r in self.rows], dtype=np.int64),
+                np.array([item_pos[r.item] for r in self.rows], dtype=np.int64))
 
     def global_time_order(self):
-        users = np.array([r.user for r in self.ratings], dtype=object)
-        items = np.array([r.item for r in self.ratings], dtype=object)
-        times = np.array([r.timestamp for r in self.ratings], dtype=np.int64)
+        users = np.array([r.user for r in self.rows], dtype=object)
+        items = np.array([r.item for r in self.rows], dtype=object)
+        times = np.array([r.timestamp for r in self.rows], dtype=np.int64)
         return np.lexsort((items, users, times))
 
     def subset(self, positions):
-        return ReferenceDataset(self.ratings[p] for p in positions)
+        return ReferenceDataset(self.rows[p] for p in positions)
 
 
 def reference_parse(text, config=FormatConfig()):
@@ -116,7 +127,7 @@ def reference_pool(d, min_ratings):
     if not move:
         return d
     pooled = [Rating(BACKGROUND_USER, r.item, r.value, r.timestamp, r.raw_value)
-              if r.user in move else r for r in d.ratings]
+              if r.user in move else r for r in d.rows]
     return ReferenceDataset(pooled)
 
 
@@ -141,7 +152,7 @@ def reference_split(d, spec):
 
 
 def assert_same(got, want):
-    assert got.ratings == want.ratings
+    assert rows_of(got) == list(map(astuple, want.rows))
     assert got.users == want.users
     assert got.items == want.items
     for a, b in zip((got.user_code, got.item_code), want.codes):
@@ -205,10 +216,7 @@ class TestParseReviews:
         text = "user\titem\trating\ttimestamp\nu1\ti9\t17\t1200000000\n"
         d = parse_reviews(io.StringIO(text), FormatConfig(scale_max=20))
         assert len(d) == 1
-        r = d.ratings[0]
-        assert r.value == 4.25
-        assert r.raw_value == 17
-        assert r.timestamp == 1200000000
+        assert rows_of(d) == [("u1", "i9", 4.25, 1200000000, 17.0)]
 
     def test_duplicate_keeps_earliest(self, caplog):
         text = (
@@ -218,7 +226,7 @@ class TestParseReviews:
         )
         d = parse_reviews(io.StringIO(text))
         assert len(d) == 1
-        assert d.ratings[0].timestamp == 10
+        assert d.times.tolist() == [10]
         assert duplicate_warnings(caplog) == ["dropped 1 duplicate (user, item) rows"]
 
     def test_rating_out_of_range_names_line(self):
@@ -247,7 +255,7 @@ class TestParseReviews:
         text = "item\tuser\ttaste\ttimestamp\trating\ni1\tu1\t8\t5\t2\n"
         cfg = FormatConfig(rating_col="taste", scale_max=10)
         d = parse_reviews(io.StringIO(text), cfg)
-        assert d.ratings[0].value == 4.0
+        assert d.values.tolist() == [4.0]
 
     def test_missing_column(self):
         text = "user\titem\tscore\ttimestamp\nu1\ti1\t3\t0\n"
@@ -280,7 +288,7 @@ class TestParseReviews:
     def test_blank_lines_skipped(self):
         text = "user\titem\trating\ttimestamp\n\nu1\ti1\t3\t0\n\t\n\nu1\ti2\t4\t1\n\n"
         d = parse_reviews(io.StringIO(text))
-        assert [(r.item, r.value) for r in d.ratings] == [("i1", 3.0), ("i2", 4.0)]
+        assert [(i, v) for _, i, v, _, _ in rows_of(d)] == [("i1", 3.0), ("i2", 4.0)]
 
     def test_first_bad_row_wins_across_checks(self):
         # row 3 fails the range check, row 4 the column count, row 5 the
@@ -320,7 +328,7 @@ class TestParseReviews:
             "u1\ti9\t5\t10\n"
         )
         d = parse_reviews(io.StringIO(text))
-        assert [(r.user, r.value, r.timestamp) for r in d.ratings] == [
+        assert [(u, v, t) for u, _, v, t, _ in rows_of(d)] == [
             ("u1", 4.0, 10), ("u2", 1.0, 10)
         ]
         assert duplicate_warnings(caplog) == ["dropped 3 duplicate (user, item) rows"]
@@ -337,7 +345,7 @@ class TestParseReviews:
             "u1\ti9\t5\t10\n"
         )
         d = parse_reviews(io.StringIO(text))
-        assert [(r.user, r.value, r.timestamp) for r in d.ratings] == [
+        assert [(u, v, t) for u, _, v, t, _ in rows_of(d)] == [
             (BACKGROUND_USER, 3.0, 5), (BACKGROUND_USER, 4.0, 10), (BACKGROUND_USER, 2.0, 10),
             ("u1", 1.0, 10),
         ]
@@ -347,12 +355,12 @@ class TestParseReviews:
         text = "user\titem\trating\ttimestamp\n u1 \t i1\t 2.5 \t 3 \n"
         d = parse_reviews(io.StringIO(text))
         assert d.users == ("u1",) and d.items == ("i1",)
-        assert (d.ratings[0].value, d.ratings[0].timestamp) == (2.5, 3)
+        assert rows_of(d) == [("u1", "i1", 2.5, 3, 2.5)]
 
     def test_bytes_source_and_custom_delimiter(self):
         text = "user,item,rating,timestamp\nv\tä,é,4,2\nv\tä,b,1,1\n"
         d = parse_reviews(text.encode("utf-8"), FormatConfig(delimiter=","))
-        assert [(r.user, r.item) for r in d.ratings] == [("v\tä", "b"), ("v\tä", "é")]
+        assert [(u, i) for u, i, _, _, _ in rows_of(d)] == [("v\tä", "b"), ("v\tä", "é")]
 
 
 class TestWriteReviews:
@@ -389,8 +397,7 @@ class TestWriteReviews:
         path = tmp_path / "out.tsv"
         write_reviews(d, path)
         back = parse_reviews(path)
-        assert back.ratings == tuple(Rating(r.user, r.item, r.value, r.timestamp, r.value)
-                                     for r in d.ratings)
+        assert rows_of(back) == [(u, i, v, t, v) for u, i, v, t, _ in rows_of(d)]
 
     def test_pooled_round_trip(self, tmp_path, caplog):
         # the pooled user's repeated items survive the file: same keys,
@@ -413,7 +420,7 @@ class TestWriteReviews:
 class TestDatasetInvariants:
     def test_per_user_chronological_order_with_item_tiebreak(self):
         d = make_dataset([("u", "b", 1.0, 10), ("u", "a", 2.0, 10), ("u", "c", 3.0, 5)])
-        items = [r.item for r in d.user_ratings("u")]
+        items = [i for _, i, _, _, _ in rows_of(d)]
         assert items == ["c", "a", "b"]
 
     def test_duplicate_pair_rejected(self):
@@ -450,9 +457,9 @@ class TestPooling:
     def test_background_sorted_and_items_untouched(self):
         rows = [("b", "i2", 1.0, 7), ("c", "i1", 2.0, 3)]
         pooled = pool_infrequent_users(make_dataset(rows), 50)
-        bg = pooled.user_ratings(BACKGROUND_USER)
-        assert [r.timestamp for r in bg] == [3, 7]
-        assert [r.item for r in bg] == ["i1", "i2"]
+        assert [(u, i, t) for u, i, _, t, _ in rows_of(pooled)] == [
+            (BACKGROUND_USER, "i1", 3), (BACKGROUND_USER, "i2", 7)
+        ]
 
     def test_background_may_repeat_items(self):
         rows = [("b", "i1", 1.0, 1), ("c", "i1", 2.0, 2)]
@@ -480,9 +487,9 @@ class TestSplit:
             self.user10(),
             SplitSpec(SplitScheme.FINAL, test_fraction=0.2, validation_fraction=0.1, seed=0),
         )
-        assert sorted(r.timestamp for r in test.ratings) == [9, 10]
-        assert sorted(r.timestamp for r in val.ratings) == [8]
-        assert sorted(r.timestamp for r in train.ratings) == list(range(1, 8))
+        assert sorted(test.times.tolist()) == [9, 10]
+        assert sorted(val.times.tolist()) == [8]
+        assert sorted(train.times.tolist()) == list(range(1, 8))
 
     def test_random_quota_exact(self):
         _, _, test = split(
@@ -495,7 +502,7 @@ class TestSplit:
         a = split(self.user10(), spec)
         b = split(self.user10(), spec)
         for left, right in zip(a, b):
-            assert [r.item for r in left.ratings] == [r.item for r in right.ratings]
+            assert left.item_seq == right.item_seq
 
     def test_impossible_fractions(self):
         with pytest.raises(DataError):
@@ -511,12 +518,10 @@ class TestSplit:
         d = make_dataset(rows)
         for scheme in SplitScheme:
             train, val, test = split(d, SplitSpec(scheme, 0.2, 0.15, seed=1))
-            key = lambda r: (r.user, r.item)
-            all_keys = sorted(map(key, d.ratings))
-            out_keys = sorted(map(key, train.ratings + val.ratings + test.ratings))
-            assert all_keys == out_keys
-            assert not (set(map(key, train.ratings)) & set(map(key, test.ratings)))
-            assert not (set(map(key, val.ratings)) & set(map(key, test.ratings)))
+            keys = lambda part: [r[:2] for r in rows_of(part)]
+            assert sorted(keys(d)) == sorted(keys(train) + keys(val) + keys(test))
+            assert not (set(keys(train)) & set(keys(test)))
+            assert not (set(keys(val)) & set(keys(test)))
             for user in d.users:
                 assert user in train.users  # at least one training rating per user
                 for part in (train, val, test):
@@ -578,7 +583,7 @@ class TestMatchesRowReference:
         got = pool_infrequent_users(Dataset(ratings), 3)
         want = reference_pool(ReferenceDataset(ratings), 3)
         assert_same(got, want)
-        assert [r.value for r in got.ratings] == [1.0, 2.0, 3.0, 4.0]
+        assert got.values.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 class TestColumns:
@@ -588,9 +593,9 @@ class TestColumns:
         assert d.user_code.tolist() == [0, 0, 1]
         assert d.item_code.tolist() == [0, 1, 0]
         assert d.offsets.tolist() == [0, 2, 3]
-        assert [r.item for r in d.user_ratings("b")] == ["x"]
+        assert [i for u, i, _, _, _ in rows_of(d) if u == "b"] == ["x"]
         with pytest.raises(KeyError):
-            d.user_ratings("zed")
+            d.user_index["zed"]
         for column in (d.user_code, d.item_code, d.times, d.values, d.raw_values, d.offsets):
             assert not column.flags.writeable
 
@@ -611,5 +616,5 @@ class TestColumns:
     def test_empty(self):
         d = Dataset([])
         assert len(d) == 0 and d.users == () and d.offsets.tolist() == [0]
-        assert d.ratings == () and d.global_time_order().tolist() == []
+        assert rows_of(d) == [] and d.global_time_order().tolist() == []
         assert [len(part) for part in split(d, SplitSpec())] == [0, 0, 0]

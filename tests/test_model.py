@@ -14,7 +14,6 @@ from exprec.model import (
     ExperienceAssignment,
     ModelParams,
     error_term,
-    gradient,
     objective,
     objective_and_gradient,
     params_from_level_dicts,
@@ -23,7 +22,20 @@ from exprec.model import (
     predictions_for,
     score,
     smoothness_penalty,
+    training_rows,
 )
+
+
+def predict_one(p, level, user, item):
+    """One (user, item) pair's prediction at ``level``, through the
+    vectorized path; an unknown key is encoded as -1."""
+    return float(predictions_for(p, np.array([level]), p.encode_users([user]),
+                                 p.encode_items([item]))[0])
+
+
+def analytic_gradient(p, a, d, lam):
+    """The analytic gradient of ``objective``, as the theta step gets it."""
+    return objective_and_gradient(p, training_rows(p, a, d), d.values, lam)[1]
 
 
 def finite_difference_gradient(p, a, d, lam, h=1e-5):
@@ -66,7 +78,8 @@ class TestPredict:
     def test_offset_only(self):
         p = ModelParams.zeros(("u",), ("i",), E=2, K=3)
         p.alpha[:] = 3.0
-        assert p.predict(1, "u", "i") == 3.0
+        assert predict_one(p, 1, "u", "i") == 3.0
+        assert predict_one(p, 2, "u", "i") == 3.0
 
     def test_hand_arithmetic(self):
         p = ModelParams.zeros(("u",), ("i",), E=1, K=2)
@@ -75,18 +88,13 @@ class TestPredict:
         p.item_bias[0, 0] = 0.2
         p.user_factors[0, 0] = [0.1, 0.2]
         p.item_factors[0, 0] = [0.3, -0.1]
-        assert p.predict(1, "u", "i") == pytest.approx(3.31)
+        assert predict_one(p, 1, "u", "i") == pytest.approx(3.31)
 
     def test_cold_item_fallback(self):
         p = ModelParams.zeros(("u",), ("i",), E=1, K=2)
         p.alpha[0] = 3.0
         p.user_bias[0, 0] = 0.5
-        assert p.predict(1, "u", "unknown") == pytest.approx(3.5)
-
-    def test_level_out_of_range(self):
-        p = ModelParams.zeros(("u",), ("i",), E=2, K=1)
-        with pytest.raises(ValueError):
-            p.predict(3, "u", "i")
+        assert predict_one(p, 1, "u", "unknown") == pytest.approx(3.5)
 
     def test_single_level_is_plain_latent_factor(self):
         rng = np.random.default_rng(1)
@@ -102,7 +110,7 @@ class TestPredict:
             + p.item_bias[0, 0]
             + float(np.dot(p.user_factors[0, 0], p.item_factors[0, 0]))
         )
-        assert p.predict(1, "u", "i") == pytest.approx(manual, rel=1e-15)
+        assert predict_one(p, 1, "u", "i") == pytest.approx(manual, rel=1e-15)
 
 
 def reference_score(p, lv0, uidx, iidx):
@@ -338,7 +346,7 @@ class TestGradient:
         p.alpha[:] = 4.0
         d = Dataset([Rating("u", "i", 4.0, 0, 4.0)])
         a = ExperienceAssignment({"u": np.array([1])})
-        g = gradient(p, a, d, lam=5.0)
+        g = analytic_gradient(p, a, d, lam=5.0)
         assert np.allclose(g, 0.0)
 
     def test_single_rating_alpha_coordinate(self):
@@ -347,7 +355,7 @@ class TestGradient:
         p.alpha[:] = 4.5  # residual 0.5 against rating 4.0
         d = Dataset([Rating("u", "i", 4.0, 0, 4.0)])
         a = ExperienceAssignment({"u": np.array([2])})
-        g = gradient(p, a, d, lam=0.0)
+        g = analytic_gradient(p, a, d, lam=0.0)
         per_level = 1 + 1 + 1 + 1 + 1
         alphas = [g[e * per_level] for e in range(3)]
         assert alphas[1] == pytest.approx(1.0)  # 2 * 0.5 / |T| with |T| = 1
@@ -356,7 +364,7 @@ class TestGradient:
     @pytest.mark.parametrize("seed", [11, 22, 33])
     def test_matches_finite_differences(self, seed):
         p, a, d, lam = random_instance(seed)
-        analytic = gradient(p, a, d, lam)
+        analytic = analytic_gradient(p, a, d, lam)
         numeric = finite_difference_gradient(p, a, d, lam)
         mask = np.abs(analytic) > 1e-8
         rel = np.abs(numeric[mask] - analytic[mask]) / np.abs(analytic[mask])

@@ -122,9 +122,9 @@ class TestGenerate:
         cfg = SynthConfig(n_users=20, n_items=30, ratings_per_user=(5, 12), seed=42)
         d1, t1 = generate(cfg)
         d2, t2 = generate(cfg)
-        assert [(r.user, r.item, r.value, r.timestamp) for r in d1.ratings] == [
-            (r.user, r.item, r.value, r.timestamp) for r in d2.ratings
-        ]
+        assert d1.users == d2.users and d1.items == d2.items
+        for column in ("user_code", "item_code", "values", "times"):
+            assert np.array_equal(getattr(d1, column), getattr(d2, column)), column
         for u in t1.true_levels.levels:
             assert np.array_equal(t1.true_levels.levels[u], t2.true_levels.levels[u])
 
@@ -132,7 +132,7 @@ class TestGenerate:
         base = dict(n_users=10, n_items=30, ratings_per_user=8)
         d1, _ = generate(SynthConfig(seed=1, **base))
         d2, _ = generate(SynthConfig(seed=2, **base))
-        assert [r.value for r in d1.ratings] != [r.value for r in d2.ratings]
+        assert d1.values.tolist() != d2.values.tolist()
 
     def test_already_expert_constant_top(self):
         cfg = SynthConfig(n_users=12, n_items=30, ratings_per_user=10, E=4,

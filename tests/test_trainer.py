@@ -10,7 +10,9 @@ import pytest
 from exprec import trainer
 from exprec.assign import ModelKind, assign_all
 from exprec.dataset import Dataset, Rating, SplitScheme, SplitSpec, TrainingError, split
-from exprec.model import ExperienceAssignment, objective, smoothness_penalty, training_rows
+from exprec.model import (
+    ExperienceAssignment, objective, predictions_for, smoothness_penalty, training_rows,
+)
 from exprec.synth import SynthConfig, TrajectoryKind, generate
 from exprec.trainer import FittedModel, TrainConfig, e_step, fit, fit_single_lambda, initialize, theta_step
 
@@ -101,7 +103,8 @@ class TestThetaStep:
                           inner_max_iters=500, seed=0, model_kind=ModelKind.FLAT)
         p, a = initialize(d, cfg)
         p2 = theta_step(p, training_rows(p, a, d), d.values, lam=0.0, cfg=cfg)
-        assert p2.predict(1, "u", "i") == pytest.approx(4.2, abs=1e-3)
+        pred = predictions_for(p2, np.array([1]), d.user_code, d.item_code)
+        assert pred.tolist() == pytest.approx([4.2], abs=1e-3)
 
     def test_descent_contract(self):
         data, _ = small_corpus(seed=3)
