@@ -97,15 +97,22 @@ class FittedModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FittedModel":
-        params = params_from_level_dicts(doc["levels"], K=int(doc["K"]))
-        if params.E != int(doc["E"]):
+        """Raises ValueError for a missing key, or for an assignment level
+        outside 1..E, which would score its rating with another level's
+        parameters."""
+        try:
+            params = params_from_level_dicts(doc["levels"], K=int(doc["K"]))
+            E, assignment = int(doc["E"]), ExperienceAssignment(doc["assignment"])
+            kind, lam = ModelKind(doc["model_kind"]), float(doc["lambda"])
+        except KeyError as exc:
+            raise ValueError(f"model file lacks key {exc}") from None
+        if params.E != E:
             raise ValueError("serialized E disagrees with level count")
-        return cls(
-            params=params,
-            assignment=ExperienceAssignment(doc["assignment"]),
-            kind=ModelKind(doc["model_kind"]),
-            lam=float(doc["lambda"]),
-        )
+        column = assignment.column
+        if len(column) and not (column.min() >= 1 and column.max() <= E):
+            user = next(u for u, lv in assignment.levels.items() if ((lv < 1) | (lv > E)).any())
+            raise ValueError(f"assignment of user {user!r} has a level outside 1..{E}")
+        return cls(params=params, assignment=assignment, kind=kind, lam=lam)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()) + "\n", encoding="utf-8")

@@ -285,6 +285,33 @@ class TestValidateCommand:
         assert not (tmp_path / "out").exists()
 
 
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("case", ["empty", "level_0", "level_E_plus_1"])
+    @pytest.mark.parametrize("command", ["evaluate", "validate"])
+    def test_exits_2_with_one_error_line(self, split_dir, model_path, tmp_path, capsys, command, case):
+        # a level outside 1..E would score its rating with another level's
+        # parameters, or fail deep inside the evaluator
+        doc = json.loads(Path(model_path).read_text())
+        user = sorted(doc["assignment"])[0]
+        if case == "empty":
+            doc = {}
+            want = "error: model file lacks key 'levels'\n"
+        else:
+            doc["assignment"][user][-1] = 0 if case == "level_0" else doc["E"] + 1
+            want = f"error: assignment of user {user!r} has a level outside 1..3\n"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        extra = {
+            "validate": [],
+            "evaluate": ["--test", str(split_dir / "test.tsv"), "--out", str(tmp_path / "out")],
+        }[command]
+        rc = main([command, "--model", str(bad), "--train", str(split_dir / "train.tsv"), *extra])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == want and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestIngestCommand:
     def test_normalizes_and_pools(self, tmp_path, capsys):
         raw = tmp_path / "raw.tsv"
