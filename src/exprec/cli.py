@@ -16,6 +16,7 @@ import json
 import logging
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .dataset import (
 )
 from .evaluator import compare, mse
 from .synth import SynthConfig, TrajectoryKind, generate
-from .trainer import DEFAULT_LAMBDA_GRID, FittedModel, TrainConfig, fit
+from .trainer import FittedModel, TrainConfig, fit
 from .model import params_to_level_dicts
 
 MODEL_CHOICES = [k.value for k in ModelKind]
@@ -54,23 +55,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_format_flags(p: argparse.ArgumentParser):
-    p.add_argument("--delimiter", default="\t")
-    p.add_argument("--user-col", default="user")
-    p.add_argument("--item-col", default="item")
-    p.add_argument("--rating-col", default="rating")
-    p.add_argument("--timestamp-col", default="timestamp")
-    p.add_argument("--scale-max", type=float, default=5.0)
+    """One flag per :class:`FormatConfig` field, ``--user-col`` for
+    ``user_col``, with the field's default."""
+    for f in fields(FormatConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
 def _format_config(args) -> FormatConfig:
-    return FormatConfig(
-        delimiter=args.delimiter,
-        user_col=args.user_col,
-        item_col=args.item_col,
-        rating_col=args.rating_col,
-        timestamp_col=args.timestamp_col,
-        scale_max=args.scale_max,
-    )
+    return FormatConfig(**{f.name: getattr(args, f.name) for f in fields(FormatConfig)})
+
+
+def _config_file(path, cls) -> dict:
+    """The JSON object in ``path``; raises DataError naming every key that
+    is not a field of the dataclass ``cls``."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise DataError(f"config file {path}: expected a JSON object")
+    unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise DataError(f"config file {path}: unknown keys {unknown} for {cls.__name__}")
+    return doc
 
 
 def _load_dataset(path, args) -> Dataset:
@@ -111,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-outer-iters", type=int, default=None)
     p.add_argument("--inner-tolerance", type=float, default=None)
     p.add_argument("--inner-max-iters", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON file with the same keys; flags override")
+    p.add_argument("--config", default=None, help="JSON file of TrainConfig fields; flags override")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     _add_format_flags(p)
@@ -199,31 +203,26 @@ def cmd_split(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    file_cfg = {}
-    if args.config:
-        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    file_cfg = _config_file(args.config, TrainConfig) if args.config else {}
+    default = TrainConfig()
 
-    def pick(flag_value, key, default):
+    def pick(flag_value, key):
         if flag_value is not None:
             return flag_value
-        return file_cfg.get(key, default)
+        return file_cfg.get(key, getattr(default, key))
 
-    grid = pick(args.lambda_grid, "lambda_grid", None)
+    grid = pick(args.lambda_grid, "lambda_grid")
     if isinstance(grid, str):
-        grid = tuple(float(x) for x in grid.split(","))
-    elif grid is not None:
-        grid = tuple(float(x) for x in grid)
-    else:
-        grid = DEFAULT_LAMBDA_GRID
+        grid = grid.split(",")
     return TrainConfig(
-        E=int(pick(args.E, "E", 5)),
-        K=int(pick(args.K, "K", 5)),
-        lambda_grid=grid,
-        max_outer_iters=int(pick(args.max_outer_iters, "max_outer_iters", 50)),
-        inner_tolerance=float(pick(args.inner_tolerance, "inner_tolerance", 1e-6)),
-        inner_max_iters=int(pick(args.inner_max_iters, "inner_max_iters", 1000)),
-        seed=int(pick(args.seed, "seed", 0)),
-        model_kind=ModelKind(pick(args.model, "model_kind", "d")),
+        E=int(pick(args.E, "E")),
+        K=int(pick(args.K, "K")),
+        lambda_grid=tuple(float(x) for x in grid),
+        max_outer_iters=int(pick(args.max_outer_iters, "max_outer_iters")),
+        inner_tolerance=float(pick(args.inner_tolerance, "inner_tolerance")),
+        inner_max_iters=int(pick(args.inner_max_iters, "inner_max_iters")),
+        seed=int(pick(args.seed, "seed")),
+        model_kind=ModelKind(pick(args.model, "model_kind")),
     )
 
 
@@ -367,7 +366,7 @@ def cmd_analyze(args) -> int:
 def cmd_synth(args) -> int:
     kwargs = {}
     if args.config:
-        kwargs = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        kwargs = _config_file(args.config, SynthConfig)
         if "trajectory_kind" in kwargs:
             kwargs["trajectory_kind"] = TrajectoryKind(kwargs["trajectory_kind"])
         if "ratings_per_user" in kwargs and isinstance(kwargs["ratings_per_user"], list):

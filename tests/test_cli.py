@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from exprec import trainer, validate
-from exprec.cli import main
+from exprec.cli import _format_config, _train_config, build_parser, main
 from exprec.dataset import FormatConfig, TrainingError, parse_reviews
-from exprec.trainer import FittedModel
+from exprec.trainer import FittedModel, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,39 @@ class TestMissingFile:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
         assert not Path(out).exists()
+
+
+class TestConfigFile:
+    def test_unknown_fit_keys_exit_2(self, split_dir, tmp_path, capsys):
+        # misspelt keys used to train the default grid without a word
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps({"E": 2, "lambda_grd": [1.0], "max_outer_iter": 2}))
+        out = tmp_path / "model.json"
+        rc = main([
+            "fit", "--input", str(split_dir / "train.tsv"), "--valid", str(split_dir / "valid.tsv"),
+            "--config", str(cfg), "--lambda-grid", "1", "--max-outer-iters", "1", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"error: config file {cfg}: unknown keys "
+                       "['lambda_grd', 'max_outer_iter'] for TrainConfig\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [{"n_user": 40}, [40]])
+    def test_bad_synth_config_exits_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "corpus.tsv"
+        rc = main(["synth", "--config", str(cfg), "--out", str(out), "--truth", str(tmp_path / "t.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_flag_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["fit", "--input", "t", "--valid", "v", "--out", "m"])
+        assert _train_config(args) == TrainConfig()
+        assert _format_config(args) == FormatConfig()
 
 
 class TestSynthCommand:
