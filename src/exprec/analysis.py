@@ -150,10 +150,16 @@ def agreement_variance(
     and, per item, gathers the ratings whose interpolated experience
     falls inside it.  Cohorts of at least ``min_cohort`` ratings
     contribute their population variance; each emitted point is the mean
-    over qualifying cohorts.  Windows with no cohort are skipped.
+    over qualifying cohorts.  Windows with no cohort are skipped.  Raises
+    ValueError unless ``min_cohort >= 2``, ``step`` is finite and > 0 and
+    ``window >= 0``.
     """
     if min_cohort < 2:
         raise ValueError("min_cohort must be >= 2")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("step must be finite and > 0")
+    if not window >= 0:
+        raise ValueError("window must be >= 0")
     E = m.params.E
     n = len(train)
     x = np.empty(n, dtype=np.float64)

@@ -299,7 +299,10 @@ def _load_genres(path) -> dict[str, str]:
 def cmd_analyze(args) -> int:
     model = FittedModel.load(args.model)
     train = _load_dataset(args.train, args)
-    model.assignment.flat(train)  # a mismatched train file fails before any output
+    # a mismatched train file or a bad window fails before any output
+    agreement = analysis_mod.agreement_variance(
+        model, train, min_cohort=args.min_cohort, window=args.window, step=args.step
+    )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -328,9 +331,6 @@ def cmd_analyze(args) -> int:
     else:
         print("skipping taste scores: model has a single level", file=sys.stderr)
 
-    agreement = analysis_mod.agreement_variance(
-        model, train, min_cohort=args.min_cohort, window=args.window, step=args.step
-    )
     _write_csv(
         out / "agreement.csv",
         ["experience", "mean_variance", "n_cohorts"],

@@ -1,5 +1,7 @@
 """Acquired-taste scores, genre summaries, agreement, progression, retention."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,15 @@ class TestAgreementVariance:
         with pytest.warns(UserWarning):
             points = agreement_variance(m, train, min_cohort=3, window=0.5)
         assert points == []
+
+    @pytest.mark.parametrize("step, window", [
+        (0.0, 0.5), (-0.1, 0.5), (math.nan, 0.5), (math.inf, 0.5), (0.1, -1.0), (0.1, math.nan),
+    ])
+    def test_bad_step_or_window_rejected(self, step, window):
+        # step 0 divided by zero; a negative step or window gave an empty curve
+        m, train = self.two_user_cohort([3.0, 5.0])
+        with pytest.raises(ValueError, match="^(step|window) must be"):
+            agreement_variance(m, train, min_cohort=2, window=window, step=step)
 
     def test_planted_level_noise_recovered(self):
         sigma = np.array([0.5, 0.42, 0.35, 0.28, 0.2])

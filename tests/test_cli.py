@@ -254,6 +254,18 @@ class TestAnalyzeCommand:
         assert all(line.startswith(("warning: ", "progression cohorts: ")) for line in err.splitlines())
 
 
+    @pytest.mark.parametrize("flag, value", [("--step", "0"), ("--step", "-0.1"), ("--window", "-1")])
+    def test_bad_window_exits_2_before_any_output(self, split_dir, model_path, tmp_path, capsys,
+                                                  flag, value):
+        out_dir = tmp_path / "analysis"
+        rc = main(["analyze", "--model", str(model_path), "--train", str(split_dir / "train.tsv"),
+                   "--out-dir", str(out_dir), flag, value])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {flag[2:]} must be") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+
 class TestValidateCommand:
     def test_valid_model_passes(self, corpus, split_dir, model_path, capsys):
         rc = main(["validate", "--model", str(model_path), "--train", str(split_dir / "train.tsv")])
