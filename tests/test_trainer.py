@@ -257,19 +257,22 @@ class TestFit:
         for user in m.assignment.levels:
             assert np.array_equal(loaded.assignment.levels[user], m.assignment.levels[user])
 
-    @pytest.mark.parametrize("level", [0, 4])
-    def test_model_file_level_out_of_range(self, level):
+    @staticmethod
+    def small_model_doc():
         data, _ = small_corpus(seed=13, n_users=4)
         cfg = TrainConfig(E=3, K=1, seed=5, lambda_grid=(1e-5,), max_outer_iters=2)
-        doc = fit(data, EMPTY, cfg).to_json_dict()
+        return fit(data, EMPTY, cfg).to_json_dict()
+
+    @pytest.mark.parametrize("level", [0, 4])
+    def test_model_file_level_out_of_range(self, level):
+        doc = self.small_model_doc()
         doc["assignment"]["u00002"][-1] = level
         with pytest.raises(ValueError, match=r"^assignment of user 'u00002' has a level outside 1\.\.3$"):
             FittedModel.from_json_dict(doc)
 
     @pytest.mark.parametrize("key", ["model_kind", "E", "K", "lambda", "levels", "assignment"])
     def test_model_file_missing_key(self, key):
-        data, _ = small_corpus(seed=13, n_users=4)
-        doc = fit(data, EMPTY, TrainConfig(E=2, K=1, lambda_grid=(1e-5,), max_outer_iters=2)).to_json_dict()
+        doc = self.small_model_doc()
         del doc[key]
         with pytest.raises(ValueError, match=f"^model file lacks key '{key}'$"):
             FittedModel.from_json_dict(doc)
