@@ -299,10 +299,17 @@ def _load_genres(path) -> dict[str, str]:
 def cmd_analyze(args) -> int:
     model = FittedModel.load(args.model)
     train = _load_dataset(args.train, args)
-    # a mismatched train file or a bad window fails before any output
+    # a mismatched train file, a bad window or bad prefixes fail before
+    # any output
     agreement = analysis_mod.agreement_variance(
         model, train, min_cohort=args.min_cohort, window=args.window, step=args.step
     )
+    try:
+        prefixes = [int(x) for x in args.prefixes.split(",")]
+    except ValueError:
+        prefixes = [0]
+    if min(prefixes) < 1:
+        raise DataError(f"prefixes must be comma-separated positive integers, got {args.prefixes!r}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -350,7 +357,7 @@ def cmd_analyze(args) -> int:
         print("skipping progression: schedule-driven model kind", file=sys.stderr)
 
     retention_rows = []
-    for prefix in (int(x) for x in args.prefixes.split(",")):
+    for prefix in prefixes:
         for point in analysis_mod.retention_curves(model, train, gap=args.gap, prefix=prefix):
             retention_rows.append(
                 [prefix, point.cohort, point.rating_index, repr(point.mean_level), point.n_users]
@@ -367,8 +374,6 @@ def cmd_synth(args) -> int:
     kwargs = {}
     if args.config:
         kwargs = _config_file(args.config, SynthConfig)
-        if "trajectory_kind" in kwargs:
-            kwargs["trajectory_kind"] = TrajectoryKind(kwargs["trajectory_kind"])
         if "ratings_per_user" in kwargs and isinstance(kwargs["ratings_per_user"], list):
             kwargs["ratings_per_user"] = tuple(kwargs["ratings_per_user"])
         if "level_drift" in kwargs and isinstance(kwargs["level_drift"], list):
@@ -379,7 +384,14 @@ def cmd_synth(args) -> int:
         kwargs["n_users"] = args.users
     if args.items is not None:
         kwargs["n_items"] = args.items
-    cfg = SynthConfig(**kwargs)
+    try:
+        if "trajectory_kind" in kwargs:
+            kwargs["trajectory_kind"] = TrajectoryKind(kwargs["trajectory_kind"])
+        cfg = SynthConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong type fails inside SynthConfig's checks
+        where = f"config file {args.config}: " if args.config else ""
+        raise DataError(f"{where}{exc}") from None
     dataset, truth = generate(cfg)
     write_reviews(dataset, args.out)
     truth_doc = {

@@ -15,16 +15,17 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from operator import methodcaller
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 BACKGROUND_USER = "__background__"
 _WRITE_ROWS = 1 << 16  # rows formatted per write, bounding the text held at once
+_PARSE_ROWS = 1 << 12  # lines converted per read, bounding the text held at once
 
 logger = logging.getLogger(__name__)
 
@@ -226,11 +227,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _encode(keys: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct keys in order of first appearance, and each entry's
-    position among them."""
-    pos = {k: j for j, k in enumerate(dict.fromkeys(keys))}
-    return list(pos), np.fromiter(map(pos.__getitem__, keys), dtype=np.int64, count=len(keys))
+def _encode(keys: list[str], pos: dict[str, int]) -> np.ndarray:
+    """Each key's position in ``pos``, which first gains the keys it lacks,
+    in order of first appearance."""
+    for k in dict.fromkeys(keys):
+        pos.setdefault(k, len(pos))
+    return np.fromiter(map(pos.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
 def _sorted_keys(keys: Sequence[str], codes: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -246,10 +248,11 @@ def _sorted_keys(keys: Sequence[str], codes: np.ndarray) -> tuple[np.ndarray, tu
 
 def _columns_of(ratings: Iterable[Rating]) -> Columns:
     rows = list(ratings)
-    users, user_code = _encode([r.user for r in rows])
-    items, item_code = _encode([r.item for r in rows])
+    users, items = {}, {}
+    user_code = _encode([r.user for r in rows], users)
+    item_code = _encode([r.item for r in rows], items)
     return Columns(
-        users, items, user_code, item_code,
+        list(users), list(items), user_code, item_code,
         np.array([r.timestamp for r in rows], dtype=np.int64),
         np.array([r.value for r in rows], dtype=np.float64),
         np.array([r.raw_value for r in rows], dtype=np.float64),
@@ -282,37 +285,68 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
     user.  The pooled user :data:`BACKGROUND_USER` keeps every row, in
     file order among equal ones.  Row-level problems raise
     :class:`ParseError` with the line number of the first offending row;
-    blank lines are skipped but counted.
+    blank lines are skipped but counted.  The rows are read and converted
+    in blocks of ``_PARSE_ROWS`` lines, so the text held at once is one
+    block's.
     """
     stream = _open_text(source)
     try:
         header_line = stream.readline()
-        body = stream.read()
+        if not header_line.strip():
+            raise DataError("empty dataset: no header row")
+        header = [c.strip() for c in header_line.rstrip("\n").split(config.delimiter)]
+        for name in (config.user_col, config.item_col, config.rating_col, config.timestamp_col):
+            if name not in header:
+                raise DataError(f"missing column {name!r} in header {header}")
+        user_pos, item_pos = {}, {}
+        blocks, first_line = [], 2
+        lines = _split_lines(stream)
+        while block := list(islice(lines, _PARSE_ROWS)):
+            blocks.append(_parse_block(block, first_line, header, config, user_pos, item_pos))
+            first_line += len(block)
     finally:
         stream.close()
-    if not header_line.strip():
-        raise DataError("empty dataset: no header row")
-    delim = config.delimiter
-    header = [c.strip() for c in header_line.rstrip("\n").split(delim)]
-    col = {}
-    for name in (config.user_col, config.item_col, config.rating_col, config.timestamp_col):
-        if name not in header:
-            raise DataError(f"missing column {name!r} in header {header}")
-        col[name] = header.index(name)
-    n_cols = len(header)
+    n_rows = sum(len(times) for _, _, times, _ in blocks)
+    if not n_rows:
+        raise DataError("empty dataset: no data rows")
+    user_code, item_code, times, raw = map(np.concatenate, zip(*blocks))
+    del blocks
 
-    # each stage's text is dropped once the next one holds it, which
-    # bounds the peak memory of a large file
-    lines = body.split("\n")
-    del body
+    # one sort by (user, item, timestamp); it is stable, so the first row
+    # of each pair is its earliest, and the first in the file among ties
+    key = user_code * len(item_pos) + item_code
+    by_key = np.lexsort((times, key))
+    first = np.ones(n_rows, dtype=bool)
+    first[1:] = key[by_key[1:]] != key[by_key[:-1]]
+    if BACKGROUND_USER in user_pos:
+        first |= user_code[by_key] == user_pos[BACKGROUND_USER]
+    keep = by_key[first]
+    if len(keep) < n_rows:
+        logger.warning("dropped %d duplicate (user, item) rows", n_rows - len(keep))
+    return Dataset(columns=Columns(
+        list(user_pos), list(item_pos), user_code[keep], item_code[keep], times[keep],
+        5.0 * raw[keep] / config.scale_max, raw[keep],
+    ))
+
+
+def _parse_block(
+    lines: list[str], first_line: int, header: list[str], config: FormatConfig,
+    user_pos: dict[str, int], item_pos: dict[str, int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The user codes, item codes, timestamps and raw ratings of the data
+    rows among ``lines``, the first of which is file line ``first_line``;
+    ``user_pos`` and ``item_pos`` gain the keys they lack.  Raises
+    :class:`ParseError` for the first failing check of the first bad row.
+    """
     filled = np.fromiter(map(bool, map(str.strip, lines)), dtype=bool, count=len(lines))
-    line_no = np.flatnonzero(filled) + 2
+    line_no = np.flatnonzero(filled) + first_line
     if not filled.all():
         lines = list(compress(lines, filled))
 
     # Each check runs on the rows before the first failure found so far,
     # in the order a row is checked, so the error raised is the first
     # failing check of the first bad row.
+    delim, n_cols = config.delimiter, len(header)
     limit, error = len(lines), None
     counts = np.fromiter(map(methodcaller("count", delim), lines), dtype=np.int64, count=len(lines))
     bad = np.flatnonzero(counts != n_cols - 1)
@@ -320,12 +354,10 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
         limit = int(bad[0])
         error = f"expected {n_cols} columns, got {counts[limit] + 1}"
     fields = delim.join(lines[:limit]).split(delim) if limit else []
-    del lines
-    users = list(map(str.strip, fields[col[config.user_col] :: n_cols]))
-    items = list(map(str.strip, fields[col[config.item_col] :: n_cols]))
-    raw_texts = fields[col[config.rating_col] :: n_cols]
-    time_texts = fields[col[config.timestamp_col] :: n_cols]
-    del fields
+    users = list(map(str.strip, fields[header.index(config.user_col) :: n_cols]))
+    items = list(map(str.strip, fields[header.index(config.item_col) :: n_cols]))
+    raw_texts = fields[header.index(config.rating_col) :: n_cols]
+    time_texts = fields[header.index(config.timestamp_col) :: n_cols]
 
     raw, stop = _floats(raw_texts)
     if stop < limit:
@@ -349,28 +381,18 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
             error = message(limit)
     if error is not None:
         raise ParseError(int(line_no[limit]), error)
-    if not limit:
-        raise DataError("empty dataset: no data rows")
+    return _encode(users, user_pos), _encode(items, item_pos), stamps.astype(np.int64), raw
 
-    user_keys, user_code = _encode(users)
-    item_keys, item_code = _encode(items)
-    times = stamps.astype(np.int64)
-    # one sort by (user, item, timestamp); it is stable, so the first row
-    # of each pair is its earliest, and the first in the file among ties
-    key = user_code * len(item_keys) + item_code
-    by_key = np.lexsort((times, key))
-    first = np.ones(limit, dtype=bool)
-    first[1:] = key[by_key[1:]] != key[by_key[:-1]]
-    if BACKGROUND_USER in user_keys:
-        first |= user_code[by_key] == user_keys.index(BACKGROUND_USER)
-    keep = by_key[first]
-    if len(keep) < limit:
-        logger.warning("dropped %d duplicate (user, item) rows", limit - len(keep))
-    raw = raw[:limit]
-    return Dataset(columns=Columns(
-        user_keys, item_keys, user_code[keep], item_code[keep], times[keep],
-        5.0 * raw[keep] / scale_max, raw[keep],
-    ))
+
+def _split_lines(stream) -> Iterator[str]:
+    r"""The rest of ``stream`` cut at each ``"\n"``, as
+    ``stream.read().split("\n")`` cuts it, whatever newline mode the
+    stream has, but read in chunks."""
+    tail = ""
+    while chunk := stream.read(1 << 16):
+        *lines, tail = (tail + chunk).split("\n")
+        yield from lines
+    yield tail
 
 
 def _range_error(raw: float, scale_max: float) -> str:

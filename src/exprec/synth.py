@@ -48,6 +48,9 @@ class SynthConfig:
     clamp: bool = True
 
     def __post_init__(self):
+        for name in ("n_users", "n_items", "E", "K", "seed", "horizon"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_users < 1 or self.n_items < 1 or self.E < 1 or self.K < 1:
             raise ValueError("counts must be >= 1")
         lo, hi = self.rating_range

@@ -98,16 +98,21 @@ class FittedModel:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FittedModel":
         """Raises ValueError for a missing key, or for an assignment level
-        outside 1..E, which would score its rating with another level's
-        parameters."""
+        that is not an integer in 1..E, which would score its rating with
+        another level's parameters."""
         try:
             params = params_from_level_dicts(doc["levels"], K=int(doc["K"]))
-            E, assignment = int(doc["E"]), ExperienceAssignment(doc["assignment"])
+            E, levels = int(doc["E"]), {u: np.asarray(lv) for u, lv in doc["assignment"].items()}
             kind, lam = ModelKind(doc["model_kind"]), float(doc["lambda"])
         except KeyError as exc:
             raise ValueError(f"model file lacks key {exc}") from None
         if params.E != E:
             raise ValueError("serialized E disagrees with level count")
+        # ExperienceAssignment would truncate a fractional level
+        for user in sorted(levels):
+            if levels[user].size and levels[user].dtype.kind != "i":
+                raise ValueError(f"assignment of user {user!r} has a level that is not an integer")
+        assignment = ExperienceAssignment(levels)
         column = assignment.column
         if len(column) and not (column.min() >= 1 and column.max() <= E):
             user = next(u for u, lv in assignment.levels.items() if ((lv < 1) | (lv > E)).any())

@@ -104,7 +104,12 @@ class TestConfigFile:
                        "['lambda_grd', 'max_outer_iter'] for TrainConfig\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("doc", [{"n_user": 40}, [40]])
+    @pytest.mark.parametrize("doc", [
+        {"n_user": 40}, [40],
+        # values of the wrong type or out of range
+        {"n_users": "40"}, {"n_users": 40.0}, {"seed": "1"}, {"ratings_per_user": "ab"},
+        {"trajectory_kind": "zigzag"}, {"leaver_fraction": 2},
+    ])
     def test_bad_synth_config_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "synth.json"
         cfg.write_text(json.dumps(doc))
@@ -265,6 +270,18 @@ class TestAnalyzeCommand:
         assert err.startswith(f"error: {flag[2:]} must be") and err.count("\n") == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("value", ["x", "5,", "10,-3"])
+    def test_bad_prefixes_exit_2_before_any_output(self, split_dir, model_path, tmp_path, capsys,
+                                                   value):
+        # read before the first table is written
+        out_dir = tmp_path / "analysis"
+        rc = main(["analyze", "--model", str(model_path), "--train", str(split_dir / "train.tsv"),
+                   "--out-dir", str(out_dir), "--prefixes", value])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: prefixes must be comma-separated positive integers, got {value!r}\n"
+        assert not out_dir.exists()
+
 
 class TestValidateCommand:
     def test_valid_model_passes(self, corpus, split_dir, model_path, capsys):
@@ -331,16 +348,20 @@ class TestValidateCommand:
 
 
 class TestMalformedModelFile:
-    @pytest.mark.parametrize("case", ["empty", "level_0", "level_E_plus_1"])
+    @pytest.mark.parametrize("case", ["empty", "level_0", "level_E_plus_1", "fractional"])
     @pytest.mark.parametrize("command", ["evaluate", "validate"])
     def test_exits_2_with_one_error_line(self, split_dir, model_path, tmp_path, capsys, command, case):
-        # a level outside 1..E would score its rating with another level's
-        # parameters, or fail deep inside the evaluator
+        # a level outside 1..E, or a fraction that loading would truncate,
+        # would score its rating with another level's parameters, or fail
+        # deep inside the evaluator
         doc = json.loads(Path(model_path).read_text())
         user = sorted(doc["assignment"])[0]
         if case == "empty":
             doc = {}
             want = "error: model file lacks key 'levels'\n"
+        elif case == "fractional":
+            doc["assignment"][user][-1] = 1.5
+            want = f"error: assignment of user {user!r} has a level that is not an integer\n"
         else:
             doc["assignment"][user][-1] = 0 if case == "level_0" else doc["E"] + 1
             want = f"error: assignment of user {user!r} has a level outside 1..3\n"

@@ -3,12 +3,15 @@
 import io
 import logging
 import math
+import tracemalloc
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exprec import dataset as dataset_mod
 from exprec.dataset import (
     BACKGROUND_USER,
     DataError,
@@ -168,6 +171,19 @@ ROWS = st.lists(
     st.tuples(IDS, st.sampled_from(["x", "y", "ü", "x2", "日"]),
               st.floats(0, 5), st.integers(0, 4)),
     max_size=40,
+)
+
+# data lines of a review file: good rows, rows failing one or more checks,
+# blank lines and rows with the wrong column count
+FILE_LINES = st.lists(
+    st.one_of(
+        st.tuples(IDS, st.sampled_from(["x", " y", "ü"]), st.sampled_from(["1", "2.5", "4"]),
+                  st.sampled_from(["0", "3", "3.0", " 7 "])),
+        st.tuples(st.just("u"), st.just("x"),
+                  st.sampled_from(["1", "bad", "6", "nan", "-1"]),
+                  st.sampled_from(["2", "soon", "2.5", "-3", "inf"])),
+    ).map("\t".join) | st.sampled_from(["", "  ", "u\tx\t1", "u\tx\t1\t2\t3"]),
+    max_size=25,
 )
 
 
@@ -362,6 +378,84 @@ class TestParseReviews:
         d = parse_reviews(text.encode("utf-8"), FormatConfig(delimiter=","))
         assert [(u, i) for u, i, _, _, _ in rows_of(d)] == [("v\tä", "b"), ("v\tä", "é")]
 
+    @pytest.mark.parametrize("newline", ["\n", ""])
+    def test_lines_end_at_newline_only(self, newline):
+        # a lone "\r" stays in its field, whatever the stream's newline mode
+        text = "user\titem\trating\ttimestamp\nu1\ti\r1\t3\t0\r\nu2\ti2\t4\t1\n"
+        d = parse_reviews(io.StringIO(text, newline=newline))
+        assert d.items == ("i\r1", "i2")
+        assert rows_of(d) == [("u1", "i\r1", 3.0, 0, 3.0), ("u2", "i2", 4.0, 1, 4.0)]
+
+    def test_parse_memory_is_bounded(self, tmp_path):
+        # the 4,000-user corpus of the benchmark's file workload, 161k rows
+        # in 9.2 MB; a parse that holds every field at once peaks at 86 MB
+        corpus, _ = generate(SynthConfig(n_users=4000, n_items=400, ratings_per_user=(20, 60), seed=1))
+        path = tmp_path / "reviews.tsv"
+        write_reviews(corpus, path)
+        del corpus
+        tracemalloc.start()
+        try:
+            d = parse_reviews(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d) == 161_235
+        assert peak < 40e6
+
+
+class TestParseBlocks:
+    """Rows that meet across block boundaries, with blocks of 3 lines."""
+
+    HEADER = "user\titem\trating\ttimestamp\n"
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dataset_mod, "_PARSE_ROWS", 3)
+
+    def parse(self, *lines):
+        return parse_reviews(io.StringIO(self.HEADER + "".join(f"{line}\n" for line in lines)))
+
+    def test_bad_row_in_second_block_names_its_line(self):
+        with pytest.raises(ParseError) as info:
+            self.parse("u1\ti1\t3\t0", "u1\ti2\t3\t1", "u1\ti3\t3\t2", "u1\ti4\t3\t3", "u1\ti5\t9\t4")
+        assert str(info.value) == "line 6: rating out of range: 9.0 not in [0, 5.0]"
+        assert info.value.line_no == 6
+
+    def test_blank_lines_across_a_boundary_counted(self):
+        # lines 3-7 are blank; the second block holds only blank lines
+        with pytest.raises(ParseError) as info:
+            self.parse("u1\ti1\t3\t0", "", " ", "", "\t", "", "u1\ti2\t3\t1", "u1\ti3\tbad\t2")
+        assert str(info.value) == "line 9: non-numeric rating 'bad'"
+
+    def test_duplicate_across_blocks_keeps_earliest(self, caplog):
+        d = self.parse(
+            "u1\ti9\t4\t20", "u2\ti1\t1\t5", "u1\ti8\t1\t7",
+            "u1\ti9\t2\t10", "u1\ti9\t3\t10",
+            "u1\ti9\t5\t10",
+        )
+        assert [(u, i, v, t) for u, i, v, t, _ in rows_of(d)] == [
+            ("u1", "i8", 1.0, 7), ("u1", "i9", 2.0, 10), ("u2", "i1", 1.0, 5)
+        ]
+        assert duplicate_warnings(caplog) == ["dropped 3 duplicate (user, item) rows"]
+
+    def test_background_repeats_across_blocks_keep_file_order(self):
+        d = self.parse(*(f"{BACKGROUND_USER}\ti9\t{v}\t10" for v in (4, 1, 3, 2, 5, 0, 2.5)))
+        assert d.users == (BACKGROUND_USER,)
+        assert d.values.tolist() == [4.0, 1.0, 3.0, 2.0, 5.0, 0.0, 2.5]
+
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_lines_a_multiple_of_the_block_size(self, end, monkeypatch):
+        rows = [f"u{j % 2}\ti{j}\t{j % 5}\t{j}" for j in range(6)]
+        text = self.HEADER + "\n".join(rows) + end
+        d = parse_reviews(io.StringIO(text))
+        monkeypatch.setattr(dataset_mod, "_PARSE_ROWS", 1 << 12)
+        assert rows_of(d) == rows_of(parse_reviews(io.StringIO(text)))
+        assert len(d) == 6 and d.users == ("u0", "u1")
+
+    def test_header_and_blank_lines_only(self):
+        with pytest.raises(DataError, match="^empty dataset: no data rows$"):
+            self.parse("", "  ", "", "\t", "", "", "")
+
 
 class TestWriteReviews:
     def test_output_bytes(self, tmp_path):
@@ -552,19 +646,20 @@ class TestMatchesRowReference:
                 assert_same(got_part, want_part)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.tuples(IDS, st.sampled_from(["x", " y", "ü"]), st.sampled_from(["1", "2.5", "4"]),
-                          st.sampled_from(["0", "3", "3.0", " 7 "])),
-                st.tuples(st.just("u"), st.just("x"),
-                          st.sampled_from(["1", "bad", "6", "nan", "-1"]),
-                          st.sampled_from(["2", "soon", "2.5", "-3", "inf"])),
-            ).map("\t".join) | st.sampled_from(["", "  ", "u\tx\t1", "u\tx\t1\t2\t3"]),
-            max_size=25,
-        )
-    )
+    @given(FILE_LINES)
     def test_parse(self, lines):
+        self.check_parse(lines)
+
+    @settings(max_examples=150, deadline=None)
+    @given(FILE_LINES)
+    def test_parse_in_small_blocks(self, lines):
+        # a function-scoped fixture under @given fails hypothesis's health
+        # check, so the block size is patched here
+        with mock.patch.object(dataset_mod, "_PARSE_ROWS", 3):
+            self.check_parse(lines)
+
+    @staticmethod
+    def check_parse(lines):
         text = "user\titem\trating\ttimestamp\n" + "\n".join(lines) + "\n"
         try:
             want = reference_parse(text)

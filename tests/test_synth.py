@@ -188,6 +188,10 @@ class TestGenerate:
             SynthConfig(noise_sigma=-0.1)
         with pytest.raises(ValueError):
             SynthConfig(leaver_fraction=1.5)
+        with pytest.raises(TypeError, match="^n_users must be an integer, got 40.0$"):
+            SynthConfig(n_users=40.0)
+        with pytest.raises(TypeError, match="^seed must be an integer, got '1'$"):
+            SynthConfig(seed="1")
 
     def test_per_level_noise_vector(self):
         cfg = SynthConfig(E=3, noise_sigma=(0.1, 0.2, 0.3), seed=1,

@@ -270,6 +270,14 @@ class TestFit:
         with pytest.raises(ValueError, match=r"^assignment of user 'u00002' has a level outside 1\.\.3$"):
             FittedModel.from_json_dict(doc)
 
+    @pytest.mark.parametrize("level", [1.5, 2.0, "2"])
+    def test_model_file_level_not_an_integer(self, level):
+        # converting the levels to integers would load 1.5 as level 1
+        doc = self.small_model_doc()
+        doc["assignment"]["u00002"][-1] = level
+        with pytest.raises(ValueError, match=r"^assignment of user 'u00002' has a level that is not an integer$"):
+            FittedModel.from_json_dict(doc)
+
     @pytest.mark.parametrize("key", ["model_kind", "E", "K", "lambda", "levels", "assignment"])
     def test_model_file_missing_key(self, key):
         doc = self.small_model_doc()
