@@ -171,21 +171,18 @@ def agreement_variance(
     half = window / 2.0 + 1e-9
     grid = np.round(np.arange(1.0, E + step / 2.0, step), 6)
     points: list[AgreementPoint] = []
-    item_data = [
-        (x[pos], train.values[pos]) for pos in train.item_index.values()
-    ]
     for center in grid:
-        variances = []
-        for item_x, item_vals in item_data:
-            mask = np.abs(item_x - center) <= half
-            size = int(mask.sum())
-            if size >= min_cohort:
-                variances.append(float(np.var(item_vals[mask])))
-        if variances:
+        mask = np.abs(x - center) <= half
+        items, values = train.item_code[mask], train.values[mask]
+        sizes = np.bincount(items, minlength=len(train.items))
+        per_item = np.maximum(sizes, 1)  # items without ratings here are dropped below
+        dev = values - (np.bincount(items, values, len(per_item)) / per_item)[items]
+        variances = (np.bincount(items, dev * dev, len(per_item)) / per_item)[sizes >= min_cohort]
+        if len(variances):
             points.append(
                 AgreementPoint(
                     experience=float(center),
-                    mean_variance=float(np.mean(variances)),
+                    mean_variance=float(variances.mean()),
                     n_cohorts=len(variances),
                 )
             )

@@ -13,15 +13,16 @@ non-decreasing level sequences with an O(n * E) dynamic program; among
 equally cheap sequences the lexicographically smallest wins (lower
 levels preferred earlier), which keeps training reproducible.
 
-:func:`_monotone_dp` is the reference kernel and the per-user path: a
-right fold over the rows, one Python step per row.  Kind ``c`` has a
-single sequence, the whole corpus timeline, so its path is just E - 1
-change points; :func:`assign_community_dp` finds them with per-level
-prefix sums and suffix minima, one Python step per level.  It returns
-that path only under a certificate that it is the path the reference
-returns: equal cost rows (all level 1), or every change-point decision
-winning by more than a rounding bound tau of both kernels.  Otherwise it
-falls back to :func:`_monotone_dp`, so the two never disagree.
+The learned kinds run one kernel, :func:`_certified_dp`, on a batch of
+sequences: kind ``d`` on each user's ratings, bucketed by length, and
+kind ``c`` on the whole corpus timeline as a batch of one.  Each path is
+at most E - 1 change points, found with per-level prefix sums and suffix
+minima, one Python step per level.  A sequence keeps that path only
+under a certificate that it is the path the reference returns: equal
+cost rows (all level 1), or every change-point decision winning by more
+than a rounding bound tau of both kernels.  The sequences that do not
+certify go to :func:`_monotone_dp`, the reference kernel (a right fold
+over the rows, one Python step per row), so the two never disagree.
 """
 
 from __future__ import annotations
@@ -138,30 +139,37 @@ def assign_user_dp(costs: CostMatrix) -> np.ndarray:
     return _monotone_dp(costs.T[:, None, :])[:, 0] + 1
 
 
-def assign_batch_dp(costs: CostMatrix, segments) -> list[np.ndarray]:
-    """``assign_user_dp(costs[:, s])`` for every index array ``s`` in
-    ``segments``, one kernel call per bucket of similar lengths.
+def assign_batch_dp(costs: CostMatrix, offsets) -> np.ndarray:
+    """1-based levels of every sequence ``costs[:, offsets[j]:offsets[j + 1]]``,
+    in one column: each sequence gets the path :func:`assign_user_dp`
+    returns for it alone.  ``offsets`` run from 0 to ``costs.shape[1]``.
 
-    A bucket holds lengths in [2^k, 2^(k+1)), so zero padding at most
-    doubles its rows and one long sequence does not set L for all.
+    One kernel call per bucket of similar lengths: a bucket holds lengths
+    in [2^k, 2^(k+1)), so zero padding at most doubles its rows and one
+    long sequence does not set L for all.
     """
     costs = np.asarray(costs, dtype=np.float64)
-    lengths = np.array([len(s) for s in segments], dtype=np.int64)
-    out: list[np.ndarray] = [None] * len(segments)
+    if costs.ndim != 2:
+        raise ValueError("cost matrix must be 2-dimensional")
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.diff(offsets)
+    if offsets[0] != 0 or offsets[-1] != costs.shape[1] or (lengths < 0).any():
+        raise ValueError("offsets must rise from 0 to the number of columns")
+    column = np.empty(costs.shape[1], dtype=np.int64)
     buckets = np.frexp(lengths)[1]  # k + 1 for 2^k <= length < 2^(k+1), 0 for 0
     for k in np.unique(buckets):
-        members = np.nonzero(buckets == k)[0]
+        members = np.flatnonzero(buckets == k)
         lens = lengths[members]
         L, B = int(lens.max()), len(members)
-        cols = np.concatenate([segments[j] for j in members])
+        # row r of member j is its column offsets[j + 1] - L + r, so the
+        # real rows fill the last lens[j] of L rows
         seq = np.repeat(np.arange(B), lens)
-        row = np.arange(len(cols)) - np.repeat(np.cumsum(lens) - L, lens)
-        batch = np.zeros((L, B, costs.shape[0]))
-        batch[row, seq] = costs[:, cols].T
-        levels = _monotone_dp(batch)[row, seq] + 1
-        for j, lv in zip(members, np.split(levels, np.cumsum(lens)[:-1])):
-            out[j] = lv
-    return out
+        row = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - L, lens)
+        cols = row + np.repeat(offsets[members + 1] - L, lens)
+        batch = np.zeros((costs.shape[0], B, L))
+        batch[:, seq, row] = costs[:, cols]
+        column[cols] = _certified_dp(batch, lens)[seq, row] + 1
+    return column
 
 
 def assign_community_dp(costs: CostMatrix) -> np.ndarray:
@@ -170,19 +178,35 @@ def assign_community_dp(costs: CostMatrix) -> np.ndarray:
     The same contract as :func:`assign_user_dp`, returning the same path;
     the caller provides columns sorted by (timestamp, user, item), so the
     result segments the whole corpus timeline into at most E contiguous
-    eras.  The path is computed as change points (Bellman 1961; Jackson
-    et al. 2005, optimal partitioning of an interval).  With 0-based
-    levels e, L columns and prefix sums ``P_e[k] = sum_{j<k} c_e[j]``,
-    the cheapest cost of columns k.. on levels >= e is
+    eras.  It is :func:`_certified_dp` on a batch of one.
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2:
+        raise ValueError("cost matrix must be 2-dimensional")
+    return _certified_dp(costs[:, None, :], np.array([costs.shape[1]]))[0] + 1
+
+
+def _certified_dp(costs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """0-based levels (B, L) of B sequences of ``costs`` (E, B, L), each
+    :func:`_monotone_dp`'s path.  Sequence b's rows are its last
+    ``lengths[b]``; the rows before them are zero padding.
+
+    The path is computed as change points (Bellman 1961; Jackson et al.
+    2005, optimal partitioning of an interval).  With 0-based levels e,
+    a sequence of L rows and prefix sums ``P_e[k] = sum_{j<k} c_e[j]``,
+    the cheapest cost of rows k.. on levels >= e is
     ``D_e[k] = min_{k' >= k} V_e[k'] - P_e[k]`` with
     ``V_e[k'] = P_e[k'] + D_{e+1}[k']``: level e ends at k', and the
     top level runs to the end.  The backward pass is one reversed
-    ``np.minimum.accumulate`` per level; the forward pass leaves each
-    level at the *latest* k' attaining the minimum of V_e over k' >= k,
-    which is the lexicographically smallest optimal path.
+    ``np.minimum.accumulate`` per level; the forward pass starts at each
+    sequence's first real row and leaves each level at the *latest* k'
+    attaining the minimum of V_e over k' >= k, which is the
+    lexicographically smallest optimal path.  The padding only adds
+    exact zeros to the prefix sums, but it ties every level, so no
+    decision range reaches into it.
 
-    Certificate.  The result is that path only if one of these holds,
-    and otherwise :func:`_monotone_dp`'s:
+    Certificate.  A sequence keeps that path only if one of these holds,
+    and otherwise gets :func:`_monotone_dp`'s:
 
     (a) every cost row equals the first (signed zeros aside); every path
         then costs the same and the reference keeps level 1 throughout;
@@ -191,7 +215,7 @@ def assign_community_dp(costs: CostMatrix) -> np.ndarray:
 
     Why (b) suffices.  Every exact quantity either kernel forms (a P_e,
     a D_e, a V_e, and the reference's right-fold values) is a sum of cost
-    entries over distinct columns, so its magnitude is at most
+    entries over distinct rows, so its magnitude is at most
     ``M = sum_t max_e |c_e[t]|``.  With unit roundoff u = 2^-53 and
     gamma_n = n u / (1 - n u), recursive summation gives
     ``|fl(P_e[k]) - P_e[k]| <= gamma_L M`` (Higham 2002, section 4.2,
@@ -207,51 +231,49 @@ def assign_community_dp(costs: CostMatrix) -> np.ndarray:
     and every argmin the reference takes along it is decided by more
     than its rounding, since each of its alternatives is beaten by at
     least one decision's margin.  ``tau = 3 (2E + 1)(L + 1) u M`` bounds
-    that.  An M so large that a partial sum could overflow (2M not
-    finite) falls back too.
+    that.  L and M are the sequence's own.  An M so large that a partial
+    sum could overflow (2M not finite) falls back too.
     """
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 2:
-        raise ValueError("cost matrix must be 2-dimensional")
     if not np.isfinite(costs).all():
         raise ValueError("non-finite cost entry")
-    if (costs == costs[0]).all():
-        return np.ones(costs.shape[1], dtype=np.int64)
-    path = _change_points(costs)
-    if path is None:
-        path = _monotone_dp(costs.T[:, None, :])[:, 0]
-    return path + 1
-
-
-def _change_points(costs: np.ndarray) -> np.ndarray | None:
-    """0-based change-point path of finite ``costs`` (E, L), or None when
-    a decision's margin does not exceed tau (see assign_community_dp)."""
-    E, L = costs.shape
-    M = np.maximum(costs.max(axis=0), -costs.min(axis=0)).sum()
-    if not np.isfinite(2 * M):  # then no partial sum below can overflow
-        return None
-    tau = 3 * (2 * E + 1) * (L + 1) * (np.finfo(np.float64).eps / 2) * M
-    # V[e] holds P_e until the backward pass reaches level e, then V_e
-    V = np.zeros((E, L + 1))
-    np.cumsum(costs, axis=1, out=V[:, 1:])
-    D = V[-1, -1] - V[-1]
-    for e in range(E - 2, -1, -1):
-        v = V[e] + D
-        D = np.minimum.accumulate(v[::-1])[::-1]
-        D -= V[e]
-        V[e] = v
-    path = np.empty(L, dtype=np.int64)
-    k = 0
-    for e in range(E - 1):
-        seg = V[e, k:]
-        end = len(seg) - 1 - int(np.argmin(seg[::-1]))  # latest minimum
-        runner_up = min(seg[:end].min(initial=np.inf), seg[end + 1:].min(initial=np.inf))
-        if not runner_up - seg[end] > tau:
-            return None
-        path[k:k + end] = e
-        k += end
-    path[k:] = E - 1
-    return path
+    E, B, L = costs.shape
+    equal = (costs == costs[:1]).all(axis=(0, 2))
+    if equal.all():
+        return np.zeros((B, L), dtype=np.int64)
+    M = np.maximum(costs.max(axis=0), -costs.min(axis=0)).sum(axis=1)
+    tau = 3 * (2 * E + 1) * (lengths + 1) * (np.finfo(np.float64).eps / 2) * M
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.isfinite(2 * M)  # then no partial sum below can overflow
+        # V[e] holds P_e until the backward pass reaches level e, then V_e
+        V = np.zeros((E, B, L + 1))
+        np.cumsum(costs, axis=2, out=V[:, :, 1:])
+        D = V[-1, :, -1:] - V[-1]
+        for e in range(E - 2, -1, -1):
+            v = V[e] + D
+            D = np.minimum.accumulate(v[:, ::-1], axis=1)[:, ::-1]
+            D -= V[e]
+            V[e] = v
+        # a forward decision of sequence b ranges over k[b]..L, and its
+        # level's V is not read again: positions before k[b] become inf
+        k = L - lengths  # each sequence's first real row
+        seqs = np.arange(B)
+        # the number of levels entered at each row
+        steps = np.zeros((B, L + 1), dtype=np.min_scalar_type(E - 1))
+        for e in range(E - 1):
+            lo = int(k.min())
+            seg = V[e, :, lo:]
+            seg[np.arange(lo, L + 1) < k[:, None]] = np.inf
+            k = L - np.argmin(seg[:, ::-1], axis=1)  # latest minimum
+            best = seg[seqs, k - lo]
+            seg[seqs, k - lo] = np.inf  # leaves the runner-up as the minimum
+            ok &= seg.min(axis=1) - best > tau
+            steps[seqs, k] += 1
+    levels = np.cumsum(steps[:, :L], axis=1, dtype=np.int64)
+    levels[equal] = 0
+    fall_back = ~(ok | equal)
+    if fall_back.any():
+        levels[fall_back] = _monotone_dp(costs[:, fall_back].transpose(2, 1, 0)).T
+    return levels
 
 
 def prediction_costs(p: ModelParams, d: Dataset) -> CostMatrix:
@@ -280,8 +302,7 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
 
     costs = prediction_costs(p, d)
     if kind is ModelKind.USER_LEARNED:
-        levels = assign_batch_dp(costs, d.per_user(np.arange(len(d))))
-        return ExperienceAssignment.of(d, np.concatenate(levels))
+        return ExperienceAssignment.of(d, assign_batch_dp(costs, d.offsets))
     if kind is ModelKind.COMMUNITY_LEARNED:
         order = d.global_time_order()
         path = assign_community_dp(costs[:, order])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -146,9 +147,9 @@ class Dataset:
             columns = _columns_of(ratings)
         user_code, self.users = _sorted_keys(columns.users, columns.user_code)
         item_code, self.items = _sorted_keys(columns.items, columns.item_code)
-        # lexsort is stable: rows equal in all three keys (a pooled user's
+        # the sort is stable: rows equal in all three keys (a pooled user's
         # repeated item) keep their input order
-        order = np.lexsort((item_code, columns.times, user_code))
+        order = _lexsort((user_code, columns.times, item_code))
         self.user_code = _frozen(user_code[order])
         self.item_code = _frozen(item_code[order])
         self.times = _frozen(np.asarray(columns.times, dtype=np.int64)[order])
@@ -225,6 +226,25 @@ class Dataset:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _lexsort(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.lexsort(keys[::-1])``: the stable order of rows by the integer
+    ``keys``, the first key primary.  The keys' offsets from their minima
+    are packed into one int64 and sorted once, which is several times
+    faster; keys whose spans multiply to 2^63 or more, which would not
+    fit, go to ``np.lexsort``."""
+    keys = [np.asarray(k, dtype=np.int64) for k in keys]
+    if not len(keys[0]):
+        return np.lexsort(keys[::-1])
+    lows = [int(k.min()) for k in keys]
+    spans = [int(k.max()) - low + 1 for k, low in zip(keys, lows)]
+    if math.prod(spans) >= 1 << 63:
+        return np.lexsort(keys[::-1])
+    packed = keys[0] - lows[0]
+    for k, low, span in zip(keys[1:], lows[1:], spans[1:]):
+        packed = packed * span + (k - low)
+    return np.argsort(packed, kind="stable")
 
 
 def _encode(keys: list[str], pos: dict[str, int]) -> np.ndarray:
@@ -315,7 +335,7 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
     # one sort by (user, item, timestamp); it is stable, so the first row
     # of each pair is its earliest, and the first in the file among ties
     key = user_code * len(item_pos) + item_code
-    by_key = np.lexsort((times, key))
+    by_key = _lexsort((key, times))
     first = np.ones(n_rows, dtype=bool)
     first[1:] = key[by_key[1:]] != key[by_key[:-1]]
     if BACKGROUND_USER in user_pos:

@@ -10,6 +10,7 @@ brute-force enumeration of all monotone level sequences.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations_with_replacement
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Columns, Dataset
+from .dataset import Columns, Dataset, _lexsort
 from .model import BLOCKS, ExperienceAssignment, ModelParams, RowIndex, score
 
 
@@ -51,6 +52,10 @@ class SynthConfig:
         for name in ("n_users", "n_items", "E", "K", "seed", "horizon"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("leaver_fraction", "bias_scale", "factor_scale", "alpha0"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) and not (name == "factor_scale" and value is None):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         if self.n_users < 1 or self.n_items < 1 or self.E < 1 or self.K < 1:
             raise ValueError("counts must be >= 1")
         lo, hi = self.rating_range
@@ -203,7 +208,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     # the dataset orders a user's tied timestamps by item; times already
     # ascend within each user, so only the items move
     item_code = np.concatenate(item_parts)
-    item_code = item_code[np.lexsort((item_code, times, user_code))]
+    item_code = item_code[_lexsort((user_code, times, item_code))]
     # leavers walk their own trajectory at half speed
     walked = np.where(leaver[user_code], pos // 2, pos)
     levels = np.concatenate(traj_parts)[offsets[user_code] + walked]

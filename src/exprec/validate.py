@@ -68,9 +68,9 @@ def check_dp_against_oracle(n_cases: int = 200, seed: int = 0) -> CheckResult:
     for E in sorted({costs.shape[0] for _, costs, _ in cases}):
         group = [c for c in cases if c[1].shape[0] == E]
         joined = np.concatenate([costs for _, costs, _ in group], axis=1)
-        ends = np.cumsum([costs.shape[1] for _, costs, _ in group])
-        segments = np.split(np.arange(ends[-1]), ends[:-1])
-        for (case, _, want), got in zip(group, assign_batch_dp(joined, segments)):
+        offsets = np.cumsum([0] + [costs.shape[1] for _, costs, _ in group])
+        column = assign_batch_dp(joined, offsets)
+        for (case, _, want), got in zip(group, np.split(column, offsets[1:-1])):
             if not np.array_equal(got, want):
                 return CheckResult(
                     "dp_vs_oracle", False,

@@ -110,6 +110,51 @@ class TestInterpolateTrajectory:
         assert np.allclose(out, [1.0, 2.0, 3.0])
 
 
+def loop_agreement(m, train, min_cohort=5, window=0.5, step=0.1):
+    """The per-centre, per-item loop that ``agreement_variance``'s bincount
+    passes replaced, kept as its reference: (experience, mean_variance,
+    n_cohorts) per emitted point."""
+    x = np.empty(len(train))
+    for times, levels, out in zip(
+        train.per_user(train.times), train.per_user(m.assignment.flat(train)), train.per_user(x)
+    ):
+        out[:] = interpolate_trajectory(times, levels, times)
+    half = window / 2.0 + 1e-9
+    points = []
+    for center in np.round(np.arange(1.0, m.params.E + step / 2.0, step), 6):
+        variances = []
+        for pos in train.item_index.values():
+            mask = np.abs(x[pos] - center) <= half
+            if int(mask.sum()) >= min_cohort:
+                variances.append(float(np.var(train.values[pos][mask])))
+        if variances:
+            points.append((float(center), float(np.mean(variances)), len(variances)))
+    return points
+
+
+def assert_matches_loop(m, train, **kwargs):
+    got = agreement_variance(m, train, **kwargs)
+    want = loop_agreement(m, train, **kwargs)
+    assert [(p.experience, p.n_cohorts) for p in got] == [(w[0], w[2]) for w in want]
+    for p, w in zip(got, want):
+        assert p.mean_variance == pytest.approx(w[1], rel=1e-12, abs=0)
+    return got
+
+
+def tied_corpus(seed, n_users=40, n_items=12, E=4):
+    """Users rating a few items each at timestamps drawn from 0..5, so
+    most users hold tied timestamps, with random sorted levels."""
+    rng = np.random.default_rng(seed)
+    rows, levels = [], {}
+    for j in range(n_users):
+        n = int(rng.integers(2, 10))
+        for item, t in zip(rng.choice(n_items, n, replace=False), rng.integers(0, 6, n)):
+            rows.append((f"u{j:02d}", f"i{item}", float(rng.uniform(0, 5)), int(t)))
+        levels[f"u{j:02d}"] = np.sort(rng.integers(1, E + 1, n))
+    train = dataset(rows)
+    return fitted(train.users, train.items, E=E, assignment=levels), train
+
+
 class TestAgreementVariance:
     def two_user_cohort(self, values):
         rows = [("u", "a", values[0], 0), ("v", "a", values[1], 0)]
@@ -143,6 +188,36 @@ class TestAgreementVariance:
         m, train = self.two_user_cohort([3.0, 5.0])
         with pytest.raises(ValueError, match="^(step|window) must be"):
             agreement_variance(m, train, min_cohort=2, window=window, step=step)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("min_cohort, window", [(5, 0.5), (2, 0.0), (3, 1.2)])
+    def test_matches_loop_on_tied_corpus(self, seed, min_cohort, window):
+        m, train = tied_corpus(seed)
+        assert (np.diff(train.times)[np.diff(train.user_code) == 0] == 0).any()
+        assert_matches_loop(m, train, min_cohort=min_cohort, window=window)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    @pytest.mark.parametrize("min_cohort, window, step", [(5, 0.5, 0.1), (2, 0.0, 0.25)])
+    def test_matches_loop_on_generated_corpus(self, seed, min_cohort, window, step):
+        data, truth = generate(SynthConfig(n_users=120, n_items=60, seed=seed))
+        assert_matches_loop(truth_model(data, truth), data,
+                            min_cohort=min_cohort, window=window, step=step)
+
+    def test_cohort_of_exactly_min_cohort_and_empty_centres(self):
+        # item "a" holds three ratings at level 2 and item "b" two; levels
+        # 1 and 3 hold no cohort, so only the centres near 2 are emitted
+        rows = [(u, "a", v, 0) for u, v in (("u", 1.0), ("v", 2.0), ("w", 4.0))]
+        rows += [("u", "b", 3.0, 1), ("v", "b", 5.0, 1), ("x", "c", 2.0, 0)]
+        train = dataset(rows)
+        levels = {"u": np.array([2, 2]), "v": np.array([2, 2]), "w": np.array([2]),
+                  "x": np.array([1])}
+        m = fitted(train.users, train.items, E=3, assignment=levels)
+        points = assert_matches_loop(m, train, min_cohort=3, window=0.5)
+        assert [p.experience for p in points] == [1.8, 1.9, 2.0, 2.1, 2.2]
+        assert all(p.n_cohorts == 1 for p in points)
+        assert points[0].mean_variance == pytest.approx(np.var([1.0, 2.0, 4.0]))
+        points = assert_matches_loop(m, train, min_cohort=2, window=0.0)
+        assert [(p.experience, p.n_cohorts) for p in points] == [(2.0, 2)]
 
     def test_planted_level_noise_recovered(self):
         sigma = np.array([0.5, 0.42, 0.35, 0.28, 0.2])

@@ -41,15 +41,11 @@ def reference_dp(costs):
     return levels + 1
 
 
-def shuffled_batch(cost_list, rng):
-    """One cost matrix holding every sequence's columns in shuffled order,
-    and each sequence's column positions in it."""
-    lengths = [c.shape[1] for c in cost_list]
-    joined = np.concatenate(cost_list, axis=1)
-    perm = rng.permutation(joined.shape[1])
-    where = np.argsort(perm)  # column j of ``joined`` sits at where[j]
-    segments = np.split(where, np.cumsum(lengths)[:-1])
-    return joined[:, perm], segments
+def joined_batch(cost_list):
+    """One cost matrix holding every sequence's columns in turn, and the
+    offsets that cut it back into them."""
+    offsets = np.cumsum([0] + [c.shape[1] for c in cost_list])
+    return np.concatenate(cost_list, axis=1), offsets
 
 
 class TestUniformCommunitySchedule:
@@ -158,30 +154,87 @@ class TestBatchDP:
     def test_ragged_tied_batch_matches_single_and_oracle(self, E):
         rng = np.random.default_rng(E)
         # length-1 sequences, zero padding inside every bucket, and two long
-        # sequences sharing the top bucket
+        # sequences sharing the top bucket, in shuffled length order
         lengths = [0, 1, 1, 2, 3, 5, 8, 12, 1500, 2000, *rng.integers(1, 13, size=40)]
-        cost_list = [rng.integers(0, 3, size=(E, n)).astype(float) for n in lengths]
-        costs, segments = shuffled_batch(cost_list, rng)
-        got = assign_batch_dp(costs, segments)
-        assert len(got) == len(cost_list)
-        for c, levels in zip(cost_list, got):
-            assert levels.dtype == np.int64
+        cost_list = [rng.integers(0, 3, size=(E, n)).astype(float)
+                     for n in rng.permutation(lengths)]
+        costs, offsets = joined_batch(cost_list)
+        column = assign_batch_dp(costs, offsets)
+        assert column.dtype == np.int64 and len(column) == costs.shape[1]
+        for c, levels in zip(cost_list, np.split(column, offsets[1:-1])):
             assert np.array_equal(levels, assign_user_dp(c))
             if c.shape[1] <= 12:
                 assert np.array_equal(levels, brute_force_assign(c))
             if c.shape[1] > 0:
                 assert np.array_equal(levels, reference_dp(c))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.lists(st.integers(min_value=0, max_value=70), min_size=1, max_size=30),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["random", "tied", "signed", "equal"]),
+    )
+    def test_each_sequence_certifies_and_matches_or_falls_back(self, E, lengths, seed, kind):
+        rng = np.random.default_rng(seed)
+        if rng.random() < 0.3:
+            lengths = [*lengths, int(rng.integers(200, 700))]
+        cost_list = [random_costs(rng, "random" if kind == "equal" else kind, E, n)
+                     for n in lengths]
+        if kind == "equal":
+            cost_list = [np.tile(c[:1], (E, 1)) if j % 2 else c for j, c in enumerate(cost_list)]
+        costs, offsets = joined_batch(cost_list)
+        # a reference that marks its sequences with level 0 instead of
+        # deciding them, so the kernel's own paths stand apart
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assign, "_monotone_dp", lambda c: np.full(c.shape[:2], -1))
+            column = assign_batch_dp(costs, offsets)
+        for c, levels in zip(cost_list, np.split(column, offsets[1:-1])):
+            fell_back = len(levels) > 0 and (levels == 0).all()
+            assert fell_back or np.array_equal(levels, _monotone_dp(c.T[:, None, :])[:, 0] + 1)
+            # continuous costs tie within tau with negligible probability,
+            # and equal rows certify by themselves
+            if kind in ("random", "signed") or (kind == "equal" and (c == c[0]).all()):
+                assert not fell_back
+
+    def test_near_tie_falls_back_alone_inside_batch(self, monkeypatch):
+        calls = TestCommunityDP.spy_reference(monkeypatch)
+        rng = np.random.default_rng(19)
+        clear = []
+        for n in (5, 6, 7):
+            c = rng.random((2, n)) + 1.0
+            c[0, : n // 2] -= 1.0
+            c[1, n // 2:] -= 1.0
+            clear.append(c)
+        # the rows differ only in the last column, by one ulp (see the
+        # community near-tie test): every path's margin is inside tau
+        tie = np.ones((2, 4))
+        tie[:, 0] = 0.0
+        tie[1, -1] = np.nextafter(1.0, 2.0)
+        cost_list = [clear[0], tie, *clear[1:]]
+        costs, offsets = joined_batch(cost_list)
+        parts = np.split(assign_batch_dp(costs, offsets), offsets[1:-1])
+        assert calls == [(7, 1, 2)]  # the bucket's L, one sequence, E
+        assert list(parts[1]) == [1, 1, 1, 1]
+        for c, levels in zip(cost_list, parts):
+            assert np.array_equal(levels, reference_dp(c))
+
     def test_long_sequence_matches_reference(self):
         rng = np.random.default_rng(11)
         for costs in (rng.random((5, 3000)), rng.integers(0, 3, size=(4, 3000)).astype(float)):
             assert np.array_equal(assign_user_dp(costs), reference_dp(costs))
+            assert np.array_equal(assign_batch_dp(costs, [0, 3000]), reference_dp(costs))
 
     def test_non_finite_cost_in_batch(self):
         costs = np.zeros((2, 5))
         costs[1, 3] = np.inf
         with pytest.raises(ValueError, match="non-finite cost entry"):
-            assign_batch_dp(costs, [np.arange(3), np.arange(3, 5)])
+            assign_batch_dp(costs, [0, 3, 5])
+
+    @pytest.mark.parametrize("offsets", [[0, 3], [1, 5], [0, 4, 3, 5], [0, 6]])
+    def test_offsets_must_cover_the_columns(self, offsets):
+        with pytest.raises(ValueError, match="offsets must rise"):
+            assign_batch_dp(np.zeros((2, 5)), offsets)
 
 
 def random_costs(rng, kind, E, L):

@@ -109,6 +109,7 @@ class TestConfigFile:
         # values of the wrong type or out of range
         {"n_users": "40"}, {"n_users": 40.0}, {"seed": "1"}, {"ratings_per_user": "ab"},
         {"trajectory_kind": "zigzag"}, {"leaver_fraction": 2},
+        {"bias_scale": "0.3"}, {"factor_scale": "0.1"}, {"alpha0": "3"},
     ])
     def test_bad_synth_config_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "synth.json"

@@ -713,3 +713,35 @@ class TestColumns:
         assert len(d) == 0 and d.users == () and d.offsets.tolist() == [0]
         assert rows_of(d) == [] and d.global_time_order().tolist() == []
         assert [len(part) for part in split(d, SplitSpec())] == [0, 0, 0]
+
+
+class TestPackedLexsort:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=60),
+        st.lists(st.integers(min_value=1, max_value=2**20), min_size=4, max_size=4),
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_lexsort(self, n_keys, n, spans, low, seed):
+        # small spans tie in every key; the offset moves the minima off 0
+        rng = np.random.default_rng(seed)
+        keys = [low + rng.integers(0, span, size=n) for span in spans[:n_keys]]
+        want = np.lexsort(keys[::-1])
+        got = dataset_mod._lexsort(keys)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_spans_past_int64_fall_back_to_lexsort(self, monkeypatch):
+        calls = []
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or real(keys))
+        users = np.array([2, 0, 1, 0, 2, 1])
+        times = np.array([2**62, 5, 0, 5, 2**62, 2**62 - 1])
+        items = np.array([1, 3, 2, 0, 0, 1])
+        got = dataset_mod._lexsort((users, times, items))
+        assert calls == [3]
+        assert got.tolist() == [3, 1, 2, 5, 4, 0]
+        # a two-key sort of the same spans fits and is packed
+        assert dataset_mod._lexsort((users, items)).tolist() == real((items, users)).tolist()
+        assert calls == [3]

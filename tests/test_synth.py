@@ -192,6 +192,10 @@ class TestGenerate:
             SynthConfig(n_users=40.0)
         with pytest.raises(TypeError, match="^seed must be an integer, got '1'$"):
             SynthConfig(seed="1")
+        for name, value in (("bias_scale", "0.3"), ("factor_scale", "0.1"), ("alpha0", "3")):
+            with pytest.raises(TypeError, match=f"^{name} must be a real number, got '{value}'$"):
+                SynthConfig(**{name: value})
+        assert SynthConfig(factor_scale=None, alpha0=3, bias_scale=np.float64(0.2)).alpha0 == 3
 
     def test_per_level_noise_vector(self):
         cfg = SynthConfig(E=3, noise_sigma=(0.1, 0.2, 0.3), seed=1,
