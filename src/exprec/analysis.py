@@ -60,6 +60,7 @@ class ProgressionRow:
 
 @dataclass(frozen=True)
 class RetentionPoint:
+    prefix: int
     cohort: str
     rating_index: int
     mean_level: float
@@ -123,19 +124,6 @@ def genre_bias_summary(
     return rows
 
 
-def interpolate_trajectory(
-    times: np.ndarray, levels: np.ndarray, query_times: np.ndarray
-) -> np.ndarray:
-    """Piecewise-linear experience through the (timestamp, level) knots of
-    one user's ratings, constant outside the observed range."""
-    times = np.asarray(times, dtype=np.float64)
-    levels = np.asarray(levels, dtype=np.float64)
-    if len(times) == 0:
-        raise ValueError("empty trajectory")
-    keep = np.concatenate(([True], np.diff(times) > 0))
-    return np.interp(np.asarray(query_times, dtype=np.float64), times[keep], levels[keep])
-
-
 def agreement_variance(
     m: "FittedModel",
     train: Dataset,
@@ -145,9 +133,9 @@ def agreement_variance(
 ) -> list[AgreementPoint]:
     """Rating variance among same-item ratings at similar experience.
 
-    Each user's level sequence is interpolated over time to a piecewise
-    linear experience function; a window slides along the experience axis
-    and, per item, gathers the ratings whose interpolated experience
+    A rating's experience is its level, or, among one user's ratings at
+    one timestamp, the first one's level; a window slides along the
+    experience axis and, per item, gathers the ratings whose experience
     falls inside it.  Cohorts of at least ``min_cohort`` ratings
     contribute their population variance; each emitted point is the mean
     over qualifying cohorts.  Windows with no cohort are skipped.  Raises
@@ -161,12 +149,13 @@ def agreement_variance(
     if not window >= 0:
         raise ValueError("window must be >= 0")
     E = m.params.E
-    n = len(train)
-    x = np.empty(n, dtype=np.float64)
-    for times, levels, out in zip(
-        train.per_user(train.times), train.per_user(m.assignment.flat(train)), train.per_user(x)
-    ):
-        out[:] = interpolate_trajectory(times, levels, times)
+    levels = m.assignment.flat(train)
+    times = train.times.astype(np.float64)
+    first = np.ones(len(train), dtype=bool)   # first of its user and timestamp
+    first[1:] = times[1:] != times[:-1]
+    first[train.offsets[:-1]] = True
+    rows = np.maximum.accumulate(np.where(first, np.arange(len(train)), 0))
+    x = levels[rows].astype(np.float64)
 
     half = window / 2.0 + 1e-9
     grid = np.round(np.arange(1.0, E + step / 2.0, step), 6)
@@ -277,6 +266,7 @@ def retention_curves(
         for idx in range(prefix):
             points.append(
                 RetentionPoint(
+                    prefix=prefix,
                     cohort=label,
                     rating_index=idx + 1,
                     mean_level=float(means[idx]),

@@ -16,10 +16,8 @@ import json
 import logging
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis as analysis_mod
 from . import validate as validate_mod
@@ -39,7 +37,7 @@ from .dataset import (
     write_split_manifest,
 )
 from .evaluator import compare, mse
-from .synth import SynthConfig, TrajectoryKind, generate
+from .synth import SynthConfig, generate
 from .trainer import FittedModel, TrainConfig, fit
 from .model import params_to_level_dicts
 
@@ -65,16 +63,23 @@ def _format_config(args) -> FormatConfig:
     return FormatConfig(**{f.name: getattr(args, f.name) for f in fields(FormatConfig)})
 
 
-def _config_file(path, cls) -> dict:
-    """The JSON object in ``path``; raises DataError naming every key that
-    is not a field of the dataclass ``cls``."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise DataError(f"config file {path}: expected a JSON object")
-    unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
+def _config(cls, args, flags: dict):
+    """``cls`` built from the JSON object in the ``--config`` file, with
+    the ``flags`` (field name to flag value, None when unset) laid over
+    it.  A key that is no field of ``cls``, or a value that ``cls``
+    rejects, raises one DataError."""
+    where = f"config file {args.config}: " if args.config else ""
+    kwargs = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    if not isinstance(kwargs, dict):
+        raise DataError(f"{where}expected a JSON object")
+    unknown = sorted(kwargs.keys() - {f.name for f in fields(cls)})
     if unknown:
-        raise DataError(f"config file {path}: unknown keys {unknown} for {cls.__name__}")
-    return doc
+        raise DataError(f"{where}unknown keys {unknown} for {cls.__name__}")
+    kwargs.update((name, value) for name, value in flags.items() if value is not None)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where}{exc}") from None
 
 
 def _load_dataset(path, args) -> Dataset:
@@ -203,27 +208,9 @@ def cmd_split(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    file_cfg = _config_file(args.config, TrainConfig) if args.config else {}
-    default = TrainConfig()
-
-    def pick(flag_value, key):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, getattr(default, key))
-
-    grid = pick(args.lambda_grid, "lambda_grid")
-    if isinstance(grid, str):
-        grid = grid.split(",")
-    return TrainConfig(
-        E=int(pick(args.E, "E")),
-        K=int(pick(args.K, "K")),
-        lambda_grid=tuple(float(x) for x in grid),
-        max_outer_iters=int(pick(args.max_outer_iters, "max_outer_iters")),
-        inner_tolerance=float(pick(args.inner_tolerance, "inner_tolerance")),
-        inner_max_iters=int(pick(args.inner_max_iters, "inner_max_iters")),
-        seed=int(pick(args.seed, "seed")),
-        model_kind=ModelKind(pick(args.model, "model_kind")),
-    )
+    # each field's flag is named after it, but model_kind's is --model
+    flags = {f.name: getattr(args, f.name, None) for f in fields(TrainConfig)}
+    return _config(TrainConfig, args, {**flags, "model_kind": args.model})
 
 
 def cmd_fit(args) -> int:
@@ -273,11 +260,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, cls, rows):
+    """A header naming the fields of the dataclass ``cls``, then one line
+    per row; csv writes a float as its repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(f.name for f in fields(cls))
+        writer.writerows(astuple(row) for row in rows)
 
 
 def _load_genres(path) -> dict[str, str]:
@@ -315,83 +304,34 @@ def cmd_analyze(args) -> int:
 
     if model.params.E >= 2:
         scores = analysis_mod.acquired_taste_scores(model, train, args.min_ratings)
-        _write_csv(
-            out / "taste_scores.csv",
-            ["item", "d", "beginner_bias", "expert_bias", "mean_rating", "n_ratings"],
-            [
-                [s.item, repr(s.d), repr(s.beginner_bias), repr(s.expert_bias),
-                 repr(s.mean_rating), s.n_ratings]
-                for s in scores
-            ],
-        )
+        _write_csv(out / "taste_scores.csv", analysis_mod.TasteScore, scores)
         if args.genres:
             summary = analysis_mod.genre_bias_summary(scores, _load_genres(args.genres))
-            _write_csv(
-                out / "genre_summary.csv",
-                ["genre", "mean_beginner_bias", "mean_expert_bias", "mean_d", "n_items"],
-                [
-                    [g.genre, repr(g.mean_beginner_bias), repr(g.mean_expert_bias),
-                     repr(g.mean_d), g.n_items]
-                    for g in summary
-                ],
-            )
+            _write_csv(out / "genre_summary.csv", analysis_mod.GenreSummary, summary)
     else:
         print("skipping taste scores: model has a single level", file=sys.stderr)
 
-    _write_csv(
-        out / "agreement.csv",
-        ["experience", "mean_variance", "n_cohorts"],
-        [[repr(a.experience), repr(a.mean_variance), a.n_cohorts] for a in agreement],
-    )
+    _write_csv(out / "agreement.csv", analysis_mod.AgreementPoint, agreement)
 
     if model.kind.is_learned:
         rows, counts = analysis_mod.progression_stats(model, train)
-        _write_csv(
-            out / "progression.csv",
-            ["cohort", "level", "median_cum_time", "median_cum_count", "n_users"],
-            [[r.cohort, r.level, repr(r.median_cum_time), repr(r.median_cum_count), r.n_users]
-             for r in rows],
-        )
+        _write_csv(out / "progression.csv", analysis_mod.ProgressionRow, rows)
         print(f"progression cohorts: {counts}", file=sys.stderr)
     else:
         print("skipping progression: schedule-driven model kind", file=sys.stderr)
 
-    retention_rows = []
-    for prefix in prefixes:
-        for point in analysis_mod.retention_curves(model, train, gap=args.gap, prefix=prefix):
-            retention_rows.append(
-                [prefix, point.cohort, point.rating_index, repr(point.mean_level), point.n_users]
-            )
-    _write_csv(
-        out / "retention.csv",
-        ["prefix", "cohort", "rating_index", "mean_level", "n_users"],
-        retention_rows,
-    )
+    retention = [
+        point
+        for prefix in prefixes
+        for point in analysis_mod.retention_curves(model, train, gap=args.gap, prefix=prefix)
+    ]
+    _write_csv(out / "retention.csv", analysis_mod.RetentionPoint, retention)
     return 0
 
 
 def cmd_synth(args) -> int:
-    kwargs = {}
-    if args.config:
-        kwargs = _config_file(args.config, SynthConfig)
-        if "ratings_per_user" in kwargs and isinstance(kwargs["ratings_per_user"], list):
-            kwargs["ratings_per_user"] = tuple(kwargs["ratings_per_user"])
-        if "level_drift" in kwargs and isinstance(kwargs["level_drift"], list):
-            kwargs["level_drift"] = tuple(kwargs["level_drift"])
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.users is not None:
-        kwargs["n_users"] = args.users
-    if args.items is not None:
-        kwargs["n_items"] = args.items
-    try:
-        if "trajectory_kind" in kwargs:
-            kwargs["trajectory_kind"] = TrajectoryKind(kwargs["trajectory_kind"])
-        cfg = SynthConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        # a value of the wrong type fails inside SynthConfig's checks
-        where = f"config file {args.config}: " if args.config else ""
-        raise DataError(f"{where}{exc}") from None
+    cfg = _config(SynthConfig, args,
+                  {"seed": args.seed, "n_users": args.users, "n_items": args.items})
     dataset, truth = generate(cfg)
     write_reviews(dataset, args.out)
     truth_doc = {

@@ -47,6 +47,12 @@ class TrainingError(Exception):
     """Raised when model fitting cannot produce a usable model."""
 
 
+def require_integer(name: str, value) -> None:
+    """Raise TypeError unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 class SplitScheme(str, Enum):
     RANDOM = "random"
     FINAL = "final"

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Columns, Dataset, _lexsort
+from .dataset import Columns, Dataset, _lexsort, require_integer
 from .model import BLOCKS, ExperienceAssignment, ModelParams, RowIndex, score
 
 
@@ -32,6 +32,11 @@ class TrajectoryKind(str, Enum):
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Generator settings.  ``trajectory_kind`` may be given as its value
+    string and ``ratings_per_user`` as an integer or a (lo, hi) sequence;
+    both are stored converted.  The integer fields reject floats and
+    bools, and the real ones non-finite values."""
+
     n_users: int = 100
     n_items: int = 100
     E: int = 5
@@ -49,31 +54,43 @@ class SynthConfig:
     clamp: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.ratings_per_user, (int, np.integer)):
+            object.__setattr__(self, "ratings_per_user", tuple(self.ratings_per_user))
+        object.__setattr__(self, "trajectory_kind", TrajectoryKind(self.trajectory_kind))
         for name in ("n_users", "n_items", "E", "K", "seed", "horizon"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            require_integer(name, getattr(self, name))
+        lo, hi = self.rating_range
+        for bound in (lo, hi):
+            require_integer("ratings_per_user", bound)
         for name in ("leaver_fraction", "bias_scale", "factor_scale", "alpha0"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) and not (name == "factor_scale" and value is None):
+            if name == "factor_scale" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.clamp, (bool, np.bool_)):
+            raise TypeError(f"clamp must be a bool, got {self.clamp!r}")
         if self.n_users < 1 or self.n_items < 1 or self.E < 1 or self.K < 1:
             raise ValueError("counts must be >= 1")
-        lo, hi = self.rating_range
         if lo < 1 or hi < lo:
             raise ValueError("invalid ratings_per_user range")
         if hi > self.n_items:
             raise ValueError("ratings_per_user exceeds n_items (items are sampled once per user)")
         if not (0.0 <= self.leaver_fraction <= 1.0):
             raise ValueError("leaver_fraction must be in [0, 1]")
-        if np.any(np.asarray(self.sigma_by_level) < 0):
-            raise ValueError("noise_sigma must be >= 0")
+        sigma = self.sigma_by_level
+        if not (np.isfinite(sigma).all() and (sigma >= 0).all()):
+            raise ValueError("noise_sigma must be finite and >= 0")
+        if not all(math.isfinite(drift) for drift in self.drift_by_block.values()):
+            raise ValueError("level_drift must be finite")
 
     @property
     def rating_range(self) -> tuple[int, int]:
-        if isinstance(self.ratings_per_user, int):
-            return self.ratings_per_user, self.ratings_per_user
-        lo, hi = self.ratings_per_user
-        return int(lo), int(hi)
+        if isinstance(self.ratings_per_user, tuple):
+            return self.ratings_per_user
+        return self.ratings_per_user, self.ratings_per_user
 
     @property
     def sigma_by_level(self) -> np.ndarray:
@@ -86,8 +103,10 @@ class SynthConfig:
 
     @property
     def drift_by_block(self) -> dict[str, float]:
-        if isinstance(self.level_drift, (int, float)):
+        if isinstance(self.level_drift, numbers.Real):
             return {name: float(self.level_drift) for name in BLOCKS}
+        if not isinstance(self.level_drift, Mapping):
+            raise TypeError(f"level_drift must be a number or a mapping, got {self.level_drift!r}")
         unknown = set(self.level_drift) - set(BLOCKS)
         if unknown:
             raise ValueError(f"unknown drift blocks: {sorted(unknown)}")

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .assign import ModelKind, assign_all, assert_monotone
-from .dataset import Dataset, TrainingError
+from .dataset import Dataset, TrainingError, require_integer
 from .model import (
     BLOCKS,
     ExperienceAssignment,
@@ -43,6 +43,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings.  ``model_kind`` may be given as its value string
+    and ``lambda_grid`` as any sequence of numbers or a comma-separated
+    string; both are stored converted.  The integer fields reject floats
+    and bools."""
+
     E: int = 5
     K: int = 5
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
@@ -53,8 +58,17 @@ class TrainConfig:
     model_kind: ModelKind = ModelKind.USER_LEARNED
 
     def __post_init__(self):
+        for name in ("E", "K", "max_outer_iters", "inner_max_iters", "seed"):
+            require_integer(name, getattr(self, name))
+        grid = self.lambda_grid
+        if isinstance(grid, str):
+            grid = grid.split(",")
+        object.__setattr__(self, "lambda_grid", tuple(float(lam) for lam in grid))
+        object.__setattr__(self, "model_kind", ModelKind(self.model_kind))
         if self.E < 1 or self.K < 1:
             raise ValueError("E and K must be >= 1")
+        if self.max_outer_iters < 1 or self.inner_max_iters < 1:
+            raise ValueError("max_outer_iters and inner_max_iters must be >= 1")
         if not self.lambda_grid:
             raise ValueError("lambda_grid must be non-empty")
         if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambda_grid):

@@ -9,7 +9,6 @@ from exprec.analysis import (
     acquired_taste_scores,
     agreement_variance,
     genre_bias_summary,
-    interpolate_trajectory,
     progression_stats,
     retention_curves,
 )
@@ -96,23 +95,20 @@ class TestGenreSummary:
             genre_bias_summary(self.make_scores(), {"zzz": "stout"})
 
 
-class TestInterpolateTrajectory:
-    def test_passes_through_knots(self):
-        times = np.array([0, 10, 20])
-        levels = np.array([1, 2, 4])
-        out = interpolate_trajectory(times, levels, times)
-        assert np.array_equal(out, [1.0, 2.0, 4.0])
-
-    def test_linear_between_and_constant_outside(self):
-        times = np.array([0, 10])
-        levels = np.array([1, 3])
-        out = interpolate_trajectory(times, levels, np.array([-5, 5, 15]))
-        assert np.allclose(out, [1.0, 2.0, 3.0])
+def interpolate_trajectory(times, levels, query_times):
+    """Piecewise-linear experience through the (timestamp, level) knots of
+    one user's ratings, constant outside the observed range: the
+    experience ``agreement_variance`` once gave each rating."""
+    times = np.asarray(times, dtype=np.float64)
+    levels = np.asarray(levels, dtype=np.float64)
+    keep = np.concatenate(([True], np.diff(times) > 0))
+    return np.interp(np.asarray(query_times, dtype=np.float64), times[keep], levels[keep])
 
 
 def loop_agreement(m, train, min_cohort=5, window=0.5, step=0.1):
-    """The per-centre, per-item loop that ``agreement_variance``'s bincount
-    passes replaced, kept as its reference: (experience, mean_variance,
+    """The per-user interpolation and the per-centre, per-item loop that
+    ``agreement_variance``'s one-pass experience and bincount passes
+    replaced, kept as its reference: (experience, mean_variance,
     n_cohorts) per emitted point."""
     x = np.empty(len(train))
     for times, levels, out in zip(

@@ -1,6 +1,7 @@
 """End-to-end command line behavior and exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,11 @@ class TestConfigFile:
         {"n_users": "40"}, {"n_users": 40.0}, {"seed": "1"}, {"ratings_per_user": "ab"},
         {"trajectory_kind": "zigzag"}, {"leaver_fraction": 2},
         {"bias_scale": "0.3"}, {"factor_scale": "0.1"}, {"alpha0": "3"},
+        # non-finite reals, a clamp that is no bool, a bool count
+        {"alpha0": math.nan}, {"bias_scale": math.inf}, {"factor_scale": -math.inf},
+        {"noise_sigma": math.nan}, {"level_drift": math.inf}, {"level_drift": {"alpha": math.nan}},
+        {"noise_sigma": [0.1, math.nan, 0.1, 0.1, 0.1]}, {"level_drift": ["alpha"]},
+        {"clamp": "no"}, {"n_users": True}, {"seed": False}, {"ratings_per_user": [5.5, 10]},
     ])
     def test_bad_synth_config_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "synth.json"
@@ -120,6 +126,39 @@ class TestConfigFile:
         assert rc == 2
         assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"E": None}, {"E": [3]}, {"E": 3.7}, {"E": True}, {"E": "3"},
+        {"lambda_grid": 5}, {"max_outer_iters": 0}, {"inner_max_iters": 0},
+        {"K": False}, {"seed": 1.0}, {"model_kind": "z"},
+    ])
+    def test_bad_fit_config_exits_2(self, split_dir, tmp_path, capsys, doc):
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "model.json"
+        rc = main(["fit", "--input", str(split_dir / "train.tsv"), "--valid", str(split_dir / "valid.tsv"),
+                   "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_comma_separated_grid_in_file_trains_each_point(self, split_dir, tmp_path,
+                                                            monkeypatch):
+        real, trained = trainer.fit_single_lambda, []
+
+        def record(train, cfg, lam, progress=None):
+            trained.append(lam)
+            return real(train, cfg, lam, progress=progress)
+
+        monkeypatch.setattr(trainer, "fit_single_lambda", record)
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps({"lambda_grid": "1,10", "model_kind": "b", "E": 2, "K": 1,
+                                   "max_outer_iters": 1, "inner_max_iters": 5}))
+        rc = main(["fit", "--input", str(split_dir / "train.tsv"), "--valid", str(split_dir / "valid.tsv"),
+                   "--config", str(cfg), "--out", str(tmp_path / "model.json")])
+        assert rc == 0
+        assert trained == [1.0, 10.0]
 
     def test_flag_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["fit", "--input", "t", "--valid", "v", "--out", "m"])

@@ -197,6 +197,15 @@ class TestGenerate:
                 SynthConfig(**{name: value})
         assert SynthConfig(factor_scale=None, alpha0=3, bias_scale=np.float64(0.2)).alpha0 == 3
 
+    def test_value_strings_and_sequences_stored_converted(self):
+        # a plain string used to plant the uniform trajectory for every user
+        base = dict(n_users=50, n_items=40, ratings_per_user=[5, 20], leaver_fraction=0.0, seed=3)
+        cfg = SynthConfig(trajectory_kind="staircase", **base)
+        assert cfg.trajectory_kind is TrajectoryKind.STAIRCASE and cfg.ratings_per_user == (5, 20)
+        _, by_string = generate(cfg)
+        _, by_member = generate(SynthConfig(trajectory_kind=TrajectoryKind.STAIRCASE, **base))
+        assert np.array_equal(by_string.true_levels.column, by_member.true_levels.column)
+
     def test_per_level_noise_vector(self):
         cfg = SynthConfig(E=3, noise_sigma=(0.1, 0.2, 0.3), seed=1,
                           n_users=5, n_items=20, ratings_per_user=5)

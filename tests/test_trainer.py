@@ -45,6 +45,16 @@ class TestTrainConfig:
     def test_accepts_zero_lambda(self):
         assert TrainConfig(lambda_grid=(0.0, 1.0)).lambda_grid == (0.0, 1.0)
 
+    def test_kind_string_fits_that_kind(self):
+        # a plain string used to fail inside fit with an AttributeError
+        cfg = TrainConfig(model_kind="lf", lambda_grid=[1], seed=1, max_outer_iters=2,
+                          inner_max_iters=20)
+        assert cfg.model_kind is ModelKind.FLAT and cfg.lambda_grid == (1.0,)
+        data, _ = small_corpus(seed=1)
+        train, valid, _ = split(data, SplitSpec(SplitScheme.RANDOM, 0.1, 0.1, seed=1))
+        m = fit(train, valid, cfg)
+        assert m.kind is ModelKind.FLAT and m.params.E == 1
+
 
 class TestInitialize:
     def test_alpha_is_global_mean(self):
