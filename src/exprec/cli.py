@@ -2,8 +2,9 @@
 
 Subcommands: ingest, split, fit, evaluate, compare, analyze, synth,
 validate.  Exit codes: 0 success, 1 usage error, 2 data error or
-unreadable file, 3 training failure.  Log records and library warnings
-print as one ``warning:`` line each on stderr.  Model kinds are spelled
+unreadable file, 3 training failure.  INFO log records print as their
+message on stderr, and WARNING records and library warnings as one
+``warning:`` line each.  Model kinds are spelled
 lf/a/b/c/d on the command line: flat, community-uniform, user-uniform,
 community-learned, user-learned.
 """
@@ -121,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-tolerance", type=float, default=None)
     p.add_argument("--inner-max-iters", type=int, default=None)
     p.add_argument("--config", default=None, help="JSON file of TrainConfig fields; flags override")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     _add_format_flags(p)
     p.set_defaults(func=cmd_fit)
@@ -216,18 +216,7 @@ def _train_config(args) -> TrainConfig:
 def cmd_fit(args) -> int:
     train = _load_dataset(args.input, args)
     valid = _load_dataset(args.valid, args)
-    cfg = _train_config(args)
-
-    def progress(lam, it, obj, changed):
-        print(f"iter={it} obj={obj:.8g} changed={changed}", file=sys.stderr)
-
-    model = fit(
-        train,
-        valid,
-        cfg,
-        progress=None if args.threads > 1 else progress,
-        threads=args.threads,
-    )
+    model = fit(train, valid, _train_config(args))
     model.save(args.out)
     print(f"selected lambda={model.lam}", file=sys.stderr)
     return 0
@@ -369,6 +358,12 @@ def cmd_validate(args) -> int:
     return 2 if failed else 0
 
 
+class _StderrFormatter(logging.Formatter):
+    def format(self, record):
+        message = record.getMessage()
+        return message if record.levelno <= logging.INFO else f"warning: {message}"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -376,12 +371,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse signals usage problems (and --help) via SystemExit
         return 1 if exc.code not in (0, None) else 0
-    # log records (a failed lambda, dropped duplicate rows) print as one
-    # line each, and library warnings go the same way, without the source
-    # location warnings.warn would add
+    # log records (fit's iterations, a failed lambda, dropped duplicate
+    # rows) print as one line each, and library warnings go the same way,
+    # without the source location warnings.warn would add; the level is
+    # restored because tests call main in-process
     to_stderr = logging.StreamHandler(sys.stderr)
-    to_stderr.setFormatter(logging.Formatter("warning: %(message)s"))
+    to_stderr.setFormatter(_StderrFormatter())
     log = logging.getLogger("exprec")
+    level = log.level
+    log.setLevel(logging.INFO)
     log.addHandler(to_stderr)
     try:
         with warnings.catch_warnings():
@@ -395,6 +393,7 @@ def main(argv=None) -> int:
         return 3
     finally:
         log.removeHandler(to_stderr)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

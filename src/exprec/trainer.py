@@ -14,10 +14,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -236,15 +234,10 @@ def e_step(p: ModelParams, train: Dataset, kind: ModelKind) -> ExperienceAssignm
     return assign_all(kind, p, train)
 
 
-ProgressFn = Callable[[float, int, float, int], None]
-
-
-def fit_single_lambda(
-    train: Dataset,
-    cfg: TrainConfig,
-    lam: float,
-    progress: ProgressFn | None = None,
-) -> FittedModel:
+def fit_single_lambda(train: Dataset, cfg: TrainConfig, lam: float) -> FittedModel:
+    """Train at one smoothness weight.  Each outer iteration logs one INFO
+    record ``iter=… obj=… changed=…`` on ``exprec.trainer``, carrying
+    ``lam`` as a record attribute."""
     p, a = initialize(train, cfg)
     rows = training_rows(p, a, train)
     vals = train.values
@@ -263,26 +256,21 @@ def fit_single_lambda(
             err = error_term(p, rows, vals)
         obj = err + pen
         history.append(HistoryEntry(it, "e", err, obj, changed))
-        if progress is not None:
-            progress(lam, it, obj, changed)
+        logger.info("iter=%d obj=%.8g changed=%d", it, obj, changed, extra={"lam": lam})
         if changed == 0:
             break
     assert_monotone(cfg.model_kind, train, a)
     return FittedModel(params=p, assignment=a, kind=cfg.model_kind, lam=lam, train_history=history)
 
 
-def fit(
-    train: Dataset,
-    validation: Dataset,
-    cfg: TrainConfig,
-    progress: ProgressFn | None = None,
-    threads: int = 1,
-) -> FittedModel:
-    """Train one model per lambda in the grid and keep the one with the
-    smallest validation MSE (ties go to the earliest grid entry).
+def fit(train: Dataset, validation: Dataset, cfg: TrainConfig, *, threads: int = 1) -> FittedModel:
+    """Train one model per lambda in the grid, in grid order, and keep the
+    one with the smallest validation MSE (ties go to the earliest grid
+    entry).  ``threads`` must be 1; it remains only for callers that
+    still pass it.
 
     Every grid point restarts from the same seeded initialization, so
-    results do not depend on grid order or on ``threads``.  With a single
+    results do not depend on grid order.  With a single
     level (``cfg.effective_E == 1``) the smoothness term is identically
     zero and every grid point would train the same model, so only
     ``lambda_grid[0]`` is trained.  A grid point that raises
@@ -290,21 +278,15 @@ def fit(
     ``exprec.trainer`` logger, in grid order; if every point fails, the
     error lists each lambda with its message.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     grid = list(cfg.lambda_grid) if cfg.effective_E > 1 else [cfg.lambda_grid[0]]
-
-    def attempt(lam: float) -> FittedModel | str:
+    fitted, failures = [], {}
+    for lam in grid:
         try:
-            return fit_single_lambda(train, cfg, lam, progress=progress)
+            fitted.append(fit_single_lambda(train, cfg, lam))
         except TrainingError as exc:
-            return str(exc)
-
-    if threads > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(attempt, grid))
-    else:
-        outcomes = list(map(attempt, grid))
-    fitted = [o for o in outcomes if isinstance(o, FittedModel)]
-    failures = {lam: o for lam, o in zip(grid, outcomes) if isinstance(o, str)}
+            failures[lam] = str(exc)
     for lam, msg in failures.items():
         logger.warning("lambda=%s failed: %s", lam, msg)
     return _select(fitted, failures, train, validation)

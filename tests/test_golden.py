@@ -52,10 +52,3 @@ def test_saved_model_hash(kind, corpus, tmp_path):
     model = fit(train, valid, config(kind))
     assert saved_sha256(model, tmp_path / "model.json") == GOLDEN[kind.value]
 
-
-def test_threads_save_identical_bytes(corpus, tmp_path):
-    train, valid = corpus
-    cfg = config(ModelKind.USER_LEARNED)
-    one = saved_sha256(fit(train, valid, cfg, threads=1), tmp_path / "one.json")
-    two = saved_sha256(fit(train, valid, cfg, threads=2), tmp_path / "two.json")
-    assert one == two == GOLDEN["d"]

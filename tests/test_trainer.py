@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -306,7 +307,7 @@ class TestFit:
 
 
 class TestFitGrid:
-    """The grid loop: per-lambda failures, thread independence, E=1 collapse."""
+    """The grid loop: per-lambda failures, iteration records, E=1 collapse."""
 
     @pytest.fixture(scope="class")
     def split_corpus(self):
@@ -319,33 +320,29 @@ class TestFitGrid:
         calls = []
         real = trainer.fit_single_lambda
 
-        def fake(train, cfg, lam, progress=None):
+        def fake(train, cfg, lam):
             calls.append(lam)
             if lam in bad:
                 raise TrainingError(f"planted failure at {lam}")
-            return real(train, cfg, lam, progress=progress)
+            return real(train, cfg, lam)
 
         monkeypatch.setattr(trainer, "fit_single_lambda", fake)
         return calls
 
-    def test_partial_failure_same_model_for_any_thread_count(self, split_corpus, monkeypatch,
-                                                             caplog):
+    def test_partial_failure_keeps_the_other_points(self, split_corpus, monkeypatch, caplog):
         train, valid = split_corpus
         cfg = TrainConfig(E=3, K=2, seed=2, lambda_grid=(1e-4, 1.0, 100.0), max_outer_iters=3,
                           inner_max_iters=40)
+        survivors = fit(train, valid, replace(cfg, lambda_grid=(1e-4, 100.0)))
         self.fail_on(monkeypatch, {1.0})
         caplog.set_level(logging.WARNING, logger="exprec.trainer")
-        models = []
-        for threads in (1, 2):
-            caplog.clear()
-            models.append(fit(train, valid, cfg, threads=threads))
-            # the failed lambda is logged once, not silently dropped
-            assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
-                ("exprec.trainer", "WARNING", "lambda=1.0 failed: planted failure at 1.0")
-            ]
-        serial, threaded = models
-        assert serial.lam in (1e-4, 100.0)
-        assert json.dumps(serial.to_json_dict()) == json.dumps(threaded.to_json_dict())
+        m = fit(train, valid, cfg)
+        # the failed lambda is logged once, not silently dropped
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("exprec.trainer", "WARNING", "lambda=1.0 failed: planted failure at 1.0")
+        ]
+        assert m.lam in (1e-4, 100.0)
+        assert json.dumps(m.to_json_dict()) == json.dumps(survivors.to_json_dict())
 
     def test_failures_logged_in_grid_order(self, split_corpus, monkeypatch, caplog):
         train, valid = split_corpus
@@ -353,18 +350,17 @@ class TestFitGrid:
         self.fail_on(monkeypatch, set(grid))
         caplog.set_level(logging.WARNING, logger="exprec.trainer")
         with pytest.raises(TrainingError):
-            fit(train, valid, TrainConfig(E=3, K=2, lambda_grid=grid), threads=2)
+            fit(train, valid, TrainConfig(E=3, K=2, lambda_grid=grid))
         assert [r.getMessage() for r in caplog.records] == [
             f"lambda={lam} failed: planted failure at {lam}" for lam in grid
         ]
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_all_failures_listed(self, split_corpus, monkeypatch, threads):
+    def test_all_failures_listed(self, split_corpus, monkeypatch):
         train, valid = split_corpus
         grid = (1e-4, 1.0, 100.0)
         self.fail_on(monkeypatch, set(grid))
         with pytest.raises(TrainingError) as info:
-            fit(train, valid, TrainConfig(E=3, K=2, lambda_grid=grid), threads=threads)
+            fit(train, valid, TrainConfig(E=3, K=2, lambda_grid=grid))
         for lam in grid:
             assert f"lambda={lam}: planted failure at {lam}" in str(info.value)
 
@@ -373,6 +369,31 @@ class TestFitGrid:
         calls = self.fail_on(monkeypatch, set())
         cfg = TrainConfig(K=2, seed=2, model_kind=ModelKind.FLAT, lambda_grid=(10.0, 1.0, 0.1),
                           max_outer_iters=3, inner_max_iters=40)
-        m = fit(train, valid, cfg, threads=2)
+        m = fit(train, valid, cfg)
         assert calls == [10.0]
         assert m.lam == 10.0
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_only_one_thread(self, split_corpus, threads):
+        train, valid = split_corpus
+        with pytest.raises(ValueError, match="^threads must be 1, got"):
+            fit(train, valid, TrainConfig(E=2, K=1, lambda_grid=(1.0,)), threads=threads)
+
+    def test_one_info_record_per_outer_iteration(self, split_corpus, monkeypatch, caplog):
+        train, valid = split_corpus
+        real, models = trainer.fit_single_lambda, []
+
+        def record(train, cfg, lam):
+            models.append(real(train, cfg, lam))
+            return models[-1]
+
+        monkeypatch.setattr(trainer, "fit_single_lambda", record)
+        caplog.set_level(logging.INFO, logger="exprec.trainer")
+        fit(train, valid, TrainConfig(E=3, K=2, seed=2, lambda_grid=(100.0, 1e-4),
+                                      max_outer_iters=3, inner_max_iters=40))
+        assert [m.lam for m in models] == [100.0, 1e-4]
+        assert [(r.levelname, r.lam, r.getMessage()) for r in caplog.records] == [
+            ("INFO", m.lam, f"iter={h.iteration} obj={h.objective:.8g} changed={h.assignment_changes}")
+            for m in models for h in m.train_history if h.step == "e"
+        ]
+
