@@ -11,9 +11,12 @@ objective never increases.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -174,6 +177,45 @@ def minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
+@functools.cache
+def _scipy_blas():
+    """The OpenBLAS library bundled with scipy, which L-BFGS-B calls, or
+    None, with one WARNING, when it or its thread-count functions are
+    missing.  Found on first use, so that importing exprec loads no
+    library."""
+    import scipy
+
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_num_threads") and hasattr(lib, "scipy_openblas_set_num_threads"):
+            lib.scipy_openblas_get_num_threads.argtypes = []
+            lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads.restype = None
+            return lib
+    logger.warning("cannot set scipy's OpenBLAS thread count; "
+                   "fitted bytes may depend on the BLAS thread count")
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with scipy's OpenBLAS on one thread, then restore its
+    count.  OpenBLAS splits long dot products across threads, and the
+    split changes their rounding, so L-BFGS-B's iterates would depend on
+    the host's thread count."""
+    lib = _scipy_blas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(before)
+
+
 def theta_step(
     p: ModelParams,
     rows: RowIndex,
@@ -200,18 +242,19 @@ def theta_step(
     x0 = p.flatten()
     err_in = error_term(p, rows, vals)
     obj_in = err_in + lam * smoothness_penalty(p)
-    result = minimize(
-        fun,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": cfg.inner_max_iters,
-            "maxcor": 10,
-            "ftol": cfg.inner_tolerance,
-            "gtol": 1e-10,
-        },
-    )
+    with _one_blas_thread():
+        result = minimize(
+            fun,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            options={
+                "maxiter": cfg.inner_max_iters,
+                "maxcor": 10,
+                "ftol": cfg.inner_tolerance,
+                "gtol": 1e-10,
+            },
+        )
     candidate = ModelParams.from_flat(result.x, users, items, E, K)
     bad = _nonfinite_block(candidate)
     if bad is not None or not np.isfinite(result.fun):

@@ -3,7 +3,11 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,3 +401,48 @@ class TestFitGrid:
             for m in models for h in m.train_history if h.step == "e"
         ]
 
+
+# prints the sha256 of a saved kind-d fit with 28,803 parameters, above the
+# size at which OpenBLAS splits a dot product across threads
+BLAS_FIT = """
+import hashlib, json
+from exprec import Dataset, SynthConfig, TrainConfig, fit, generate
+
+data, _ = generate(SynthConfig(n_users=3000, n_items=200, ratings_per_user=(5, 20), seed=1))
+model = fit(data, Dataset([]), TrainConfig(E=3, K=2, lambda_grid=(1.0,), max_outer_iters=1,
+                                           inner_max_iters=15))
+print(hashlib.sha256((json.dumps(model.to_json_dict()) + "\\n").encode()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores to split a dot product")
+    def test_fit_bytes_do_not_depend_on_blas_thread_count(self):
+        src = str(Path(trainer.__file__).resolve().parents[1])
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", BLAS_FIT], capture_output=True, text=True,
+                                  env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            hashes.append(proc.stdout)
+        assert hashes[0] == hashes[1]
+
+    def test_missing_library_warns_once(self, monkeypatch, caplog):
+        import scipy
+
+        monkeypatch.setattr(scipy, "__file__", "/nonexistent/scipy/__init__.py")
+        trainer._scipy_blas.cache_clear()
+        try:
+            caplog.set_level(logging.WARNING, logger="exprec.trainer")
+            data, _ = small_corpus(seed=3, n_users=5, per_user=6)
+            cfg = TrainConfig(E=2, K=1, lambda_grid=(1.0,), max_outer_iters=2, inner_max_iters=5)
+            fit(data, EMPTY, cfg)
+            fit(data, EMPTY, cfg)
+        finally:
+            trainer._scipy_blas.cache_clear()
+        assert [r.getMessage() for r in caplog.records] == [
+            "cannot set scipy's OpenBLAS thread count; fitted bytes may depend on the BLAS thread count"
+        ]
