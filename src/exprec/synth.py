@@ -35,7 +35,9 @@ class SynthConfig:
     """Generator settings.  ``trajectory_kind`` may be given as its value
     string and ``ratings_per_user`` as an integer or a (lo, hi) sequence;
     both are stored converted.  The integer fields reject floats and
-    bools, and the real ones non-finite values."""
+    bools.  The real fields, the entries of ``noise_sigma`` and the values
+    of ``level_drift`` reject bools and non-finite values, and
+    ``horizon`` and ``level_drift`` negative ones."""
 
     n_users: int = 100
     n_items: int = 100
@@ -55,7 +57,12 @@ class SynthConfig:
 
     def __post_init__(self):
         if not isinstance(self.ratings_per_user, (int, np.integer)):
-            object.__setattr__(self, "ratings_per_user", tuple(self.ratings_per_user))
+            try:
+                lo, hi = self.ratings_per_user
+            except (TypeError, ValueError):
+                raise TypeError("ratings_per_user takes an integer or a (lo, hi) pair, "
+                                f"got {self.ratings_per_user!r}") from None
+            object.__setattr__(self, "ratings_per_user", (lo, hi))
         object.__setattr__(self, "trajectory_kind", TrajectoryKind(self.trajectory_kind))
         for name in ("n_users", "n_items", "E", "K", "seed", "horizon"):
             require_integer(name, getattr(self, name))
@@ -80,11 +87,19 @@ class SynthConfig:
             raise ValueError("ratings_per_user exceeds n_items (items are sampled once per user)")
         if not (0.0 <= self.leaver_fraction <= 1.0):
             raise ValueError("leaver_fraction must be in [0, 1]")
+        if self.horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {self.horizon!r}")
+        # numpy and float() would take a bool as 0 or 1
+        sigmas = [self.noise_sigma] if np.ndim(self.noise_sigma) == 0 else list(self.noise_sigma)
+        drifts = self.level_drift.values() if isinstance(self.level_drift, Mapping) else [self.level_drift]
+        for name, values in (("noise_sigma", sigmas), ("level_drift", drifts)):
+            if any(isinstance(v, (bool, np.bool_)) for v in values):
+                raise TypeError(f"{name} takes numbers, not bools, got {getattr(self, name)!r}")
         sigma = self.sigma_by_level
         if not (np.isfinite(sigma).all() and (sigma >= 0).all()):
             raise ValueError("noise_sigma must be finite and >= 0")
-        if not all(math.isfinite(drift) for drift in self.drift_by_block.values()):
-            raise ValueError("level_drift must be finite")
+        if not all(math.isfinite(drift) and drift >= 0 for drift in self.drift_by_block.values()):
+            raise ValueError("level_drift must be finite and >= 0")
 
     @property
     def rating_range(self) -> tuple[int, int]:

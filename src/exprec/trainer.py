@@ -64,6 +64,8 @@ class TrainConfig:
         grid = self.lambda_grid
         if isinstance(grid, str):
             grid = grid.split(",")
+        if any(isinstance(lam, (bool, np.bool_)) for lam in grid):
+            raise TypeError(f"lambda_grid takes numbers, not bools, got {self.lambda_grid!r}")
         object.__setattr__(self, "lambda_grid", tuple(float(lam) for lam in grid))
         object.__setattr__(self, "model_kind", ModelKind(self.model_kind))
         if self.E < 1 or self.K < 1:

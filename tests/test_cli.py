@@ -116,6 +116,11 @@ class TestConfigFile:
         {"noise_sigma": math.nan}, {"level_drift": math.inf}, {"level_drift": {"alpha": math.nan}},
         {"noise_sigma": [0.1, math.nan, 0.1, 0.1, 0.1]}, {"level_drift": ["alpha"]},
         {"clamp": "no"}, {"n_users": True}, {"seed": False}, {"ratings_per_user": [5.5, 10]},
+        # negative spans, a bool as a number, a pair of the wrong length
+        {"horizon": -5}, {"level_drift": -0.1}, {"level_drift": {"alpha": -0.1}},
+        {"noise_sigma": True}, {"noise_sigma": [0.1, True, 0.1, 0.1, 0.1]},
+        {"level_drift": True}, {"level_drift": {"alpha": True}},
+        {"ratings_per_user": [10]}, {"ratings_per_user": [5, 10, 15]},
     ])
     def test_bad_synth_config_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "synth.json"
@@ -125,12 +130,15 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
+        if "ratings_per_user" in doc and len(doc["ratings_per_user"]) != 2:
+            assert "ratings_per_user takes an integer or a (lo, hi) pair" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("doc", [
         {"E": None}, {"E": [3]}, {"E": 3.7}, {"E": True}, {"E": "3"},
         {"lambda_grid": 5}, {"max_outer_iters": 0}, {"inner_max_iters": 0},
         {"K": False}, {"seed": 1.0}, {"model_kind": "z"},
+        {"lambda_grid": [True]}, {"lambda_grid": [1.0, False]},
     ])
     def test_bad_fit_config_exits_2(self, split_dir, tmp_path, capsys, doc):
         cfg = tmp_path / "fit.json"
