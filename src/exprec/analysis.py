@@ -192,44 +192,29 @@ def progression_stats(m: "FittedModel", train: Dataset) -> tuple[list[Progressio
     if not m.kind.is_learned:
         raise ValueError("progression is fixed by schedule for uniform and flat kinds")
     E = m.params.E
-    entries: dict[str, list[dict[int, tuple[int, int]]]] = {"reached_top": [], "reached_all_but_top": []}
-    counts = {"reached_top": 0, "reached_all_but_top": 0, "already_experienced": 0}
-    for times, levels in zip(train.per_user(train.times), train.per_user(m.assignment.flat(train))):
-        first, terminal = int(levels[0]), int(levels[-1])
-        if first == E:
-            counts["already_experienced"] += 1
-            continue
-        if terminal == E:
-            cohort = "reached_top"
-        elif terminal == E - 1 and first < E - 1:
-            cohort = "reached_all_but_top"
-        else:
-            continue
-        counts[cohort] += 1
-        user_entries = {}
-        for level in range(2, terminal + 1):
-            j = int(np.argmax(levels >= level))
-            user_entries[level] = (int(times[j] - times[0]), j)
-        entries[cohort].append(user_entries)
+    m.assignment.flat(train)  # raises unless it is laid out as train's rows
+    # before[j, e]: user j's ratings below level e + 2, so the index of the
+    # first rating at level e + 2 or above
+    before = np.cumsum(m.assignment.counts(E), axis=1)
+    first = 1 + np.argmax(before > 0, axis=1)
+    terminal = 1 + np.argmax(before == before[:, -1:], axis=1)
+    cohorts = {"reached_top": (first < E) & (terminal == E),
+               "reached_all_but_top": (first < E - 1) & (terminal == E - 1)}
+    counts = {cohort: int(mask.sum()) for cohort, mask in cohorts.items()}
+    counts["already_experienced"] = int((first == E).sum())
 
     rows: list[ProgressionRow] = []
-    for cohort, cohort_entries in entries.items():
-        if not cohort_entries:
-            continue
-        top = E if cohort == "reached_top" else E - 1
-        for level in range(2, top + 1):
-            times_at = [e[level][0] for e in cohort_entries if level in e]
-            counts_at = [e[level][1] for e in cohort_entries if level in e]
-            if times_at:
-                rows.append(
-                    ProgressionRow(
-                        cohort=cohort,
-                        level=level,
-                        median_cum_time=float(np.median(times_at)),
-                        median_cum_count=float(np.median(counts_at)),
-                        n_users=len(times_at),
-                    )
-                )
+    for (cohort, mask), top in zip(cohorts.items(), (E, E - 1)):
+        start = train.offsets[:-1][mask]
+        for level in range(2, top + 1) if len(start) else ():
+            j = before[mask, level - 2]
+            rows.append(ProgressionRow(
+                cohort=cohort,
+                level=level,
+                median_cum_time=float(np.median(train.times[start + j] - train.times[start])),
+                median_cum_count=float(np.median(j)),
+                n_users=len(start),
+            ))
     return rows, counts
 
 
@@ -247,30 +232,20 @@ def retention_curves(
     ratings contribute, so every index draws on the same population.
     """
     corpus_end = int(d.times.max())
-    cohorts: dict[str, list[np.ndarray]] = {"left": [], "stayed": []}
-    for times, levels in zip(d.per_user(d.times), d.per_user(m.assignment.flat(d))):
-        if len(times) < prefix:
-            continue
-        last = int(times[-1])
-        label = "left" if corpus_end - last > gap else "stayed"
-        cohorts[label].append(levels[:prefix])
+    levels = m.assignment.flat(d)
+    long_enough = np.diff(d.offsets) >= prefix
+    start, stop = d.offsets[:-1][long_enough], d.offsets[1:][long_enough]
+    prefixes = levels[start[:, None] + np.arange(prefix)]  # one row per user
+    left = corpus_end - d.times[stop - 1] > gap
 
     points: list[RetentionPoint] = []
-    for label in ("left", "stayed"):
-        members = cohorts[label]
-        if not members:
+    for label, members in (("left", prefixes[left]), ("stayed", prefixes[~left])):
+        if not len(members):
             warnings.warn(f"retention cohort {label!r} is empty; curve omitted")
             continue
-        stack = np.vstack(members)
-        means = stack.mean(axis=0)
-        for idx in range(prefix):
-            points.append(
-                RetentionPoint(
-                    prefix=prefix,
-                    cohort=label,
-                    rating_index=idx + 1,
-                    mean_level=float(means[idx]),
-                    n_users=len(members),
-                )
-            )
+        points.extend(
+            RetentionPoint(prefix=prefix, cohort=label, rating_index=idx + 1,
+                           mean_level=float(mean), n_users=len(members))
+            for idx, mean in enumerate(members.mean(axis=0))
+        )
     return points

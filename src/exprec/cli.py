@@ -40,7 +40,6 @@ from .dataset import (
 from .evaluator import compare, mse
 from .synth import SynthConfig, generate
 from .trainer import FittedModel, TrainConfig, fit
-from .model import params_to_level_dicts
 
 MODEL_CHOICES = [k.value for k in ModelKind]
 
@@ -180,7 +179,7 @@ def cmd_ingest(args) -> int:
     d = _load_dataset(args.input, args)
     pooled = pool_infrequent_users(d, args.min_ratings)
     if pooled is not d:
-        n_bg = len(pooled.user_index[BACKGROUND_USER])
+        n_bg = int((pooled.offsets[1:] - pooled.offsets[:-1])[pooled.users.index(BACKGROUND_USER)])
         print(f"pooled {n_bg} ratings into {BACKGROUND_USER}", file=sys.stderr)
     # output is on the normalized scale: read it back with --scale-max 5
     write_reviews(pooled, args.out)
@@ -214,9 +213,10 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_fit(args) -> int:
+    cfg = _train_config(args)  # a bad config fails before any parse
     train = _load_dataset(args.input, args)
     valid = _load_dataset(args.valid, args)
-    model = fit(train, valid, _train_config(args))
+    model = fit(train, valid, cfg)
     model.save(args.out)
     print(f"selected lambda={model.lam}", file=sys.stderr)
     return 0
@@ -323,13 +323,12 @@ def cmd_synth(args) -> int:
                   {"seed": args.seed, "n_users": args.users, "n_items": args.items})
     dataset, truth = generate(cfg)
     write_reviews(dataset, args.out)
+    p = truth.true_params
+    # as in a model file: the level counts align with the users, as every user has ratings
     truth_doc = {
-        "true_params": {
-            "E": truth.true_params.E,
-            "K": truth.true_params.K,
-            "levels": params_to_level_dicts(truth.true_params),
-        },
-        "true_levels": {u: lv.tolist() for u, lv in truth.true_levels.levels.items()},
+        "true_params": {"E": p.E, "K": p.K, "users": list(p.users), "items": list(p.items),
+                        "params": p.to_base64()},
+        "true_levels": truth.true_levels.counts(p.E).tolist(),
         "leaver_flags": dict(sorted(truth.leaver_flags.items())),
         "clamp_count": truth.clamp_count,
         "n_ratings": truth.n_ratings,

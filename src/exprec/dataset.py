@@ -53,6 +53,14 @@ def require_integer(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def require_member(name: str, enum: type[Enum], value) -> Enum:
+    """``enum(value)``; raises ValueError naming the field and its values."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ValueError(f"{name} must be one of {[m.value for m in enum]}, got {value!r}") from None
+
+
 class SplitScheme(str, Enum):
     RANDOM = "random"
     FINAL = "final"

@@ -14,6 +14,7 @@ sorted user order, item biases in sorted item order, user factor rows
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,8 +26,8 @@ import numpy as np
 from .dataset import Dataset, _frozen
 
 
-# The parameter blocks of one level, in flattening order; also the
-# ModelParams field order after users/items and the key order of a saved level.
+# The parameter blocks of one level, in flattening order and so in a saved
+# model's params; also the ModelParams field order after users/items.
 BLOCKS = ("alpha", "user_bias", "item_bias", "user_factors", "item_factors")
 
 
@@ -110,6 +111,19 @@ class ModelParams:
         blocks = _split_levels(np.array(vec, dtype=np.float64), E, len(users), len(items), K)
         return cls(users, items, *blocks)
 
+    def to_base64(self) -> str:
+        """:meth:`flatten` as base64 of little-endian float64."""
+        return base64.b64encode(self.flatten().astype("<f8", copy=False).tobytes()).decode("ascii")
+
+    @classmethod
+    def from_base64(cls, text, users, items, E: int, K: int) -> "ModelParams":
+        """The inverse of :meth:`to_base64`; raises ValueError for bad text."""
+        try:
+            vec = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+            return cls.from_flat(vec, users, items, E, K)
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise ValueError(f"params: {exc}") from None
+
     def encode_users(self, users) -> np.ndarray:
         """Integer positions for a user sequence, -1 for unknown users."""
         return np.array([self._user_pos.get(u, -1) for u in users], dtype=np.int64)
@@ -125,7 +139,9 @@ class ExperienceAssignment:
     order of a dataset whose sorted ``users`` own the rows
     ``offsets[j]:offsets[j + 1]``: each user's ratings in chronological
     (timestamp, item) order.  ``levels[user]`` views one user's part of
-    it, built on first use.
+    it, built on first use.  Every model kind keeps each user's levels
+    non-decreasing in that order, so per-user level counts
+    (:meth:`counts`, :meth:`from_counts`) hold the whole assignment.
     """
 
     def __init__(self, levels: Mapping[str, Sequence[int]]):
@@ -145,6 +161,26 @@ class ExperienceAssignment:
         a = cls.__new__(cls)
         a.users, a.offsets, a.column = d.users, d.offsets, _frozen(column.view())
         return a
+
+    @classmethod
+    def from_counts(cls, users, counts: np.ndarray) -> "ExperienceAssignment":
+        """The inverse of :meth:`counts`: ``counts[j, e]`` ratings of user
+        ``users[j]`` at level e + 1, levels non-decreasing."""
+        a = cls.__new__(cls)
+        a.users = tuple(users)
+        a.offsets = _frozen(np.concatenate(([0], np.cumsum(counts.sum(axis=1)))))
+        a.column = _frozen(np.repeat(np.arange(counts.size) % counts.shape[1] + 1, counts.ravel()))
+        return a
+
+    def counts(self, E: int) -> np.ndarray:
+        """(U, E) integers: how many of each user's ratings sit at each
+        level.  Raises ValueError for a level outside 1..E or levels that
+        decrease within a user, which counts cannot hold."""
+        column, U = self.column, len(self.users)
+        cell = np.repeat(np.arange(U) * E - 1, np.diff(self.offsets)) + column  # row-major in (U, E)
+        if len(column) and (column.min() < 1 or column.max() > E or (np.diff(cell) < 0).any()):
+            raise ValueError(f"assignment levels must lie in 1..{E} and not decrease within a user")
+        return np.bincount(cell, minlength=U * E).reshape(U, E)
 
     @cached_property
     def levels(self) -> Mapping[str, np.ndarray]:
@@ -329,36 +365,3 @@ def objective_and_gradient(
         g_block[:-1] += 2.0 * lam * diff
         g_block[1:] -= 2.0 * lam * diff
     return err + lam * pen, grad
-
-
-def _row_keys(p: ModelParams) -> tuple[tuple[str, ...] | None, ...]:
-    """The key of each row of a level's block, in :data:`BLOCKS` order;
-    None for the unkeyed offset."""
-    return (None, p.users, p.items, p.users, p.items)
-
-
-def params_to_level_dicts(p: ModelParams) -> list[dict]:
-    """JSON-ready per-level parameter maps in :data:`BLOCKS` order, keys
-    in sorted order."""
-    return [
-        {
-            name: block[e].tolist() if keys is None else dict(zip(keys, block[e].tolist()))
-            for name, block, keys in zip(BLOCKS, p.blocks(), _row_keys(p))
-        }
-        for e in range(p.E)
-    ]
-
-
-def params_from_level_dicts(levels: list[dict], K: int) -> ModelParams:
-    if not levels:
-        raise ValueError("no levels in serialized model")
-    users = tuple(sorted(levels[0]["user_bias"]))
-    items = tuple(sorted(levels[0]["item_bias"]))
-    E = len(levels)
-    p = ModelParams.zeros(users, items, E, K)
-    for e, lvl in enumerate(levels):
-        if tuple(sorted(lvl["user_bias"])) != users or tuple(sorted(lvl["item_bias"])) != items:
-            raise ValueError("levels disagree on user/item key sets")
-        for name, block, keys in zip(BLOCKS, p.blocks(), _row_keys(p)):
-            block[e] = lvl[name] if keys is None else [lvl[name][k] for k in keys]
-    return p

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Columns, Dataset, _lexsort, require_integer
+from .dataset import Columns, Dataset, _lexsort, require_integer, require_member
 from .model import BLOCKS, ExperienceAssignment, ModelParams, RowIndex, score
 
 
@@ -63,7 +63,8 @@ class SynthConfig:
                 raise TypeError("ratings_per_user takes an integer or a (lo, hi) pair, "
                                 f"got {self.ratings_per_user!r}") from None
             object.__setattr__(self, "ratings_per_user", (lo, hi))
-        object.__setattr__(self, "trajectory_kind", TrajectoryKind(self.trajectory_kind))
+        object.__setattr__(self, "trajectory_kind",
+                           require_member("trajectory_kind", TrajectoryKind, self.trajectory_kind))
         for name in ("n_users", "n_items", "E", "K", "seed", "horizon"):
             require_integer(name, getattr(self, name))
         lo, hi = self.rating_range

@@ -16,6 +16,7 @@ import functools
 import json
 import logging
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .assign import ModelKind, assign_all, assert_monotone
-from .dataset import Dataset, TrainingError, require_integer
+from .dataset import Dataset, TrainingError, require_integer, require_member
 from .model import (
     BLOCKS,
     ExperienceAssignment,
@@ -31,13 +32,12 @@ from .model import (
     RowIndex,
     error_term,
     objective_and_gradient,
-    params_from_level_dicts,
-    params_to_level_dicts,
     smoothness_penalty,
     training_rows,
 )
 
 DEFAULT_LAMBDA_GRID = (1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0)
+MODEL_FORMAT = 2  # the layout of the files FittedModel.save writes and load reads
 
 logger = logging.getLogger(__name__)
 
@@ -61,13 +61,14 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("E", "K", "max_outer_iters", "inner_max_iters", "seed"):
             require_integer(name, getattr(self, name))
-        grid = self.lambda_grid
-        if isinstance(grid, str):
-            grid = grid.split(",")
-        if any(isinstance(lam, (bool, np.bool_)) for lam in grid):
-            raise TypeError(f"lambda_grid takes numbers, not bools, got {self.lambda_grid!r}")
-        object.__setattr__(self, "lambda_grid", tuple(float(lam) for lam in grid))
-        object.__setattr__(self, "model_kind", ModelKind(self.model_kind))
+        grid = self.lambda_grid.split(",") if isinstance(self.lambda_grid, str) else self.lambda_grid
+        try:
+            if any(isinstance(lam, (bool, np.bool_)) for lam in grid):
+                raise TypeError
+            object.__setattr__(self, "lambda_grid", tuple(float(lam) for lam in grid))
+        except (TypeError, ValueError):
+            raise TypeError(f"lambda_grid takes numbers, got {self.lambda_grid!r}") from None
+        object.__setattr__(self, "model_kind", require_member("model_kind", ModelKind, self.model_kind))
         if self.E < 1 or self.K < 1:
             raise ValueError("E and K must be >= 1")
         if self.max_outer_iters < 1 or self.inner_max_iters < 1:
@@ -76,8 +77,8 @@ class TrainConfig:
             raise ValueError("lambda_grid must be non-empty")
         if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambda_grid):
             raise ValueError("lambda values must be finite and >= 0")
-        if not (math.isfinite(self.inner_tolerance) and self.inner_tolerance > 0):
-            raise ValueError("inner_tolerance must be finite and > 0")
+        if not (isinstance(tol := self.inner_tolerance, numbers.Real) and math.isfinite(tol) and tol > 0):
+            raise ValueError(f"inner_tolerance must be a finite number > 0, got {tol!r}")
 
     @property
     def effective_E(self) -> int:
@@ -104,37 +105,47 @@ class FittedModel:
 
     def to_json_dict(self) -> dict:
         return {
+            "format": MODEL_FORMAT,
             "model_kind": self.kind.value,
             "E": self.params.E,
             "K": self.params.K,
             "lambda": self.lam,
-            "levels": params_to_level_dicts(self.params),
-            "assignment": {u: lv.tolist() for u, lv in self.assignment.levels.items()},
+            "users": list(self.params.users),
+            "items": list(self.params.items),
+            "params": self.params.to_base64(),
+            "assignment": self.assignment.counts(self.params.E).tolist(),
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "FittedModel":
-        """Raises ValueError for a missing key, or for an assignment level
-        that is not an integer in 1..E, which would score its rating with
-        another level's parameters."""
+    def from_json_dict(cls, doc) -> "FittedModel":
+        """Raises ValueError for a document that is not a format-2 model
+        object, lacks a key, or holds a malformed value: users or items not
+        sorted, distinct strings, params of the wrong length, or an
+        assignment that is not a (U, E) array of non-negative integers."""
+        if not isinstance(doc, dict):
+            raise ValueError("model file holds no JSON object")
+        if doc.get("format") != MODEL_FORMAT:  # format 1 files have no format key
+            raise ValueError(f"model file has format {doc.get('format', 1)!r}, not {MODEL_FORMAT}")
         try:
-            params = params_from_level_dicts(doc["levels"], K=int(doc["K"]))
-            E, levels = int(doc["E"]), {u: np.asarray(lv) for u, lv in doc["assignment"].items()}
-            kind, lam = ModelKind(doc["model_kind"]), float(doc["lambda"])
+            kind = require_member("model_kind", ModelKind, doc["model_kind"])
+            E, K, lam, users, items, text, counts = (
+                doc[key] for key in ("E", "K", "lambda", "users", "items", "params", "assignment"))
         except KeyError as exc:
             raise ValueError(f"model file lacks key {exc}") from None
-        if params.E != E:
-            raise ValueError("serialized E disagrees with level count")
-        # ExperienceAssignment would truncate a fractional level
-        for user in sorted(levels):
-            if levels[user].size and levels[user].dtype.kind != "i":
-                raise ValueError(f"assignment of user {user!r} has a level that is not an integer")
-        assignment = ExperienceAssignment(levels)
-        column = assignment.column
-        if len(column) and not (column.min() >= 1 and column.max() <= E):
-            user = next(u for u, lv in assignment.levels.items() if ((lv < 1) | (lv > E)).any())
-            raise ValueError(f"assignment of user {user!r} has a level outside 1..{E}")
-        return cls(params=params, assignment=assignment, kind=kind, lam=lam)
+        if not (type(E) is type(K) is int and min(E, K) >= 1 and type(lam) in (int, float)):
+            raise ValueError(f"E and K must be positive integers and lambda a number: {E!r}, {K!r}, {lam!r}")
+        for name, keys in (("users", users), ("items", items)):
+            if not (isinstance(keys, list) and all(isinstance(k, str) for k in keys)
+                    and keys == sorted(set(keys))):
+                raise ValueError(f"{name} must be a list of sorted, distinct strings")
+        params = ModelParams.from_base64(text, users, items, E, K)
+        try:
+            counts = np.array(counts)
+        except ValueError:  # ragged rows
+            counts = np.empty(0)
+        if counts.shape != (len(users), E) or counts.dtype.kind != "i" or (counts < 0).any():
+            raise ValueError(f"assignment must be a {len(users)}x{E} array of non-negative integer counts")
+        return cls(params, ExperienceAssignment.from_counts(users, counts), kind, float(lam))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()) + "\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 from exprec import trainer, validate
 from exprec.cli import _format_config, _train_config, build_parser, main
 from exprec.dataset import FormatConfig, TrainingError, parse_reviews
+from exprec.model import ExperienceAssignment, ModelParams
+from exprec.synth import SynthConfig, generate
 from exprec.trainer import FittedModel, TrainConfig
 
 
@@ -89,6 +92,13 @@ class TestMissingFile:
         assert not Path(out).exists()
 
 
+def names_fields(err: str, doc: dict) -> bool:
+    """Whether the message after the config file's name names every key of
+    ``doc``."""
+    message = err.split(": ", 2)[2]
+    return all(re.search(rf"\b{key}\b", message) for key in doc)
+
+
 class TestConfigFile:
     def test_unknown_fit_keys_exit_2(self, split_dir, tmp_path, capsys):
         # misspelt keys used to train the default grid without a word
@@ -130,6 +140,8 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
+        if isinstance(doc, dict):
+            assert names_fields(err, doc)
         if "ratings_per_user" in doc and len(doc["ratings_per_user"]) != 2:
             assert "ratings_per_user takes an integer or a (lo, hi) pair" in err
         assert not out.exists()
@@ -139,6 +151,9 @@ class TestConfigFile:
         {"lambda_grid": 5}, {"max_outer_iters": 0}, {"inner_max_iters": 0},
         {"K": False}, {"seed": 1.0}, {"model_kind": "z"},
         {"lambda_grid": [True]}, {"lambda_grid": [1.0, False]},
+        # each rejection names its field
+        {"model_kind": "zz"}, {"lambda_grid": ["a"]}, {"inner_tolerance": "a"},
+        {"inner_tolerance": None},
     ])
     def test_bad_fit_config_exits_2(self, split_dir, tmp_path, capsys, doc):
         cfg = tmp_path / "fit.json"
@@ -149,6 +164,19 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
+        assert names_fields(err, doc)
+        assert not out.exists()
+
+    def test_bad_config_reported_before_any_input_is_read(self, tmp_path, capsys):
+        # the config is checked first, so a missing input does not hide it
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps({"lambda_grid": ["a"]}))
+        out = tmp_path / "model.json"
+        rc = main(["fit", "--input", str(tmp_path / "missing.tsv"), "--valid", str(tmp_path / "gone.tsv"),
+                   "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: config file {cfg}: lambda_grid takes numbers, got ['a']\n"
         assert not out.exists()
 
     def test_comma_separated_grid_in_file_trains_each_point(self, split_dir, tmp_path,
@@ -182,6 +210,19 @@ class TestSynthCommand:
         truth = json.loads(truth_path.read_text())
         assert set(truth) == {"true_params", "true_levels", "leaver_flags", "clamp_count", "n_ratings"}
         assert truth["n_ratings"] == len(d)
+
+    def test_truth_decodes_to_the_planted_model(self, corpus):
+        root, _, truth_path = corpus
+        _, truth = generate(SynthConfig(**json.loads((root / "synth.json").read_text())))
+        doc = json.loads(truth_path.read_text())
+        p, want = doc["true_params"], truth.true_params
+        got = ModelParams.from_base64(p["params"], p["users"], p["items"], p["E"], p["K"])
+        assert got.users == want.users and got.items == want.items
+        assert got.flatten().tobytes() == want.flatten().tobytes()
+        levels = ExperienceAssignment.from_counts(p["users"], np.array(doc["true_levels"]))
+        assert levels.users == truth.true_levels.users
+        assert np.array_equal(levels.column, truth.true_levels.column)
+        assert np.array_equal(levels.offsets, truth.true_levels.offsets)
 
     def test_idempotent_given_seed(self, corpus, tmp_path):
         root, corpus_path, _ = corpus
@@ -338,14 +379,25 @@ class TestValidateCommand:
         line = next(line for line in out.splitlines() if line.startswith("dp_vs_oracle"))
         assert "FAIL" in line and f" {kernel}: dp=[1" in line
 
-    def test_corrupted_assignment_exits_2(self, corpus, split_dir, model_path, tmp_path, capsys):
-        doc = json.loads(Path(model_path).read_text())
-        user = next(u for u, lv in doc["assignment"].items() if len(lv) >= 2)
-        doc["assignment"][user][0] = 3
-        doc["assignment"][user][1] = 1
+    def test_corrupted_assignment_exits_2(self, corpus, split_dir, tmp_path, capsys):
+        # counts keep each user's levels monotone, but a kind c model must be
+        # monotone across users too: move the user who rates first to the top
+        # level, above every later rating at a lower level
+        train = split_dir / "train.tsv"
+        path = tmp_path / "model_c.json"
+        assert main(["fit", "--input", str(train), "--valid", str(split_dir / "valid.tsv"),
+                     "--model", "c", "--E", "3", "--K", "2", "--seed", "1", "--lambda-grid", "1e-3",
+                     "--max-outer-iters", "2", "--inner-max-iters", "20", "--out", str(path)]) == 0
+        assert main(["validate", "--model", str(path), "--train", str(train)]) == 0
+        d = parse_reviews(train)
+        first = d.users[d.user_code[d.global_time_order()[0]]]
+        doc = json.loads(path.read_text())
+        j = doc["users"].index(first)
+        doc["assignment"][j] = [0, 0, sum(doc["assignment"][j])]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        rc = main(["validate", "--model", str(bad), "--train", str(split_dir / "train.tsv")])
+        capsys.readouterr()
+        rc = main(["validate", "--model", str(bad), "--train", str(train)])
         captured = capsys.readouterr()
         assert rc == 2
         assert "monotonicity violated at user=" in captured.out + captured.err
@@ -385,23 +437,46 @@ class TestValidateCommand:
 
 
 class TestMalformedModelFile:
-    @pytest.mark.parametrize("case", ["empty", "level_0", "level_E_plus_1", "fractional"])
+    @pytest.mark.parametrize("case", [
+        "empty", "level_0", "level_E_plus_1", "fractional", "negative", "not_object", "format_1",
+        "unsorted_users", "duplicate_items", "bad_base64", "params_length",
+    ])
     @pytest.mark.parametrize("command", ["evaluate", "validate"])
     def test_exits_2_with_one_error_line(self, split_dir, model_path, tmp_path, capsys, command, case):
-        # a level outside 1..E, or a fraction that loading would truncate,
-        # would score its rating with another level's parameters, or fail
-        # deep inside the evaluator
+        # a count for a level outside 1..E, or a fraction that loading would
+        # truncate, would score ratings with another level's parameters, or
+        # fail deep inside the evaluator
         doc = json.loads(Path(model_path).read_text())
-        user = sorted(doc["assignment"])[0]
+        row = doc["assignment"][0]
+        counts_error = "error: assignment must be a {}x3 array of non-negative integer counts\n"
         if case == "empty":
             doc = {}
-            want = "error: model file lacks key 'levels'\n"
-        elif case == "fractional":
-            doc["assignment"][user][-1] = 1.5
-            want = f"error: assignment of user {user!r} has a level that is not an integer\n"
+            want = "error: model file has format 1, not 2\n"
+        elif case == "format_1":
+            # the former layout: per-level maps and per-rating levels
+            doc = {"model_kind": "d", "E": 1, "K": 1, "lambda": 1.0,
+                   "levels": [{"alpha": 3.0, "user_bias": {"u": 0.0}, "item_bias": {"i": 0.0},
+                               "user_factors": {"u": [0.1]}, "item_factors": {"i": [0.1]}}],
+                   "assignment": {"u": [1]}}
+            want = "error: model file has format 1, not 2\n"
+        elif case == "not_object":
+            doc = []
+            want = "error: model file holds no JSON object\n"
+        elif case in ("unsorted_users", "duplicate_items"):
+            key = case.split("_")[1]
+            doc[key] = doc[key][::-1] if key == "users" else doc[key][:1] * len(doc[key])
+            want = f"error: {key} must be a list of sorted, distinct strings\n"
+        elif case == "bad_base64":
+            doc["params"] = doc["params"][:-2] + "!="
+            want = None
+        elif case == "params_length":
+            doc["params"] = doc["params"][:-12]
+            want = None
         else:
-            doc["assignment"][user][-1] = 0 if case == "level_0" else doc["E"] + 1
-            want = f"error: assignment of user {user!r} has a level outside 1..3\n"
+            doc["assignment"][0] = {"level_0": [1, *row], "level_E_plus_1": [*row, 1],
+                                    "fractional": [*row[:-1], row[-1] + 0.5],
+                                    "negative": [*row[:-1], -1]}[case]
+            want = counts_error.format(len(doc["users"]))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         extra = {
@@ -411,7 +486,11 @@ class TestMalformedModelFile:
         rc = main([command, "--model", str(bad), "--train", str(split_dir / "train.tsv"), *extra])
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err == want and captured.out == ""
+        if want is None:
+            assert captured.err.startswith("error: params: ") and captured.err.count("\n") == 1
+        else:
+            assert captured.err == want
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,6 @@
 """Prediction, smoothness penalty, objective, and gradient correctness."""
 
+import base64
 import json
 from dataclasses import fields
 
@@ -16,8 +17,6 @@ from exprec.model import (
     error_term,
     objective,
     objective_and_gradient,
-    params_from_level_dicts,
-    params_to_level_dicts,
     RowIndex,
     predictions_for,
     score,
@@ -388,11 +387,13 @@ class TestFlattenRoundTrip:
         flat = p.flatten()
         assert list(flat[:12]) == [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 2, 0]
 
-    def test_blocks_order_is_field_and_saved_key_order(self):
+    def test_blocks_order_is_field_and_saved_order(self):
         p, _, _, _ = random_instance(56)
         assert BLOCKS == tuple(f.name for f in fields(ModelParams))[2:]
-        for level in params_to_level_dicts(p):
-            assert tuple(level) == BLOCKS
+        # a saved model's params hold each level's blocks in BLOCKS order
+        saved = np.frombuffer(base64.b64decode(p.to_base64()), dtype="<f8").reshape(p.E, -1)
+        for e in range(p.E):
+            assert np.array_equal(saved[e], np.concatenate([block[e].ravel() for block in p.blocks()]))
 
     def test_from_flat_copies_its_input(self):
         p, _, _, _ = random_instance(57)
@@ -411,10 +412,52 @@ class TestFlattenRoundTrip:
 
 
 class TestSerialization:
-    def test_level_dicts_round_trip_exactly(self):
+    def test_params_round_trip_exactly(self):
         p, _, _, _ = random_instance(66)
-        doc = json.loads(json.dumps(params_to_level_dicts(p)))
-        q = params_from_level_dicts(doc, K=p.K)
+        text = json.loads(json.dumps(p.to_base64()))
+        q = ModelParams.from_base64(text, p.users, p.items, p.E, p.K)
         assert q.users == p.users and q.items == p.items
         for block in ("alpha", "user_bias", "item_bias", "user_factors", "item_factors"):
             assert np.array_equal(getattr(p, block), getattr(q, block))
+        assert q.flatten().tobytes() == p.flatten().tobytes()
+
+    def test_params_of_other_values_round_trip_exactly(self):
+        # subnormals, signed zeros and the extremes survive bit for bit
+        p = ModelParams.zeros(("u",), ("i",), E=2, K=1)
+        p.user_factors[:, 0, 0] = [5e-324, -0.0]
+        p.item_factors[:, 0, 0] = [np.finfo(float).max, -np.finfo(float).tiny]
+        p.alpha[:] = [0.1 + 0.2, -1 / 3]
+        q = ModelParams.from_base64(p.to_base64(), p.users, p.items, p.E, p.K)
+        assert q.flatten().tobytes() == p.flatten().tobytes()
+
+    @pytest.mark.parametrize("text, match", [
+        ("not base64!", "^params: "),
+        (5, "^params: "),
+        (base64.b64encode(b"\0" * 12).decode(), "^params: "),   # not whole float64s
+        (base64.b64encode(b"\0" * 16).decode(), "^params: expected flat vector of length 14"),
+    ])
+    def test_bad_params_raise(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            ModelParams.from_base64(text, ("u", "v"), ("i",), 2, 1)
+
+    def test_counts_round_trip(self):
+        a = ExperienceAssignment({"w": np.array([3]), "u": np.array([1, 1, 2]), "v": np.array([])})
+        counts = a.counts(3)
+        assert counts.tolist() == [[2, 1, 0], [0, 0, 0], [0, 0, 1]]
+        b = ExperienceAssignment.from_counts(a.users, counts)
+        assert b.users == a.users
+        assert np.array_equal(b.column, a.column) and np.array_equal(b.offsets, a.offsets)
+        assert not b.column.flags.writeable and not b.offsets.flags.writeable
+
+    @pytest.mark.parametrize("levels, match", [
+        ({"u": [1, 4]}, r"must lie in 1\.\.3"),
+        ({"u": [0, 1]}, r"must lie in 1\.\.3"),
+        ({"u": [1, 2], "v": [3, 2]}, "not decrease within a user"),
+    ])
+    def test_counts_reject_what_they_cannot_hold(self, levels, match):
+        with pytest.raises(ValueError, match=match):
+            ExperienceAssignment(levels).counts(3)
+
+    def test_counts_allow_a_drop_between_users(self):
+        a = ExperienceAssignment({"u": [2, 3], "v": [1, 1]})
+        assert a.counts(3).tolist() == [[0, 1, 1], [2, 0, 0]]

@@ -278,27 +278,99 @@ class TestFit:
         cfg = TrainConfig(E=3, K=1, seed=5, lambda_grid=(1e-5,), max_outer_iters=2)
         return fit(data, EMPTY, cfg).to_json_dict()
 
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_model_file_round_trips_every_kind(self, kind, tmp_path):
+        data, _ = small_corpus(seed=13, n_users=6)
+        cfg = TrainConfig(E=3, K=2, seed=5, lambda_grid=(1e-3,), max_outer_iters=2,
+                          inner_max_iters=30, model_kind=kind)
+        m = fit(data, EMPTY, cfg)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        m.save(first)
+        loaded = FittedModel.load(first)
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+        assert loaded.kind is m.kind and loaded.lam == m.lam
+        assert loaded.params.users == m.params.users and loaded.params.items == m.params.items
+        assert loaded.params.flatten().tobytes() == m.params.flatten().tobytes()
+        assert loaded.assignment.users == m.assignment.users
+        assert np.array_equal(loaded.assignment.column, m.assignment.column)
+        assert np.array_equal(loaded.assignment.offsets, m.assignment.offsets)
+
+    def test_model_file_layout(self):
+        doc = self.small_model_doc()
+        assert list(doc) == ["format", "model_kind", "E", "K", "lambda", "users", "items",
+                             "params", "assignment"]
+        assert doc["format"] == 2 and doc["users"] == [f"u{j:05d}" for j in range(4)]
+        assert np.asarray(doc["assignment"]).shape == (4, 3)
+
     @pytest.mark.parametrize("level", [0, 4])
     def test_model_file_level_out_of_range(self, level):
+        # a count for a level 0 or E + 1 makes a row of E + 1 counts
         doc = self.small_model_doc()
-        doc["assignment"]["u00002"][-1] = level
-        with pytest.raises(ValueError, match=r"^assignment of user 'u00002' has a level outside 1\.\.3$"):
+        row = doc["assignment"][2]
+        doc["assignment"][2] = [1, *row] if level == 0 else [*row, 1]
+        with pytest.raises(ValueError, match=r"^assignment must be a 4x3 array of non-negative integer counts$"):
             FittedModel.from_json_dict(doc)
 
-    @pytest.mark.parametrize("level", [1.5, 2.0, "2"])
+    @pytest.mark.parametrize("level", [1.5, 2.0, "2", -1, None])
     def test_model_file_level_not_an_integer(self, level):
-        # converting the levels to integers would load 1.5 as level 1
+        # converting the counts to integers would load 1.5 as 1
         doc = self.small_model_doc()
-        doc["assignment"]["u00002"][-1] = level
-        with pytest.raises(ValueError, match=r"^assignment of user 'u00002' has a level that is not an integer$"):
+        doc["assignment"][2][-1] = level
+        with pytest.raises(ValueError, match=r"^assignment must be a 4x3 array of non-negative integer counts$"):
             FittedModel.from_json_dict(doc)
 
-    @pytest.mark.parametrize("key", ["model_kind", "E", "K", "lambda", "levels", "assignment"])
+    @pytest.mark.parametrize("key", ["model_kind", "E", "K", "lambda", "users", "items", "params",
+                                     "assignment"])
     def test_model_file_missing_key(self, key):
         doc = self.small_model_doc()
         del doc[key]
         with pytest.raises(ValueError, match=f"^model file lacks key '{key}'$"):
             FittedModel.from_json_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], "model", None, 2])
+    def test_model_file_not_an_object(self, doc):
+        with pytest.raises(ValueError, match="^model file holds no JSON object$"):
+            FittedModel.from_json_dict(doc)
+
+    @pytest.mark.parametrize("doc, found", [
+        # a document without a format key is a format 1 file
+        ({"model_kind": "d", "E": 1, "K": 1, "lambda": 1.0, "levels": [], "assignment": {}}, "1"),
+        ({"format": 3}, "3"), ({"format": "2"}, "'2'"), ({"format": None}, "None"),
+    ])
+    def test_model_file_of_another_format(self, doc, found):
+        with pytest.raises(ValueError, match=f"^model file has format {found}, not 2$"):
+            FittedModel.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("users", ["u00001", "u00000", "u00002", "u00003"], "^users must be a list of sorted, distinct strings$"),
+        ("users", ["u00000", "u00000", "u00002", "u00003"], "^users must be a list of sorted, distinct strings$"),
+        ("users", "u00000", "^users must be a list of sorted, distinct strings$"),
+        ("items", [1, 2], "^items must be a list of sorted, distinct strings$"),
+        ("params", "%%%", "^params: "),
+        ("params", 17, "^params: "),
+        ("params", "AAAAAAAAAAA=", "^params: expected flat vector of length"),
+        ("assignment", [[1, 1, 1]] * 3 + [[1, 1]], "^assignment must be a 4x3 array"),
+        ("assignment", {"u00000": [1, 1, 1]}, "^assignment must be a 4x3 array"),
+        ("E", "3", "^E and K must be positive integers and lambda a number: "),
+        ("K", 0, "^E and K must be positive integers and lambda a number: "),
+        ("lambda", None, "^E and K must be positive integers and lambda a number: "),
+        ("model_kind", "zz", r"^model_kind must be one of \['lf', 'a', 'b', 'c', 'd'\], got 'zz'$"),
+    ])
+    def test_model_file_malformed_value(self, key, value, match):
+        doc = self.small_model_doc()
+        doc[key] = value
+        with pytest.raises(ValueError, match=match):
+            FittedModel.from_json_dict(doc)
+
+    def test_assignment_that_counts_cannot_hold_is_not_saved(self):
+        data, _ = small_corpus(seed=13, n_users=4)
+        m = fit(data, EMPTY, TrainConfig(E=3, K=1, seed=5, lambda_grid=(1e-5,), max_outer_iters=2))
+        column = np.ones(len(data), dtype=np.int64)
+        column[0] = 2  # the first user's first level above its second
+        m.assignment = ExperienceAssignment.of(data, column)
+        with pytest.raises(ValueError, match="not decrease within a user"):
+            m.to_json_dict()
 
     def test_monotone_constraint_holds_for_all_kinds(self):
         from exprec.assign import find_monotonicity_violation
