@@ -17,11 +17,11 @@ from exprec.synth import SynthConfig, generate
 from exprec.trainer import TrainConfig, fit
 
 GOLDEN = {
-    "lf": "3589e97c575a19e810fd7c0147c15fd68cb65039fdd78568835835734ec31682",
-    "a": "00fc81b2e299ab23ab238febf63d9d81f229551f8d975c4a21acd21f57969f07",
-    "b": "8f5fc17872fa4c7f675b9064fd8d9cb6a7a0273ee0d88d8757225fa7b26ec6a3",
-    "c": "9d347d31a5ab7acf8c39e64766068481e2b2e01525753e88fb672018e7addedc",
-    "d": "8b04b757eb2e90ef142831113b25c46df6bec779a96a1655c6c21c745ef4b1ec",
+    "lf": "28ebec324f306be161fb150d87c734b83740cfe25b871731ec973176be51ae49",
+    "a": "083323b271805d9e5bcb26e2fdd0432e4b14f40e2d1e9cd13146196d1f93e37c",
+    "b": "75e02d063119499346b7075cf5f3e6886e7f991fea1ac0a963f5186d93b83e12",
+    "c": "8caaee18dc078ffe2eb6f7f3fadffffa766b1f15e10693a43ba4eb4d2106499a",
+    "d": "d0fbf5f93143366f7680fb82d19736c7587a88d7cf9b3b3ee5b0919869ffbd86",
 }
 
 
