@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DataError, Dataset
+from .dataset import DataError, Dataset, key_positions
 
 if TYPE_CHECKING:
     from .trainer import FittedModel
@@ -76,12 +76,14 @@ def acquired_taste_scores(
     p = m.params
     if p.E < 2:
         raise ValueError("taste scores need E >= 2; a flat model has no expert/beginner contrast")
+    rows = np.argsort(train.item_code, kind="stable")  # each item's rows, ascending
+    counts = np.bincount(train.item_code, minlength=len(train.items))
+    ends = np.cumsum(counts)
     scores = []
-    for j, item in enumerate(p.items):
-        positions = train.item_index.get(item)
-        n = len(positions) if positions is not None else 0
-        if n < min_ratings:
+    for j, (item, code) in enumerate(zip(p.items, key_positions(train.items, p.items).tolist())):
+        if code < 0 or counts[code] < min_ratings:  # code -1: the data lacks the item
             continue
+        positions = rows[ends[code] - counts[code] : ends[code]]
         beginner = float(p.item_bias[0, j])
         expert = float(p.item_bias[p.E - 1, j])
         scores.append(
@@ -91,7 +93,7 @@ def acquired_taste_scores(
                 beginner_bias=beginner,
                 expert_bias=expert,
                 mean_rating=float(train.values[positions].mean()),
-                n_ratings=n,
+                n_ratings=len(positions),
             )
         )
     return scores

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import methodcaller
 from pathlib import Path
 from types import MappingProxyType
@@ -152,8 +152,8 @@ class Dataset:
     rows are read back only through the columns.
     The user id :data:`BACKGROUND_USER` is the pooled pseudo-user (see
     :func:`pool_infrequent_users`), which may rate an item more than once.
-    ``item_seq``, ``user_index`` and ``item_index`` are per-row and
-    per-key views built on first use.
+    ``item_seq`` and ``user_index`` are per-row and per-user views built
+    on first use.
     """
 
     def __init__(self, ratings: Iterable[Rating] = (), *, columns: Columns | None = None):
@@ -225,16 +225,12 @@ class Dataset:
         rows = _frozen(np.arange(len(self)))
         return MappingProxyType(dict(zip(self.users, self.per_user(rows))))
 
-    @cached_property
-    def item_index(self) -> Mapping[str, np.ndarray]:
-        """Item -> its rows, ascending; items in order of first rating."""
-        rows = _frozen(np.argsort(self.item_code, kind="stable"))
-        counts = np.bincount(self.item_code, minlength=len(self.items))
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        first_seen = np.argsort(rows[bounds[:-1]]).tolist()
-        return MappingProxyType(
-            {self.items[j]: rows[bounds[j] : bounds[j + 1]] for j in first_seen}
-        )
+
+def key_positions(table: Sequence[str], keys: Sequence[str]) -> np.ndarray:
+    """Each of ``keys``' position in the key table ``table``, -1 for a
+    key the table lacks."""
+    pos = dict(zip(table, range(len(table))))
+    return np.fromiter(map(pos.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

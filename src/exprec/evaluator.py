@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dataset import BACKGROUND_USER, DataError, Dataset
+from .dataset import BACKGROUND_USER, DataError, Dataset, key_positions
 from .model import predictions_for
 
 if TYPE_CHECKING:
@@ -60,9 +60,9 @@ def assign_test_levels(m: "FittedModel", test: Dataset, train: Dataset) -> np.nd
     when ``train`` holds it, else to level 1 with a warning.
     """
     levels = m.assignment.flat(train)
-    code = {u: j for j, u in enumerate(train.users)}
-    fallback = code.get(BACKGROUND_USER, -1)
-    source = np.array([code.get(u, fallback) for u in test.users], dtype=np.int64)
+    source = key_positions(train.users, test.users)
+    if BACKGROUND_USER in train.users:
+        source[source < 0] = train.users.index(BACKGROUND_USER)
     out = np.ones(len(test), dtype=np.int64)
     if (source < 0).any():
         user = test.users[int(np.argmax(source < 0))]
@@ -98,8 +98,8 @@ def mse(
     if len(test) == 0:
         raise DataError("empty test set")
     levels = assign_test_levels(m, test, train)
-    uidx = m.params.encode_users(test.users)[test.user_code]
-    iidx = m.params.encode_items(test.items)[test.item_code]
+    uidx = key_positions(m.params.users, test.users)[test.user_code]
+    iidx = key_positions(m.params.items, test.items)[test.item_code]
     pred = predictions_for(m.params, levels, uidx, iidx)
     sq = (pred - test.values) ** 2
     clamped = (np.clip(pred, 0.0, 5.0) - test.values) ** 2

@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, _frozen
+from .dataset import Dataset, _frozen, key_positions
 
 
 # The parameter blocks of one level, in flattening order and so in a saved
@@ -66,16 +66,6 @@ class ModelParams:
         for name, block, shape in zip(BLOCKS, self.blocks(), shapes):
             if block.shape != lead + shape:
                 raise ValueError(f"{name} has shape {block.shape}, expected {lead + shape}")
-
-    # key -> position maps, built on first use: the models made for every
-    # L-BFGS evaluation never look a key up
-    @cached_property
-    def _user_pos(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.users)}
-
-    @cached_property
-    def _item_pos(self) -> dict[str, int]:
-        return {it: i for i, it in enumerate(self.items)}
 
     @property
     def E(self) -> int:
@@ -123,13 +113,6 @@ class ModelParams:
             return cls.from_flat(vec, users, items, E, K)
         except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
             raise ValueError(f"params: {exc}") from None
-
-    def encode_users(self, users) -> np.ndarray:
-        """Integer positions for a user sequence, -1 for unknown users."""
-        return np.array([self._user_pos.get(u, -1) for u in users], dtype=np.int64)
-
-    def encode_items(self, items) -> np.ndarray:
-        return np.array([self._item_pos.get(i, -1) for i in items], dtype=np.int64)
 
 
 class ExperienceAssignment:
@@ -284,23 +267,19 @@ def smoothness_penalty(p: ModelParams) -> float:
 
 def _strict_encode(p: ModelParams, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Every rating's user and item position in ``p``; raises ValueError
-    naming the first rating whose user or item ``p`` does not hold."""
-    uidx, iidx = d.user_code, d.item_code
-    if p.users != d.users:
-        uidx = _require_known(p.encode_users(d.users), uidx, d.users, "user")
-    if p.items != d.items:
-        iidx = _require_known(p.encode_items(d.items), iidx, d.items, "item")
-    return uidx, iidx
-
-
-def _require_known(pos: np.ndarray, codes: np.ndarray, keys: tuple[str, ...], kind: str) -> np.ndarray:
-    """``pos[codes]``: the model position of every rating's key, given
-    ``pos``, the model position (or -1) of each of the dataset's keys."""
-    idx = pos[codes]
-    if (idx < 0).any():
-        missing = keys[codes[int(np.argmax(idx < 0))]]
-        raise ValueError(f"{kind} {missing!r} not in model parameters")
-    return idx
+    naming the first rating's user, else the first rating's item, that
+    ``p`` does not hold."""
+    out = []
+    for kind, table, keys, codes in (("user", p.users, d.users, d.user_code),
+                                     ("item", p.items, d.items, d.item_code)):
+        if table != keys:
+            idx = key_positions(table, keys)[codes]
+            if (idx < 0).any():
+                missing = keys[codes[int(np.argmax(idx < 0))]]
+                raise ValueError(f"{kind} {missing!r} not in model parameters")
+            codes = idx
+        out.append(codes)
+    return tuple(out)
 
 
 def training_rows(p: ModelParams, a: ExperienceAssignment, d: Dataset) -> RowIndex:

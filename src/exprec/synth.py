@@ -193,6 +193,13 @@ def _trajectory(
     return np.minimum(np.arange(n) * E // (n - 1) + 1, E).astype(np.int64)
 
 
+def _ids(prefix: str, n: int) -> tuple[str, ...]:
+    """``n`` ids padded to one width, at least 5 digits, so that their
+    sorted order, which a dataset keeps, is their index order."""
+    width = max(5, len(str(n - 1)))
+    return tuple(f"{prefix}{j:0{width}d}" for j in range(n))
+
+
 def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     """Draw a corpus and its ground truth, deterministically from the seed.
 
@@ -201,8 +208,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     progressions the retention analysis is meant to expose.
     """
     rng = np.random.default_rng(cfg.seed)
-    users = tuple(f"u{j:05d}" for j in range(cfg.n_users))
-    items = tuple(f"i{j:05d}" for j in range(cfg.n_items))
+    users, items = _ids("u", cfg.n_users), _ids("i", cfg.n_items)
     params = _planted_params(cfg, rng, users, items)
     sigma = cfg.sigma_by_level
     lo, hi = cfg.rating_range
@@ -259,7 +265,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     dataset = Dataset(columns=Columns(users, items, user_code, item_code, times, values, values))
     truth = GroundTruth(
         true_params=params,
-        true_levels=ExperienceAssignment(dict(zip(users, np.split(levels, offsets[1:-1])))),
+        true_levels=ExperienceAssignment.of(dataset, levels),
         leaver_flags={u: bool(flag) for u, flag in zip(users, leaver)},
         clamp_count=clamp_count,
         n_ratings=len(dataset),

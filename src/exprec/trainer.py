@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import numbers
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,7 +78,8 @@ class TrainConfig:
             raise ValueError("lambda_grid must be non-empty")
         if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambda_grid):
             raise ValueError("lambda values must be finite and >= 0")
-        if not (isinstance(tol := self.inner_tolerance, numbers.Real) and math.isfinite(tol) and tol > 0):
+        tol = self.inner_tolerance  # a bool is a numbers.Real; np.bool_ is not
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
             raise ValueError(f"inner_tolerance must be a finite number > 0, got {tol!r}")
 
     @property
@@ -120,8 +122,9 @@ class FittedModel:
     def from_json_dict(cls, doc) -> "FittedModel":
         """Raises ValueError for a document that is not a format-2 model
         object, lacks a key, or holds a malformed value: users or items not
-        sorted, distinct strings, params of the wrong length, or an
-        assignment that is not a (U, E) array of non-negative integers."""
+        sorted, distinct strings, a lambda that is not a finite number
+        >= 0, params of the wrong length, or an assignment that is not a
+        (U, E) array of non-negative integers."""
         if not isinstance(doc, dict):
             raise ValueError("model file holds no JSON object")
         if doc.get("format") != MODEL_FORMAT:  # format 1 files have no format key
@@ -134,6 +137,8 @@ class FittedModel:
             raise ValueError(f"model file lacks key {exc}") from None
         if not (type(E) is type(K) is int and min(E, K) >= 1 and type(lam) in (int, float)):
             raise ValueError(f"E and K must be positive integers and lambda a number: {E!r}, {K!r}, {lam!r}")
+        if not 0 <= lam <= sys.float_info.max:  # also false for NaN and ints past the float range
+            raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
         for name, keys in (("users", users), ("items", items)):
             if not (isinstance(keys, list) and all(isinstance(k, str) for k in keys)
                     and keys == sorted(set(keys))):

@@ -61,6 +61,19 @@ class TestTasteScores:
         scores = acquired_taste_scores(m, train, min_ratings=1)
         assert scores[0].d == 0.0
 
+    def test_item_tables_differ(self):
+        # data items in first-rating order c, a, d; the model holds a, b, c:
+        # b, which has no rating, and d, which the model lacks, get no row
+        train = dataset([("u", "c", 1.0, 0), ("u", "a", 4.0, 1), ("u", "d", 5.0, 2),
+                         ("v", "c", 2.0, 0), ("v", "a", 3.5, 1)])
+        m = fitted(("u", "v"), ("a", "b", "c"))
+        m.params.item_bias[:] = np.random.default_rng(0).normal(size=(5, 3))
+        scores = acquired_taste_scores(m, train, min_ratings=1)
+        assert [(s.item, s.n_ratings, s.mean_rating) for s in scores] == [
+            ("a", 2, 3.75), ("c", 2, 1.5)]
+        assert [s.d for s in scores] == [m.params.item_bias[4, j] - m.params.item_bias[0, j]
+                                         for j in (0, 2)]
+
     def test_min_ratings_filter(self):
         train = dataset([("u", "a", 4.0, 0), ("u", "b", 2.0, 1), ("v", "a", 3.0, 0)])
         m = fitted(("u", "v"), ("a", "b"),
@@ -115,11 +128,16 @@ def loop_agreement(m, train, min_cohort=5, window=0.5, step=0.1):
         train.per_user(train.times), train.per_user(m.assignment.flat(train)), train.per_user(x)
     ):
         out[:] = interpolate_trajectory(times, levels, times)
+    # each item's rows, ascending; items in order of first rating
+    rows_of = {}
+    for row, code in enumerate(train.item_code.tolist()):
+        rows_of.setdefault(code, []).append(row)
+    item_rows = list(map(np.array, rows_of.values()))
     half = window / 2.0 + 1e-9
     points = []
     for center in np.round(np.arange(1.0, m.params.E + step / 2.0, step), 6):
         variances = []
-        for pos in train.item_index.values():
+        for pos in item_rows:
             mask = np.abs(x[pos] - center) <= half
             if int(mask.sum()) >= min_cohort:
                 variances.append(float(np.var(train.values[pos][mask])))

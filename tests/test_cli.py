@@ -153,7 +153,7 @@ class TestConfigFile:
         {"lambda_grid": [True]}, {"lambda_grid": [1.0, False]},
         # each rejection names its field
         {"model_kind": "zz"}, {"lambda_grid": ["a"]}, {"inner_tolerance": "a"},
-        {"inner_tolerance": None},
+        {"inner_tolerance": None}, {"inner_tolerance": True},
     ])
     def test_bad_fit_config_exits_2(self, split_dir, tmp_path, capsys, doc):
         cfg = tmp_path / "fit.json"
@@ -440,6 +440,7 @@ class TestMalformedModelFile:
     @pytest.mark.parametrize("case", [
         "empty", "level_0", "level_E_plus_1", "fractional", "negative", "not_object", "format_1",
         "unsorted_users", "duplicate_items", "bad_base64", "params_length",
+        "lambda_negative", "lambda_nan", "lambda_inf",
     ])
     @pytest.mark.parametrize("command", ["evaluate", "validate"])
     def test_exits_2_with_one_error_line(self, split_dir, model_path, tmp_path, capsys, command, case):
@@ -472,6 +473,10 @@ class TestMalformedModelFile:
         elif case == "params_length":
             doc["params"] = doc["params"][:-12]
             want = None
+        elif case.startswith("lambda_"):
+            # json writes the float NaN and infinity as NaN and Infinity
+            doc["lambda"] = {"negative": -1.0, "nan": math.nan, "inf": math.inf}[case[7:]]
+            want = f"error: lambda must be finite and >= 0, got {doc['lambda']!r}\n"
         else:
             doc["assignment"][0] = {"level_0": [1, *row], "level_E_plus_1": [*row, 1],
                                     "fractional": [*row[:-1], row[-1] + 0.5],

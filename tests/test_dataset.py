@@ -21,6 +21,7 @@ from exprec.dataset import (
     Rating,
     SplitScheme,
     SplitSpec,
+    key_positions,
     normalize_rating,
     parse_reviews,
     pool_infrequent_users,
@@ -713,6 +714,23 @@ class TestColumns:
         assert len(d) == 0 and d.users == () and d.offsets.tolist() == [0]
         assert rows_of(d) == [] and d.global_time_order().tolist() == []
         assert [len(part) for part in split(d, SplitSpec())] == [0, 0, 0]
+
+
+class TestKeyPositions:
+    def test_unknown_keys_give_minus_one(self):
+        got = key_positions(("a", "c", "d"), ["d", "b", "a", "zz", "d"])
+        assert got.dtype == np.int64 and got.tolist() == [2, -1, 0, -1, 2]
+
+    def test_empty_keys(self):
+        for table in ((), ("a",)):
+            got = key_positions(table, ())
+            assert got.dtype == np.int64 and got.shape == (0,)
+        assert key_positions((), ["a"]).tolist() == [-1]
+
+    def test_table_against_itself_is_arange(self):
+        d, _ = generate(SynthConfig(n_users=30, n_items=40, ratings_per_user=(2, 8), seed=2))
+        for table in (d.users, d.items):
+            assert np.array_equal(key_positions(table, table), np.arange(len(table)))
 
 
 class TestPackedLexsort:

@@ -198,6 +198,23 @@ class TestMse:
         )
         assert total / report.n_test == pytest.approx(report.mse, rel=1e-12)
 
+    def test_cold_user_and_item_predict_alpha_plus_known_bias(self):
+        train = dataset([("u", "a", 3.0, 0)])
+        # a stranger rating a known item, and the known user rating an unknown one
+        test = dataset([("stranger", "a", 4.0, 1), ("u", "zz", 2.0, 2)])
+        m = model_with(("u",), ("a",), E=1, kind=ModelKind.FLAT,
+                       assignment={"u": np.array([1])}, alpha=3.0)
+        m.params.user_bias[0, 0] = -0.5
+        m.params.item_bias[0, 0] = 0.25
+        m.params.user_factors[:] = m.params.item_factors[:] = 1.0  # the cold key's factors are 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = mse(m, test, train)
+        assert [str(w.message) for w in caught] == [
+            "user 'stranger' has no training history; assigning level 1"]
+        # test rows in canonical order: ("stranger", "a") predicts 3.25, ("u", "zz") 2.5
+        assert report.mse == ((3.25 - 4.0) ** 2 + (2.5 - 2.0) ** 2) / 2
+
     def test_clamped_mse_reported(self):
         train = dataset([("u", "a", 3.0, 0)])
         test = dataset([("u", "b", 5.0, 1)])

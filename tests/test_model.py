@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exprec.assign import prediction_costs
-from exprec.dataset import Columns, Dataset, Rating
+from exprec.dataset import Columns, Dataset, Rating, key_positions
 from exprec.model import (
     BLOCKS,
     ExperienceAssignment,
@@ -28,8 +28,8 @@ from exprec.model import (
 def predict_one(p, level, user, item):
     """One (user, item) pair's prediction at ``level``, through the
     vectorized path; an unknown key is encoded as -1."""
-    return float(predictions_for(p, np.array([level]), p.encode_users([user]),
-                                 p.encode_items([item]))[0])
+    return float(predictions_for(p, np.array([level]), key_positions(p.users, [user]),
+                                 key_positions(p.items, [item]))[0])
 
 
 def analytic_gradient(p, a, d, lam):

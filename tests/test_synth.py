@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from exprec.assign import ModelKind, assign_user_dp, find_monotonicity_violation
-from exprec.dataset import Columns, Dataset
+from exprec.dataset import Columns, Dataset, key_positions
 from exprec.model import ExperienceAssignment, RowIndex, predictions_for, score
 from exprec.synth import (
     GroundTruth,
     SynthConfig,
     TrajectoryKind,
+    _ids,
     _planted_params,
     _trajectory,
     brute_force_assign,
@@ -162,6 +163,13 @@ class TestGenerate:
         assert data.values.min() >= 0.0
         assert data.values.max() <= 5.0
 
+    def test_ids_sort_in_index_order(self):
+        # the planted levels are laid out as the dataset's rows, whose users
+        # follow id order, so id order must be index order past 5 digits too
+        assert _ids("u", 3) == ("u00000", "u00001", "u00002")
+        ids = _ids("i", 100_001)
+        assert list(ids) == sorted(ids) and ids[-1] == "i100000"
+
     def test_clamp_off_keeps_exact_predictions(self):
         # horizon=10 squeezes each user's ratings onto ties, which the
         # dataset orders by item; the planted levels must follow that order
@@ -170,8 +178,8 @@ class TestGenerate:
                               level_drift=0.3, seed=5, clamp=False, horizon=horizon)
             data, truth = generate(cfg)
             p = truth.true_params
-            uidx = p.encode_users(data.users)[data.user_code]
-            iidx = p.encode_items(data.items)[data.item_code]
+            uidx = key_positions(p.users, data.users)[data.user_code]
+            iidx = key_positions(p.items, data.items)[data.item_code]
             pred = predictions_for(p, truth.true_levels.flat(data), uidx, iidx)
             assert np.allclose(pred, data.values, rtol=0.0, atol=1e-12), horizon
             if horizon == 10:

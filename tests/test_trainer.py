@@ -42,7 +42,7 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(lambda_grid=grid)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, True, np.True_])
     def test_rejects_bad_inner_tolerance(self, tol):
         with pytest.raises(ValueError):
             TrainConfig(inner_tolerance=tol)
@@ -356,6 +356,9 @@ class TestFit:
         ("K", 0, "^E and K must be positive integers and lambda a number: "),
         ("lambda", None, "^E and K must be positive integers and lambda a number: "),
         ("model_kind", "zz", r"^model_kind must be one of \['lf', 'a', 'b', 'c', 'd'\], got 'zz'$"),
+        ("lambda", -1e-9, "^lambda must be finite and >= 0, got -1e-09$"),
+        ("lambda", math.inf, "^lambda must be finite and >= 0, got inf$"),
+        ("lambda", 10**400, "^lambda must be finite and >= 0, got 1000"),  # past the float range
     ])
     def test_model_file_malformed_value(self, key, value, match):
         doc = self.small_model_doc()
