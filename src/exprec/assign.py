@@ -281,7 +281,7 @@ def prediction_costs(p: ModelParams, d: Dataset) -> CostMatrix:
     uidx, iidx = _strict_encode(p, d)
     costs = np.empty((p.E, len(d)))
     for e in range(p.E):
-        res = score(p, RowIndex.of(p, e, uidx, iidx))[0] - d.values
+        res = score(p, RowIndex.of(p, e, uidx, iidx)) - d.values
         costs[e] = res * res
     return costs
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 BACKGROUND_USER = "__background__"
-_WRITE_ROWS = 1 << 16  # rows formatted per write, bounding the text held at once
+_WRITE_ROWS = 1 << 12  # rows formatted per write, bounding the text held at once
 _PARSE_ROWS = 1 << 12  # lines converted per read, bounding the text held at once
 
 logger = logging.getLogger(__name__)

@@ -25,6 +25,8 @@ import numpy as np
 
 from .dataset import Dataset, _frozen, key_positions
 
+_SCORE_ROWS = 1 << 13  # ratings whose factor rows are gathered at once
+
 
 # The parameter blocks of one level, in flattening order and so in a saved
 # model's params; also the ModelParams field order after users/items.
@@ -211,22 +213,31 @@ class RowIndex(NamedTuple):
         return cls(lv0, lv0 * len(p.users) + uidx, lv0 * len(p.items) + iidx)
 
 
-def score(p: ModelParams, rows: RowIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def score(p: ModelParams, rows: RowIndex) -> np.ndarray:
     """Predicted ratings ``alpha_e + b_u,e + b_i,e + <g_u,e, g_i,e>``.
 
-    Returns the predictions together with the gathered user and item
-    factor rows, which the gradient reuses.
+    The factor rows are gathered ``_SCORE_ROWS`` ratings at a time, so
+    the working memory holds one block's (rows, K) pair rather than every
+    rating's.  Each row's dot product is independent of the other rows,
+    so the bits equal those of one whole-length gather.
     """
     K = p.K
-    gu = p.user_factors.reshape(-1, K).take(rows.lin_u, axis=0)
-    gi = p.item_factors.reshape(-1, K).take(rows.lin_i, axis=0)
+    lv0, lin_u, lin_i = rows
+    user_factors = p.user_factors.reshape(-1, K)
+    item_factors = p.item_factors.reshape(-1, K)
     pred = (
-        p.alpha.take(rows.lv0)
-        + p.user_bias.reshape(-1).take(rows.lin_u)
-        + p.item_bias.reshape(-1).take(rows.lin_i)
-        + np.einsum("ij,ij->i", gu, gi)
+        p.alpha.take(lv0)
+        + p.user_bias.reshape(-1).take(lin_u)
+        + p.item_bias.reshape(-1).take(lin_i)
     )
-    return pred, gu, gi
+    for lo in range(0, len(pred), _SCORE_ROWS):
+        block = slice(lo, lo + _SCORE_ROWS)
+        pred[block] += np.einsum(
+            "ij,ij->i",
+            user_factors.take(lin_u[block], axis=0),
+            item_factors.take(lin_i[block], axis=0),
+        )
+    return pred
 
 
 def predictions_for(
@@ -250,7 +261,7 @@ def predictions_for(
             user_bias=rows(p.user_bias, users), item_bias=rows(p.item_bias, items),
             user_factors=rows(p.user_factors, users), item_factors=rows(p.item_factors, items),
         )
-    return score(p, RowIndex.of(p, np.asarray(levels, dtype=np.int64) - 1, uidx, iidx))[0]
+    return score(p, RowIndex.of(p, np.asarray(levels, dtype=np.int64) - 1, uidx, iidx))
 
 
 def smoothness_penalty(p: ModelParams) -> float:
@@ -289,7 +300,7 @@ def training_rows(p: ModelParams, a: ExperienceAssignment, d: Dataset) -> RowInd
 
 def error_term(p: ModelParams, rows: RowIndex, vals: np.ndarray) -> float:
     """Mean squared prediction error of the ratings at ``rows``."""
-    res = score(p, rows)[0] - vals
+    res = score(p, rows) - vals
     return float(np.mean(res * res))
 
 
@@ -317,11 +328,12 @@ def objective_and_gradient(
     U, I = len(p.users), len(p.items)
     n = len(vals)
 
-    pred, gu, gi = score(p, rows)
-    res = pred - vals
+    res = score(p, rows) - vals
     err = float(np.mean(res * res))
 
-    # bincount over combined (level, key) indexes is much faster than np.add.at
+    # bincount over combined (level, key) indexes is much faster than
+    # np.add.at; each factor's weights are one gathered factor column,
+    # never an (n, K) array
     coef = (2.0 / n) * res
     lv0, lin_u, lin_i = rows
     grad = np.empty(p.n_params)
@@ -331,10 +343,10 @@ def objective_and_gradient(
     g_ib[:] = np.bincount(lin_i, weights=coef, minlength=E * I).reshape(E, I)
     for k in range(K):
         g_uf[:, :, k] = np.bincount(
-            lin_u, weights=coef * gi[:, k], minlength=E * U
+            lin_u, weights=coef * p.item_factors[..., k].take(lin_i), minlength=E * U
         ).reshape(E, U)
         g_if[:, :, k] = np.bincount(
-            lin_i, weights=coef * gu[:, k], minlength=E * I
+            lin_i, weights=coef * p.user_factors[..., k].take(lin_u), minlength=E * I
         ).reshape(E, I)
 
     pen = 0.0

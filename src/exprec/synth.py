@@ -254,7 +254,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     walked = np.where(leaver[user_code], pos // 2, pos)
     levels = np.concatenate(traj_parts)[offsets[user_code] + walked]
     lv0 = levels - 1
-    values = score(params, RowIndex.of(params, lv0, user_code, item_code))[0]
+    values = score(params, RowIndex.of(params, lv0, user_code, item_code))
     values += np.concatenate(noise_parts) * sigma[lv0]
     clamp_count = 0
     if cfg.clamp:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from exprec import dataset as dataset_mod
 from exprec.dataset import (
     BACKGROUND_USER,
+    Columns,
     DataError,
     Dataset,
     FormatConfig,
@@ -493,6 +494,38 @@ class TestWriteReviews:
         write_reviews(d, path)
         back = parse_reviews(path)
         assert rows_of(back) == [(u, i, v, t, v) for u, i, v, t, _ in rows_of(d)]
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_small_blocks_write_the_same_bytes(self, tmp_path, n):
+        # blocks of 3 rows: n = 6 fills two, n = 7 leaves a final partial
+        # one; raw equals the value in the first block only, so the blocks
+        # take both branches of the raw column
+        values = np.arange(n) * 0.5
+        raw = np.where(np.arange(n) < 3, values, 2 * values)
+        d = Dataset(columns=Columns(
+            ["u0", "u1"], [f"i{j}" for j in range(n)], np.arange(n) % 2, np.arange(n),
+            np.arange(n), values, raw,
+        ))
+        write_reviews(d, tmp_path / "one.tsv")
+        with mock.patch.object(dataset_mod, "_WRITE_ROWS", 3):
+            write_reviews(d, tmp_path / "blocks.tsv")
+        text = (tmp_path / "blocks.tsv").read_bytes()
+        assert text == (tmp_path / "one.tsv").read_bytes()
+        assert text.count(b"\n") == n + 1
+        assert b"\nu0\ti2\t1.0\t2\t1.0\n" in text and b"\nu0\ti4\t2.0\t4\t4.0\n" in text
+
+    def test_write_memory_is_bounded(self, tmp_path):
+        # the corpus of the benchmark's file workload, 161k rows; writing
+        # it in blocks of 65,536 rows peaked at 20 MB
+        corpus, _ = generate(SynthConfig(n_users=4000, n_items=400, ratings_per_user=(20, 60), seed=1))
+        tracemalloc.start()
+        try:
+            write_reviews(corpus, tmp_path / "reviews.tsv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 161_235
+        assert peak < 4e6
 
     def test_pooled_round_trip(self, tmp_path, caplog):
         # the pooled user's repeated items survive the file: same keys,

@@ -2,14 +2,19 @@
 
 import base64
 import json
+import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exprec import model as model_mod
 from exprec.assign import prediction_costs
-from exprec.dataset import Columns, Dataset, Rating, key_positions
+from exprec.dataset import (
+    Columns, Dataset, Rating, SplitScheme, SplitSpec, key_positions, pool_infrequent_users, split,
+)
 from exprec.model import (
     BLOCKS,
     ExperienceAssignment,
@@ -23,6 +28,7 @@ from exprec.model import (
     smoothness_penalty,
     training_rows,
 )
+from exprec.synth import SynthConfig, generate
 
 
 def predict_one(p, level, user, item):
@@ -177,9 +183,13 @@ def kernel_instance(E, K, n_users, n_items, n, seed, packed):
     return p, d, lv0
 
 
+# score's block size, then blocks so small that every instance crosses them
+SCORE_ROWS = (model_mod._SCORE_ROWS, 1, 3)
+
+
 class TestScoreKernel:
     """``score`` and every caller of it agree bit for bit with
-    ``reference_score``."""
+    ``reference_score``, in one block and across block boundaries."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -192,31 +202,31 @@ class TestScoreKernel:
         p, d, lv0 = kernel_instance(E, K, n_users, n_items, n, seed, packed)
         n = len(d)
         uidx, iidx, vals = d.user_code, d.item_code, d.values
+        rows = RowIndex.of(p, lv0, uidx, iidx)
+        j = int(uidx[0])
+        ref_obj, ref_grad = reference_objective_and_gradient(p, lv0, uidx, iidx, vals, lam)
+        res = reference_score(p, lv0, uidx, iidx)[0] - vals
+        ref_err = float(np.mean(res * res))
+        ref_costs = np.empty((E, n))
+        for e in range(E):
+            res = reference_score(p, e, uidx, iidx)[0] - vals
+            ref_costs[e] = res * res
 
         def same(got, want):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-        rows = RowIndex.of(p, lv0, uidx, iidx)
-        for got, want in zip(score(p, rows), reference_score(p, lv0, uidx, iidx)):
-            same(got, want)
-        # a scalar user, as synth.generate scores one user's ratings
-        j = int(uidx[0])
-        for got, want in zip(score(p, RowIndex.of(p, lv0, j, iidx)), reference_score(p, lv0, j, iidx)):
-            same(got, want)
-
-        obj, grad = objective_and_gradient(p, rows, vals, lam)
-        ref_obj, ref_grad = reference_objective_and_gradient(p, lv0, uidx, iidx, vals, lam)
-        assert obj == ref_obj
-        same(grad, ref_grad)
-        res = reference_score(p, lv0, uidx, iidx)[0] - vals
-        assert error_term(p, rows, vals) == float(np.mean(res * res))
-
-        # a scalar level, as prediction_costs scores every rating at level e
-        want = np.empty((E, n))
-        for e in range(E):
-            res = reference_score(p, e, uidx, iidx)[0] - vals
-            want[e] = res * res
-        same(prediction_costs(p, d), want)
+        for score_rows in SCORE_ROWS:
+            with mock.patch.object(model_mod, "_SCORE_ROWS", score_rows):
+                same(score(p, rows), reference_score(p, lv0, uidx, iidx)[0])
+                # a scalar user, as synth.generate scores one user's ratings
+                same(score(p, RowIndex.of(p, lv0, j, iidx)), reference_score(p, lv0, j, iidx)[0])
+                # the gradient's factor blocks check the gathered factor rows
+                obj, grad = objective_and_gradient(p, rows, vals, lam)
+                assert obj == ref_obj
+                same(grad, ref_grad)
+                assert error_term(p, rows, vals) == ref_err
+                # a scalar level, as prediction_costs scores every rating at level e
+                same(prediction_costs(p, d), ref_costs)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -237,11 +247,32 @@ class TestScoreKernel:
             blocks.append(np.concatenate([block, pad], axis=1))
         padded = ModelParams(p.users + ("cold",), p.items + ("cold",), *blocks)
         want = reference_score(padded, lv0, uidx % (len(p.users) + 1), iidx % (len(p.items) + 1))[0]
-        got = predictions_for(p, lv0 + 1, uidx, iidx)
-        assert got.tobytes() == want.tobytes()
-        assert predictions_for(p, lv0 + 1, d.user_code, d.item_code).tobytes() == (
-            reference_score(p, lv0, d.user_code, d.item_code)[0].tobytes()
-        )
+        warm = reference_score(p, lv0, d.user_code, d.item_code)[0]
+        for score_rows in SCORE_ROWS:
+            with mock.patch.object(model_mod, "_SCORE_ROWS", score_rows):
+                assert predictions_for(p, lv0 + 1, uidx, iidx).tobytes() == want.tobytes()
+                assert predictions_for(p, lv0 + 1, d.user_code, d.item_code).tobytes() == warm.tobytes()
+
+    def test_objective_memory_is_bounded(self):
+        # an ingest-lf-sized training set: the benchmark's file corpus
+        # pooled at 40 and split, 127k ratings on one level at K = 5;
+        # gathering every rating's factor rows at once peaked at 14 MB, and
+        # one (n, K) array alone would take 5.1 MB
+        corpus, _ = generate(SynthConfig(n_users=4000, n_items=400, ratings_per_user=(20, 60), seed=1))
+        train, _, _ = split(pool_infrequent_users(corpus, 40), SplitSpec(SplitScheme.FINAL, 0.1, 0.1))
+        del corpus
+        shell = ModelParams.zeros(train.users, train.items, 1, 5)
+        x = np.random.default_rng(0).normal(0.0, 0.3, shell.n_params)
+        p = ModelParams.from_flat(x, train.users, train.items, 1, 5)
+        rows = training_rows(p, ExperienceAssignment.of(train, np.ones(len(train), np.int64)), train)
+        tracemalloc.start()
+        try:
+            objective_and_gradient(p, rows, train.values, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(train) == 127_165
+        assert peak < 4.5e6
 
 
 class TestSmoothness:

@@ -1,8 +1,11 @@
 """Generator determinism, planted invariants, oracles, recovery scoring."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from exprec import model as model_mod
 from exprec.assign import ModelKind, assign_user_dp, find_monotonicity_violation
 from exprec.dataset import Columns, Dataset, key_positions
 from exprec.model import ExperienceAssignment, RowIndex, predictions_for, score
@@ -60,7 +63,7 @@ def reference_generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             traj = traj[np.arange(n_r) // 2]
         item_idx = item_idx[np.lexsort((item_idx, times))]
         lv0 = traj - 1
-        pred = score(params, RowIndex.of(params, lv0, j, item_idx))[0]
+        pred = score(params, RowIndex.of(params, lv0, j, item_idx))
         values = pred + rng.standard_normal(n_r) * sigma[lv0]
         if cfg.clamp:
             clamped = np.clip(values, 0.0, 5.0)
@@ -104,18 +107,21 @@ REFERENCE_BASE = dict(n_users=60, n_items=40, ratings_per_user=(2, 25), seed=11)
 ], ids=lambda o: "-".join(f"{k}={getattr(v, 'value', v)}" for k, v in o.items()) or "base")
 def test_generate_matches_reference(overrides):
     cfg = SynthConfig(**{**REFERENCE_BASE, **overrides})
-    data, truth = generate(cfg)
     ref, ref_truth = reference_generate(cfg)
-    for name in ("user_code", "item_code", "times", "values", "raw_values", "offsets"):
-        got, want = getattr(data, name), getattr(ref, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    assert data.users == ref.users and data.items == ref.items
-    assert truth.true_levels.users == ref_truth.true_levels.users
-    assert truth.true_levels.offsets.tobytes() == ref_truth.true_levels.offsets.tobytes()
-    assert truth.true_levels.column.tobytes() == ref_truth.true_levels.column.tobytes()
-    assert truth.leaver_flags == ref_truth.leaver_flags
-    assert truth.clamp_count == ref_truth.clamp_count
-    assert truth.n_ratings == ref_truth.n_ratings
+    # score's block size, then blocks so small that every corpus crosses them
+    for score_rows in (model_mod._SCORE_ROWS, 1, 3):
+        with mock.patch.object(model_mod, "_SCORE_ROWS", score_rows):
+            data, truth = generate(cfg)
+        for name in ("user_code", "item_code", "times", "values", "raw_values", "offsets"):
+            got, want = getattr(data, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert data.users == ref.users and data.items == ref.items
+        assert truth.true_levels.users == ref_truth.true_levels.users
+        assert truth.true_levels.offsets.tobytes() == ref_truth.true_levels.offsets.tobytes()
+        assert truth.true_levels.column.tobytes() == ref_truth.true_levels.column.tobytes()
+        assert truth.leaver_flags == ref_truth.leaver_flags
+        assert truth.clamp_count == ref_truth.clamp_count
+        assert truth.n_ratings == ref_truth.n_ratings
 
 
 class TestGenerate:
