@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DataError, Dataset, key_positions
+from .dataset import DataError, Dataset, key_positions, require_integer
 
 if TYPE_CHECKING:
     from .trainer import FittedModel
@@ -232,7 +232,12 @@ def retention_curves(
     A user has "left" when their last rating precedes the corpus end by
     more than ``gap`` seconds.  Only users with at least ``prefix``
     ratings contribute, so every index draws on the same population.
+    Raises TypeError for a ``prefix`` that is not an integer and
+    ValueError for one below 1.
     """
+    require_integer("prefix", prefix)
+    if prefix < 1:
+        raise ValueError(f"prefix must be >= 1, got {prefix!r}")
     corpus_end = int(d.times.max())
     levels = m.assignment.flat(d)
     long_enough = np.diff(d.offsets) >= prefix

@@ -189,7 +189,7 @@ def cmd_ingest(args) -> int:
 def cmd_split(args) -> int:
     d = _load_dataset(args.input, args)
     spec = SplitSpec(
-        scheme=SplitScheme(args.scheme),
+        scheme=args.scheme,
         test_fraction=args.test_fraction,
         validation_fraction=args.validation_fraction,
         seed=args.seed,

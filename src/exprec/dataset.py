@@ -95,12 +95,17 @@ class FormatConfig:
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """How to split; ``scheme`` may be given as its value string and is
+    stored converted."""
+
     scheme: SplitScheme = SplitScheme.RANDOM
     test_fraction: float = 0.1
     validation_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "scheme", require_member("scheme", SplitScheme, self.scheme))
+        require_integer("seed", self.seed)
         if not (0.0 < self.test_fraction < 1.0):
             raise DataError("test_fraction must be in (0, 1)")
         if not (0.0 < self.validation_fraction < 1.0):

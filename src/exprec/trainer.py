@@ -19,7 +19,7 @@ import math
 import numbers
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,22 +88,12 @@ class TrainConfig:
         return 1 if self.model_kind is ModelKind.FLAT else self.E
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
-    iteration: int
-    step: str                 # "theta" or "e"
-    error_term: float
-    objective: float
-    assignment_changes: int   # only meaningful for e steps
-
-
 @dataclass(eq=False)
 class FittedModel:
     params: ModelParams
     assignment: ExperienceAssignment
     kind: ModelKind
     lam: float
-    train_history: list[HistoryEntry] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -240,16 +230,18 @@ def theta_step(
     vals: np.ndarray,
     lam: float,
     cfg: TrainConfig,
+    err_in: float,
 ) -> ModelParams:
     """Minimize the objective in the parameters with assignments fixed:
-    the ratings ``vals`` at ``rows`` (see :func:`training_rows`).
+    the ratings ``vals`` at ``rows`` (see :func:`training_rows`), whose
+    error term at ``p`` is ``err_in``.
 
     L-BFGS with 10 memory pairs; stops when the relative objective
     decrease falls below ``inner_tolerance`` or after ``inner_max_iters``
     iterations.  The returned parameters never have a larger objective
     than the input, and never a larger raw error term either: a candidate
     that trades error for smoothness is rejected in favor of the input,
-    which keeps recorded error terms non-increasing across every step.
+    which keeps the error term non-increasing across every step.
     """
     users, items, E, K = p.users, p.items, p.E, p.K
 
@@ -258,7 +250,6 @@ def theta_step(
         return objective_and_gradient(px, rows, vals, lam)
 
     x0 = p.flatten()
-    err_in = error_term(p, rows, vals)
     obj_in = err_in + lam * smoothness_penalty(p)
     with _one_blas_thread():
         result = minimize(
@@ -297,31 +288,26 @@ def e_step(p: ModelParams, train: Dataset, kind: ModelKind) -> ExperienceAssignm
 
 def fit_single_lambda(train: Dataset, cfg: TrainConfig, lam: float) -> FittedModel:
     """Train at one smoothness weight.  Each outer iteration logs one INFO
-    record ``iter=… obj=… changed=…`` on ``exprec.trainer``, carrying
-    ``lam`` as a record attribute."""
+    record ``iter=… obj=… changed=…`` on ``exprec.trainer``, whose ``args``
+    are the iteration, the objective after the e step as the exact float
+    and the changed assignments, carrying ``lam`` as a record attribute."""
     p, a = initialize(train, cfg)
     rows = training_rows(p, a, train)
     vals = train.values
-    history: list[HistoryEntry] = []
+    err = error_term(p, rows, vals)
     for it in range(1, cfg.max_outer_iters + 1):
-        p = theta_step(p, rows, vals, lam, cfg)
-        err = error_term(p, rows, vals)
-        pen = lam * smoothness_penalty(p)
-        history.append(HistoryEntry(it, "theta", err, err + pen, 0))
-
+        p = theta_step(p, rows, vals, lam, cfg, err)
         a = e_step(p, train, cfg.model_kind)
         new_rows = training_rows(p, a, train)
         changed = int(np.count_nonzero(new_rows.lv0 != rows.lv0))
         rows = new_rows
-        if changed:  # else the rows, and so the error, are the theta entry's
-            err = error_term(p, rows, vals)
-        obj = err + pen
-        history.append(HistoryEntry(it, "e", err, obj, changed))
+        err = error_term(p, rows, vals)
+        obj = err + lam * smoothness_penalty(p)
         logger.info("iter=%d obj=%.8g changed=%d", it, obj, changed, extra={"lam": lam})
         if changed == 0:
             break
     assert_monotone(cfg.model_kind, train, a)
-    return FittedModel(params=p, assignment=a, kind=cfg.model_kind, lam=lam, train_history=history)
+    return FittedModel(params=p, assignment=a, kind=cfg.model_kind, lam=lam)
 
 
 def fit(train: Dataset, validation: Dataset, cfg: TrainConfig, *, threads: int = 1) -> FittedModel:

@@ -319,6 +319,19 @@ class TestRetention:
             points = retention_curves(m, train, gap=2, prefix=10)
         assert {p.cohort for p in points} == {"stayed"}
 
+    @pytest.mark.parametrize("prefix, error, message", [
+        (0, ValueError, "^prefix must be >= 1"),  # 0 and -3 returned [] without a word
+        (-3, ValueError, "^prefix must be >= 1"),
+        (2.0, TypeError, "^prefix must be an integer"),  # an IndexError from numpy
+        (True, TypeError, "^prefix must be an integer"),  # taken as 1
+    ])
+    def test_bad_prefix_rejected(self, prefix, error, message):
+        train = dataset([("u", f"i{k}", 3.0, k) for k in range(3)])
+        m = fitted(("u",), tuple(f"i{k}" for k in range(3)), E=2,
+                   assignment={"u": np.array([1, 1, 2])})
+        with pytest.raises(error, match=message):
+            retention_curves(m, train, gap=1, prefix=prefix)
+
     def test_planted_slow_leavers_sit_below_stayers(self):
         cfg = SynthConfig(n_users=120, n_items=60, ratings_per_user=20, seed=12,
                           trajectory_kind=TrajectoryKind.UNIFORM_TIME, leaver_fraction=0.3)

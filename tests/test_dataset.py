@@ -636,6 +636,27 @@ class TestSplit:
         with pytest.raises(DataError):
             SplitSpec(SplitScheme.RANDOM, test_fraction=0.6, validation_fraction=0.5)
 
+    @pytest.mark.parametrize("scheme", list(SplitScheme), ids=lambda s: s.value)
+    def test_scheme_value_string_splits_like_the_member(self, scheme):
+        # a plain "final" used to fail the `is SplitScheme.FINAL` test and
+        # split at random
+        d = make_dataset([(f"u{u}", f"i{t}", 1.0, t) for u in range(4) for t in range(1, 11)])
+        spec = SplitSpec(scheme.value, 0.2, 0.2, seed=1)
+        assert spec.scheme is scheme
+        for by_value, by_member in zip(split(d, spec), split(d, SplitSpec(scheme, 0.2, 0.2, seed=1))):
+            assert by_value.user_code.tolist() == by_member.user_code.tolist()
+            assert by_value.item_code.tolist() == by_member.item_code.tolist()
+            assert by_value.items == by_member.items
+
+    def test_unknown_scheme_named(self):
+        with pytest.raises(ValueError, match="^scheme must be one of"):
+            SplitSpec("bogus")
+
+    @pytest.mark.parametrize("seed", [1.0, True, "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(TypeError, match="^seed must be an integer"):
+            SplitSpec(seed=seed)
+
     def test_partition_properties(self):
         rng = np.random.default_rng(0)
         rows = []

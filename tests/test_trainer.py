@@ -16,7 +16,7 @@ from exprec import trainer
 from exprec.assign import ModelKind, assign_all
 from exprec.dataset import Dataset, Rating, SplitScheme, SplitSpec, TrainingError, split
 from exprec.model import (
-    ExperienceAssignment, objective, predictions_for, smoothness_penalty, training_rows,
+    ExperienceAssignment, error_term, objective, predictions_for, smoothness_penalty, training_rows,
 )
 from exprec.synth import SynthConfig, TrajectoryKind, generate
 from exprec.trainer import FittedModel, TrainConfig, e_step, fit, fit_single_lambda, initialize, theta_step
@@ -34,6 +34,17 @@ def small_corpus(seed=0, n_users=20, n_items=25, per_user=12, **kwargs):
 
 
 EMPTY = Dataset([])
+
+
+def iteration_records(caplog):
+    """The ``(iter, obj, changed)`` args of each outer iteration's record."""
+    return [r.args for r in caplog.records if r.name == "exprec.trainer" and r.levelno == logging.INFO]
+
+
+def step(p, a, d, lam, cfg):
+    """One theta step from ``p`` on ``d`` at assignment ``a``."""
+    rows = training_rows(p, a, d)
+    return theta_step(p, rows, d.values, lam, cfg, error_term(p, rows, d.values))
 
 
 class TestTrainConfig:
@@ -117,7 +128,7 @@ class TestThetaStep:
         cfg = TrainConfig(E=1, K=1, lambda_grid=(0.0,), inner_tolerance=1e-12,
                           inner_max_iters=500, seed=0, model_kind=ModelKind.FLAT)
         p, a = initialize(d, cfg)
-        p2 = theta_step(p, training_rows(p, a, d), d.values, lam=0.0, cfg=cfg)
+        p2 = step(p, a, d, 0.0, cfg)
         pred = predictions_for(p2, np.array([1]), d.user_code, d.item_code)
         assert pred.tolist() == pytest.approx([4.2], abs=1e-3)
 
@@ -126,7 +137,7 @@ class TestThetaStep:
         cfg = TrainConfig(seed=5, lambda_grid=(1e-4,))
         p, a = initialize(data, cfg)
         before = objective(p, a, data, 1e-4)
-        p2 = theta_step(p, training_rows(p, a, data), data.values, 1e-4, cfg)
+        p2 = step(p, a, data, 1e-4, cfg)
         after = objective(p2, a, data, 1e-4)
         assert after <= before
 
@@ -134,8 +145,8 @@ class TestThetaStep:
         data, _ = small_corpus(seed=3)
         cfg = TrainConfig(seed=5, lambda_grid=(1e-4,), inner_tolerance=1e-8)
         p, a = initialize(data, cfg)
-        p2 = theta_step(p, training_rows(p, a, data), data.values, 1e-4, cfg)
-        p3 = theta_step(p2, training_rows(p2, a, data), data.values, 1e-4, cfg)
+        p2 = step(p, a, data, 1e-4, cfg)
+        p3 = step(p2, a, data, 1e-4, cfg)
         f2 = objective(p2, a, data, 1e-4)
         f3 = objective(p3, a, data, 1e-4)
         assert f3 <= f2
@@ -158,9 +169,11 @@ class TestThetaStep:
             results.append(real_minimize(*args, **kwargs))
             return results[-1]
 
+        rows = training_rows(p, a, data)
+        err_in = error_term(p, rows, data.values)
         monkeypatch.setattr(trainer, "objective_and_gradient", counted)
         monkeypatch.setattr(trainer, "minimize", recorded)
-        theta_step(p, training_rows(p, a, data), data.values, 1e-4, cfg)
+        theta_step(p, rows, data.values, 1e-4, cfg, err_in)
         assert len(results) == 1 and results[0].nfev > 0
         assert len(calls) == results[0].nfev
 
@@ -178,7 +191,7 @@ class TestEStep:
         data, _ = small_corpus(seed=5)
         cfg = TrainConfig(seed=2, lambda_grid=(1e-5,))
         p, a = initialize(data, cfg)
-        p = theta_step(p, training_rows(p, a, data), data.values, 1e-5, cfg)
+        p = step(p, a, data, 1e-5, cfg)
         before = objective(p, a, data, 1e-5)
         a2 = e_step(p, data, ModelKind.USER_LEARNED)
         after = objective(p, a2, data, 1e-5)
@@ -194,40 +207,81 @@ class TestEStep:
 
 
 class TestFit:
-    def test_flat_reduces_to_single_theta_sequence(self):
+    def test_flat_reduces_to_single_theta_sequence(self, caplog):
         data, _ = small_corpus(seed=7)
         cfg = TrainConfig(seed=1, model_kind=ModelKind.FLAT, lambda_grid=(1.0,))
+        caplog.set_level(logging.INFO, logger="exprec.trainer")
         m = fit(data, EMPTY, cfg)
-        assert m.train_history[-1].iteration == 1
+        assert iteration_records(caplog)[-1][0] == 1
         assert m.params.E == 1
 
-    def test_history_error_term_non_increasing(self):
+    def test_history_error_term_non_increasing(self, monkeypatch, caplog):
+        # the error after each theta step is at most its entry error, which
+        # is the error after the e step before it, and the last e step's
+        # error is the fitted model's; the objective after each step is at
+        # most the one before
         data, _ = small_corpus(seed=8, n_users=15, per_user=10)
-        cfg = TrainConfig(seed=3, lambda_grid=(1e-5,), max_outer_iters=20)
+        lam = 1e-5
+        cfg = TrainConfig(seed=3, lambda_grid=(lam,), max_outer_iters=20)
+        real, steps = trainer.theta_step, []
+
+        def checked(p, rows, vals, lam, cfg, err_in):
+            out = real(p, rows, vals, lam, cfg, err_in)
+            err_out = error_term(out, rows, vals)
+            steps.append((err_in, err_out, err_out + lam * smoothness_penalty(out)))
+            return out
+
+        monkeypatch.setattr(trainer, "theta_step", checked)
+        caplog.set_level(logging.INFO, logger="exprec.trainer")
         m = fit(data, EMPTY, cfg)
-        errs = [h.error_term for h in m.train_history]
+        records = iteration_records(caplog)
+        assert len(steps) == len(records) >= 1
+        errs = [err for err_in, err_out, _ in steps for err in (err_in, err_out)]
+        errs.append(error_term(m.params, training_rows(m.params, m.assignment, data), data.values))
         assert all(b <= a for a, b in zip(errs, errs[1:]))
-        objs = [h.objective for h in m.train_history]
+        objs = [obj for (_, _, theta_obj), (_, e_obj, _) in zip(steps, records) for obj in (theta_obj, e_obj)]
         assert all(b <= a + 1e-15 for a, b in zip(objs, objs[1:]))
 
-    @pytest.mark.parametrize("kind", [ModelKind.USER_LEARNED, ModelKind.COMMUNITY_LEARNED,
-                                      ModelKind.USER_UNIFORM])
-    def test_converged_e_entry_repeats_theta_entry(self, kind):
-        # an e step that moves no level leaves the error and objective as
-        # they were after the theta step, to the last bit
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_last_record_is_the_models_objective(self, kind, caplog):
+        # the record's obj is the exact float, to the last bit
         data, _ = small_corpus(seed=8, n_users=15, per_user=10)
         cfg = TrainConfig(seed=3, model_kind=kind, E=3, lambda_grid=(1.0,), max_outer_iters=50)
-        history = fit_single_lambda(data, cfg, 1.0).train_history
-        theta, e = history[-2:]
-        assert (theta.step, e.step, e.assignment_changes) == ("theta", "e", 0)
-        assert e.error_term.hex() == theta.error_term.hex()
-        assert e.objective.hex() == theta.objective.hex()
+        caplog.set_level(logging.INFO, logger="exprec.trainer")
+        m = fit_single_lambda(data, cfg, 1.0)
+        _, obj, changed = iteration_records(caplog)[-1]
+        assert changed == 0
+        assert obj.hex() == objective(m.params, m.assignment, data, m.lam).hex()
 
-    def test_termination_within_cap(self):
+    @pytest.mark.parametrize("kind, max_outer_iters", [
+        (ModelKind.USER_LEARNED, 50), (ModelKind.COMMUNITY_LEARNED, 50), (ModelKind.USER_LEARNED, 2),
+    ])
+    def test_error_term_once_per_step(self, kind, max_outer_iters, monkeypatch, caplog):
+        # one error term before the loop, then one for each theta step's
+        # candidate and one after each e step: none is computed twice
+        data, _ = small_corpus(seed=8, n_users=15, per_user=10)
+        cfg = TrainConfig(seed=3, model_kind=kind, E=3, lambda_grid=(1.0,),
+                          max_outer_iters=max_outer_iters)
+        real, calls = trainer.error_term, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(trainer, "error_term", counted)
+        caplog.set_level(logging.INFO, logger="exprec.trainer")
+        fit_single_lambda(data, cfg, 1.0)
+        records = iteration_records(caplog)
+        n = records[-1][0]
+        assert [r[0] for r in records] == list(range(1, n + 1)) and n >= 2
+        assert len(calls) == 2 * n + 1
+
+    def test_termination_within_cap(self, caplog):
         data, _ = small_corpus(seed=9)
         cfg = TrainConfig(seed=3, lambda_grid=(1e-5,), max_outer_iters=4)
-        m = fit(data, EMPTY, cfg)
-        assert m.train_history[-1].iteration <= 4
+        caplog.set_level(logging.INFO, logger="exprec.trainer")
+        fit(data, EMPTY, cfg)
+        assert iteration_records(caplog)[-1][0] <= 4
 
     def test_learned_beats_flat_on_planted_levels(self):
         data, _ = small_corpus(
@@ -459,22 +513,46 @@ class TestFitGrid:
             fit(train, valid, TrainConfig(E=2, K=1, lambda_grid=(1.0,)), threads=threads)
 
     def test_one_info_record_per_outer_iteration(self, split_corpus, monkeypatch, caplog):
+        # each record carries its λ, its iteration, the objective after the
+        # e step and the levels that step changed, as recomputed from the
+        # parameters and assignments each step saw
         train, valid = split_corpus
-        real, models = trainer.fit_single_lambda, []
+        real_fit, real_init, real_e = trainer.fit_single_lambda, trainer.initialize, trainer.e_step
+        groups = []  # (lam, [(None, initial assignment), (p, a) of each e step, ...])
 
         def record(train, cfg, lam):
-            models.append(real(train, cfg, lam))
-            return models[-1]
+            groups.append((lam, []))
+            return real_fit(train, cfg, lam)
+
+        def start(train, cfg):
+            p, a = real_init(train, cfg)
+            groups[-1][1].append((None, a))
+            return p, a
+
+        def e(p, train, kind):
+            groups[-1][1].append((p, real_e(p, train, kind)))
+            return groups[-1][1][-1][1]
 
         monkeypatch.setattr(trainer, "fit_single_lambda", record)
+        monkeypatch.setattr(trainer, "initialize", start)
+        monkeypatch.setattr(trainer, "e_step", e)
         caplog.set_level(logging.INFO, logger="exprec.trainer")
         fit(train, valid, TrainConfig(E=3, K=2, seed=2, lambda_grid=(100.0, 1e-4),
                                       max_outer_iters=3, inner_max_iters=40))
-        assert [m.lam for m in models] == [100.0, 1e-4]
-        assert [(r.levelname, r.lam, r.getMessage()) for r in caplog.records] == [
-            ("INFO", m.lam, f"iter={h.iteration} obj={h.objective:.8g} changed={h.assignment_changes}")
-            for m in models for h in m.train_history if h.step == "e"
+        assert [lam for lam, _ in groups] == [100.0, 1e-4]
+        want = [
+            (lam, it, objective(p, a, train, lam).hex(),
+             int(np.count_nonzero(a.flat(train) != before.flat(train))))
+            for lam, states in groups
+            for it, ((_, before), (p, a)) in enumerate(zip(states, states[1:]), start=1)
         ]
+        got = []
+        for r in caplog.records:
+            it, obj, changed = r.args
+            assert r.levelname == "INFO"
+            assert r.getMessage() == f"iter={it} obj={obj:.8g} changed={changed}"
+            got.append((r.lam, it, obj.hex(), changed))
+        assert got == want
 
 
 # prints the sha256 of a saved kind-d fit with 28,803 parameters, above the
