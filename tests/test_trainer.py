@@ -169,11 +169,9 @@ class TestThetaStep:
             results.append(real_minimize(*args, **kwargs))
             return results[-1]
 
-        rows = training_rows(p, a, data)
-        err_in = error_term(p, rows, data.values)
         monkeypatch.setattr(trainer, "objective_and_gradient", counted)
         monkeypatch.setattr(trainer, "minimize", recorded)
-        theta_step(p, rows, data.values, 1e-4, cfg, err_in)
+        step(p, a, data, 1e-4, cfg)
         assert len(results) == 1 and results[0].nfev > 0
         assert len(calls) == results[0].nfev
 
