@@ -126,22 +126,9 @@ def _monotone_dp(costs: np.ndarray) -> np.ndarray:
     return P[:, :, 0].astype(np.int64)
 
 
-def assign_user_dp(costs: CostMatrix) -> np.ndarray:
-    """Cheapest non-decreasing level sequence for one ordered rating list.
-
-    ``costs`` has one row per level and one column per rating, columns in
-    chronological order.  Returns 1-based levels, the lexicographically
-    smallest among equally cheap sequences.  Runtime O(n * E).
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 2:
-        raise ValueError("cost matrix must be 2-dimensional")
-    return _monotone_dp(costs.T[:, None, :])[:, 0] + 1
-
-
 def assign_batch_dp(costs: CostMatrix, offsets) -> np.ndarray:
     """1-based levels of every sequence ``costs[:, offsets[j]:offsets[j + 1]]``,
-    in one column: each sequence gets the path :func:`assign_user_dp`
+    in one column: each sequence gets the path :func:`_monotone_dp`
     returns for it alone.  ``offsets`` run from 0 to ``costs.shape[1]``.
 
     One kernel call per bucket of similar lengths: a bucket holds lengths
@@ -172,18 +159,22 @@ def assign_batch_dp(costs: CostMatrix, offsets) -> np.ndarray:
     return column
 
 
-def assign_community_dp(costs: CostMatrix) -> np.ndarray:
-    """One DP pass over the globally time-sorted rating sequence.
+def assign_user_dp(costs: CostMatrix) -> np.ndarray:
+    """Cheapest non-decreasing level sequence for one ordered rating list:
+    :func:`assign_batch_dp` on a batch of one.
 
-    The same contract as :func:`assign_user_dp`, returning the same path;
-    the caller provides columns sorted by (timestamp, user, item), so the
-    result segments the whole corpus timeline into at most E contiguous
-    eras.  It is :func:`_certified_dp` on a batch of one.
+    ``costs`` has one row per level and one column per rating, columns in
+    chronological order.  Returns 1-based levels, :func:`_monotone_dp`'s
+    path: the lexicographically smallest among equally cheap sequences.
+    Kind c calls it as :func:`assign_community_dp` on columns sorted by
+    (timestamp, user, item), so the path segments the whole corpus
+    timeline into at most E contiguous eras.
     """
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 2:
-        raise ValueError("cost matrix must be 2-dimensional")
-    return _certified_dp(costs[:, None, :], np.array([costs.shape[1]]))[0] + 1
+    return assign_batch_dp(costs, [0, *np.shape(costs)[1:]])
+
+
+# one definition under two names, so that each name can be traced apart
+assign_community_dp = assign_user_dp
 
 
 def _certified_dp(costs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
