@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, require_member
 from .model import ExperienceAssignment, ModelParams, RowIndex, _strict_encode, score
 
 # Cost matrices are plain float arrays of shape (E, n): cost[k][t] is the
@@ -282,8 +282,9 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
 
     Uniform kinds ignore ``p`` entirely; learned kinds minimize the
     prediction error of ``p`` via DP.  The background pseudo-user is
-    treated like any single user.
+    treated like any single user.  ``kind`` may be a member's value string.
     """
+    kind = require_member("kind", ModelKind, kind)
     if kind is ModelKind.FLAT:
         return ExperienceAssignment.of(d, np.ones(len(d), dtype=np.int64))
     if kind is ModelKind.COMMUNITY_UNIFORM:
@@ -294,13 +295,12 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
     costs = prediction_costs(p, d)
     if kind is ModelKind.USER_LEARNED:
         return ExperienceAssignment.of(d, assign_batch_dp(costs, d.offsets))
-    if kind is ModelKind.COMMUNITY_LEARNED:
-        order = d.global_time_order()
-        path = assign_community_dp(costs[:, order])
-        column = np.empty(len(d), dtype=np.int64)
-        column[order] = path
-        return ExperienceAssignment.of(d, column)
-    raise ValueError(f"unknown model kind: {kind!r}")
+    # COMMUNITY_LEARNED: one sequence over the global time order
+    order = d.global_time_order()
+    path = assign_community_dp(costs[:, order])
+    column = np.empty(len(d), dtype=np.int64)
+    column[order] = path
+    return ExperienceAssignment.of(d, column)
 
 
 def find_monotonicity_violation(
@@ -313,7 +313,9 @@ def find_monotonicity_violation(
     the same over the global (timestamp, user, item) order.  Returns the
     first offending (user, index-within-user) or None.  Raises ValueError
     when ``a`` does not hold exactly one level per rating of ``d``.
+    ``kind`` may be a member's value string.
     """
+    kind = require_member("kind", ModelKind, kind)
     order = d.global_time_order() if kind.is_community else np.arange(len(d))
     drops = np.diff(a.flat(d)[order]) < 0
     if not kind.is_community:

@@ -181,6 +181,12 @@ class Dataset:
     def _validate(self) -> None:
         if len(self) and self.times.min() < 0:
             raise DataError("negative timestamp")
+        # finiteness only: an unclamped synthetic corpus leaves [0, 5]
+        finite = np.isfinite(self.values) & np.isfinite(self.raw_values)
+        if not finite.all():
+            pos = int(np.argmin(finite))
+            pair = (self.users[self.user_code[pos]], self.items[self.item_code[pos]])
+            raise DataError(f"non-finite rating at (user, item) pair: {pair}")
         # the pooled pseudo-user may legitimately hold several ratings of
         # the same item, contributed by distinct original users
         key = self.user_code * len(self.items) + self.item_code
@@ -496,9 +502,17 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
 def write_reviews(d: Dataset, path, config: FormatConfig = FormatConfig()) -> None:
     """Write a dataset in the same header-driven format ``parse_reviews``
     reads.  Ratings are written on the normalized scale with a ``raw``
-    column retained for audit."""
+    column retained for audit.  Raises :class:`DataError`, before the
+    file is opened, for an id that would not read back as itself: one
+    holding the delimiter or a line break, or outer whitespace."""
     path = Path(path)
     delim = config.delimiter
+    for kind, ids in (("user", d.users), ("item", d.items)):
+        bad = next((key for key in ids if delim in key or "\n" in key or "\r" in key
+                    or key != key.strip()), None)
+        if bad is not None:
+            raise DataError(f"{kind} id {bad!r} cannot be written: it holds the delimiter, "
+                            f"a line break or outer whitespace")
     with path.open("w", encoding="utf-8") as fh:
         fh.write(
             delim.join(

@@ -125,7 +125,7 @@ class SynthConfig:
             raise TypeError(f"level_drift must be a number or a mapping, got {self.level_drift!r}")
         unknown = set(self.level_drift) - set(BLOCKS)
         if unknown:
-            raise ValueError(f"unknown drift blocks: {sorted(unknown)}")
+            raise ValueError(f"level_drift names unknown blocks: {sorted(unknown)}")
         return {name: float(self.level_drift.get(name, 0.0)) for name in BLOCKS}
 
 

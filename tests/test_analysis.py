@@ -203,6 +203,13 @@ class TestAgreementVariance:
         with pytest.raises(ValueError, match="^(step|window) must be"):
             agreement_variance(m, train, min_cohort=2, window=window, step=step)
 
+    @pytest.mark.parametrize("min_cohort", [1, 0])
+    def test_min_cohort_below_two_rejected(self, min_cohort):
+        # one rating has no spread to measure
+        m, train = self.two_user_cohort([3.0, 5.0])
+        with pytest.raises(ValueError, match="^min_cohort must be >= 2$"):
+            agreement_variance(m, train, min_cohort=min_cohort, window=0.5)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("min_cohort, window", [(5, 0.5), (2, 0.0), (3, 1.2)])
     def test_matches_loop_on_tied_corpus(self, seed, min_cohort, window):

@@ -12,6 +12,7 @@ from exprec.assign import (
     assign_batch_dp,
     assign_community_dp,
     assign_user_dp,
+    assert_monotone,
     find_monotonicity_violation,
     prediction_costs,
     uniform_community_schedule,
@@ -133,6 +134,30 @@ class TestUserDP:
         dp = assign_user_dp(costs)
         oracle = brute_force_assign(costs)
         assert np.array_equal(dp, oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    def test_reference_matches_brute_force(self, E, lengths, seed, tied):
+        # the reference kernel itself, which every front door's certificate
+        # falls back to: a batch of sequences, each left-padded with zero
+        # rows to the longest
+        rng = np.random.default_rng(seed)
+        L = max(lengths)
+        padded = np.zeros((L, len(lengths), E))
+        cost_list = []
+        for b, n in enumerate(lengths):
+            c = rng.integers(0, 3, size=(E, n)).astype(float) if tied else rng.random((E, n))
+            padded[L - n:, b] = c.T
+            cost_list.append(c)
+        levels = _monotone_dp(padded)
+        assert levels.shape == (L, len(lengths)) and levels.dtype == np.int64
+        for b, c in enumerate(cost_list):
+            assert np.array_equal(levels[L - c.shape[1]:, b] + 1, brute_force_assign(c))
 
     def test_cost_monotone_in_E(self):
         rng = np.random.default_rng(7)
@@ -418,6 +443,18 @@ class TestAssignAll:
             want = assign_user_dp(costs[:, d.user_index[user]])
             assert np.array_equal(a.levels[user], want)
 
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_kind_value_string_assigns_like_the_member(self, kind):
+        # "d" used to build the whole cost matrix, then fail as unknown
+        d, p = TestMonotonicityValidator.random_instance()
+        want = assign_all(kind, p, d).flat(d)
+        assert np.array_equal(assign_all(kind.value, p, d).flat(d), want)
+
+    def test_unknown_kind_named(self):
+        p, d = tiny_model_and_data()
+        with pytest.raises(ValueError, match=r"^kind must be one of \['lf', 'a', 'b', 'c', 'd'\], got 'zz'$"):
+            assign_all("zz", p, d)
+
     @pytest.mark.parametrize("kind", [ModelKind.USER_LEARNED, ModelKind.COMMUNITY_LEARNED])
     def test_nan_parameters_raise(self, kind):
         p, d = tiny_model_and_data(E=3)
@@ -426,6 +463,17 @@ class TestAssignAll:
             assign_all(kind, p, d)
 
     def test_every_kind_satisfies_its_constraint(self):
+        d, p = TestMonotonicityValidator.random_instance()
+        for kind in ModelKind:
+            a = assign_all(kind, p, d)
+            assert find_monotonicity_violation(kind, d, a) is None
+
+
+class TestMonotonicityValidator:
+    @staticmethod
+    def random_instance():
+        """Six users of eight ratings at random times, and random E = 3
+        parameters over them."""
         rng = np.random.default_rng(3)
         rows = []
         for j in range(6):
@@ -437,12 +485,8 @@ class TestAssignAll:
             rng.normal(0, 0.4, size=ModelParams.zeros(d.users, d.items, 3, 2).n_params),
             d.users, d.items, 3, 2,
         )
-        for kind in ModelKind:
-            a = assign_all(kind, p, d)
-            assert find_monotonicity_violation(kind, d, a) is None
+        return d, p
 
-
-class TestMonotonicityValidator:
     def test_catches_per_user_violation(self):
         d = make_dataset([("u", "a", 1.0, 0), ("u", "b", 1.0, 1), ("u", "c", 1.0, 2)])
         a = ExperienceAssignment({"u": np.array([1, 3, 2])})
@@ -454,6 +498,27 @@ class TestMonotonicityValidator:
         assert find_monotonicity_violation(ModelKind.COMMUNITY_LEARNED, d, a) == ("v", 0)
         # but it is fine per user
         assert find_monotonicity_violation(ModelKind.USER_LEARNED, d, a) is None
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_kind_value_string_checks_like_the_member(self, kind):
+        # "c" used to fail with an AttributeError on str
+        d = make_dataset([("u", "a", 1.0, 0), ("v", "b", 1.0, 1)])
+        a = ExperienceAssignment({"u": np.array([2]), "v": np.array([1])})
+        want = ("v", 0) if kind.is_community else None
+        assert find_monotonicity_violation(kind, d, a) == want
+        assert find_monotonicity_violation(kind.value, d, a) == want
+
+    def test_unknown_kind_named(self):
+        d = make_dataset([("u", "a", 1.0, 0)])
+        a = ExperienceAssignment({"u": np.array([1])})
+        with pytest.raises(ValueError, match=r"^kind must be one of \['lf', 'a', 'b', 'c', 'd'\], got 'zz'$"):
+            find_monotonicity_violation("zz", d, a)
+
+    def test_assert_monotone_raises_naming_the_violation(self):
+        d = make_dataset([("u", "a", 1.0, 0), ("u", "b", 1.0, 1), ("u", "c", 1.0, 2)])
+        assert_monotone(ModelKind.USER_LEARNED, d, ExperienceAssignment({"u": np.array([1, 2, 2])}))
+        with pytest.raises(ValueError, match="^monotonicity violated at user=u, index=2$"):
+            assert_monotone(ModelKind.USER_LEARNED, d, ExperienceAssignment({"u": np.array([1, 3, 2])}))
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_assignment_not_matching_dataset_raises(self, kind):

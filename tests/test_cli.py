@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exprec import trainer, validate
-from exprec.cli import _format_config, _train_config, build_parser, main
+from exprec import cli, trainer, validate
+from exprec.cli import _format_config, _load_genres, _train_config, build_parser, main
 from exprec.dataset import FormatConfig, TrainingError, parse_reviews
 from exprec.model import ExperienceAssignment, ModelParams
 from exprec.synth import SynthConfig, generate
@@ -131,6 +131,8 @@ class TestConfigFile:
         {"noise_sigma": True}, {"noise_sigma": [0.1, True, 0.1, 0.1, 0.1]},
         {"level_drift": True}, {"level_drift": {"alpha": True}},
         {"ratings_per_user": [10]}, {"ratings_per_user": [5, 10, 15]},
+        # a drift block that does not exist
+        {"level_drift": {"bogus": 0.1}},
     ])
     def test_bad_synth_config_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "synth.json"
@@ -280,6 +282,28 @@ class TestFitEvaluateCompare:
         out = capsys.readouterr().out
         assert "benefit_d_over_lf" in out
 
+    def test_compare_out_writes_what_stdout_shows(self, split_dir, model_path, tmp_path, capsys):
+        args = ["compare", "--model", str(model_path), "--model", str(model_path),
+                "--test", str(split_dir / "test.tsv"), "--train", str(split_dir / "train.tsv")]
+        assert main(args) == 0
+        shown = capsys.readouterr().out
+        out = tmp_path / "compare.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == shown and shown.startswith("kind,lambda,mse,std_error\n")
+
+    def test_training_failure_exits_3(self, split_dir, tmp_path, monkeypatch, capsys):
+        def fail(train, valid, cfg):
+            raise TrainingError("planted failure")
+
+        monkeypatch.setattr(cli, "fit", fail)
+        out = tmp_path / "model.json"
+        rc = main(["fit", "--input", str(split_dir / "train.tsv"), "--valid", str(split_dir / "valid.tsv"),
+                   "--model", "d", "--lambda-grid", "1", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "training failed: planted failure\n"
+        assert not out.exists()
+
     def test_failed_lambda_warned_on_stderr(self, split_dir, tmp_path, monkeypatch, capsys):
         real = trainer.fit_single_lambda
 
@@ -325,6 +349,38 @@ class TestAnalyzeCommand:
         for name in ("taste_scores.csv", "genre_summary.csv", "agreement.csv",
                      "progression.csv", "retention.csv"):
             assert (out_dir / name).exists(), name
+
+    def test_genre_file_header_and_blank_lines_skipped(self, tmp_path):
+        # only line 1 may be a header; blank lines anywhere are skipped
+        path = tmp_path / "genres.tsv"
+        path.write_text("Item\tgenre\n\nx\tale\n  \ny \t lager\nitem\tstout\n")
+        assert _load_genres(path) == {"x": "ale", "y": "lager", "item": "stout"}
+
+    def test_genre_file_wrong_column_count_exits_2(self, split_dir, model_path, tmp_path, capsys):
+        genres = tmp_path / "genres.tsv"
+        genres.write_text("item\tgenre\n\nx\tale\tbitter\n")
+        out_dir = tmp_path / "analysis"
+        rc = main(["analyze", "--model", str(model_path), "--train", str(split_dir / "train.tsv"),
+                   "--genres", str(genres), "--min-ratings", "1", "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err.endswith("error: genres file line 3: expected 2 columns\n")
+        assert not (out_dir / "genre_summary.csv").exists()
+
+    def test_single_level_schedule_model_skips_taste_and_progression(self, split_dir, tmp_path,
+                                                                     capsys):
+        train = str(split_dir / "train.tsv")
+        model = tmp_path / "lf.json"
+        assert main(["fit", "--input", train, "--valid", str(split_dir / "valid.tsv"),
+                     "--model", "lf", "--K", "2", "--seed", "1", "--lambda-grid", "1",
+                     "--max-outer-iters", "2", "--out", str(model)]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "analysis"
+        assert main(["analyze", "--model", str(model), "--train", train,
+                     "--out-dir", str(out_dir)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "skipping taste scores: model has a single level" in err
+        assert "skipping progression: schedule-driven model kind" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["agreement.csv", "retention.csv"]
 
     def test_library_warning_printed_as_one_line(self, split_dir, model_path, tmp_path, capsys):
         # at the default prefixes no user of this corpus leaves

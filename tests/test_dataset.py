@@ -3,6 +3,7 @@
 import io
 import logging
 import math
+import re
 import tracemalloc
 from dataclasses import astuple
 from unittest import mock
@@ -527,6 +528,29 @@ class TestWriteReviews:
         assert len(corpus) == 161_235
         assert peak < 4e6
 
+    @pytest.mark.parametrize("table, key", [
+        ("user", "a\tb"), ("user", " c "), ("item", "x\ny"), ("item", "x\r"), ("user", "\tlead"),
+    ])
+    def test_unwritable_id_raises_before_the_file_is_opened(self, tmp_path, table, key):
+        # "a\tb" read back as six columns, " c " as "c"
+        u, i = (key, "i") if table == "user" else ("u", key)
+        d = Dataset([Rating(u, i, 3.0, 1, 3.0), Rating("v", "i 2", 4.0, 2, 4.0)])
+        path = tmp_path / "out.tsv"
+        with pytest.raises(DataError, match=f"^{table} id {re.escape(repr(key))} cannot be written"):
+            write_reviews(d, path)
+        assert not path.exists()
+
+    def test_inner_space_and_custom_delimiter_round_trip(self, tmp_path):
+        # an inner space is kept, and a tab is no delimiter of a comma file
+        d = make_dataset([("u 1", "i 2", 1.5, 3), ("u\t2", "i", 2.5, 4)])
+        path = tmp_path / "out.csv"
+        config = FormatConfig(delimiter=",")
+        write_reviews(d, path, config)
+        back = parse_reviews(path, config)
+        assert back.users == d.users and back.items == d.items
+        with pytest.raises(DataError, match="^user id 'u 1' cannot be written"):
+            write_reviews(d, tmp_path / "space.csv", FormatConfig(delimiter=" "))
+
     def test_pooled_round_trip(self, tmp_path, caplog):
         # the pooled user's repeated items survive the file: same keys,
         # codes, times and row order (values may move in the last bit when
@@ -559,8 +583,32 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             make_dataset([("u", "a", 1.0, -5)])
 
+    @pytest.mark.parametrize("value, raw", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, -math.inf)])
+    def test_non_finite_rating_named(self, value, raw):
+        # a NaN used to surface in fit as a divergence of alpha
+        ratings = [Rating("u", f"i{k}", 1.0, k, 1.0) for k in range(10)]
+        ratings[3] = Rating("u", "i3", value, 3, raw)
+        ratings[7] = Rating("u", "i7", value, 7, raw)
+        with pytest.raises(DataError, match=r"^non-finite rating at \(user, item\) pair: \('u', 'i3'\)$"):
+            Dataset(ratings)
+
+    def test_values_outside_the_scale_accepted(self):
+        # an unclamped synthetic corpus leaves [0, 5]
+        d = make_dataset([("u", "a", -0.5, 0), ("u", "b", 6.25, 1)])
+        assert d.values.tolist() == [-0.5, 6.25]
+
 
 class TestPooling:
+    def test_min_ratings_below_one_rejected(self):
+        d = make_dataset([("a", "x", 1.0, 0)])
+        with pytest.raises(DataError, match="^min_ratings must be >= 1$"):
+            pool_infrequent_users(d, 0)
+
+    def test_reserved_user_id_rejected(self):
+        d = make_dataset([(BACKGROUND_USER, "x", 1.0, 0), ("a", "x", 1.0, 1)])
+        with pytest.raises(DataError, match=f"^reserved user id {BACKGROUND_USER!r} already present$"):
+            pool_infrequent_users(d, 1)
+
     def test_pool_counts(self):
         rows = [("a", f"x{j}", 1.0, j) for j in range(60)]
         rows += [("b", f"y{j}", 1.0, j) for j in range(3)]
@@ -635,6 +683,12 @@ class TestSplit:
     def test_impossible_fractions(self):
         with pytest.raises(DataError):
             SplitSpec(SplitScheme.RANDOM, test_fraction=0.6, validation_fraction=0.5)
+
+    @pytest.mark.parametrize("field", ["test_fraction", "validation_fraction"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.1, math.nan])
+    def test_fraction_outside_the_open_interval(self, field, value):
+        with pytest.raises(DataError, match=rf"^{field} must be in \(0, 1\)$"):
+            SplitSpec(**{field: value})
 
     @pytest.mark.parametrize("scheme", list(SplitScheme), ids=lambda s: s.value)
     def test_scheme_value_string_splits_like_the_member(self, scheme):

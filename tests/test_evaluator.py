@@ -251,6 +251,11 @@ class TestCompare:
         assert result.benefits["d_over_c"] == pytest.approx(100.0)
         assert {row.kind for row in result.rows} == {"lf", "c", "d"}
 
+    def test_no_models_error(self):
+        d = dataset([("u", "a", 3.0, 0)])
+        with pytest.raises(DataError, match="^no models to compare$"):
+            compare([], d, d)
+
     def test_mismatched_corpora_error(self):
         train = dataset([("u", "a", 3.0, 0)])
         test = dataset([("u", "a", 3.0, 1)])

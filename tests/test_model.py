@@ -336,6 +336,12 @@ class TestObjective:
         assert smoothness_penalty(p) == pytest.approx(0.5)
         assert objective(p, a, d, lam=10.0) == pytest.approx(5.0)
 
+    def test_negative_lambda_rejected(self):
+        p, a, d = self.perfect_setup()
+        assert objective(p, a, d, lam=0.0) == 0.0
+        with pytest.raises(ValueError, match="^lambda must be >= 0$"):
+            objective(p, a, d, lam=-1e-12)
+
     def test_missing_assignment(self):
         p, a, d = self.perfect_setup()
         bad = ExperienceAssignment({})

@@ -16,7 +16,8 @@ from exprec import trainer
 from exprec.assign import ModelKind, assign_all
 from exprec.dataset import Dataset, Rating, SplitScheme, SplitSpec, TrainingError, split
 from exprec.model import (
-    ExperienceAssignment, error_term, objective, predictions_for, smoothness_penalty, training_rows,
+    BLOCKS, ExperienceAssignment, ModelParams, error_term, objective, predictions_for,
+    smoothness_penalty, training_rows,
 )
 from exprec.synth import SynthConfig, TrajectoryKind, generate
 from exprec.trainer import FittedModel, TrainConfig, e_step, fit, fit_single_lambda, initialize, theta_step
@@ -57,6 +58,11 @@ class TestTrainConfig:
     def test_rejects_bad_inner_tolerance(self, tol):
         with pytest.raises(ValueError):
             TrainConfig(inner_tolerance=tol)
+
+    @pytest.mark.parametrize("field", ["E", "K"])
+    def test_rejects_sizes_below_one(self, field):
+        with pytest.raises(ValueError, match="^E and K must be >= 1$"):
+            TrainConfig(**{field: 0})
 
     def test_accepts_zero_lambda(self):
         assert TrainConfig(lambda_grid=(0.0, 1.0)).lambda_grid == (0.0, 1.0)
@@ -151,6 +157,38 @@ class TestThetaStep:
         f3 = objective(p3, a, data, 1e-4)
         assert f3 <= f2
         assert f2 - f3 <= max(1.0, abs(f2)) * 1e-4
+
+    def test_candidate_trading_error_for_smoothness_rejected(self):
+        # both ratings are fit exactly at alpha = (4, 0), so any step that
+        # pulls the levels together raises the error term: the step hands
+        # back its input object
+        d = Dataset([Rating("u", "i", 4.0, 0, 4.0), Rating("u", "j", 0.0, 1, 0.0)])
+        cfg = TrainConfig(E=2, K=1, lambda_grid=(1.0,))
+        p = ModelParams.zeros(d.users, d.items, 2, 1)
+        p.alpha[:] = [4.0, 0.0]
+        a = ExperienceAssignment({"u": np.array([1, 2])})
+        assert step(p, a, d, 1.0, cfg) is p
+
+    @pytest.mark.parametrize("where", [*BLOCKS, "objective"])
+    def test_divergence_names_the_non_finite_block(self, where, monkeypatch):
+        data, _ = small_corpus(seed=3, n_users=5, per_user=6)
+        cfg = TrainConfig(E=2, K=1, lambda_grid=(1.0,), inner_max_iters=5)
+        p, a = initialize(data, cfg)
+        real = trainer.minimize
+
+        def poisoned(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if where == "objective":
+                result.fun = np.nan
+            else:
+                px = ModelParams.from_flat(result.x, p.users, p.items, p.E, p.K)
+                getattr(px, where).flat[-1] = np.nan
+                result.x = px.flatten()
+            return result
+
+        monkeypatch.setattr(trainer, "minimize", poisoned)
+        with pytest.raises(TrainingError, match=rf"^divergence in theta step \(lambda=1.0\): non-finite {where}$"):
+            step(p, a, data, 1.0, cfg)
 
     def test_objective_evaluated_only_by_the_optimizer(self, monkeypatch):
         # the entry objective comes from the error term, not from one more
@@ -503,6 +541,12 @@ class TestFitGrid:
         m = fit(train, valid, cfg)
         assert calls == [10.0]
         assert m.lam == 10.0
+
+    def test_two_lambdas_need_a_validation_set(self, split_corpus):
+        train, _ = split_corpus
+        cfg = TrainConfig(E=2, K=1, lambda_grid=(1e-4, 1.0), max_outer_iters=1, inner_max_iters=5)
+        with pytest.raises(TrainingError, match="^validation set is empty; cannot select lambda$"):
+            fit(train, EMPTY, cfg)
 
     @pytest.mark.parametrize("threads", [0, 2])
     def test_only_one_thread(self, split_corpus, threads):
