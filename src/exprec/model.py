@@ -304,15 +304,21 @@ def error_term(p: ModelParams, rows: RowIndex, vals: np.ndarray) -> float:
     return float(np.mean(res * res))
 
 
-def objective(p: ModelParams, a: ExperienceAssignment, train: Dataset, lam: float) -> float:
-    """Training objective: mean squared error plus lam * smoothness.
+def penalized(p: ModelParams, err: float, lam: float) -> float:
+    """The training objective of ``p`` given its error term ``err``: err
+    plus lam * smoothness, the one objective every step compares and logs.
 
     As in the paper, smoothness between adjacent levels is the only
     regulariser; there is no magnitude (ridge) term.
     """
+    return err + lam * smoothness_penalty(p)
+
+
+def objective(p: ModelParams, a: ExperienceAssignment, train: Dataset, lam: float) -> float:
+    """Training objective of ``p`` at assignment ``a``, see :func:`penalized`."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    return error_term(p, training_rows(p, a, train), train.values) + lam * smoothness_penalty(p)
+    return penalized(p, error_term(p, training_rows(p, a, train), train.values), lam)
 
 
 def objective_and_gradient(
@@ -322,7 +328,8 @@ def objective_and_gradient(
 
     Each rating contributes only to its assigned level's parameters; the
     smoothness term contributes 2*lam*(theta_e - theta_{e+1}) to level e
-    and the negation to level e+1.
+    and the negation to level e+1.  The penalty's value is summed in the
+    same loop, and the objective equals :func:`penalized`'s bit for bit.
     """
     E, K = p.E, p.K
     U, I = len(p.users), len(p.items)

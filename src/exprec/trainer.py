@@ -33,7 +33,7 @@ from .model import (
     RowIndex,
     error_term,
     objective_and_gradient,
-    smoothness_penalty,
+    penalized,
     training_rows,
 )
 
@@ -250,7 +250,7 @@ def theta_step(
         return objective_and_gradient(px, rows, vals, lam)
 
     x0 = p.flatten()
-    obj_in = err_in + lam * smoothness_penalty(p)
+    obj_in = penalized(p, err_in, lam)
     with _one_blas_thread():
         result = minimize(
             fun,
@@ -302,7 +302,7 @@ def fit_single_lambda(train: Dataset, cfg: TrainConfig, lam: float) -> FittedMod
         changed = int(np.count_nonzero(new_rows.lv0 != rows.lv0))
         rows = new_rows
         err = error_term(p, rows, vals)
-        obj = err + lam * smoothness_penalty(p)
+        obj = penalized(p, err, lam)
         logger.info("iter=%d obj=%.8g changed=%d", it, obj, changed, extra={"lam": lam})
         if changed == 0:
             break

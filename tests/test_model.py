@@ -22,6 +22,7 @@ from exprec.model import (
     error_term,
     objective,
     objective_and_gradient,
+    penalized,
     RowIndex,
     predictions_for,
     score,
@@ -223,6 +224,8 @@ class TestScoreKernel:
                 # the gradient's factor blocks check the gathered factor rows
                 obj, grad = objective_and_gradient(p, rows, vals, lam)
                 assert obj == ref_obj
+                # the one training objective, to the last bit
+                assert obj.hex() == penalized(p, error_term(p, rows, vals), lam).hex()
                 same(grad, ref_grad)
                 assert error_term(p, rows, vals) == ref_err
                 # a scalar level, as prediction_costs scores every rating at level e
