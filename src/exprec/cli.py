@@ -259,16 +259,16 @@ def _write_csv(path, cls, rows):
 
 
 def _load_genres(path) -> dict[str, str]:
+    """item -> genre; blank lines are skipped, and the first non-blank line
+    may be an ``item`` header."""
     genres = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
+        lines = ((line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip())
+        for k, (line_no, line) in enumerate(lines):
+            parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
                 raise DataError(f"genres file line {line_no}: expected 2 columns")
-            if line_no == 1 and parts[0].strip().lower() == "item":
+            if k == 0 and parts[0].strip().lower() == "item":
                 continue
             genres[parts[0].strip()] = parts[1].strip()
     return genres

@@ -316,8 +316,8 @@ def penalized(p: ModelParams, err: float, lam: float) -> float:
 
 def objective(p: ModelParams, a: ExperienceAssignment, train: Dataset, lam: float) -> float:
     """Training objective of ``p`` at assignment ``a``, see :func:`penalized`."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not 0 <= lam < math.inf:  # also false for NaN
+        raise ValueError("lambda must be finite and >= 0")
     return penalized(p, error_term(p, training_rows(p, a, train), train.values), lam)
 
 

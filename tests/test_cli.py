@@ -351,10 +351,13 @@ class TestAnalyzeCommand:
             assert (out_dir / name).exists(), name
 
     def test_genre_file_header_and_blank_lines_skipped(self, tmp_path):
-        # only line 1 may be a header; blank lines anywhere are skipped
+        # only the first non-blank line may be a header; blank lines
+        # anywhere are skipped
         path = tmp_path / "genres.tsv"
         path.write_text("Item\tgenre\n\nx\tale\n  \ny \t lager\nitem\tstout\n")
         assert _load_genres(path) == {"x": "ale", "y": "lager", "item": "stout"}
+        path.write_text("\nitem\tgenre\nx\tale\n")
+        assert _load_genres(path) == {"x": "ale"}
 
     def test_genre_file_wrong_column_count_exits_2(self, split_dir, model_path, tmp_path, capsys):
         genres = tmp_path / "genres.tsv"

@@ -340,10 +340,12 @@ class TestObjective:
         assert objective(p, a, d, lam=10.0) == pytest.approx(5.0)
 
     def test_negative_lambda_rejected(self):
+        # and a non-finite one, which would make the objective NaN
         p, a, d = self.perfect_setup()
         assert objective(p, a, d, lam=0.0) == 0.0
-        with pytest.raises(ValueError, match="^lambda must be >= 0$"):
-            objective(p, a, d, lam=-1e-12)
+        for lam in (-1e-12, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^lambda must be finite and >= 0$"):
+                objective(p, a, d, lam=lam)
 
     def test_missing_assignment(self):
         p, a, d = self.perfect_setup()

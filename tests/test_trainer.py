@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from exprec import trainer
 from exprec.assign import ModelKind, assign_all
 from exprec.dataset import Dataset, Rating, SplitScheme, SplitSpec, TrainingError, split
 from exprec.model import (
-    BLOCKS, ExperienceAssignment, ModelParams, error_term, objective, predictions_for,
+    BLOCKS, ExperienceAssignment, ModelParams, error_term, objective, penalized, predictions_for,
     smoothness_penalty, training_rows,
 )
 from exprec.synth import SynthConfig, TrajectoryKind, generate
@@ -169,6 +170,22 @@ class TestThetaStep:
         a = ExperienceAssignment({"u": np.array([1, 2])})
         assert step(p, a, d, 1.0, cfg) is p
 
+    def test_candidate_with_larger_objective_rejected(self, monkeypatch):
+        # an optimizer result that keeps the error term but reports a
+        # larger objective than the entry one hands back the input object
+        data, _ = small_corpus(seed=3, n_users=5, per_user=6)
+        cfg = TrainConfig(E=2, K=1, lambda_grid=(1.0,))
+        p, a = initialize(data, cfg)
+        rows = training_rows(p, a, data)
+        err = error_term(p, rows, data.values)
+        obj_in = penalized(p, err, 1.0)
+
+        def worse(fun, x0, **kwargs):
+            return SimpleNamespace(x=x0, fun=obj_in + 1.0)
+
+        monkeypatch.setattr(trainer, "minimize", worse)
+        assert theta_step(p, rows, data.values, 1.0, cfg, err) is p
+
     @pytest.mark.parametrize("where", [*BLOCKS, "objective"])
     def test_divergence_names_the_non_finite_block(self, where, monkeypatch):
         data, _ = small_corpus(seed=3, n_users=5, per_user=6)
@@ -264,7 +281,7 @@ class TestFit:
         def checked(p, rows, vals, lam, cfg, err_in):
             out = real(p, rows, vals, lam, cfg, err_in)
             err_out = error_term(out, rows, vals)
-            steps.append((err_in, err_out, err_out + lam * smoothness_penalty(out)))
+            steps.append((err_in, err_out, penalized(out, err_out, lam)))
             return out
 
         monkeypatch.setattr(trainer, "theta_step", checked)
