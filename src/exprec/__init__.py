@@ -22,7 +22,6 @@ from .dataset import (
     Dataset,
     FormatConfig,
     ParseError,
-    Rating,
     SplitScheme,
     SplitSpec,
     TrainingError,
@@ -63,7 +62,6 @@ __all__ = [
     "ModelKind",
     "ModelParams",
     "ParseError",
-    "Rating",
     "RecoveryScore",
     "SplitScheme",
     "SplitSpec",

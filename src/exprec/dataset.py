@@ -20,7 +20,7 @@ from itertools import compress, islice, repeat
 from operator import methodcaller
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -64,21 +64,6 @@ def require_member(name: str, enum: type[Enum], value) -> Enum:
 class SplitScheme(str, Enum):
     RANDOM = "random"
     FINAL = "final"
-
-
-@dataclass(frozen=True)
-class Rating:
-    """One observed (user, item, value, timestamp) event.
-
-    ``value`` is on the normalized [0, 5] scale; ``raw_value`` keeps the
-    original scale for audit.
-    """
-
-    user: str
-    item: str
-    value: float
-    timestamp: int
-    raw_value: float
 
 
 @dataclass(frozen=True)
@@ -127,21 +112,6 @@ def normalize_rating(raw: float, scale_max: float) -> float:
     return 5.0 * raw / scale_max
 
 
-class Columns(NamedTuple):
-    """Rating columns in any row order.  ``user_code``/``item_code`` index
-    the ``users``/``items`` key tables, which need be neither sorted nor
-    all used: :class:`Dataset` drops unused keys, sorts the rest and
-    renumbers the codes."""
-
-    users: Sequence[str]
-    items: Sequence[str]
-    user_code: np.ndarray
-    item_code: np.ndarray
-    times: np.ndarray
-    values: np.ndarray
-    raw_values: np.ndarray
-
-
 class Dataset:
     """Immutable rating collection stored as read-only numpy columns.
 
@@ -153,27 +123,30 @@ class Dataset:
     times, item_code), and user ``users[j]`` owns the contiguous rows
     ``offsets[j]:offsets[j + 1]``.
 
-    Build one from :class:`Rating` objects or from :class:`Columns`;
-    rows are read back only through the columns.
+    The constructor takes the same seven columns in any row order: its
+    ``user_code`` and ``item_code`` index its ``users`` and ``items`` key
+    tables, which need be neither sorted nor all used.  It drops the
+    unused keys, sorts the rest and renumbers the codes.
     The user id :data:`BACKGROUND_USER` is the pooled pseudo-user (see
     :func:`pool_infrequent_users`), which may rate an item more than once.
     ``item_seq`` and ``user_index`` are per-row and per-user views built
     on first use.
     """
 
-    def __init__(self, ratings: Iterable[Rating] = (), *, columns: Columns | None = None):
-        if columns is None:
-            columns = _columns_of(ratings)
-        user_code, self.users = _sorted_keys(columns.users, columns.user_code)
-        item_code, self.items = _sorted_keys(columns.items, columns.item_code)
+    def __init__(
+        self, users: Sequence[str], items: Sequence[str], user_code, item_code,
+        times, values, raw_values,
+    ):
+        user_code, self.users = _sorted_keys(users, user_code)
+        item_code, self.items = _sorted_keys(items, item_code)
         # the sort is stable: rows equal in all three keys (a pooled user's
         # repeated item) keep their input order
-        order = _lexsort((user_code, columns.times, item_code))
+        order = _lexsort((user_code, times, item_code))
         self.user_code = _frozen(user_code[order])
         self.item_code = _frozen(item_code[order])
-        self.times = _frozen(np.asarray(columns.times, dtype=np.int64)[order])
-        self.values = _frozen(np.asarray(columns.values, dtype=np.float64)[order])
-        self.raw_values = _frozen(np.asarray(columns.raw_values, dtype=np.float64)[order])
+        self.times = _frozen(np.asarray(times, dtype=np.int64)[order])
+        self.values = _frozen(np.asarray(values, dtype=np.float64)[order])
+        self.raw_values = _frozen(np.asarray(raw_values, dtype=np.float64)[order])
         counts = np.bincount(self.user_code, minlength=len(self.users))
         self.offsets = _frozen(np.concatenate(([0], np.cumsum(counts))))
         self._validate()
@@ -222,10 +195,10 @@ class Dataset:
 
     def subset(self, positions: Sequence[int]) -> "Dataset":
         positions = np.asarray(positions, dtype=np.int64)
-        return Dataset(columns=Columns(
+        return Dataset(
             self.users, self.items, self.user_code[positions], self.item_code[positions],
             self.times[positions], self.values[positions], self.raw_values[positions],
-        ))
+        )
 
     @cached_property
     def item_seq(self) -> tuple[str, ...]:
@@ -276,28 +249,16 @@ def _encode(keys: list[str], pos: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(pos.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
-def _sorted_keys(keys: Sequence[str], codes: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+def _sorted_keys(keys: Sequence[str], codes) -> tuple[np.ndarray, tuple[str, ...]]:
     """Drop the keys no code uses, sort the rest, and renumber ``codes``
     to match."""
+    codes = np.asarray(codes, dtype=np.int64)
     used = np.flatnonzero(np.bincount(codes, minlength=len(keys)))
     ids = [keys[j] for j in used.tolist()]
     order = sorted(range(len(ids)), key=ids.__getitem__)
     rank = np.zeros(len(keys), dtype=np.int64)
     rank[used[order]] = np.arange(len(ids))
     return rank[codes], tuple(ids[j] for j in order)
-
-
-def _columns_of(ratings: Iterable[Rating]) -> Columns:
-    rows = list(ratings)
-    users, items = {}, {}
-    user_code = _encode([r.user for r in rows], users)
-    item_code = _encode([r.item for r in rows], items)
-    return Columns(
-        list(users), list(items), user_code, item_code,
-        np.array([r.timestamp for r in rows], dtype=np.int64),
-        np.array([r.value for r in rows], dtype=np.float64),
-        np.array([r.raw_value for r in rows], dtype=np.float64),
-    )
 
 
 def _floats(texts: list[str]) -> tuple[np.ndarray, int]:
@@ -364,10 +325,10 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
     keep = by_key[first]
     if len(keep) < n_rows:
         logger.warning("dropped %d duplicate (user, item) rows", n_rows - len(keep))
-    return Dataset(columns=Columns(
+    return Dataset(
         list(user_pos), list(item_pos), user_code[keep], item_code[keep], times[keep],
         5.0 * raw[keep] / config.scale_max, raw[keep],
-    ))
+    )
 
 
 def _parse_block(
@@ -460,10 +421,10 @@ def pool_infrequent_users(d: Dataset, min_ratings: int = 50) -> Dataset:
     if not infrequent.any():
         return d
     user_code = np.where(infrequent[d.user_code], len(d.users), d.user_code)
-    return Dataset(columns=Columns(
+    return Dataset(
         d.users + (BACKGROUND_USER,), d.items, user_code, d.item_code,
         d.times, d.values, d.raw_values,
-    ))
+    )
 
 
 def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Columns, Dataset, _lexsort, require_integer, require_member
+from .dataset import Dataset, _lexsort, require_integer, require_member
 from .model import BLOCKS, ExperienceAssignment, ModelParams, RowIndex, score
 
 
@@ -262,7 +262,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         clamp_count = int(np.count_nonzero(clamped != values))
         values = clamped
 
-    dataset = Dataset(columns=Columns(users, items, user_code, item_code, times, values, values))
+    dataset = Dataset(users, items, user_code, item_code, times, values, values)
     truth = GroundTruth(
         true_params=params,
         true_levels=ExperienceAssignment.of(dataset, levels),

@@ -20,7 +20,7 @@ from .assign import (
     assign_user_dp,
     find_monotonicity_violation,
 )
-from .dataset import Dataset, Rating
+from .dataset import Dataset
 from .model import (
     ExperienceAssignment, ModelParams, objective, objective_and_gradient, training_rows,
 )
@@ -87,13 +87,10 @@ def check_gradient(seed: int = 0, rel_tol: float = 1e-4) -> CheckResult:
     users = tuple(f"u{j}" for j in range(5))
     items = tuple(f"i{j}" for j in range(5))
     E, K = 3, 2
-    ratings = []
-    t = 0
-    for u in users:
-        for i in items:
-            ratings.append(Rating(u, i, float(rng.uniform(0, 5)), t, 0.0))
-            t += 1
-    d = Dataset(ratings)
+    # every user rates every item, one rating per time step in row order
+    n = len(users) * len(items)
+    d = Dataset(users, items, np.arange(n) // len(items), np.arange(n) % len(items),
+                np.arange(n), rng.uniform(0, 5, n), np.zeros(n))
     a = ExperienceAssignment(
         {u: np.sort(rng.integers(1, E + 1, size=5)) for u in users}
     )

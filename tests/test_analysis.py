@@ -13,14 +13,11 @@ from exprec.analysis import (
     retention_curves,
 )
 from exprec.assign import ModelKind
-from exprec.dataset import DataError, Dataset, Rating
+from exprec.dataset import DataError
 from exprec.model import ExperienceAssignment, ModelParams
 from exprec.synth import SynthConfig, TrajectoryKind, generate
 from exprec.trainer import FittedModel
-
-
-def dataset(rows):
-    return Dataset([Rating(u, i, v, t, v) for (u, i, v, t) in rows])
+from rows import dataset_of
 
 
 def fitted(users, items, E=5, K=1, kind=ModelKind.USER_LEARNED, assignment=None):
@@ -39,7 +36,7 @@ def truth_model(data, truth, kind=ModelKind.USER_LEARNED):
 
 class TestTasteScores:
     def test_simple_subtraction(self):
-        train = dataset([("u", "a", 4.0, 0), ("u", "b", 2.0, 1)])
+        train = dataset_of([("u", "a", 4.0, 0), ("u", "b", 2.0, 1)])
         m = fitted(("u",), ("a", "b"), assignment={"u": np.array([1, 1])})
         m.params.item_bias[0, 0] = 0.1
         m.params.item_bias[4, 0] = 0.3
@@ -50,13 +47,13 @@ class TestTasteScores:
         assert by_item["a"].n_ratings == 1
 
     def test_flat_model_errors(self):
-        train = dataset([("u", "a", 4.0, 0)])
+        train = dataset_of([("u", "a", 4.0, 0)])
         m = fitted(("u",), ("a",), E=1, kind=ModelKind.FLAT, assignment={"u": np.array([1])})
         with pytest.raises(ValueError):
             acquired_taste_scores(m, train, min_ratings=1)
 
     def test_identical_levels_give_zero(self):
-        train = dataset([("u", "a", 4.0, 0)])
+        train = dataset_of([("u", "a", 4.0, 0)])
         m = fitted(("u",), ("a",), assignment={"u": np.array([1])})
         scores = acquired_taste_scores(m, train, min_ratings=1)
         assert scores[0].d == 0.0
@@ -64,7 +61,7 @@ class TestTasteScores:
     def test_item_tables_differ(self):
         # data items in first-rating order c, a, d; the model holds a, b, c:
         # b, which has no rating, and d, which the model lacks, get no row
-        train = dataset([("u", "c", 1.0, 0), ("u", "a", 4.0, 1), ("u", "d", 5.0, 2),
+        train = dataset_of([("u", "c", 1.0, 0), ("u", "a", 4.0, 1), ("u", "d", 5.0, 2),
                          ("v", "c", 2.0, 0), ("v", "a", 3.5, 1)])
         m = fitted(("u", "v"), ("a", "b", "c"))
         m.params.item_bias[:] = np.random.default_rng(0).normal(size=(5, 3))
@@ -75,7 +72,7 @@ class TestTasteScores:
                                          for j in (0, 2)]
 
     def test_min_ratings_filter(self):
-        train = dataset([("u", "a", 4.0, 0), ("u", "b", 2.0, 1), ("v", "a", 3.0, 0)])
+        train = dataset_of([("u", "a", 4.0, 0), ("u", "b", 2.0, 1), ("v", "a", 3.0, 0)])
         m = fitted(("u", "v"), ("a", "b"),
                    assignment={"u": np.array([1, 1]), "v": np.array([1])})
         scores = acquired_taste_scores(m, train, min_ratings=2)
@@ -84,7 +81,7 @@ class TestTasteScores:
 
 class TestGenreSummary:
     def make_scores(self):
-        train = dataset([("u", "a", 4.0, 0), ("u", "b", 2.0, 1), ("u", "c", 3.0, 2)])
+        train = dataset_of([("u", "a", 4.0, 0), ("u", "b", 2.0, 1), ("u", "c", 3.0, 2)])
         m = fitted(("u",), ("a", "b", "c"), assignment={"u": np.array([1, 1, 1])})
         m.params.item_bias[0] = [0.0, 0.0, 0.5]
         m.params.item_bias[4] = [0.1, 0.3, 0.2]
@@ -165,14 +162,14 @@ def tied_corpus(seed, n_users=40, n_items=12, E=4):
         for item, t in zip(rng.choice(n_items, n, replace=False), rng.integers(0, 6, n)):
             rows.append((f"u{j:02d}", f"i{item}", float(rng.uniform(0, 5)), int(t)))
         levels[f"u{j:02d}"] = np.sort(rng.integers(1, E + 1, n))
-    train = dataset(rows)
+    train = dataset_of(rows)
     return fitted(train.users, train.items, E=E, assignment=levels), train
 
 
 class TestAgreementVariance:
     def two_user_cohort(self, values):
         rows = [("u", "a", values[0], 0), ("v", "a", values[1], 0)]
-        train = dataset(rows)
+        train = dataset_of(rows)
         m = fitted(("u", "v"), ("a",), E=2,
                    assignment={"u": np.array([1]), "v": np.array([1])})
         return m, train
@@ -229,7 +226,7 @@ class TestAgreementVariance:
         # 1 and 3 hold no cohort, so only the centres near 2 are emitted
         rows = [(u, "a", v, 0) for u, v in (("u", 1.0), ("v", 2.0), ("w", 4.0))]
         rows += [("u", "b", 3.0, 1), ("v", "b", 5.0, 1), ("x", "c", 2.0, 0)]
-        train = dataset(rows)
+        train = dataset_of(rows)
         levels = {"u": np.array([2, 2]), "v": np.array([2, 2]), "w": np.array([2]),
                   "x": np.array([1])}
         m = fitted(train.users, train.items, E=3, assignment=levels)
@@ -262,7 +259,7 @@ class TestAgreementVariance:
 
 class TestProgression:
     def test_entry_time_and_count(self):
-        train = dataset([("u", f"i{k}", 3.0, 10 * k) for k in range(5)])
+        train = dataset_of([("u", f"i{k}", 3.0, 10 * k) for k in range(5)])
         m = fitted(("u",), tuple(f"i{k}" for k in range(5)), E=2,
                    assignment={"u": np.array([1, 1, 2, 2, 2])})
         rows, counts = progression_stats(m, train)
@@ -272,7 +269,7 @@ class TestProgression:
         assert row.median_cum_time == 20
 
     def test_constant_expert_counted_separately(self):
-        train = dataset([("u", f"i{k}", 3.0, k) for k in range(3)])
+        train = dataset_of([("u", f"i{k}", 3.0, k) for k in range(3)])
         m = fitted(("u",), ("i0", "i1", "i2"), E=5,
                    assignment={"u": np.array([5, 5, 5])})
         rows, counts = progression_stats(m, train)
@@ -280,7 +277,7 @@ class TestProgression:
         assert rows == []
 
     def test_uniform_kind_errors(self):
-        train = dataset([("u", "a", 3.0, 0)])
+        train = dataset_of([("u", "a", 3.0, 0)])
         m = fitted(("u",), ("a",), kind=ModelKind.USER_UNIFORM, assignment={"u": np.array([1])})
         with pytest.raises(ValueError):
             progression_stats(m, train)
@@ -306,7 +303,7 @@ class TestRetention:
         # corpus ends at t=1000; gap=100
         rows = [("left", f"i{k}", 3.0, 800 + k * 10) for k in range(3)]   # last at 820 -> left
         rows += [("stay", f"i{k}", 3.0, 930 + k * 35) for k in range(3)]  # last at 1000 -> stayed
-        train = dataset(rows)
+        train = dataset_of(rows)
         m = fitted(("left", "stay"), tuple(f"i{k}" for k in range(3)), E=2,
                    assignment={"left": np.array([1, 1, 1]), "stay": np.array([1, 2, 2])})
         points = retention_curves(m, train, gap=100, prefix=3)
@@ -319,7 +316,7 @@ class TestRetention:
 
     def test_prefix_filters_short_users(self):
         rows = [("u", f"i{k}", 3.0, k) for k in range(10)] + [("short", "i0", 3.0, 5)]
-        train = dataset(rows)
+        train = dataset_of(rows)
         m = fitted(("u", "short"), tuple({r[1] for r in rows}), E=2,
                    assignment={"u": np.ones(10, dtype=int), "short": np.array([1])})
         with pytest.warns(UserWarning):
@@ -333,7 +330,7 @@ class TestRetention:
         (True, TypeError, "^prefix must be an integer"),  # taken as 1
     ])
     def test_bad_prefix_rejected(self, prefix, error, message):
-        train = dataset([("u", f"i{k}", 3.0, k) for k in range(3)])
+        train = dataset_of([("u", f"i{k}", 3.0, k) for k in range(3)])
         m = fitted(("u",), tuple(f"i{k}" for k in range(3)), E=2,
                    assignment={"u": np.array([1, 1, 2])})
         with pytest.raises(error, match=message):

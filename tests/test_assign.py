@@ -18,13 +18,10 @@ from exprec.assign import (
     uniform_community_schedule,
     uniform_user_schedule,
 )
-from exprec.dataset import BACKGROUND_USER, Dataset, Rating, pool_infrequent_users
+from exprec.dataset import BACKGROUND_USER, pool_infrequent_users
 from exprec.model import ExperienceAssignment, ModelParams
 from exprec.synth import SynthConfig, brute_force_assign, generate
-
-
-def make_dataset(rows):
-    return Dataset([Rating(u, i, v, t, v) for (u, i, v, t) in rows])
+from rows import dataset_of
 
 
 def reference_dp(costs):
@@ -51,22 +48,22 @@ def joined_batch(cost_list):
 
 class TestUniformCommunitySchedule:
     def test_half_open_intervals(self):
-        d = make_dataset([("u", f"i{t}", 1.0, t) for t in (0, 25, 50, 75, 100)])
+        d = dataset_of([("u", f"i{t}", 1.0, t) for t in (0, 25, 50, 75, 100)])
         a = uniform_community_schedule(d, 2)
         assert list(a.levels["u"]) == [1, 1, 2, 2, 2]
 
     def test_single_interval(self):
-        d = make_dataset([("u", f"i{t}", 1.0, t) for t in (3, 9, 4)])
+        d = dataset_of([("u", f"i{t}", 1.0, t) for t in (3, 9, 4)])
         a = uniform_community_schedule(d, 1)
         assert list(a.levels["u"]) == [1, 1, 1]
 
     def test_degenerate_span(self):
-        d = make_dataset([("u", f"i{j}", 1.0, 10) for j in range(3)])
+        d = dataset_of([("u", f"i{j}", 1.0, 10) for j in range(3)])
         a = uniform_community_schedule(d, 3)
         assert list(a.levels["u"]) == [1, 1, 1]
 
     def test_grid_is_corpus_wide(self):
-        d = make_dataset(
+        d = dataset_of(
             [("early", "a", 1.0, 0), ("early", "b", 1.0, 10), ("late", "c", 1.0, 90), ("late", "d", 1.0, 100)]
         )
         a = uniform_community_schedule(d, 2)
@@ -76,12 +73,12 @@ class TestUniformCommunitySchedule:
 
 class TestUniformUserSchedule:
     def test_per_user_grid(self):
-        d = make_dataset([("u", f"i{t}", 1.0, t) for t in (0, 50, 100)])
+        d = dataset_of([("u", f"i{t}", 1.0, t) for t in (0, 50, 100)])
         a = uniform_user_schedule(d, 2)
         assert list(a.levels["u"]) == [1, 2, 2]
 
     def test_disjoint_eras_get_full_range(self):
-        d = make_dataset(
+        d = dataset_of(
             [("u", "a", 1.0, 0), ("u", "b", 1.0, 10),
              ("v", "a", 1.0, 1000), ("v", "b", 1.0, 1010)]
         )
@@ -90,12 +87,12 @@ class TestUniformUserSchedule:
         assert list(a.levels["v"]) == [1, 5]
 
     def test_two_rating_endpoints(self):
-        d = make_dataset([("u", "a", 1.0, 0), ("u", "b", 1.0, 100)])
+        d = dataset_of([("u", "a", 1.0, 0), ("u", "b", 1.0, 100)])
         a = uniform_user_schedule(d, 5)
         assert list(a.levels["u"]) == [1, 5]
 
     def test_single_rating_user(self):
-        d = make_dataset([("u", "a", 1.0, 42)])
+        d = dataset_of([("u", "a", 1.0, 42)])
         a = uniform_user_schedule(d, 5)
         assert list(a.levels["u"]) == [1]
 
@@ -383,7 +380,7 @@ def tiny_model_and_data(E=2, favored_level=None):
     p = ModelParams.zeros(users, items, E, 1)
     p.alpha[:] = 2.0
     rows = [("a", "x", 2.0, 0), ("a", "y", 2.0, 10), ("b", "x", 2.0, 5), ("b", "y", 2.0, 15)]
-    d = make_dataset(rows)
+    d = dataset_of(rows)
     if favored_level is not None:
         # make one level predict every rating exactly, others badly
         p.alpha[:] = 0.0
@@ -420,7 +417,7 @@ class TestAssignAll:
         for t in range(6):
             value = 1.0 if t < 3 else 3.0
             rows.append(("a" if t % 2 == 0 else "b", f"i{t}", value, t))
-        d = make_dataset(rows)
+        d = dataset_of(rows)
         a = assign_all(ModelKind.COMMUNITY_LEARNED, p, d)
         flat = a.flat(d)
         order = d.global_time_order()
@@ -480,7 +477,7 @@ class TestMonotonicityValidator:
             times = np.sort(rng.choice(1000, size=8, replace=False))
             rows += [(f"u{j}", f"i{k}", float(rng.uniform(0, 5)), int(t))
                      for k, t in enumerate(times)]
-        d = make_dataset(rows)
+        d = dataset_of(rows)
         p = ModelParams.from_flat(
             rng.normal(0, 0.4, size=ModelParams.zeros(d.users, d.items, 3, 2).n_params),
             d.users, d.items, 3, 2,
@@ -488,12 +485,12 @@ class TestMonotonicityValidator:
         return d, p
 
     def test_catches_per_user_violation(self):
-        d = make_dataset([("u", "a", 1.0, 0), ("u", "b", 1.0, 1), ("u", "c", 1.0, 2)])
+        d = dataset_of([("u", "a", 1.0, 0), ("u", "b", 1.0, 1), ("u", "c", 1.0, 2)])
         a = ExperienceAssignment({"u": np.array([1, 3, 2])})
         assert find_monotonicity_violation(ModelKind.USER_LEARNED, d, a) == ("u", 2)
 
     def test_catches_community_violation(self):
-        d = make_dataset([("u", "a", 1.0, 0), ("v", "b", 1.0, 1)])
+        d = dataset_of([("u", "a", 1.0, 0), ("v", "b", 1.0, 1)])
         a = ExperienceAssignment({"u": np.array([2]), "v": np.array([1])})
         assert find_monotonicity_violation(ModelKind.COMMUNITY_LEARNED, d, a) == ("v", 0)
         # but it is fine per user
@@ -502,27 +499,27 @@ class TestMonotonicityValidator:
     @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
     def test_kind_value_string_checks_like_the_member(self, kind):
         # "c" used to fail with an AttributeError on str
-        d = make_dataset([("u", "a", 1.0, 0), ("v", "b", 1.0, 1)])
+        d = dataset_of([("u", "a", 1.0, 0), ("v", "b", 1.0, 1)])
         a = ExperienceAssignment({"u": np.array([2]), "v": np.array([1])})
         want = ("v", 0) if kind.is_community else None
         assert find_monotonicity_violation(kind, d, a) == want
         assert find_monotonicity_violation(kind.value, d, a) == want
 
     def test_unknown_kind_named(self):
-        d = make_dataset([("u", "a", 1.0, 0)])
+        d = dataset_of([("u", "a", 1.0, 0)])
         a = ExperienceAssignment({"u": np.array([1])})
         with pytest.raises(ValueError, match=r"^kind must be one of \['lf', 'a', 'b', 'c', 'd'\], got 'zz'$"):
             find_monotonicity_violation("zz", d, a)
 
     def test_assert_monotone_raises_naming_the_violation(self):
-        d = make_dataset([("u", "a", 1.0, 0), ("u", "b", 1.0, 1), ("u", "c", 1.0, 2)])
+        d = dataset_of([("u", "a", 1.0, 0), ("u", "b", 1.0, 1), ("u", "c", 1.0, 2)])
         assert_monotone(ModelKind.USER_LEARNED, d, ExperienceAssignment({"u": np.array([1, 2, 2])}))
         with pytest.raises(ValueError, match="^monotonicity violated at user=u, index=2$"):
             assert_monotone(ModelKind.USER_LEARNED, d, ExperienceAssignment({"u": np.array([1, 3, 2])}))
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_assignment_not_matching_dataset_raises(self, kind):
-        d = make_dataset([("u", "a", 1.0, 0), ("u", "b", 1.0, 1), ("v", "b", 1.0, 2)])
+        d = dataset_of([("u", "a", 1.0, 0), ("u", "b", 1.0, 1), ("v", "b", 1.0, 2)])
         short = ExperienceAssignment({"u": np.array([1]), "v": np.array([1])})
         with pytest.raises(ValueError, match="'u' has 1 levels, dataset has 2 ratings"):
             find_monotonicity_violation(kind, d, short)
@@ -547,7 +544,7 @@ class TestPredictionCosts:
         rng = np.random.default_rng(9)
         rows = [(f"u{j}", f"i{k}", float(rng.uniform(0, 5)), 10 * j + k)
                 for j in range(4) for k in range(5)]
-        full = make_dataset(rows)
+        full = dataset_of(rows)
         p = ModelParams.from_flat(
             rng.normal(0, 0.5, size=ModelParams.zeros(full.users, full.items, 2, 2).n_params),
             full.users, full.items, 2, 2,
@@ -560,10 +557,10 @@ class TestPredictionCosts:
 
     def test_unknown_keys_named(self):
         p, d = tiny_model_and_data(E=2)
-        stranger = make_dataset([("a", "x", 1.0, 0), ("zed", "x", 1.0, 1)])
+        stranger = dataset_of([("a", "x", 1.0, 0), ("zed", "x", 1.0, 1)])
         with pytest.raises(ValueError, match="user 'zed' not in model parameters"):
             prediction_costs(p, stranger)
         # the first unknown item in rating order, not in sorted order
-        odd = make_dataset([("a", "x", 1.0, 0), ("a", "q2", 1.0, 1), ("b", "q1", 1.0, 2)])
+        odd = dataset_of([("a", "x", 1.0, 0), ("a", "q2", 1.0, 1), ("b", "q1", 1.0, 2)])
         with pytest.raises(ValueError, match="item 'q2' not in model parameters"):
             prediction_costs(p, odd)

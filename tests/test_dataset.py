@@ -5,7 +5,7 @@ import logging
 import math
 import re
 import tracemalloc
-from dataclasses import astuple
+from collections import namedtuple
 from unittest import mock
 
 import numpy as np
@@ -15,12 +15,10 @@ from hypothesis import given, settings, strategies as st
 from exprec import dataset as dataset_mod
 from exprec.dataset import (
     BACKGROUND_USER,
-    Columns,
     DataError,
     Dataset,
     FormatConfig,
     ParseError,
-    Rating,
     SplitScheme,
     SplitSpec,
     key_positions,
@@ -31,10 +29,10 @@ from exprec.dataset import (
     write_reviews,
 )
 from exprec.synth import SynthConfig, generate
+from rows import dataset_of
 
-
-def make_dataset(rows):
-    return Dataset([Rating(u, i, v, t, v) for (u, i, v, t) in rows])
+# one rating of the row-based reference store
+Row = namedtuple("Row", "user item value timestamp raw_value")
 
 
 def rows_of(d):
@@ -53,8 +51,8 @@ def duplicate_warnings(caplog):
 
 
 class ReferenceDataset:
-    """The row-based store the columnar Dataset replaced: sorted Rating
-    objects with per-key position lists.  The reference for
+    """The row-based store the columnar Dataset replaced: sorted
+    :data:`Row` tuples with per-key position lists.  The reference for
     ``reference_parse``, ``reference_pool`` and ``reference_split``."""
 
     def __init__(self, ratings):
@@ -115,7 +113,7 @@ def reference_parse(text, config=FormatConfig()):
             value = normalize_rating(raw, config.scale_max)
         except DataError as exc:
             raise ParseError(line_no, str(exc))
-        rating = Rating(user, item, value, ts, raw)
+        rating = Row(user, item, value, ts, raw)
         key = (user, item)
         if key in best:
             if ts < best[key].timestamp:
@@ -132,7 +130,7 @@ def reference_pool(d, min_ratings):
     move = {u for u in d.users if len(d.user_index[u]) < min_ratings}
     if not move:
         return d
-    pooled = [Rating(BACKGROUND_USER, r.item, r.value, r.timestamp, r.raw_value)
+    pooled = [r._replace(user=BACKGROUND_USER)
               if r.user in move else r for r in d.rows]
     return ReferenceDataset(pooled)
 
@@ -158,7 +156,7 @@ def reference_split(d, spec):
 
 
 def assert_same(got, want):
-    assert rows_of(got) == list(map(astuple, want.rows))
+    assert rows_of(got) == list(map(tuple, want.rows))
     assert got.users == want.users
     assert got.items == want.items
     for a, b in zip((got.user_code, got.item_code), want.codes):
@@ -462,13 +460,11 @@ class TestParseBlocks:
 
 class TestWriteReviews:
     def test_output_bytes(self, tmp_path):
-        d = Dataset(
-            [
-                Rating("u2", "i1", 0.1 + 0.2, 5, 1.2),
-                Rating("u1", "i2", 4.0, 7, 16.0),
-                Rating("u1", "i1", 1 / 3, 7, 2.0),
-            ]
-        )
+        d = dataset_of([
+            ("u2", "i1", 0.1 + 0.2, 5, 1.2),
+            ("u1", "i2", 4.0, 7, 16.0),
+            ("u1", "i1", 1 / 3, 7, 2.0),
+        ])
         path = tmp_path / "out.tsv"
         write_reviews(d, path)
         assert path.read_bytes() == (
@@ -479,7 +475,7 @@ class TestWriteReviews:
         )
 
     def test_raw_column_keeps_sign_of_zero(self, tmp_path):
-        d = Dataset([Rating("u", "i", 0.0, 1, -0.0), Rating("u", "j", 5.0, 2, 5.0)])
+        d = dataset_of([("u", "i", 0.0, 1, -0.0), ("u", "j", 5.0, 2, 5.0)])
         path = tmp_path / "out.tsv"
         write_reviews(d, path)
         assert path.read_bytes() == (
@@ -490,7 +486,7 @@ class TestWriteReviews:
 
     def test_round_trip(self, tmp_path):
         rows = [("a", "x", 1.25, 3), ("b", "x", 4.5, 1), ("a", "y", 0.0, 3)]
-        d = make_dataset(rows)
+        d = dataset_of(rows)
         path = tmp_path / "out.tsv"
         write_reviews(d, path)
         back = parse_reviews(path)
@@ -503,10 +499,10 @@ class TestWriteReviews:
         # take both branches of the raw column
         values = np.arange(n) * 0.5
         raw = np.where(np.arange(n) < 3, values, 2 * values)
-        d = Dataset(columns=Columns(
+        d = Dataset(
             ["u0", "u1"], [f"i{j}" for j in range(n)], np.arange(n) % 2, np.arange(n),
             np.arange(n), values, raw,
-        ))
+        )
         write_reviews(d, tmp_path / "one.tsv")
         with mock.patch.object(dataset_mod, "_WRITE_ROWS", 3):
             write_reviews(d, tmp_path / "blocks.tsv")
@@ -534,7 +530,7 @@ class TestWriteReviews:
     def test_unwritable_id_raises_before_the_file_is_opened(self, tmp_path, table, key):
         # "a\tb" read back as six columns, " c " as "c"
         u, i = (key, "i") if table == "user" else ("u", key)
-        d = Dataset([Rating(u, i, 3.0, 1, 3.0), Rating("v", "i 2", 4.0, 2, 4.0)])
+        d = dataset_of([(u, i, 3.0, 1), ("v", "i 2", 4.0, 2)])
         path = tmp_path / "out.tsv"
         with pytest.raises(DataError, match=f"^{table} id {re.escape(repr(key))} cannot be written"):
             write_reviews(d, path)
@@ -542,7 +538,7 @@ class TestWriteReviews:
 
     def test_inner_space_and_custom_delimiter_round_trip(self, tmp_path):
         # an inner space is kept, and a tab is no delimiter of a comma file
-        d = make_dataset([("u 1", "i 2", 1.5, 3), ("u\t2", "i", 2.5, 4)])
+        d = dataset_of([("u 1", "i 2", 1.5, 3), ("u\t2", "i", 2.5, 4)])
         path = tmp_path / "out.csv"
         config = FormatConfig(delimiter=",")
         write_reviews(d, path, config)
@@ -571,41 +567,41 @@ class TestWriteReviews:
 
 class TestDatasetInvariants:
     def test_per_user_chronological_order_with_item_tiebreak(self):
-        d = make_dataset([("u", "b", 1.0, 10), ("u", "a", 2.0, 10), ("u", "c", 3.0, 5)])
+        d = dataset_of([("u", "b", 1.0, 10), ("u", "a", 2.0, 10), ("u", "c", 3.0, 5)])
         items = [i for _, i, _, _, _ in rows_of(d)]
         assert items == ["c", "a", "b"]
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
-            make_dataset([("u", "a", 1.0, 1), ("u", "a", 2.0, 2)])
+            dataset_of([("u", "a", 1.0, 1), ("u", "a", 2.0, 2)])
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(DataError):
-            make_dataset([("u", "a", 1.0, -5)])
+            dataset_of([("u", "a", 1.0, -5)])
 
     @pytest.mark.parametrize("value, raw", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, -math.inf)])
     def test_non_finite_rating_named(self, value, raw):
         # a NaN used to surface in fit as a divergence of alpha
-        ratings = [Rating("u", f"i{k}", 1.0, k, 1.0) for k in range(10)]
-        ratings[3] = Rating("u", "i3", value, 3, raw)
-        ratings[7] = Rating("u", "i7", value, 7, raw)
+        rows = [("u", f"i{k}", 1.0, k, 1.0) for k in range(10)]
+        rows[3] = ("u", "i3", value, 3, raw)
+        rows[7] = ("u", "i7", value, 7, raw)
         with pytest.raises(DataError, match=r"^non-finite rating at \(user, item\) pair: \('u', 'i3'\)$"):
-            Dataset(ratings)
+            dataset_of(rows)
 
     def test_values_outside_the_scale_accepted(self):
         # an unclamped synthetic corpus leaves [0, 5]
-        d = make_dataset([("u", "a", -0.5, 0), ("u", "b", 6.25, 1)])
+        d = dataset_of([("u", "a", -0.5, 0), ("u", "b", 6.25, 1)])
         assert d.values.tolist() == [-0.5, 6.25]
 
 
 class TestPooling:
     def test_min_ratings_below_one_rejected(self):
-        d = make_dataset([("a", "x", 1.0, 0)])
+        d = dataset_of([("a", "x", 1.0, 0)])
         with pytest.raises(DataError, match="^min_ratings must be >= 1$"):
             pool_infrequent_users(d, 0)
 
     def test_reserved_user_id_rejected(self):
-        d = make_dataset([(BACKGROUND_USER, "x", 1.0, 0), ("a", "x", 1.0, 1)])
+        d = dataset_of([(BACKGROUND_USER, "x", 1.0, 0), ("a", "x", 1.0, 1)])
         with pytest.raises(DataError, match=f"^reserved user id {BACKGROUND_USER!r} already present$"):
             pool_infrequent_users(d, 1)
 
@@ -613,33 +609,33 @@ class TestPooling:
         rows = [("a", f"x{j}", 1.0, j) for j in range(60)]
         rows += [("b", f"y{j}", 1.0, j) for j in range(3)]
         rows += [("c", f"z{j}", 1.0, j) for j in range(2)]
-        pooled = pool_infrequent_users(make_dataset(rows), 50)
+        pooled = pool_infrequent_users(dataset_of(rows), 50)
         assert set(pooled.users) == {"a", BACKGROUND_USER}
         assert len(pooled.user_index[BACKGROUND_USER]) == 5
 
     def test_no_op_when_all_frequent(self):
         rows = [("a", f"x{j}", 1.0, j) for j in range(60)]
         rows += [("b", f"y{j}", 1.0, j) for j in range(70)]
-        d = make_dataset(rows)
+        d = dataset_of(rows)
         pooled = pool_infrequent_users(d, 50)
         assert pooled is d
 
     def test_boundary_single_user(self):
         rows = [("a", f"x{j}", 1.0, j) for j in range(49)]
-        pooled = pool_infrequent_users(make_dataset(rows), 50)
+        pooled = pool_infrequent_users(dataset_of(rows), 50)
         assert pooled.users == (BACKGROUND_USER,)
         assert len(pooled) == 49
 
     def test_background_sorted_and_items_untouched(self):
         rows = [("b", "i2", 1.0, 7), ("c", "i1", 2.0, 3)]
-        pooled = pool_infrequent_users(make_dataset(rows), 50)
+        pooled = pool_infrequent_users(dataset_of(rows), 50)
         assert [(u, i, t) for u, i, _, t, _ in rows_of(pooled)] == [
             (BACKGROUND_USER, "i1", 3), (BACKGROUND_USER, "i2", 7)
         ]
 
     def test_background_may_repeat_items(self):
         rows = [("b", "i1", 1.0, 1), ("c", "i1", 2.0, 2)]
-        pooled = pool_infrequent_users(make_dataset(rows), 50)
+        pooled = pool_infrequent_users(dataset_of(rows), 50)
         assert len(pooled.user_index[BACKGROUND_USER]) == 2
 
     def test_after_pooling_no_small_users(self):
@@ -648,7 +644,7 @@ class TestPooling:
         for j in range(20):
             count = int(rng.integers(1, 80))
             rows += [(f"u{j}", f"i{j}_{k}", 1.0, k) for k in range(count)]
-        pooled = pool_infrequent_users(make_dataset(rows), 50)
+        pooled = pool_infrequent_users(dataset_of(rows), 50)
         for user in pooled.users:
             if user != BACKGROUND_USER:
                 assert len(pooled.user_index[user]) >= 50
@@ -656,7 +652,7 @@ class TestPooling:
 
 class TestSplit:
     def user10(self):
-        return make_dataset([("u", f"i{t}", 1.0, t) for t in range(1, 11)])
+        return dataset_of([("u", f"i{t}", 1.0, t) for t in range(1, 11)])
 
     def test_final_scheme_ceiling(self):
         train, val, test = split(
@@ -694,7 +690,7 @@ class TestSplit:
     def test_scheme_value_string_splits_like_the_member(self, scheme):
         # a plain "final" used to fail the `is SplitScheme.FINAL` test and
         # split at random
-        d = make_dataset([(f"u{u}", f"i{t}", 1.0, t) for u in range(4) for t in range(1, 11)])
+        d = dataset_of([(f"u{u}", f"i{t}", 1.0, t) for u in range(4) for t in range(1, 11)])
         spec = SplitSpec(scheme.value, 0.2, 0.2, seed=1)
         assert spec.scheme is scheme
         for by_value, by_member in zip(split(d, spec), split(d, SplitSpec(scheme, 0.2, 0.2, seed=1))):
@@ -718,7 +714,7 @@ class TestSplit:
             n = int(rng.integers(3, 25))
             rows += [(f"u{j}", f"i{k}", float(rng.uniform(0, 5)), int(rng.integers(0, 1000)))
                      for k in range(n)]
-        d = make_dataset(rows)
+        d = dataset_of(rows)
         for scheme in SplitScheme:
             train, val, test = split(d, SplitSpec(scheme, 0.2, 0.15, seed=1))
             keys = lambda part: [r[:2] for r in rows_of(part)]
@@ -733,7 +729,7 @@ class TestSplit:
                         assert (np.diff(times) >= 0).all()
 
     def test_tiny_users_keep_one_training_rating(self):
-        d = make_dataset([("u", "a", 1.0, 1), ("u", "b", 1.0, 2), ("v", "a", 1.0, 3)])
+        d = dataset_of([("u", "a", 1.0, 1), ("u", "b", 1.0, 2), ("v", "a", 1.0, 3)])
         train, val, test = split(d, SplitSpec(SplitScheme.FINAL, 0.4, 0.4, seed=0))
         assert "u" in train.users and "v" in train.users
 
@@ -744,8 +740,8 @@ class TestMatchesRowReference:
     def test_build_pool_and_split(self, rows, min_ratings, seed):
         # unique (user, item) pairs outside the background user
         rows = list({(u, i): (u, i, v, t) for u, i, v, t in rows}.values())
-        ratings = [Rating(u, i, v, t, v) for u, i, v, t in rows]
-        got, want = Dataset(ratings), ReferenceDataset(ratings)
+        ratings = [Row(u, i, v, t, v) for u, i, v, t in rows]
+        got, want = dataset_of(ratings), ReferenceDataset(ratings)
         assert_same(got, want)
         got, want = pool_infrequent_users(got, min_ratings), reference_pool(want, min_ratings)
         assert_same(got, want)
@@ -783,16 +779,18 @@ class TestMatchesRowReference:
         # two users rate item x at the same time; pooled, the background
         # user holds (x, 5) twice, in the order of the original users
         rows = [("b", "x", 2.0, 5), ("a", "x", 1.0, 5), ("a", "y", 3.0, 5), ("c", "z", 4.0, 9)]
-        ratings = [Rating(u, i, v, t, v) for u, i, v, t in rows]
-        got = pool_infrequent_users(Dataset(ratings), 3)
+        ratings = [Row(u, i, v, t, v) for u, i, v, t in rows]
+        got = pool_infrequent_users(dataset_of(ratings), 3)
         want = reference_pool(ReferenceDataset(ratings), 3)
         assert_same(got, want)
         assert got.values.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 class TestColumns:
+    """The one constructor, and the columns and views it builds."""
+
     def test_columns_offsets_and_read_only(self):
-        d = make_dataset([("b", "x", 1.0, 3), ("a", "y", 2.0, 1), ("a", "x", 3.0, 1)])
+        d = dataset_of([("b", "x", 1.0, 3), ("a", "y", 2.0, 1), ("a", "x", 3.0, 1)])
         assert d.users == ("a", "b") and d.items == ("x", "y")
         assert d.user_code.tolist() == [0, 0, 1]
         assert d.item_code.tolist() == [0, 1, 0]
@@ -804,21 +802,31 @@ class TestColumns:
             assert not column.flags.writeable
 
     def test_global_time_order_computed_once(self):
-        d = make_dataset([("b", "x", 1.0, 3), ("a", "y", 2.0, 1), ("a", "x", 3.0, 1)])
+        d = dataset_of([("b", "x", 1.0, 3), ("a", "y", 2.0, 1), ("a", "x", 3.0, 1)])
         order = d.global_time_order()
         assert order.tolist() == [0, 1, 2]
         assert d.global_time_order() is order
         assert not order.flags.writeable
 
     def test_subset_drops_unused_keys(self):
-        d = make_dataset([("b", "x", 1.0, 3), ("a", "y", 2.0, 1), ("a", "x", 3.0, 1)])
+        d = dataset_of([("b", "x", 1.0, 3), ("a", "y", 2.0, 1), ("a", "x", 3.0, 1)])
         sub = d.subset([2, 0])
         assert sub.users == ("a", "b") and sub.items == ("x",)
         assert sub.user_code.tolist() == [0, 1] and sub.item_code.tolist() == [0, 0]
         assert d.subset([1]).items == ("y",)
 
+    def test_key_tables_need_not_be_sorted_or_all_used(self):
+        # "zz" and "w" are no row's key: both are dropped, and the codes
+        # follow the sorted ids
+        d = Dataset(["c", "zz", "a"], ["y", "w", "x"], [0, 2, 2], [0, 2, 0],
+                    [4, 2, 1], [1.0, 2.0, 3.0], [10.0, 20.0, 30.0])
+        assert d.users == ("a", "c") and d.items == ("x", "y")
+        assert rows_of(d) == [("a", "y", 3.0, 1, 30.0), ("a", "x", 2.0, 2, 20.0),
+                              ("c", "y", 1.0, 4, 10.0)]
+        assert d.user_code.tolist() == [0, 0, 1] and d.item_code.tolist() == [1, 0, 1]
+
     def test_empty(self):
-        d = Dataset([])
+        d = Dataset((), (), [], [], [], [], [])
         assert len(d) == 0 and d.users == () and d.offsets.tolist() == [0]
         assert rows_of(d) == [] and d.global_time_order().tolist() == []
         assert [len(part) for part in split(d, SplitSpec())] == [0, 0, 0]

@@ -8,11 +8,12 @@ import pytest
 
 from exprec.assign import ModelKind
 from exprec.dataset import (
-    BACKGROUND_USER, DataError, Dataset, Rating, parse_reviews, pool_infrequent_users, write_reviews,
+    BACKGROUND_USER, DataError, parse_reviews, pool_infrequent_users, write_reviews,
 )
 from exprec.evaluator import assign_test_levels, benefit_percent, compare, mse
 from exprec.model import ExperienceAssignment, ModelParams
 from exprec.trainer import FittedModel
+from rows import dataset_of
 
 
 def model_with(users, items, E=5, K=1, kind=ModelKind.USER_LEARNED, assignment=None, alpha=None):
@@ -25,10 +26,6 @@ def model_with(users, items, E=5, K=1, kind=ModelKind.USER_LEARNED, assignment=N
         kind=kind,
         lam=0.0,
     )
-
-
-def dataset(rows):
-    return Dataset([Rating(u, i, v, t, v) for (u, i, v, t) in rows])
 
 
 def reference_test_levels(m, test, train):
@@ -57,37 +54,35 @@ def reference_test_levels(m, test, train):
 
 class TestAssignTestLevels:
     def test_nearest_training_rating(self):
-        train = dataset([("u", "a", 1.0, 0), ("u", "b", 1.0, 100)])
-        test = dataset([("u", "c", 1.0, 90)])
+        train = dataset_of([("u", "a", 1.0, 0), ("u", "b", 1.0, 100)])
+        test = dataset_of([("u", "c", 1.0, 90)])
         m = model_with(("u",), ("a", "b", "c"), assignment={"u": np.array([1, 3])})
         assert list(assign_test_levels(m, test, train)) == [3]
 
     def test_equidistant_tie_resolves_earlier(self):
-        train = dataset([("u", "a", 1.0, 0), ("u", "b", 1.0, 100)])
-        test = dataset([("u", "c", 1.0, 50)])
+        train = dataset_of([("u", "a", 1.0, 0), ("u", "b", 1.0, 100)])
+        test = dataset_of([("u", "c", 1.0, 50)])
         m = model_with(("u",), ("a", "b", "c"), assignment={"u": np.array([1, 3])})
         assert list(assign_test_levels(m, test, train)) == [1]
 
     def test_flat_model_always_level_one(self):
-        train = dataset([("u", "a", 1.0, 0), ("u", "b", 1.0, 10)])
-        test = dataset([("u", "c", 1.0, 7)])
+        train = dataset_of([("u", "a", 1.0, 0), ("u", "b", 1.0, 10)])
+        test = dataset_of([("u", "c", 1.0, 7)])
         m = model_with(("u",), ("a", "b", "c"), E=1, kind=ModelKind.FLAT,
                        assignment={"u": np.array([1, 1])})
         assert list(assign_test_levels(m, test, train)) == [1]
 
     def test_unknown_user_without_background_warns_level_one(self):
-        train = dataset([("u", "a", 1.0, 0)])
-        test = dataset([("stranger", "a", 1.0, 5)])
+        train = dataset_of([("u", "a", 1.0, 0)])
+        test = dataset_of([("stranger", "a", 1.0, 5)])
         m = model_with(("u",), ("a",), assignment={"u": np.array([4])})
         with pytest.warns(UserWarning):
             levels = assign_test_levels(m, test, train)
         assert list(levels) == [1]
 
     def test_unknown_user_uses_background_history(self):
-        train = Dataset(
-            [Rating(BACKGROUND_USER, "a", 1.0, 0, 1.0), Rating(BACKGROUND_USER, "b", 1.0, 100, 1.0)]
-        )
-        test = dataset([("stranger", "a", 1.0, 99)])
+        train = dataset_of([(BACKGROUND_USER, "a", 1.0, 0), (BACKGROUND_USER, "b", 1.0, 100)])
+        test = dataset_of([("stranger", "a", 1.0, 99)])
         m = model_with((BACKGROUND_USER,), ("a", "b"), assignment={BACKGROUND_USER: np.array([2, 5])})
         assert list(assign_test_levels(m, test, train)) == [5]
 
@@ -97,10 +92,10 @@ class TestAssignTestLevels:
         rows = [("big", f"i{k}", 1.0, k) for k in range(4)]
         rows += [("small1", "a", 1.0, 0), ("small2", "a", 1.0, 100), ("small2", "b", 1.0, 200)]
         path = tmp_path / "train.tsv"
-        write_reviews(pool_infrequent_users(dataset(rows), 3), path)
+        write_reviews(pool_infrequent_users(dataset_of(rows), 3), path)
         train = parse_reviews(path)
         assert len(train.user_index[BACKGROUND_USER]) == 3
-        test = dataset([("stranger", "a", 1.0, 190)])
+        test = dataset_of([("stranger", "a", 1.0, 190)])
         m = model_with(train.users, train.items, assignment={
             "big": np.array([1, 1, 2, 2]), BACKGROUND_USER: np.array([1, 3, 4]),
         })
@@ -115,11 +110,9 @@ class TestAssignTestLevels:
         rng = np.random.default_rng(5)
         rows = [(f"u{int(rng.integers(0, 8))}", f"i{j}", 1.0, int(rng.integers(0, 12)))
                 for j in range(300)]
-        train = Dataset(
-            [Rating(BACKGROUND_USER if pooled and u == "u0" else u, i, v, t, v)
-             for u, i, v, t in rows[:200]]
-        )
-        test = dataset(rows[200:] + [("stranger", "i0", 1.0, 6), ("other", "i1", 1.0, 3)])
+        train = dataset_of([(BACKGROUND_USER if pooled and u == "u0" else u, i, v, t)
+                            for u, i, v, t in rows[:200]])
+        test = dataset_of(rows[200:] + [("stranger", "i0", 1.0, 6), ("other", "i1", 1.0, 3)])
         levels = {u: np.sort(rng.integers(1, 6, size=len(train.user_index[u]))) for u in train.users}
         m = model_with(train.users, train.items, assignment=levels)
         with pytest.warns(UserWarning, match="'other'") if not pooled else nullcontext():
@@ -129,8 +122,8 @@ class TestAssignTestLevels:
 
 class TestMse:
     def test_mean_of_squared_errors(self):
-        train = dataset([("u", "a", 3.0, 0), ("u", "b", 3.0, 10)])
-        test = dataset([("u", "c", 3.0, 1), ("u", "d", 5.0, 2)])
+        train = dataset_of([("u", "a", 3.0, 0), ("u", "b", 3.0, 10)])
+        test = dataset_of([("u", "c", 3.0, 1), ("u", "d", 5.0, 2)])
         m = model_with(("u",), ("a", "b", "c", "d"), E=1, kind=ModelKind.FLAT,
                        assignment={"u": np.array([1, 1])}, alpha=[3.0, 4.0][:1])
         report = mse(m, test, train)
@@ -139,8 +132,8 @@ class TestMse:
         assert report.n_test == 2
 
     def test_spec_example_point_five(self):
-        train = dataset([("u", "a", 3.0, 0)])
-        test = dataset([("u", "b", 3.0, 1), ("u", "c", 5.0, 2)])
+        train = dataset_of([("u", "a", 3.0, 0)])
+        test = dataset_of([("u", "b", 3.0, 1), ("u", "c", 5.0, 2)])
         m = model_with(("u",), ("a", "b", "c"), E=1, kind=ModelKind.FLAT,
                        assignment={"u": np.array([1])})
         m.params.alpha[0] = 3.0
@@ -149,8 +142,8 @@ class TestMse:
         assert report.mse == pytest.approx(0.5)
 
     def test_per_level_partition(self):
-        train = dataset([("u", "a", 3.0, 0)])
-        test = dataset([("u", "b", 3.0, 1), ("u", "c", 3.0, 2)])
+        train = dataset_of([("u", "a", 3.0, 0)])
+        test = dataset_of([("u", "b", 3.0, 1), ("u", "c", 3.0, 2)])
         m = model_with(("u",), ("a", "b", "c"), E=5, assignment={"u": np.array([5])})
         report = mse(m, test, train)
         assert report.per_level[5].count == 2
@@ -159,18 +152,18 @@ class TestMse:
             assert report.per_level[level].mse is None
 
     def test_perfect_model(self):
-        train = dataset([("u", "a", 3.0, 0)])
-        test = dataset([("u", "b", 3.5, 1)])
+        train = dataset_of([("u", "a", 3.0, 0)])
+        test = dataset_of([("u", "b", 3.5, 1)])
         m = model_with(("u",), ("a", "b"), E=1, kind=ModelKind.FLAT,
                        assignment={"u": np.array([1])})
         m.params.alpha[0] = 3.5
         assert mse(m, test, train).mse == 0.0
 
     def test_empty_test_errors(self):
-        train = dataset([("u", "a", 3.0, 0)])
+        train = dataset_of([("u", "a", 3.0, 0)])
         m = model_with(("u",), ("a",), E=1, kind=ModelKind.FLAT, assignment={"u": np.array([1])})
         with pytest.raises(DataError):
-            mse(m, Dataset([]), train)
+            mse(m, dataset_of([]), train)
 
     def test_weighted_per_level_recombines_to_overall(self):
         rng = np.random.default_rng(3)
@@ -182,7 +175,7 @@ class TestMse:
             for k, item_j in enumerate(picks):
                 row = (u, f"i{item_j}", float(rng.uniform(0, 5)), 10 * k)
                 (train_rows if k < 14 else test_rows).append(row)
-        train, test = dataset(train_rows), dataset(test_rows)
+        train, test = dataset_of(train_rows), dataset_of(test_rows)
         assignment = {
             u: np.sort(rng.integers(1, 6, size=len(train.user_index[u]))) for u in users
         }
@@ -199,9 +192,9 @@ class TestMse:
         assert total / report.n_test == pytest.approx(report.mse, rel=1e-12)
 
     def test_cold_user_and_item_predict_alpha_plus_known_bias(self):
-        train = dataset([("u", "a", 3.0, 0)])
+        train = dataset_of([("u", "a", 3.0, 0)])
         # a stranger rating a known item, and the known user rating an unknown one
-        test = dataset([("stranger", "a", 4.0, 1), ("u", "zz", 2.0, 2)])
+        test = dataset_of([("stranger", "a", 4.0, 1), ("u", "zz", 2.0, 2)])
         m = model_with(("u",), ("a",), E=1, kind=ModelKind.FLAT,
                        assignment={"u": np.array([1])}, alpha=3.0)
         m.params.user_bias[0, 0] = -0.5
@@ -216,8 +209,8 @@ class TestMse:
         assert report.mse == ((3.25 - 4.0) ** 2 + (2.5 - 2.0) ** 2) / 2
 
     def test_clamped_mse_reported(self):
-        train = dataset([("u", "a", 3.0, 0)])
-        test = dataset([("u", "b", 5.0, 1)])
+        train = dataset_of([("u", "a", 3.0, 0)])
+        test = dataset_of([("u", "b", 5.0, 1)])
         m = model_with(("u",), ("a", "b"), E=1, kind=ModelKind.FLAT,
                        assignment={"u": np.array([1])})
         m.params.alpha[0] = 7.0  # raw prediction out of range
@@ -235,8 +228,8 @@ class TestCompare:
         assert benefit_percent(0.7, 0.7) == 0.0
 
     def test_compare_emits_benefit_rows(self):
-        train = dataset([("u", "a", 3.0, 0), ("u", "b", 3.0, 5)])
-        test = dataset([("u", "c", 3.0, 1)])
+        train = dataset_of([("u", "a", 3.0, 0), ("u", "b", 3.0, 5)])
+        test = dataset_of([("u", "c", 3.0, 1)])
         users, items = ("u",), ("a", "b", "c")
         lf = model_with(users, items, E=1, kind=ModelKind.FLAT, assignment={"u": np.array([1, 1])})
         lf.params.alpha[0] = 2.0
@@ -252,13 +245,13 @@ class TestCompare:
         assert {row.kind for row in result.rows} == {"lf", "c", "d"}
 
     def test_no_models_error(self):
-        d = dataset([("u", "a", 3.0, 0)])
+        d = dataset_of([("u", "a", 3.0, 0)])
         with pytest.raises(DataError, match="^no models to compare$"):
             compare([], d, d)
 
     def test_mismatched_corpora_error(self):
-        train = dataset([("u", "a", 3.0, 0)])
-        test = dataset([("u", "a", 3.0, 1)])
+        train = dataset_of([("u", "a", 3.0, 0)])
+        test = dataset_of([("u", "a", 3.0, 1)])
         m1 = model_with(("u",), ("a",), E=1, kind=ModelKind.FLAT, assignment={"u": np.array([1])})
         m2 = model_with(("other",), ("a",), E=1, kind=ModelKind.USER_LEARNED,
                         assignment={"other": np.array([1])})
@@ -266,11 +259,11 @@ class TestCompare:
             compare([m1, m2], test, train)
 
     def test_mse_invariant_to_test_ordering(self):
-        train = dataset([("u", "a", 3.0, 0), ("v", "a", 3.0, 0)])
+        train = dataset_of([("u", "a", 3.0, 0), ("v", "a", 3.0, 0)])
         rows = [("u", "b", 4.0, 5), ("v", "b", 1.0, 6), ("u", "c", 2.0, 7)]
         m = model_with(("u", "v"), ("a", "b", "c"), E=1, kind=ModelKind.FLAT,
                        assignment={"u": np.array([1]), "v": np.array([1])})
         m.params.alpha[0] = 3.0
-        r1 = mse(m, dataset(rows), train)
-        r2 = mse(m, dataset(rows[::-1]), train)
+        r1 = mse(m, dataset_of(rows), train)
+        r2 = mse(m, dataset_of(rows[::-1]), train)
         assert r1.mse == r2.mse

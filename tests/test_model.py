@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from exprec import model as model_mod
 from exprec.assign import prediction_costs
 from exprec.dataset import (
-    Columns, Dataset, Rating, SplitScheme, SplitSpec, key_positions, pool_infrequent_users, split,
+    Dataset, SplitScheme, SplitSpec, key_positions, pool_infrequent_users, split,
 )
 from exprec.model import (
     BLOCKS,
@@ -30,6 +30,7 @@ from exprec.model import (
     training_rows,
 )
 from exprec.synth import SynthConfig, generate
+from rows import dataset_of
 
 
 def predict_one(p, level, user, item):
@@ -63,13 +64,10 @@ def random_instance(seed, n_users=5, n_items=5, E=3, K=2, lam=0.37):
     rng = np.random.default_rng(seed)
     users = tuple(f"u{j}" for j in range(n_users))
     items = tuple(f"i{j}" for j in range(n_items))
-    ratings = []
-    t = 0
-    for u in users:
-        for i in items:
-            ratings.append(Rating(u, i, float(rng.uniform(0, 5)), t, 0.0))
-            t += 1
-    d = Dataset(ratings)
+    # every user rates every item, one rating per time step in row order
+    n = n_users * n_items
+    d = Dataset(users, items, np.arange(n) // n_items, np.arange(n) % n_items,
+                np.arange(n), rng.uniform(0, 5, n), np.zeros(n))
     a = ExperienceAssignment(
         {u: np.sort(rng.integers(1, E + 1, size=n_items)) for u in users}
     )
@@ -170,11 +168,11 @@ def kernel_instance(E, K, n_users, n_items, n, seed, packed):
     rng = np.random.default_rng(seed)
     pairs = rng.choice(n_users * n_items, size=min(n, n_users * n_items), replace=False)
     n = len(pairs)
-    d = Dataset(columns=Columns(
+    d = Dataset(
         [f"u{j}" for j in range(n_users)], [f"i{j}" for j in range(n_items)],
         pairs // n_items, pairs % n_items,
         rng.permutation(n).astype(np.int64), rng.uniform(0, 5, n), np.zeros(n),
-    ))
+    )
     shell = ModelParams.zeros(d.users, d.items, E, K)
     x = rng.normal(0.0, 0.5, size=shell.n_params)
     p = ModelParams.from_flat(x, d.users, d.items, E, K)
@@ -315,7 +313,7 @@ class TestObjective:
         users, items = ("u",), ("i", "j")
         p = ModelParams.zeros(users, items, 2, 1)
         p.alpha[:] = 3.0
-        d = Dataset([Rating("u", "i", 3.0, 0, 3.0), Rating("u", "j", 3.0, 1, 3.0)])
+        d = dataset_of([("u", "i", 3.0, 0), ("u", "j", 3.0, 1)])
         a = ExperienceAssignment({"u": np.array([1, 2])})
         return p, a, d
 
@@ -334,7 +332,7 @@ class TestObjective:
         p = ModelParams.zeros(users, items, 2, 1)
         p.alpha[:] = 3.0
         p.item_bias[1, 1] = np.sqrt(0.5)  # only levels differ, predictions at level 1 untouched
-        d = Dataset([Rating("u", "i", 3.0, 0, 3.0), Rating("u", "j", 3.0, 1, 3.0)])
+        d = dataset_of([("u", "i", 3.0, 0), ("u", "j", 3.0, 1)])
         a = ExperienceAssignment({"u": np.array([1, 1])})
         assert smoothness_penalty(p) == pytest.approx(0.5)
         assert objective(p, a, d, lam=10.0) == pytest.approx(5.0)
@@ -354,8 +352,8 @@ class TestObjective:
             objective(p, bad, d, 0.0)
 
     def test_flat_joins_users_in_order_and_checks_lengths(self):
-        d = Dataset([Rating(u, i, 1.0, t, 1.0)
-                     for u, i, t in (("v", "i", 0), ("u", "j", 2), ("u", "i", 1), ("w", "i", 5))])
+        d = dataset_of([(u, i, 1.0, t)
+                        for u, i, t in (("v", "i", 0), ("u", "j", 2), ("u", "i", 1), ("w", "i", 5))])
         a = ExperienceAssignment({"w": np.array([3]), "u": np.array([1, 2]), "v": np.array([4])})
         assert a.flat(d).tolist() == [1, 2, 4, 3]
         short = ExperienceAssignment({"u": np.array([1]), "v": np.array([4])})
@@ -385,7 +383,7 @@ class TestGradient:
         users, items = ("u",), ("i",)
         p = ModelParams.zeros(users, items, 2, 1)
         p.alpha[:] = 4.0
-        d = Dataset([Rating("u", "i", 4.0, 0, 4.0)])
+        d = dataset_of([("u", "i", 4.0, 0)])
         a = ExperienceAssignment({"u": np.array([1])})
         g = analytic_gradient(p, a, d, lam=5.0)
         assert np.allclose(g, 0.0)
@@ -394,7 +392,7 @@ class TestGradient:
         users, items = ("u",), ("i",)
         p = ModelParams.zeros(users, items, 3, 1)
         p.alpha[:] = 4.5  # residual 0.5 against rating 4.0
-        d = Dataset([Rating("u", "i", 4.0, 0, 4.0)])
+        d = dataset_of([("u", "i", 4.0, 0)])
         a = ExperienceAssignment({"u": np.array([2])})
         g = analytic_gradient(p, a, d, lam=0.0)
         per_level = 1 + 1 + 1 + 1 + 1

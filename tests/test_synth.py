@@ -7,7 +7,7 @@ import pytest
 
 from exprec import model as model_mod
 from exprec.assign import ModelKind, assign_user_dp, find_monotonicity_violation
-from exprec.dataset import Columns, Dataset, key_positions
+from exprec.dataset import Dataset, key_positions
 from exprec.model import ExperienceAssignment, RowIndex, objective, predictions_for, score
 from exprec.synth import (
     GroundTruth,
@@ -75,10 +75,10 @@ def reference_generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         time_parts.append(times)
         value_parts.append(values)
     values = np.concatenate(value_parts)
-    dataset = Dataset(columns=Columns(
+    dataset = Dataset(
         users, items, np.repeat(np.arange(cfg.n_users), counts), np.concatenate(item_parts),
         np.concatenate(time_parts), values, values,
-    ))
+    )
     truth = GroundTruth(
         true_params=params,
         true_levels=ExperienceAssignment(levels),
@@ -295,6 +295,6 @@ class TestNoiseFreeFlatRefit:
         data, truth = generate(cfg)
         tc = TrainConfig(model_kind=ModelKind.FLAT, lambda_grid=(1.0,), seed=1,
                          inner_tolerance=1e-12, inner_max_iters=4000)
-        m = fit(data, Dataset([]), tc)
+        m = fit(data, data.subset([]), tc)
         # flat: one level, so the objective is the error term alone
         assert objective(m.params, m.assignment, data, m.lam) < 1e-4

@@ -15,13 +15,14 @@ import pytest
 
 from exprec import trainer
 from exprec.assign import ModelKind, assign_all
-from exprec.dataset import Dataset, Rating, SplitScheme, SplitSpec, TrainingError, split
+from exprec.dataset import SplitScheme, SplitSpec, TrainingError, split
 from exprec.model import (
     BLOCKS, ExperienceAssignment, ModelParams, error_term, objective, penalized, predictions_for,
     smoothness_penalty, training_rows,
 )
 from exprec.synth import SynthConfig, TrajectoryKind, generate
 from exprec.trainer import FittedModel, TrainConfig, e_step, fit, fit_single_lambda, initialize, theta_step
+from rows import dataset_of
 
 
 def small_corpus(seed=0, n_users=20, n_items=25, per_user=12, **kwargs):
@@ -35,7 +36,7 @@ def small_corpus(seed=0, n_users=20, n_items=25, per_user=12, **kwargs):
     return generate(cfg)
 
 
-EMPTY = Dataset([])
+EMPTY = dataset_of([])
 
 
 def iteration_records(caplog):
@@ -131,7 +132,7 @@ class TestInitialize:
 
 class TestThetaStep:
     def test_single_rating_closed_form(self):
-        d = Dataset([Rating("u", "i", 4.2, 0, 4.2)])
+        d = dataset_of([("u", "i", 4.2, 0)])
         cfg = TrainConfig(E=1, K=1, lambda_grid=(0.0,), inner_tolerance=1e-12,
                           inner_max_iters=500, seed=0, model_kind=ModelKind.FLAT)
         p, a = initialize(d, cfg)
@@ -163,7 +164,7 @@ class TestThetaStep:
         # both ratings are fit exactly at alpha = (4, 0), so any step that
         # pulls the levels together raises the error term: the step hands
         # back its input object
-        d = Dataset([Rating("u", "i", 4.0, 0, 4.0), Rating("u", "j", 0.0, 1, 0.0)])
+        d = dataset_of([("u", "i", 4.0, 0), ("u", "j", 0.0, 1)])
         cfg = TrainConfig(E=2, K=1, lambda_grid=(1.0,))
         p = ModelParams.zeros(d.users, d.items, 2, 1)
         p.alpha[:] = [4.0, 0.0]
@@ -618,11 +619,11 @@ class TestFitGrid:
 # size at which OpenBLAS splits a dot product across threads
 BLAS_FIT = """
 import hashlib, json
-from exprec import Dataset, SynthConfig, TrainConfig, fit, generate
+from exprec import SynthConfig, TrainConfig, fit, generate
 
 data, _ = generate(SynthConfig(n_users=3000, n_items=200, ratings_per_user=(5, 20), seed=1))
-model = fit(data, Dataset([]), TrainConfig(E=3, K=2, lambda_grid=(1.0,), max_outer_iters=1,
-                                           inner_max_iters=15))
+model = fit(data, data.subset([]), TrainConfig(E=3, K=2, lambda_grid=(1.0,), max_outer_iters=1,
+                                               inner_max_iters=15))
 print(hashlib.sha256((json.dumps(model.to_json_dict()) + "\\n").encode()).hexdigest())
 """
 
