@@ -161,7 +161,9 @@ def assign_batch_dp(costs: CostMatrix, offsets) -> np.ndarray:
 
 def assign_user_dp(costs: CostMatrix) -> np.ndarray:
     """Cheapest non-decreasing level sequence for one ordered rating list:
-    :func:`assign_batch_dp` on a batch of one.
+    :func:`assign_batch_dp` on a batch of one.  A single sequence needs
+    no padding, so the kernel reads ``costs`` as a view, without the
+    batch's gathered copy.
 
     ``costs`` has one row per level and one column per rating, columns in
     chronological order.  Returns 1-based levels, :func:`_monotone_dp`'s
@@ -170,7 +172,10 @@ def assign_user_dp(costs: CostMatrix) -> np.ndarray:
     (timestamp, user, item), so the path segments the whole corpus
     timeline into at most E contiguous eras.
     """
-    return assign_batch_dp(costs, [0, *np.shape(costs)[1:]])
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2:
+        raise ValueError("cost matrix must be 2-dimensional")
+    return _certified_dp(costs[:, None, :], np.array([costs.shape[1]]))[0] + 1
 
 
 # one definition under two names, so that each name can be traced apart
@@ -297,7 +302,9 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
         return ExperienceAssignment.of(d, assign_batch_dp(costs, d.offsets))
     # COMMUNITY_LEARNED: one sequence over the global time order
     order = d.global_time_order()
-    path = assign_community_dp(costs[:, order])
+    # np.take keeps the row-major layout, which the kernel's reductions
+    # over levels need to be fast; costs[:, order] would be column-major
+    path = assign_community_dp(np.take(costs, order, axis=1))
     column = np.empty(len(d), dtype=np.int64)
     column[order] = path
     return ExperienceAssignment.of(d, column)

@@ -13,6 +13,7 @@ import io
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -68,7 +69,10 @@ class SplitScheme(str, Enum):
 
 @dataclass(frozen=True)
 class FormatConfig:
-    """Column map for delimiter-separated review files with a header row."""
+    """Column map for delimiter-separated review files with a header row.
+    ``scale_max`` is the top of the file's rating scale, a finite real
+    number > 0; the delimiter holds no line break, and the four column
+    names are distinct."""
 
     delimiter: str = "\t"
     user_col: str = "user"
@@ -76,6 +80,21 @@ class FormatConfig:
     rating_col: str = "rating"
     timestamp_col: str = "timestamp"
     scale_max: float = 5.0
+
+    def __post_init__(self):
+        top = self.scale_max
+        if isinstance(top, bool) or not isinstance(top, numbers.Real):
+            raise TypeError(f"scale_max must be a real number, got {top!r}")
+        if not (math.isfinite(top) and top > 0):
+            raise DataError(f"scale_max must be finite and > 0, got {top!r}")
+        delim = self.delimiter
+        if not isinstance(delim, str):
+            raise TypeError(f"delimiter must be a string, got {delim!r}")
+        if not delim or "\n" in delim or "\r" in delim:
+            raise DataError(f"delimiter must be non-empty and hold no line break, got {delim!r}")
+        names = (self.user_col, self.item_col, self.rating_col, self.timestamp_col)
+        if len(set(names)) < len(names):
+            raise DataError(f"the four column names must be distinct, got {names}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +145,8 @@ class Dataset:
     The constructor takes the same seven columns in any row order: its
     ``user_code`` and ``item_code`` index its ``users`` and ``items`` key
     tables, which need be neither sorted nor all used.  It drops the
-    unused keys, sorts the rest and renumbers the codes.
+    unused keys, sorts the rest and renumbers the codes; a used id that
+    its table holds twice raises :class:`DataError`.
     The user id :data:`BACKGROUND_USER` is the pooled pseudo-user (see
     :func:`pool_infrequent_users`), which may rate an item more than once.
     ``item_seq`` and ``user_index`` are per-row and per-user views built
@@ -137,8 +157,8 @@ class Dataset:
         self, users: Sequence[str], items: Sequence[str], user_code, item_code,
         times, values, raw_values,
     ):
-        user_code, self.users = _sorted_keys(users, user_code)
-        item_code, self.items = _sorted_keys(items, item_code)
+        user_code, self.users = _sorted_keys("user", users, user_code)
+        item_code, self.items = _sorted_keys("item", items, item_code)
         # the sort is stable: rows equal in all three keys (a pooled user's
         # repeated item) keep their input order
         order = _lexsort((user_code, times, item_code))
@@ -249,16 +269,21 @@ def _encode(keys: list[str], pos: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(pos.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
-def _sorted_keys(keys: Sequence[str], codes) -> tuple[np.ndarray, tuple[str, ...]]:
+def _sorted_keys(kind: str, keys: Sequence[str], codes) -> tuple[np.ndarray, tuple[str, ...]]:
     """Drop the keys no code uses, sort the rest, and renumber ``codes``
-    to match."""
+    to match.  Raises :class:`DataError` naming the first, in id order,
+    of the used ``kind`` ids that the table holds more than once."""
     codes = np.asarray(codes, dtype=np.int64)
     used = np.flatnonzero(np.bincount(codes, minlength=len(keys)))
     ids = [keys[j] for j in used.tolist()]
     order = sorted(range(len(ids)), key=ids.__getitem__)
     rank = np.zeros(len(keys), dtype=np.int64)
     rank[used[order]] = np.arange(len(ids))
-    return rank[codes], tuple(ids[j] for j in order)
+    ids = tuple(ids[j] for j in order)
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise DataError(f"{kind} id {a!r} is repeated in the key table")
+    return rank[codes], ids
 
 
 def _floats(texts: list[str]) -> tuple[np.ndarray, int]:
@@ -373,7 +398,7 @@ def _parse_block(
          lambda j: f"non-integer timestamp {float(stamps[j])}"),
         (lambda: stamps < 0, lambda j: f"negative timestamp {int(stamps[j])}"),
         (lambda: stamps >= 2.0**63, lambda j: f"timestamp out of range {int(stamps[j])}"),
-        (lambda: ~((raw >= 0.0) & (raw <= scale_max)) | (scale_max <= 0),
+        (lambda: ~((raw >= 0.0) & (raw <= scale_max)),
          lambda j: _range_error(float(raw[j]), scale_max)),
     )
     for failing, message in checks:

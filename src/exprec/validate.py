@@ -1,10 +1,11 @@
 """Self-check suite behind the ``validate`` CLI command.
 
 Three independent checks: the loaded model's assignment satisfies its
-kind's monotonicity constraint on the given corpus, every assignment DP
-kernel (per user, batched, and kind c's community kernel) matches
-brute-force enumeration on random small instances, and the analytic
-gradient matches central finite differences on a random small instance.
+kind's monotonicity constraint on the given corpus, the assignment DP
+(its single-sequence entry, which kind c runs, and the batched one,
+which kind d runs) matches brute-force enumeration on random small
+instances, and the analytic gradient matches central finite differences
+on a random small instance.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assign import (
-    ModelKind,
-    assign_batch_dp,
-    assign_community_dp,
-    assign_user_dp,
-    find_monotonicity_violation,
-)
+from .assign import ModelKind, assign_batch_dp, assign_user_dp, find_monotonicity_violation
 from .dataset import Dataset
 from .model import (
     ExperienceAssignment, ModelParams, objective, objective_and_gradient, training_rows,
@@ -45,10 +40,10 @@ def check_monotonicity(kind: ModelKind, d: Dataset, a: ExperienceAssignment) -> 
 
 
 def check_dp_against_oracle(n_cases: int = 200, seed: int = 0) -> CheckResult:
-    """The DP kernels against brute-force enumeration on random small
-    instances, every second one with integer costs in {0, 1, 2}, which tie
-    often: each instance alone through the per-user and the community
-    kernel, then each E's share as one ragged batch."""
+    """The DP against brute-force enumeration on random small instances,
+    every second one with integer costs in {0, 1, 2}, which tie often:
+    each instance alone through the single-sequence entry (also bound as
+    ``assign_community_dp``), then each E's share as one ragged batch."""
     rng = np.random.default_rng(seed)
     cases = []
     for case in range(n_cases):
@@ -56,14 +51,12 @@ def check_dp_against_oracle(n_cases: int = 200, seed: int = 0) -> CheckResult:
         n = int(rng.integers(1, 9))
         costs = rng.random((E, n)) if case % 2 == 0 else rng.integers(0, 3, (E, n)).astype(float)
         want = brute_force_assign(costs)
-        for name, kernel in (("assign_user_dp", assign_user_dp),
-                             ("assign_community_dp", assign_community_dp)):
-            got = kernel(costs)
-            if not np.array_equal(got, want):
-                return CheckResult(
-                    "dp_vs_oracle", False,
-                    f"case {case} {name}: dp={got.tolist()} oracle={want.tolist()}",
-                )
+        got = assign_user_dp(costs)
+        if not np.array_equal(got, want):
+            return CheckResult(
+                "dp_vs_oracle", False,
+                f"case {case} single sequence: dp={got.tolist()} oracle={want.tolist()}",
+            )
         cases.append((case, costs, want))
     for E in sorted({costs.shape[0] for _, costs, _ in cases}):
         group = [c for c in cases if c[1].shape[0] == E]
@@ -74,11 +67,11 @@ def check_dp_against_oracle(n_cases: int = 200, seed: int = 0) -> CheckResult:
             if not np.array_equal(got, want):
                 return CheckResult(
                     "dp_vs_oracle", False,
-                    f"case {case} assign_batch_dp: dp={got.tolist()} oracle={want.tolist()}",
+                    f"case {case} batched: dp={got.tolist()} oracle={want.tolist()}",
                 )
     return CheckResult(
         "dp_vs_oracle", True,
-        f"{n_cases} random instances match: per user, batched and community",
+        f"{n_cases} random instances match: single sequence and batched",
     )
 
 

@@ -247,6 +247,28 @@ class TestBatchDP:
             assert np.array_equal(assign_user_dp(costs), reference_dp(costs))
             assert np.array_equal(assign_batch_dp(costs, [0, 3000]), reference_dp(costs))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["random", "tied", "signed"]),
+    )
+    def test_single_sequence_entry_matches_a_batch_of_one(self, E, n, seed, kind):
+        # the entry skips the batch's padded copy, and its fallback too
+        # must give the batch's levels, whatever the matrix's memory order
+        costs = random_costs(np.random.default_rng(seed), kind, E, n)
+        got = assign_user_dp(costs)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, assign_batch_dp(costs, [0, n]))
+        assert np.array_equal(assign_user_dp(np.asfortranarray(costs)), got)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 1, 5)])
+    def test_cost_matrix_must_be_two_dimensional(self, shape):
+        for entry in (assign_user_dp, lambda costs: assign_batch_dp(costs, [0, 5])):
+            with pytest.raises(ValueError, match="^cost matrix must be 2-dimensional$"):
+                entry(np.zeros(shape))
+
     def test_non_finite_cost_in_batch(self):
         costs = np.zeros((2, 5))
         costs[1, 3] = np.inf

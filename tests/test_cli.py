@@ -427,16 +427,19 @@ class TestValidateCommand:
         assert rc == 0
         assert out.count("PASS") == 3
 
-    @pytest.mark.parametrize("kernel", ["assign_user_dp", "assign_community_dp"])
-    def test_wrong_dp_kernel_named(self, split_dir, model_path, monkeypatch, capsys, kernel):
+    @pytest.mark.parametrize("kernel, name", [("assign_user_dp", "single sequence"),
+                                              ("assign_batch_dp", "batched")],
+                             ids=["assign_user_dp", "assign_batch_dp"])
+    def test_wrong_dp_kernel_named(self, split_dir, model_path, monkeypatch, capsys, kernel, name):
         # a kernel that never leaves level 1 fails on the first instance
         # whose optimum does
-        monkeypatch.setattr(validate, kernel, lambda costs: np.ones(costs.shape[1], dtype=np.int64))
+        monkeypatch.setattr(validate, kernel,
+                            lambda costs, *offsets: np.ones(costs.shape[1], dtype=np.int64))
         rc = main(["validate", "--model", str(model_path), "--train", str(split_dir / "train.tsv")])
         out = capsys.readouterr().out
         assert rc == 2
         line = next(line for line in out.splitlines() if line.startswith("dp_vs_oracle"))
-        assert "FAIL" in line and f" {kernel}: dp=[1" in line
+        assert "FAIL" in line and f" {name}: dp=[1" in line
 
     def test_corrupted_assignment_exits_2(self, corpus, split_dir, tmp_path, capsys):
         # counts keep each user's levels monotone, but a kind c model must be
@@ -595,3 +598,13 @@ class TestIngestCommand:
         manifest = json.loads((tmp_path / "split" / "split.json").read_text())
         assert sum(manifest["rows"].values()) == n_rows
         assert capsys.readouterr().err == f"pooled {n_rows} ratings into __background__\n"
+
+    def test_infinite_scale_max_exits_2(self, tmp_path, capsys):
+        # it used to write every rating as 0.0
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("user\titem\trating\ttimestamp\nu\ti\t4\t1\nu\tj\t3\t2\nu\tk\t5\t3\n")
+        out = tmp_path / "clean.tsv"
+        rc = main(["ingest", "--input", str(raw), "--out", str(out), "--scale-max", "inf"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: scale_max must be finite and > 0, got inf\n"
+        assert not out.exists()

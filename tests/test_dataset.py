@@ -228,6 +228,42 @@ class TestNormalizeRating:
                 assert lo < hi
 
 
+class TestFormatConfig:
+    @pytest.mark.parametrize("scale_max", [math.inf, -math.inf, math.nan, 0, -3.0])
+    def test_scale_max_must_be_finite_and_positive(self, scale_max):
+        # an infinite top of scale used to parse ratings 4, 3, 5 as 0.0
+        with pytest.raises(DataError, match=r"^scale_max must be finite and > 0, got "):
+            FormatConfig(scale_max=scale_max)
+
+    @pytest.mark.parametrize("scale_max", ["5", True, None, 5j])
+    def test_scale_max_must_be_a_real_number(self, scale_max):
+        with pytest.raises(TypeError, match=r"^scale_max must be a real number, got "):
+            FormatConfig(scale_max=scale_max)
+
+    @pytest.mark.parametrize("scale_max", [20, 0.5, np.float64(10.0), np.int64(100)])
+    def test_real_scale_max_accepted(self, scale_max):
+        assert FormatConfig(scale_max=scale_max).scale_max == scale_max
+
+    @pytest.mark.parametrize("delimiter", ["", "\n", "\r", ",\n", "\r\n"])
+    def test_delimiter_must_be_non_empty_without_line_breaks(self, delimiter):
+        with pytest.raises(DataError, match=r"^delimiter must be non-empty and hold no line break"):
+            FormatConfig(delimiter=delimiter)
+
+    def test_delimiter_must_be_a_string(self):
+        with pytest.raises(TypeError, match=r"^delimiter must be a string, got b','$"):
+            FormatConfig(delimiter=b",")
+
+    @pytest.mark.parametrize("field, name", [
+        ("item_col", "user"), ("rating_col", "item"), ("timestamp_col", "rating"),
+        ("user_col", "timestamp"),
+    ])
+    def test_column_names_must_be_distinct(self, field, name):
+        # an item column named "user" used to read the items from the user
+        # column and drop a row as a duplicate
+        with pytest.raises(DataError, match=r"^the four column names must be distinct, got \("):
+            FormatConfig(**{field: name})
+
+
 class TestParseReviews:
     def test_basic_row_normalization(self):
         text = "user\titem\trating\ttimestamp\nu1\ti9\t17\t1200000000\n"
@@ -824,6 +860,20 @@ class TestColumns:
         assert rows_of(d) == [("a", "y", 3.0, 1, 30.0), ("a", "x", 2.0, 2, 20.0),
                               ("c", "y", 1.0, 4, 10.0)]
         assert d.user_code.tolist() == [0, 0, 1] and d.item_code.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("table", ["user", "item"])
+    def test_repeated_used_id_rejected(self, table):
+        # ("u", "u") used to build two users with one id; the first
+        # repeated id in id order is named
+        keys, other = ("v", "u", "v", "u"), ("i", "j", "k", "l")
+        users, items = (keys, other) if table == "user" else (other, keys)
+        codes = [0, 1, 2, 3]
+        with pytest.raises(DataError, match=f"^{table} id 'u' is repeated in the key table$"):
+            Dataset(users, items, codes, codes, [0, 1, 2, 3], [1.0] * 4, [1.0] * 4)
+
+    def test_repeated_unused_id_dropped(self):
+        d = Dataset(("u", "v", "u"), ("i", "i", "j"), [0, 1], [0, 2], [0, 1], [1.0, 2.0], [1.0, 2.0])
+        assert d.users == ("u", "v") and d.items == ("i", "j")
 
     def test_empty(self):
         d = Dataset((), (), [], [], [], [], [])
