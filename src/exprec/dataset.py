@@ -137,14 +137,13 @@ class Dataset:
     ``users`` and ``items`` are the sorted distinct ids.  Row ``r`` is
     the rating of user ``users[user_code[r]]`` for item
     ``items[item_code[r]]`` at ``times[r]``, with normalized value
-    ``values[r]`` and original value ``raw_values[r]``.  Codes follow id
-    order, so the canonical order is the integer order of (user_code,
-    times, item_code), and user ``users[j]`` owns the contiguous rows
-    ``offsets[j]:offsets[j + 1]``.
+    ``values[r]``.  Codes follow id order, so the canonical order is the
+    integer order of (user_code, times, item_code), and user ``users[j]``
+    owns the contiguous rows ``offsets[j]:offsets[j + 1]``.
 
-    The constructor takes the same seven columns in any row order: its
-    ``user_code`` and ``item_code`` index its ``users`` and ``items`` key
-    tables, which need be neither sorted nor all used.  It drops the
+    The constructor takes the same four row columns in any row order:
+    its ``user_code`` and ``item_code`` index its ``users`` and ``items``
+    key tables, which need be neither sorted nor all used.  It drops the
     unused keys, sorts the rest and renumbers the codes; a used id that
     its table holds twice raises :class:`DataError`.
     The user id :data:`BACKGROUND_USER` is the pooled pseudo-user (see
@@ -154,8 +153,7 @@ class Dataset:
     """
 
     def __init__(
-        self, users: Sequence[str], items: Sequence[str], user_code, item_code,
-        times, values, raw_values,
+        self, users: Sequence[str], items: Sequence[str], user_code, item_code, times, values,
     ):
         user_code, self.users = _sorted_keys("user", users, user_code)
         item_code, self.items = _sorted_keys("item", items, item_code)
@@ -166,7 +164,6 @@ class Dataset:
         self.item_code = _frozen(item_code[order])
         self.times = _frozen(np.asarray(times, dtype=np.int64)[order])
         self.values = _frozen(np.asarray(values, dtype=np.float64)[order])
-        self.raw_values = _frozen(np.asarray(raw_values, dtype=np.float64)[order])
         counts = np.bincount(self.user_code, minlength=len(self.users))
         self.offsets = _frozen(np.concatenate(([0], np.cumsum(counts))))
         self._validate()
@@ -175,7 +172,7 @@ class Dataset:
         if len(self) and self.times.min() < 0:
             raise DataError("negative timestamp")
         # finiteness only: an unclamped synthetic corpus leaves [0, 5]
-        finite = np.isfinite(self.values) & np.isfinite(self.raw_values)
+        finite = np.isfinite(self.values)
         if not finite.all():
             pos = int(np.argmin(finite))
             pair = (self.users[self.user_code[pos]], self.items[self.item_code[pos]])
@@ -217,7 +214,7 @@ class Dataset:
         positions = np.asarray(positions, dtype=np.int64)
         return Dataset(
             self.users, self.items, self.user_code[positions], self.item_code[positions],
-            self.times[positions], self.values[positions], self.raw_values[positions],
+            self.times[positions], self.values[positions],
         )
 
     @cached_property
@@ -348,12 +345,18 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
     if BACKGROUND_USER in user_pos:
         first |= user_code[by_key] == user_pos[BACKGROUND_USER]
     keep = by_key[first]
+    del key, by_key, first
     if len(keep) < n_rows:
         logger.warning("dropped %d duplicate (user, item) rows", n_rows - len(keep))
-    return Dataset(
-        list(user_pos), list(item_pos), user_code[keep], item_code[keep], times[keep],
-        5.0 * raw[keep] / config.scale_max, raw[keep],
-    )
+    # one column at a time, each freed once gathered
+    user_code = user_code[keep]
+    item_code = item_code[keep]
+    times = times[keep]
+    values = raw[keep]
+    del raw, keep
+    values *= 5.0
+    values /= config.scale_max
+    return Dataset(list(user_pos), list(item_pos), user_code, item_code, times, values)
 
 
 def _parse_block(
@@ -446,10 +449,7 @@ def pool_infrequent_users(d: Dataset, min_ratings: int = 50) -> Dataset:
     if not infrequent.any():
         return d
     user_code = np.where(infrequent[d.user_code], len(d.users), d.user_code)
-    return Dataset(
-        d.users + (BACKGROUND_USER,), d.items, user_code, d.item_code,
-        d.times, d.values, d.raw_values,
-    )
+    return Dataset(d.users + (BACKGROUND_USER,), d.items, user_code, d.item_code, d.times, d.values)
 
 
 def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
@@ -487,10 +487,10 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
 
 def write_reviews(d: Dataset, path, config: FormatConfig = FormatConfig()) -> None:
     """Write a dataset in the same header-driven format ``parse_reviews``
-    reads.  Ratings are written on the normalized scale with a ``raw``
-    column retained for audit.  Raises :class:`DataError`, before the
-    file is opened, for an id that would not read back as itself: one
-    holding the delimiter or a line break, or outer whitespace."""
+    reads: the four configured columns, with ratings on the normalized
+    scale.  Raises :class:`DataError`, before the file is opened, for an
+    id that would not read back as itself: one holding the delimiter or a
+    line break, or outer whitespace."""
     path = Path(path)
     delim = config.delimiter
     for kind, ids in (("user", d.users), ("item", d.items)):
@@ -500,26 +500,15 @@ def write_reviews(d: Dataset, path, config: FormatConfig = FormatConfig()) -> No
             raise DataError(f"{kind} id {bad!r} cannot be written: it holds the delimiter, "
                             f"a line break or outer whitespace")
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(
-            delim.join(
-                (config.user_col, config.item_col, config.rating_col, config.timestamp_col, "raw")
-            )
-            + "\n"
-        )
+        header = (config.user_col, config.item_col, config.rating_col, config.timestamp_col)
+        fh.write(delim.join(header) + "\n")
         for lo in range(0, len(d), _WRITE_ROWS):
             rows = slice(lo, lo + _WRITE_ROWS)
-            values = list(map(repr, d.values[rows].tolist()))
-            # on the 5-point scale the raw values are the normalized ones;
-            # equal bits (so -0.0 is not 0.0) give equal reprs
-            raws = (values if np.array_equal(d.values[rows].view(np.uint64),
-                                             d.raw_values[rows].view(np.uint64))
-                    else map(repr, d.raw_values[rows].tolist()))
             fh.write("\n".join(map(delim.join, zip(
                 map(d.users.__getitem__, d.user_code[rows].tolist()),
                 map(d.items.__getitem__, d.item_code[rows].tolist()),
-                values,
+                map(repr, d.values[rows].tolist()),
                 map(str, d.times[rows].tolist()),
-                raws,
             ))) + "\n")
 
 

@@ -262,7 +262,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         clamp_count = int(np.count_nonzero(clamped != values))
         values = clamped
 
-    dataset = Dataset(users, items, user_code, item_code, times, values, values)
+    dataset = Dataset(users, items, user_code, item_code, times, values)
     truth = GroundTruth(
         true_params=params,
         true_levels=ExperienceAssignment.of(dataset, levels),

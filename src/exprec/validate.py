@@ -83,7 +83,7 @@ def check_gradient(seed: int = 0, rel_tol: float = 1e-4) -> CheckResult:
     # every user rates every item, one rating per time step in row order
     n = len(users) * len(items)
     d = Dataset(users, items, np.arange(n) // len(items), np.arange(n) % len(items),
-                np.arange(n), rng.uniform(0, 5, n), np.zeros(n))
+                np.arange(n), rng.uniform(0, 5, n))
     a = ExperienceAssignment(
         {u: np.sort(rng.integers(1, E + 1, size=5)) for u in users}
     )

@@ -6,11 +6,8 @@ from exprec.dataset import Dataset
 
 
 def dataset_of(rows):
-    """A :class:`Dataset` of ``(user, item, value, timestamp)`` rows, or of
-    ``(user, item, value, timestamp, raw)`` rows; a four-field row's raw
-    value is its value."""
-    rows = [tuple(row) if len(row) == 5 else (*row, row[2]) for row in rows]
-    users, items, values, times, raws = zip(*rows) if rows else ((),) * 5
+    """A :class:`Dataset` of ``(user, item, value, timestamp)`` rows."""
+    users, items, values, times = zip(*rows) if rows else ((),) * 4
     user_pos = {u: j for j, u in enumerate(dict.fromkeys(users))}
     item_pos = {i: j for j, i in enumerate(dict.fromkeys(items))}
     return Dataset(
@@ -18,5 +15,4 @@ def dataset_of(rows):
         np.array([user_pos[u] for u in users], dtype=np.int64),
         np.array([item_pos[i] for i in items], dtype=np.int64),
         np.array(times, dtype=np.int64), np.array(values, dtype=np.float64),
-        np.array(raws, dtype=np.float64),
     )

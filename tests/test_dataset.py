@@ -32,16 +32,16 @@ from exprec.synth import SynthConfig, generate
 from rows import dataset_of
 
 # one rating of the row-based reference store
-Row = namedtuple("Row", "user item value timestamp raw_value")
+Row = namedtuple("Row", "user item value timestamp")
 
 
 def rows_of(d):
-    """``d``'s rows as (user, item, value, timestamp, raw) tuples, in
+    """``d``'s rows as (user, item, value, timestamp) tuples, in
     canonical order."""
     return list(zip(
         map(d.users.__getitem__, d.user_code.tolist()),
         map(d.items.__getitem__, d.item_code.tolist()),
-        d.values.tolist(), d.times.tolist(), d.raw_values.tolist(),
+        d.values.tolist(), d.times.tolist(),
     ))
 
 
@@ -113,7 +113,7 @@ def reference_parse(text, config=FormatConfig()):
             value = normalize_rating(raw, config.scale_max)
         except DataError as exc:
             raise ParseError(line_no, str(exc))
-        rating = Row(user, item, value, ts, raw)
+        rating = Row(user, item, value, ts)
         key = (user, item)
         if key in best:
             if ts < best[key].timestamp:
@@ -269,7 +269,7 @@ class TestParseReviews:
         text = "user\titem\trating\ttimestamp\nu1\ti9\t17\t1200000000\n"
         d = parse_reviews(io.StringIO(text), FormatConfig(scale_max=20))
         assert len(d) == 1
-        assert rows_of(d) == [("u1", "i9", 4.25, 1200000000, 17.0)]
+        assert rows_of(d) == [("u1", "i9", 4.25, 1200000000)]
 
     def test_duplicate_keeps_earliest(self, caplog):
         text = (
@@ -341,7 +341,7 @@ class TestParseReviews:
     def test_blank_lines_skipped(self):
         text = "user\titem\trating\ttimestamp\n\nu1\ti1\t3\t0\n\t\n\nu1\ti2\t4\t1\n\n"
         d = parse_reviews(io.StringIO(text))
-        assert [(i, v) for _, i, v, _, _ in rows_of(d)] == [("i1", 3.0), ("i2", 4.0)]
+        assert [(i, v) for _, i, v, _ in rows_of(d)] == [("i1", 3.0), ("i2", 4.0)]
 
     def test_first_bad_row_wins_across_checks(self):
         # row 3 fails the range check, row 4 the column count, row 5 the
@@ -381,7 +381,7 @@ class TestParseReviews:
             "u1\ti9\t5\t10\n"
         )
         d = parse_reviews(io.StringIO(text))
-        assert [(u, v, t) for u, _, v, t, _ in rows_of(d)] == [
+        assert [(u, v, t) for u, _, v, t in rows_of(d)] == [
             ("u1", 4.0, 10), ("u2", 1.0, 10)
         ]
         assert duplicate_warnings(caplog) == ["dropped 3 duplicate (user, item) rows"]
@@ -398,7 +398,7 @@ class TestParseReviews:
             "u1\ti9\t5\t10\n"
         )
         d = parse_reviews(io.StringIO(text))
-        assert [(u, v, t) for u, _, v, t, _ in rows_of(d)] == [
+        assert [(u, v, t) for u, _, v, t in rows_of(d)] == [
             (BACKGROUND_USER, 3.0, 5), (BACKGROUND_USER, 4.0, 10), (BACKGROUND_USER, 2.0, 10),
             ("u1", 1.0, 10),
         ]
@@ -408,12 +408,12 @@ class TestParseReviews:
         text = "user\titem\trating\ttimestamp\n u1 \t i1\t 2.5 \t 3 \n"
         d = parse_reviews(io.StringIO(text))
         assert d.users == ("u1",) and d.items == ("i1",)
-        assert rows_of(d) == [("u1", "i1", 2.5, 3, 2.5)]
+        assert rows_of(d) == [("u1", "i1", 2.5, 3)]
 
     def test_bytes_source_and_custom_delimiter(self):
         text = "user,item,rating,timestamp\nv\tä,é,4,2\nv\tä,b,1,1\n"
         d = parse_reviews(text.encode("utf-8"), FormatConfig(delimiter=","))
-        assert [(u, i) for u, i, _, _, _ in rows_of(d)] == [("v\tä", "b"), ("v\tä", "é")]
+        assert [(u, i) for u, i, _, _ in rows_of(d)] == [("v\tä", "b"), ("v\tä", "é")]
 
     @pytest.mark.parametrize("newline", ["\n", ""])
     def test_lines_end_at_newline_only(self, newline):
@@ -421,7 +421,7 @@ class TestParseReviews:
         text = "user\titem\trating\ttimestamp\nu1\ti\r1\t3\t0\r\nu2\ti2\t4\t1\n"
         d = parse_reviews(io.StringIO(text, newline=newline))
         assert d.items == ("i\r1", "i2")
-        assert rows_of(d) == [("u1", "i\r1", 3.0, 0, 3.0), ("u2", "i2", 4.0, 1, 4.0)]
+        assert rows_of(d) == [("u1", "i\r1", 3.0, 0), ("u2", "i2", 4.0, 1)]
 
     def test_parse_memory_is_bounded(self, tmp_path):
         # the 4,000-user corpus of the benchmark's file workload, 161k rows
@@ -470,7 +470,7 @@ class TestParseBlocks:
             "u1\ti9\t2\t10", "u1\ti9\t3\t10",
             "u1\ti9\t5\t10",
         )
-        assert [(u, i, v, t) for u, i, v, t, _ in rows_of(d)] == [
+        assert rows_of(d) == [
             ("u1", "i8", 1.0, 7), ("u1", "i9", 2.0, 10), ("u2", "i1", 1.0, 5)
         ]
         assert duplicate_warnings(caplog) == ["dropped 3 duplicate (user, item) rows"]
@@ -497,27 +497,28 @@ class TestParseBlocks:
 class TestWriteReviews:
     def test_output_bytes(self, tmp_path):
         d = dataset_of([
-            ("u2", "i1", 0.1 + 0.2, 5, 1.2),
-            ("u1", "i2", 4.0, 7, 16.0),
-            ("u1", "i1", 1 / 3, 7, 2.0),
+            ("u2", "i1", 0.1 + 0.2, 5),
+            ("u1", "i2", 4.0, 7),
+            ("u1", "i1", 1 / 3, 7),
         ])
         path = tmp_path / "out.tsv"
         write_reviews(d, path)
+        # the four configured columns and nothing else
         assert path.read_bytes() == (
-            b"user\titem\trating\ttimestamp\traw\n"
-            b"u1\ti1\t0.3333333333333333\t7\t2.0\n"
-            b"u1\ti2\t4.0\t7\t16.0\n"
-            b"u2\ti1\t0.30000000000000004\t5\t1.2\n"
+            b"user\titem\trating\ttimestamp\n"
+            b"u1\ti1\t0.3333333333333333\t7\n"
+            b"u1\ti2\t4.0\t7\n"
+            b"u2\ti1\t0.30000000000000004\t5\n"
         )
 
-    def test_raw_column_keeps_sign_of_zero(self, tmp_path):
-        d = dataset_of([("u", "i", 0.0, 1, -0.0), ("u", "j", 5.0, 2, 5.0)])
+    def test_rating_column_keeps_sign_of_zero(self, tmp_path):
+        d = dataset_of([("u", "i", -0.0, 1), ("u", "j", 0.0, 2)])
         path = tmp_path / "out.tsv"
         write_reviews(d, path)
         assert path.read_bytes() == (
-            b"user\titem\trating\ttimestamp\traw\n"
-            b"u\ti\t0.0\t1\t-0.0\n"
-            b"u\tj\t5.0\t2\t5.0\n"
+            b"user\titem\trating\ttimestamp\n"
+            b"u\ti\t-0.0\t1\n"
+            b"u\tj\t0.0\t2\n"
         )
 
     def test_round_trip(self, tmp_path):
@@ -526,18 +527,15 @@ class TestWriteReviews:
         path = tmp_path / "out.tsv"
         write_reviews(d, path)
         back = parse_reviews(path)
-        assert rows_of(back) == [(u, i, v, t, v) for u, i, v, t, _ in rows_of(d)]
+        assert rows_of(back) == rows_of(d)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_small_blocks_write_the_same_bytes(self, tmp_path, n):
         # blocks of 3 rows: n = 6 fills two, n = 7 leaves a final partial
-        # one; raw equals the value in the first block only, so the blocks
-        # take both branches of the raw column
-        values = np.arange(n) * 0.5
-        raw = np.where(np.arange(n) < 3, values, 2 * values)
+        # one
         d = Dataset(
             ["u0", "u1"], [f"i{j}" for j in range(n)], np.arange(n) % 2, np.arange(n),
-            np.arange(n), values, raw,
+            np.arange(n), np.arange(n) * 0.5,
         )
         write_reviews(d, tmp_path / "one.tsv")
         with mock.patch.object(dataset_mod, "_WRITE_ROWS", 3):
@@ -545,7 +543,8 @@ class TestWriteReviews:
         text = (tmp_path / "blocks.tsv").read_bytes()
         assert text == (tmp_path / "one.tsv").read_bytes()
         assert text.count(b"\n") == n + 1
-        assert b"\nu0\ti2\t1.0\t2\t1.0\n" in text and b"\nu0\ti4\t2.0\t4\t4.0\n" in text
+        # the rows on either side of the first block boundary
+        assert b"\nu0\ti2\t1.0\t2\nu0\ti4\t2.0\t4\n" in text
 
     def test_write_memory_is_bounded(self, tmp_path):
         # the corpus of the benchmark's file workload, 161k rows; writing
@@ -604,7 +603,7 @@ class TestWriteReviews:
 class TestDatasetInvariants:
     def test_per_user_chronological_order_with_item_tiebreak(self):
         d = dataset_of([("u", "b", 1.0, 10), ("u", "a", 2.0, 10), ("u", "c", 3.0, 5)])
-        items = [i for _, i, _, _, _ in rows_of(d)]
+        items = [i for _, i, _, _ in rows_of(d)]
         assert items == ["c", "a", "b"]
 
     def test_duplicate_pair_rejected(self):
@@ -615,12 +614,12 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             dataset_of([("u", "a", 1.0, -5)])
 
-    @pytest.mark.parametrize("value, raw", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, -math.inf)])
-    def test_non_finite_rating_named(self, value, raw):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rating_named(self, value):
         # a NaN used to surface in fit as a divergence of alpha
-        rows = [("u", f"i{k}", 1.0, k, 1.0) for k in range(10)]
-        rows[3] = ("u", "i3", value, 3, raw)
-        rows[7] = ("u", "i7", value, 7, raw)
+        rows = [("u", f"i{k}", 1.0, k) for k in range(10)]
+        rows[3] = ("u", "i3", value, 3)
+        rows[7] = ("u", "i7", value, 7)
         with pytest.raises(DataError, match=r"^non-finite rating at \(user, item\) pair: \('u', 'i3'\)$"):
             dataset_of(rows)
 
@@ -665,7 +664,7 @@ class TestPooling:
     def test_background_sorted_and_items_untouched(self):
         rows = [("b", "i2", 1.0, 7), ("c", "i1", 2.0, 3)]
         pooled = pool_infrequent_users(dataset_of(rows), 50)
-        assert [(u, i, t) for u, i, _, t, _ in rows_of(pooled)] == [
+        assert [(u, i, t) for u, i, _, t in rows_of(pooled)] == [
             (BACKGROUND_USER, "i1", 3), (BACKGROUND_USER, "i2", 7)
         ]
 
@@ -776,7 +775,7 @@ class TestMatchesRowReference:
     def test_build_pool_and_split(self, rows, min_ratings, seed):
         # unique (user, item) pairs outside the background user
         rows = list({(u, i): (u, i, v, t) for u, i, v, t in rows}.values())
-        ratings = [Row(u, i, v, t, v) for u, i, v, t in rows]
+        ratings = [Row(*row) for row in rows]
         got, want = dataset_of(ratings), ReferenceDataset(ratings)
         assert_same(got, want)
         got, want = pool_infrequent_users(got, min_ratings), reference_pool(want, min_ratings)
@@ -815,7 +814,7 @@ class TestMatchesRowReference:
         # two users rate item x at the same time; pooled, the background
         # user holds (x, 5) twice, in the order of the original users
         rows = [("b", "x", 2.0, 5), ("a", "x", 1.0, 5), ("a", "y", 3.0, 5), ("c", "z", 4.0, 9)]
-        ratings = [Row(u, i, v, t, v) for u, i, v, t in rows]
+        ratings = [Row(*row) for row in rows]
         got = pool_infrequent_users(dataset_of(ratings), 3)
         want = reference_pool(ReferenceDataset(ratings), 3)
         assert_same(got, want)
@@ -831,10 +830,10 @@ class TestColumns:
         assert d.user_code.tolist() == [0, 0, 1]
         assert d.item_code.tolist() == [0, 1, 0]
         assert d.offsets.tolist() == [0, 2, 3]
-        assert [i for u, i, _, _, _ in rows_of(d) if u == "b"] == ["x"]
+        assert [i for u, i, _, _ in rows_of(d) if u == "b"] == ["x"]
         with pytest.raises(KeyError):
             d.user_index["zed"]
-        for column in (d.user_code, d.item_code, d.times, d.values, d.raw_values, d.offsets):
+        for column in (d.user_code, d.item_code, d.times, d.values, d.offsets):
             assert not column.flags.writeable
 
     def test_global_time_order_computed_once(self):
@@ -855,10 +854,9 @@ class TestColumns:
         # "zz" and "w" are no row's key: both are dropped, and the codes
         # follow the sorted ids
         d = Dataset(["c", "zz", "a"], ["y", "w", "x"], [0, 2, 2], [0, 2, 0],
-                    [4, 2, 1], [1.0, 2.0, 3.0], [10.0, 20.0, 30.0])
+                    [4, 2, 1], [1.0, 2.0, 3.0])
         assert d.users == ("a", "c") and d.items == ("x", "y")
-        assert rows_of(d) == [("a", "y", 3.0, 1, 30.0), ("a", "x", 2.0, 2, 20.0),
-                              ("c", "y", 1.0, 4, 10.0)]
+        assert rows_of(d) == [("a", "y", 3.0, 1), ("a", "x", 2.0, 2), ("c", "y", 1.0, 4)]
         assert d.user_code.tolist() == [0, 0, 1] and d.item_code.tolist() == [1, 0, 1]
 
     @pytest.mark.parametrize("table", ["user", "item"])
@@ -869,14 +867,14 @@ class TestColumns:
         users, items = (keys, other) if table == "user" else (other, keys)
         codes = [0, 1, 2, 3]
         with pytest.raises(DataError, match=f"^{table} id 'u' is repeated in the key table$"):
-            Dataset(users, items, codes, codes, [0, 1, 2, 3], [1.0] * 4, [1.0] * 4)
+            Dataset(users, items, codes, codes, [0, 1, 2, 3], [1.0] * 4)
 
     def test_repeated_unused_id_dropped(self):
-        d = Dataset(("u", "v", "u"), ("i", "i", "j"), [0, 1], [0, 2], [0, 1], [1.0, 2.0], [1.0, 2.0])
+        d = Dataset(("u", "v", "u"), ("i", "i", "j"), [0, 1], [0, 2], [0, 1], [1.0, 2.0])
         assert d.users == ("u", "v") and d.items == ("i", "j")
 
     def test_empty(self):
-        d = Dataset((), (), [], [], [], [], [])
+        d = Dataset((), (), [], [], [], [])
         assert len(d) == 0 and d.users == () and d.offsets.tolist() == [0]
         assert rows_of(d) == [] and d.global_time_order().tolist() == []
         assert [len(part) for part in split(d, SplitSpec())] == [0, 0, 0]

@@ -67,7 +67,7 @@ def random_instance(seed, n_users=5, n_items=5, E=3, K=2, lam=0.37):
     # every user rates every item, one rating per time step in row order
     n = n_users * n_items
     d = Dataset(users, items, np.arange(n) // n_items, np.arange(n) % n_items,
-                np.arange(n), rng.uniform(0, 5, n), np.zeros(n))
+                np.arange(n), rng.uniform(0, 5, n))
     a = ExperienceAssignment(
         {u: np.sort(rng.integers(1, E + 1, size=n_items)) for u in users}
     )
@@ -171,7 +171,7 @@ def kernel_instance(E, K, n_users, n_items, n, seed, packed):
     d = Dataset(
         [f"u{j}" for j in range(n_users)], [f"i{j}" for j in range(n_items)],
         pairs // n_items, pairs % n_items,
-        rng.permutation(n).astype(np.int64), rng.uniform(0, 5, n), np.zeros(n),
+        rng.permutation(n).astype(np.int64), rng.uniform(0, 5, n),
     )
     shell = ModelParams.zeros(d.users, d.items, E, K)
     x = rng.normal(0.0, 0.5, size=shell.n_params)

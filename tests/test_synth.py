@@ -74,10 +74,9 @@ def reference_generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         item_parts.append(item_idx)
         time_parts.append(times)
         value_parts.append(values)
-    values = np.concatenate(value_parts)
     dataset = Dataset(
         users, items, np.repeat(np.arange(cfg.n_users), counts), np.concatenate(item_parts),
-        np.concatenate(time_parts), values, values,
+        np.concatenate(time_parts), np.concatenate(value_parts),
     )
     truth = GroundTruth(
         true_params=params,
@@ -112,7 +111,7 @@ def test_generate_matches_reference(overrides):
     for score_rows in (model_mod._SCORE_ROWS, 1, 3):
         with mock.patch.object(model_mod, "_SCORE_ROWS", score_rows):
             data, truth = generate(cfg)
-        for name in ("user_code", "item_code", "times", "values", "raw_values", "offsets"):
+        for name in ("user_code", "item_code", "times", "values", "offsets"):
             got, want = getattr(data, name), getattr(ref, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert data.users == ref.users and data.items == ref.items
