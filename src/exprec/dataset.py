@@ -141,11 +141,13 @@ class Dataset:
     integer order of (user_code, times, item_code), and user ``users[j]``
     owns the contiguous rows ``offsets[j]:offsets[j + 1]``.
 
-    The constructor takes the same four row columns in any row order:
-    its ``user_code`` and ``item_code`` index its ``users`` and ``items``
-    key tables, which need be neither sorted nor all used.  It drops the
-    unused keys, sorts the rest and renumbers the codes; a used id that
-    its table holds twice raises :class:`DataError`.
+    The constructor takes the same four row columns in any row order,
+    each 1-d and all of one length: its ``user_code`` and ``item_code``
+    index its ``users`` and ``items`` key tables, which need be neither
+    sorted nor all used.  It drops the unused keys, sorts the rest and
+    renumbers the codes.  A column of another shape or length, a code
+    outside its table, or a used id that its table holds twice raises
+    :class:`DataError`.
     The user id :data:`BACKGROUND_USER` is the pooled pseudo-user (see
     :func:`pool_infrequent_users`), which may rate an item more than once.
     ``item_seq`` and ``user_index`` are per-row and per-user views built
@@ -155,6 +157,9 @@ class Dataset:
     def __init__(
         self, users: Sequence[str], items: Sequence[str], user_code, item_code, times, values,
     ):
+        user_code, item_code, times, values = _row_columns(
+            user_code=user_code, item_code=item_code, times=times, values=values,
+        )
         user_code, self.users = _sorted_keys("user", users, user_code)
         item_code, self.items = _sorted_keys("item", items, item_code)
         # the sort is stable: rows equal in all three keys (a pooled user's
@@ -162,8 +167,8 @@ class Dataset:
         order = _lexsort((user_code, times, item_code))
         self.user_code = _frozen(user_code[order])
         self.item_code = _frozen(item_code[order])
-        self.times = _frozen(np.asarray(times, dtype=np.int64)[order])
-        self.values = _frozen(np.asarray(values, dtype=np.float64)[order])
+        self.times = _frozen(times[order])
+        self.values = _frozen(values[order])
         counts = np.bincount(self.user_code, minlength=len(self.users))
         self.offsets = _frozen(np.concatenate(([0], np.cumsum(counts))))
         self._validate()
@@ -266,11 +271,30 @@ def _encode(keys: list[str], pos: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(pos.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
-def _sorted_keys(kind: str, keys: Sequence[str], codes) -> tuple[np.ndarray, tuple[str, ...]]:
+def _row_columns(**columns) -> list[np.ndarray]:
+    """The named row columns as arrays, ``values`` of float64 and the
+    rest of int64.  Raises :class:`DataError` naming the first column
+    that is not 1-d or whose length is not the first column's."""
+    out = []
+    for name, column in columns.items():
+        a = np.asarray(column, dtype=np.float64 if name == "values" else np.int64)
+        if a.ndim != 1:
+            raise DataError(f"column {name} must be 1-d, got shape {a.shape}")
+        if out and len(a) != len(out[0]):
+            raise DataError(f"column {name} has {len(a)} rows, {next(iter(columns))} has {len(out[0])}")
+        out.append(a)
+    return out
+
+
+def _sorted_keys(kind: str, keys: Sequence[str], codes: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     """Drop the keys no code uses, sort the rest, and renumber ``codes``
-    to match.  Raises :class:`DataError` naming the first, in id order,
-    of the used ``kind`` ids that the table holds more than once."""
-    codes = np.asarray(codes, dtype=np.int64)
+    to match.  Raises :class:`DataError` naming the ``kind`` code column
+    for a code outside ``[0, len(keys))``, and naming the first, in id
+    order, of the used ``kind`` ids that the table holds more than once."""
+    outside = (codes < 0) | (codes >= len(keys))
+    if outside.any():
+        raise DataError(f"column {kind}_code holds {codes[outside][0]}, "
+                        f"outside [0, {len(keys)}) of the {kind} table")
     used = np.flatnonzero(np.bincount(codes, minlength=len(keys)))
     ids = [keys[j] for j in used.tolist()]
     order = sorted(range(len(ids)), key=ids.__getitem__)

@@ -380,11 +380,24 @@ class TestParseReviews:
             "u1\ti9\t3\t30\n"
             "u1\ti9\t5\t10\n"
         )
-        d = parse_reviews(io.StringIO(text))
+        # the same rows with the raw column that write_reviews used to
+        # add, which no configured column names
+        with_raw = (
+            "user\titem\trating\ttimestamp\traw\n"
+            "u1\ti9\t4\t10\t16.0\n"
+            "u2\ti9\t1\t10\t4.0\n"
+            "u1\ti9\t2\t10\t8.0\n"
+            "u1\ti9\t3\t30\t12.0\n"
+            "u1\ti9\t5\t10\t20.0\n"
+        )
+        d, d_raw = (parse_reviews(io.StringIO(source)) for source in (text, with_raw))
         assert [(u, v, t) for u, _, v, t in rows_of(d)] == [
             ("u1", 4.0, 10), ("u2", 1.0, 10)
         ]
-        assert duplicate_warnings(caplog) == ["dropped 3 duplicate (user, item) rows"]
+        assert duplicate_warnings(caplog) == ["dropped 3 duplicate (user, item) rows"] * 2
+        assert d_raw.users == d.users and d_raw.items == d.items
+        for name in ("user_code", "item_code", "times", "values", "offsets"):
+            assert getattr(d_raw, name).tobytes() == getattr(d, name).tobytes(), name
 
     def test_reserved_user_keeps_every_row(self, caplog):
         # a file user named like the pooled user is the pooled user: its
@@ -868,6 +881,23 @@ class TestColumns:
         codes = [0, 1, 2, 3]
         with pytest.raises(DataError, match=f"^{table} id 'u' is repeated in the key table$"):
             Dataset(users, items, codes, codes, [0, 1, 2, 3], [1.0] * 4)
+
+    @pytest.mark.parametrize("user_code, item_code, times, values, message", [
+        # each used to fail inside numpy, or (a long values column) to
+        # build and drop the extra value
+        ([0, 1], [0, 0], [0, 1], [1.0, 2.0], "column user_code holds 1, outside [0, 1) of the user table"),
+        ([-1], [0], [0], [1.0], "column user_code holds -1, outside [0, 1) of the user table"),
+        ([0, 0], [1, 2], [0, 1], [1.0, 2.0], "column item_code holds 2, outside [0, 2) of the item table"),
+        ([0, 0], [0, 1], [0], [1.0, 2.0], "column times has 1 rows, user_code has 2"),
+        ([0, 0], [0, 1], [0, 1], [1.0, 2.0, 3.0], "column values has 3 rows, user_code has 2"),
+        ([0], [0, 1], [0], [1.0], "column item_code has 2 rows, user_code has 1"),
+        ([[0]], [[0]], [[0]], [[1.0]], "column user_code must be 1-d, got shape (1, 1)"),
+        ([0], [0], 5, [1.0], "column times must be 1-d, got shape ()"),
+    ], ids=["code-past-table", "negative-code", "item-code-past-table", "short-times",
+            "long-values", "long-item-code", "2-d-codes", "scalar-times"])
+    def test_bad_columns_named(self, user_code, item_code, times, values, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            Dataset(("u",), ("i", "j"), user_code, item_code, times, values)
 
     def test_repeated_unused_id_dropped(self):
         d = Dataset(("u", "v", "u"), ("i", "i", "j"), [0, 1], [0, 2], [0, 1], [1.0, 2.0])
