@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
@@ -28,6 +28,16 @@ class TrajectoryKind(str, Enum):
     ALREADY_EXPERT = "already_expert"
     NEVER_EXPERT = "never_expert"
     MIXED = "mixed"
+
+
+# the kinds MIXED draws from, with their probabilities
+_MIXED_KINDS = (
+    TrajectoryKind.UNIFORM_TIME,
+    TrajectoryKind.STAIRCASE,
+    TrajectoryKind.ALREADY_EXPERT,
+    TrajectoryKind.NEVER_EXPERT,
+)
+_MIXED_P = (0.5, 0.3, 0.1, 0.1)
 
 
 @dataclass(frozen=True)
@@ -131,9 +141,13 @@ class SynthConfig:
 
 @dataclass(eq=False)
 class GroundTruth:
+    """The planted model and levels; ``kinds`` holds each user's drawn
+    trajectory kind, never MIXED."""
+
     true_params: ModelParams
     true_levels: ExperienceAssignment
     leaver_flags: dict[str, bool]
+    kinds: dict[str, TrajectoryKind]
     clamp_count: int = 0
     n_ratings: int = 0
 
@@ -169,28 +183,22 @@ def _staircase(rng: np.random.Generator, n: int, top: int) -> np.ndarray:
 
 def _trajectory(
     cfg: SynthConfig, rng: np.random.Generator, kind: TrajectoryKind, n: int
-) -> np.ndarray:
+) -> tuple[TrajectoryKind, np.ndarray]:
+    """The kind drawn for MIXED, or ``kind`` itself, and its levels."""
     E = cfg.E
     if kind is TrajectoryKind.MIXED:
-        kind = rng.choice(
-            [
-                TrajectoryKind.UNIFORM_TIME,
-                TrajectoryKind.STAIRCASE,
-                TrajectoryKind.ALREADY_EXPERT,
-                TrajectoryKind.NEVER_EXPERT,
-            ],
-            p=[0.5, 0.3, 0.1, 0.1],
-        )
+        # an index: a choice over the members themselves returns a np.str_
+        kind = _MIXED_KINDS[rng.choice(len(_MIXED_KINDS), p=_MIXED_P)]
     if kind is TrajectoryKind.ALREADY_EXPERT:
-        return np.full(n, E, dtype=np.int64)
+        return kind, np.full(n, E, dtype=np.int64)
     if kind is TrajectoryKind.NEVER_EXPERT:
-        return _staircase(rng, n, max(1, E - 1))
+        return kind, _staircase(rng, n, max(1, E - 1))
     if kind is TrajectoryKind.STAIRCASE:
-        return _staircase(rng, n, E)
+        return kind, _staircase(rng, n, E)
     # uniform over the user's own rating sequence
     if n == 1:
-        return np.ones(1, dtype=np.int64)
-    return np.minimum(np.arange(n) * E // (n - 1) + 1, E).astype(np.int64)
+        return kind, np.ones(1, dtype=np.int64)
+    return kind, np.minimum(np.arange(n) * E // (n - 1) + 1, E).astype(np.int64)
 
 
 def _ids(prefix: str, n: int) -> tuple[str, ...]:
@@ -219,7 +227,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     # is done once for the whole corpus below
     start = np.empty(cfg.n_users)
     end = np.full(cfg.n_users, float(cfg.horizon))
-    item_parts, traj_parts, noise_parts = [], [], []
+    item_parts, traj_parts, noise_parts, kinds = [], [], [], []
     for j in range(cfg.n_users):
         n_r = int(rng.integers(lo, hi + 1)) if hi > lo else lo
         item_idx = np.sort(rng.choice(cfg.n_items, size=n_r, replace=False))
@@ -232,7 +240,9 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         else:
             start[j] = rng.uniform(0.0, 0.8 * cfg.horizon)
         item_parts.append(item_idx)
-        traj_parts.append(_trajectory(cfg, rng, cfg.trajectory_kind, n_r))
+        kind, traj = _trajectory(cfg, rng, cfg.trajectory_kind, n_r)
+        kinds.append(kind)
+        traj_parts.append(traj)
         noise_parts.append(rng.standard_normal(n_r))
 
     counts = np.fromiter(map(len, item_parts), dtype=np.int64, count=cfg.n_users)
@@ -267,6 +277,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         true_params=params,
         true_levels=ExperienceAssignment.of(dataset, levels),
         leaver_flags={u: bool(flag) for u, flag in zip(users, leaver)},
+        kinds=dict(zip(users, kinds)),
         clamp_count=clamp_count,
         n_ratings=len(dataset),
     )
@@ -302,23 +313,44 @@ def brute_force_assign(costs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RecoveryScore:
+    """``by_kind`` holds the score over the ratings of each drawn
+    trajectory kind's users, in ``TrajectoryKind`` order."""
+
     score: float
     defined: bool
+    by_kind: dict[TrajectoryKind, "RecoveryScore"] = field(default_factory=dict)
 
 
 def recovery_score(truth: GroundTruth, fitted) -> RecoveryScore:
     """Spearman rank correlation between planted and fitted levels over
-    all training ratings; both assignments must cover the same ratings.
-    Rank correlation absorbs monotone relabelings of the level indices.
-    A constant fitted assignment has no defined correlation and is
-    reported as 0.0 with ``defined=False``."""
+    all training ratings, and over each trajectory kind's ratings; both
+    assignments must cover the same ratings.  Rank correlation absorbs
+    monotone relabelings of the level indices.  A constant assignment,
+    planted or fitted, has no defined correlation and is reported as 0.0
+    with ``defined=False``: so is every kind whose planted levels cannot
+    vary, such as ALREADY_EXPERT's."""
     from scipy.stats import spearmanr  # loading it takes about a second
 
-    x = truth.true_levels.column
-    y = fitted.assignment.flat(truth.true_levels)
-    if np.all(y == y[0]) or np.all(x == x[0]):
-        return RecoveryScore(score=0.0, defined=False)
-    rho = spearmanr(x, y).statistic
-    if not np.isfinite(rho):
-        return RecoveryScore(score=0.0, defined=False)
-    return RecoveryScore(score=float(rho), defined=True)
+    def spearman(x: np.ndarray, y: np.ndarray) -> RecoveryScore:
+        if np.all(y == y[0]) or np.all(x == x[0]):
+            return RecoveryScore(score=0.0, defined=False)
+        rho = spearmanr(x, y).statistic
+        if not np.isfinite(rho):
+            return RecoveryScore(score=0.0, defined=False)
+        return RecoveryScore(score=float(rho), defined=True)
+
+    levels = truth.true_levels
+    x = levels.column
+    y = fitted.assignment.flat(levels)
+    # kinds as their index in TrajectoryKind: numpy turns a str enum member
+    # into a string of its class name
+    code = {kind: j for j, kind in enumerate(TrajectoryKind)}
+    user_codes = np.fromiter((code[truth.kinds[u]] for u in levels.users), np.int64, len(levels.users))
+    kind_of_row = np.repeat(user_codes, np.diff(levels.offsets))
+    by_kind = {}
+    for kind, j in code.items():
+        rows = kind_of_row == j
+        if rows.any():
+            by_kind[kind] = spearman(x[rows], y[rows])
+    overall = spearman(x, y)
+    return RecoveryScore(score=overall.score, defined=overall.defined, by_kind=by_kind)

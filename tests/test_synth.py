@@ -1,5 +1,6 @@
 """Generator determinism, planted invariants, oracles, recovery scoring."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,8 @@ from exprec.synth import (
     GroundTruth,
     SynthConfig,
     TrajectoryKind,
+    _MIXED_KINDS,
+    _MIXED_P,
     _ids,
     _planted_params,
     _trajectory,
@@ -43,7 +46,7 @@ def reference_generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     lo, hi = cfg.rating_range
     leaver = rng.random(cfg.n_users) < cfg.leaver_fraction
     counts, item_parts, time_parts, value_parts = [], [], [], []
-    levels = {}
+    levels, kinds = {}, {}
     clamp_count = 0
     for j, user in enumerate(users):
         n_r = int(rng.integers(lo, hi + 1)) if hi > lo else lo
@@ -58,7 +61,7 @@ def reference_generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         times = np.linspace(start, end, n_r).astype(np.int64) if n_r > 1 else np.array(
             [int(start)], dtype=np.int64
         )
-        traj = _trajectory(cfg, rng, cfg.trajectory_kind, n_r)
+        kinds[user], traj = _trajectory(cfg, rng, cfg.trajectory_kind, n_r)
         if leaver[j]:
             traj = traj[np.arange(n_r) // 2]
         item_idx = item_idx[np.lexsort((item_idx, times))]
@@ -82,6 +85,7 @@ def reference_generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         true_params=params,
         true_levels=ExperienceAssignment(levels),
         leaver_flags={u: bool(flag) for u, flag in zip(users, leaver)},
+        kinds=kinds,
         clamp_count=clamp_count,
         n_ratings=len(dataset),
     )
@@ -119,6 +123,7 @@ def test_generate_matches_reference(overrides):
         assert truth.true_levels.offsets.tobytes() == ref_truth.true_levels.offsets.tobytes()
         assert truth.true_levels.column.tobytes() == ref_truth.true_levels.column.tobytes()
         assert truth.leaver_flags == ref_truth.leaver_flags
+        assert truth.kinds == ref_truth.kinds
         assert truth.clamp_count == ref_truth.clamp_count
         assert truth.n_ratings == ref_truth.n_ratings
 
@@ -152,6 +157,49 @@ class TestGenerate:
                           trajectory_kind=TrajectoryKind.NEVER_EXPERT, leaver_fraction=0.0, seed=0)
         data, truth = generate(cfg)
         assert truth.true_levels.flat(data).max() <= 4
+
+    def test_mixed_draws_kinds_with_their_probabilities(self):
+        # MIXED used to plant the uniform trajectory for every user
+        n = 2000
+        _, truth = generate(SynthConfig(n_users=n, n_items=100, seed=3))
+        drawn = list(truth.kinds.values())
+        for kind, p in zip(_MIXED_KINDS, _MIXED_P):
+            bound = 4 * np.sqrt(n * p * (1 - p))   # four binomial standard deviations
+            assert abs(drawn.count(kind) - n * p) <= bound, kind
+        assert len(drawn) == n and TrajectoryKind.MIXED not in drawn
+
+    @pytest.mark.parametrize("kind", list(TrajectoryKind), ids=lambda k: k.value)
+    def test_each_user_follows_its_drawn_kind(self, kind):
+        E = 4
+        cfg = SynthConfig(n_users=300, n_items=60, ratings_per_user=(1, 30), E=E,
+                          trajectory_kind=kind, seed=5)
+        data, truth = generate(cfg)
+        if kind is not TrajectoryKind.MIXED:
+            assert set(truth.kinds.values()) == {kind}
+        seen = set()
+        for user, lv in truth.true_levels.levels.items():
+            drawn = truth.kinds[user]
+            seen.add(drawn)
+            n = len(lv)
+            pos = np.arange(n) // 2 if truth.leaver_flags[user] else np.arange(n)
+            assert (np.diff(lv) >= 0).all() and lv[0] >= 1, user
+            if drawn is TrajectoryKind.ALREADY_EXPERT:
+                assert (lv == E).all(), user
+            elif drawn is TrajectoryKind.NEVER_EXPERT:
+                assert lv.max() <= E - 1, user
+            elif drawn is TrajectoryKind.UNIFORM_TIME:
+                want = np.minimum(pos * E // max(n - 1, 1) + 1, E)
+                assert np.array_equal(lv, want), user
+            else:
+                assert drawn is TrajectoryKind.STAIRCASE and lv.max() <= E, user
+        if kind is TrajectoryKind.MIXED:
+            assert seen == set(_MIXED_KINDS)
+            # a staircase user whose planted levels are not the uniform ones
+            assert any(
+                truth.kinds[u] is TrajectoryKind.STAIRCASE and len(lv) > 8 and not np.array_equal(
+                    lv, np.minimum(np.arange(len(lv)) * E // (len(lv) - 1) + 1, E))
+                for u, lv in truth.true_levels.levels.items()
+            )
 
     def test_planted_trajectories_monotone(self):
         cfg = SynthConfig(n_users=25, n_items=40, ratings_per_user=(5, 20), seed=8)
@@ -276,6 +324,29 @@ class TestRecoveryScore:
         )
         result = recovery_score(truth, as_fitted(truth, reversed_assignment))
         assert result.score < 0
+
+    def test_scored_per_drawn_kind(self):
+        cfg = SynthConfig(n_users=200, n_items=60, ratings_per_user=(5, 20), seed=6)
+        data, truth = generate(cfg)
+        result = recovery_score(truth, as_fitted(truth))
+        assert list(result.by_kind) == list(_MIXED_KINDS)
+        for kind, score in result.by_kind.items():
+            # already-expert users' planted levels are all E: no correlation
+            if kind is TrajectoryKind.ALREADY_EXPERT:
+                assert not score.defined and score.score == 0.0
+            else:
+                assert score.defined and score.score == pytest.approx(1.0), kind
+        # one kind's levels reversed: only that kind's score turns negative
+        levels = {
+            u: lv[::-1].copy() if truth.kinds[u] is TrajectoryKind.STAIRCASE else lv
+            for u, lv in truth.true_levels.levels.items()
+        }
+        result = recovery_score(truth, as_fitted(truth, ExperienceAssignment(levels)))
+        assert result.by_kind[TrajectoryKind.STAIRCASE].score < 0
+        assert result.by_kind[TrajectoryKind.UNIFORM_TIME].score == pytest.approx(1.0)
+        _, uniform_truth = generate(replace(cfg, trajectory_kind=TrajectoryKind.UNIFORM_TIME))
+        assert list(recovery_score(uniform_truth, as_fitted(uniform_truth)).by_kind) == [
+            TrajectoryKind.UNIFORM_TIME]
 
     def test_constant_assignment_flagged(self):
         _, truth = self.small_truth()
