@@ -17,11 +17,11 @@ from exprec.synth import SynthConfig, generate
 from exprec.trainer import TrainConfig, fit
 
 GOLDEN = {
-    "lf": "28ebec324f306be161fb150d87c734b83740cfe25b871731ec973176be51ae49",
-    "a": "083323b271805d9e5bcb26e2fdd0432e4b14f40e2d1e9cd13146196d1f93e37c",
-    "b": "75e02d063119499346b7075cf5f3e6886e7f991fea1ac0a963f5186d93b83e12",
-    "c": "8caaee18dc078ffe2eb6f7f3fadffffa766b1f15e10693a43ba4eb4d2106499a",
-    "d": "d0fbf5f93143366f7680fb82d19736c7587a88d7cf9b3b3ee5b0919869ffbd86",
+    "lf": "fbd80279c5b3e346434a5d40be39dda84dc30a671954f9bba9f7d629422f7aeb",
+    "a": "dc43148ecee2a17c007f1076b9050f5821dcba556dd4ac34035020672006dcf3",
+    "b": "b82027dcfbf7d4451a5c7692ebe36a906750e0340c72a967b6842b69e0f2ff86",
+    "c": "1f29fd323998c83f7a90315c7960ea838e2d004ceb94f85c830b91b49ea859c8",
+    "d": "4e90bab6ad180c1cd327f43755cad291cae6a0e4141ebb7231ab6d6618e33767",
 }
 
 

@@ -256,7 +256,7 @@ class TestScoreKernel:
 
     def test_objective_memory_is_bounded(self):
         # an ingest-lf-sized training set: the benchmark's file corpus
-        # pooled at 40 and split, 127k ratings on one level at K = 5;
+        # pooled at 40 and split, 126k ratings on one level at K = 5;
         # gathering every rating's factor rows at once peaked at 14 MB, and
         # one (n, K) array alone would take 5.1 MB
         corpus, _ = generate(SynthConfig(n_users=4000, n_items=400, ratings_per_user=(20, 60), seed=1))
@@ -272,7 +272,7 @@ class TestScoreKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(train) == 127_165
+        assert len(train) == 125_810
         assert peak < 4.5e6
 
 
