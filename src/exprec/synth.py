@@ -39,6 +39,9 @@ _MIXED_KINDS = (
 )
 _MIXED_P = (0.5, 0.3, 0.1, 0.1)
 
+# users whose item keys are drawn and ranked in one (users, n_items) block
+_DRAW_USERS = 256
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -173,32 +176,23 @@ def _planted_params(cfg: SynthConfig, rng: np.random.Generator,
     return p
 
 
-def _staircase(rng: np.random.Generator, n: int, top: int) -> np.ndarray:
-    """Monotone staircase over levels 1..top with random cut points."""
-    if top <= 1:
-        return np.ones(n, dtype=np.int64)
-    cuts = np.sort(rng.integers(0, n + 1, size=top - 1))
-    return 1 + np.searchsorted(cuts, np.arange(n), side="right").astype(np.int64)
-
-
-def _trajectory(
-    cfg: SynthConfig, rng: np.random.Generator, kind: TrajectoryKind, n: int
-) -> tuple[TrajectoryKind, np.ndarray]:
-    """The kind drawn for MIXED, or ``kind`` itself, and its levels."""
-    E = cfg.E
-    if kind is TrajectoryKind.MIXED:
-        # an index: a choice over the members themselves returns a np.str_
-        kind = _MIXED_KINDS[rng.choice(len(_MIXED_KINDS), p=_MIXED_P)]
-    if kind is TrajectoryKind.ALREADY_EXPERT:
-        return kind, np.full(n, E, dtype=np.int64)
-    if kind is TrajectoryKind.NEVER_EXPERT:
-        return kind, _staircase(rng, n, max(1, E - 1))
-    if kind is TrajectoryKind.STAIRCASE:
-        return kind, _staircase(rng, n, E)
-    # uniform over the user's own rating sequence
-    if n == 1:
-        return kind, np.ones(1, dtype=np.int64)
-    return kind, np.minimum(np.arange(n) * E // (n - 1) + 1, E).astype(np.int64)
+def _draw_items(rng: np.random.Generator, counts: np.ndarray, n_items: int) -> np.ndarray:
+    """Each user's items, user after user: one row of ``n_items`` uniform
+    keys per user, whose ``counts[j]`` smallest keys, in key order, are
+    user ``j``'s items, a uniform subset in uniform order.  The keys are
+    drawn ``_DRAW_USERS`` rows at a time, which consumes the generator as
+    one (users, n_items) draw would."""
+    parts = []
+    for lo in range(0, len(counts), _DRAW_USERS):
+        n_r = counts[lo : lo + _DRAW_USERS]
+        top = int(n_r.max())
+        keys = rng.random((len(n_r), n_items))
+        smallest = np.argpartition(keys, top - 1, axis=1)[:, :top]
+        order = np.argsort(np.take_along_axis(keys, smallest, axis=1), axis=1)
+        del keys
+        ranked = np.take_along_axis(smallest, order, axis=1)
+        parts.append(ranked[np.arange(top) < n_r[:, None]])
+    return np.concatenate(parts)
 
 
 def _ids(prefix: str, n: int) -> tuple[str, ...]:
@@ -216,37 +210,35 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     progressions the retention analysis is meant to expose.
     """
     rng = np.random.default_rng(cfg.seed)
-    users, items = _ids("u", cfg.n_users), _ids("i", cfg.n_items)
+    U, E, horizon = cfg.n_users, cfg.E, float(cfg.horizon)
+    users, items = _ids("u", U), _ids("i", cfg.n_items)
     params = _planted_params(cfg, rng, users, items)
     sigma = cfg.sigma_by_level
     lo, hi = cfg.rating_range
 
-    leaver = rng.random(cfg.n_users) < cfg.leaver_fraction
+    # each random quantity is drawn once for all users, in this order
+    leaver = rng.random(U) < cfg.leaver_fraction
+    counts = rng.integers(lo, hi + 1, size=U)
+    item_code = _draw_items(rng, counts, cfg.n_items)
+    # staggered onboarding decouples personal clocks from corpus time;
+    # leavers join early enough that their exits clear retention gaps
+    start = rng.uniform(0.0, np.where(leaver, 0.5, 0.8) * horizon)
+    end = np.full(U, horizon)
+    end[leaver] = start[leaver] + rng.uniform(0.25, 0.5, size=int(leaver.sum())) * (horizon - start[leaver])
+    if cfg.trajectory_kind is TrajectoryKind.MIXED:
+        kind = rng.choice(len(_MIXED_KINDS), size=U, p=_MIXED_P)
+    else:
+        kind = np.full(U, _MIXED_KINDS.index(cfg.trajectory_kind))
+    # E - 1 staircase cut points per user; a never-expert user's last cut
+    # is moved to n_r, which no position reaches, so its E - 2 others stay
+    # i.i.d.
+    cuts = rng.integers(0, counts[:, None] + 1, size=(U, max(E - 1, 0)))
+    never = kind == _MIXED_KINDS.index(TrajectoryKind.NEVER_EXPERT)
+    if E > 1:
+        cuts[never, -1] = counts[never]
+    noise = rng.standard_normal(int(counts.sum()))
 
-    # the loop makes only the random draws, in their fixed order; the rest
-    # is done once for the whole corpus below
-    start = np.empty(cfg.n_users)
-    end = np.full(cfg.n_users, float(cfg.horizon))
-    item_parts, traj_parts, noise_parts, kinds = [], [], [], []
-    for j in range(cfg.n_users):
-        n_r = int(rng.integers(lo, hi + 1)) if hi > lo else lo
-        item_idx = np.sort(rng.choice(cfg.n_items, size=n_r, replace=False))
-        rng.shuffle(item_idx)
-        # staggered onboarding decouples personal clocks from corpus time;
-        # leavers join early enough that their exits clear retention gaps
-        if leaver[j]:
-            start[j] = rng.uniform(0.0, 0.5 * cfg.horizon)
-            end[j] = start[j] + rng.uniform(0.25, 0.5) * (cfg.horizon - start[j])
-        else:
-            start[j] = rng.uniform(0.0, 0.8 * cfg.horizon)
-        item_parts.append(item_idx)
-        kind, traj = _trajectory(cfg, rng, cfg.trajectory_kind, n_r)
-        kinds.append(kind)
-        traj_parts.append(traj)
-        noise_parts.append(rng.standard_normal(n_r))
-
-    counts = np.fromiter(map(len, item_parts), dtype=np.int64, count=cfg.n_users)
-    user_code = np.repeat(np.arange(cfg.n_users), counts)
+    user_code = np.repeat(np.arange(U), counts)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     pos = np.arange(len(user_code)) - offsets[user_code]   # rank within the user
     # each user's np.linspace(start, end, n_r): pos * step + start, the last
@@ -258,14 +250,24 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     times = times.astype(np.int64)
     # the dataset orders a user's tied timestamps by item; times already
     # ascend within each user, so only the items move
-    item_code = np.concatenate(item_parts)
     item_code = item_code[_lexsort((user_code, times, item_code))]
-    # leavers walk their own trajectory at half speed
+    # each row's level at its walked position, leavers walking at half
+    # speed; a staircase's level is 1 plus the number of its cuts <= it
     walked = np.where(leaver[user_code], pos // 2, pos)
-    levels = np.concatenate(traj_parts)[offsets[user_code] + walked]
+    del pos   # each n-long temporary is freed once used, to bound the peak
+    levels = np.ones(len(user_code), dtype=np.int64)
+    for cut in cuts.T:
+        levels += cut[user_code] <= walked
+    uniform = (kind == _MIXED_KINDS.index(TrajectoryKind.UNIFORM_TIME))[user_code]
+    last = np.maximum(counts - 1, 1)[user_code[uniform]]
+    levels[uniform] = np.minimum(walked[uniform] * E // last + 1, E)
+    levels[(kind == _MIXED_KINDS.index(TrajectoryKind.ALREADY_EXPERT))[user_code]] = E
+    del walked, uniform, last
     lv0 = levels - 1
     values = score(params, RowIndex.of(params, lv0, user_code, item_code))
-    values += np.concatenate(noise_parts) * sigma[lv0]
+    noise *= sigma[lv0]
+    values += noise
+    del lv0, noise
     clamp_count = 0
     if cfg.clamp:
         clamped = np.clip(values, 0.0, 5.0)
@@ -277,7 +279,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         true_params=params,
         true_levels=ExperienceAssignment.of(dataset, levels),
         leaver_flags={u: bool(flag) for u, flag in zip(users, leaver)},
-        kinds=dict(zip(users, kinds)),
+        kinds=dict(zip(users, map(_MIXED_KINDS.__getitem__, kind.tolist()))),
         clamp_count=clamp_count,
         n_ratings=len(dataset),
     )

@@ -1,12 +1,14 @@
 """Generator determinism, planted invariants, oracles, recovery scoring."""
 
 from dataclasses import replace
+from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from exprec import model as model_mod
+from exprec import synth
 from exprec.assign import ModelKind, assign_user_dp, find_monotonicity_violation
 from exprec.dataset import Dataset, key_positions
 from exprec.model import ExperienceAssignment, RowIndex, objective, predictions_for, score
@@ -18,7 +20,6 @@ from exprec.synth import (
     _MIXED_P,
     _ids,
     _planted_params,
-    _trajectory,
     brute_force_assign,
     generate,
     recovery_score,
@@ -36,49 +37,66 @@ def as_fitted(truth, assignment=None, kind=ModelKind.USER_LEARNED):
 
 
 def reference_generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
-    """``generate`` as one loop over users: draws, times, item order,
-    predictions, noise and clamping, all per user."""
+    """``generate`` as one loop over users: the same bulk draws in the same
+    order, then each user's items, times, item order, levels, predictions,
+    noise and clamping on their own."""
     rng = np.random.default_rng(cfg.seed)
-    users = tuple(f"u{j:05d}" for j in range(cfg.n_users))
+    U, E, horizon = cfg.n_users, cfg.E, float(cfg.horizon)
+    users = tuple(f"u{j:05d}" for j in range(U))
     items = tuple(f"i{j:05d}" for j in range(cfg.n_items))
     params = _planted_params(cfg, rng, users, items)
     sigma = cfg.sigma_by_level
     lo, hi = cfg.rating_range
-    leaver = rng.random(cfg.n_users) < cfg.leaver_fraction
-    counts, item_parts, time_parts, value_parts = [], [], [], []
+    leaver = rng.random(U) < cfg.leaver_fraction
+    counts = rng.integers(lo, hi + 1, size=U)
+    keys = rng.random((U, cfg.n_items))
+    start = rng.uniform(0.0, np.where(leaver, 0.5, 0.8) * horizon)
+    stay = iter(rng.uniform(0.25, 0.5, size=int(leaver.sum())))
+    if cfg.trajectory_kind is TrajectoryKind.MIXED:
+        drawn = [_MIXED_KINDS[j] for j in rng.choice(4, size=U, p=_MIXED_P)]
+    else:
+        drawn = [cfg.trajectory_kind] * U
+    cuts = rng.integers(0, counts[:, None] + 1, size=(U, max(E - 1, 0)))
+    noise = rng.standard_normal(int(counts.sum()))
+
+    item_parts, time_parts, value_parts = [], [], []
     levels, kinds = {}, {}
-    clamp_count = 0
+    clamp_count = first = 0
     for j, user in enumerate(users):
-        n_r = int(rng.integers(lo, hi + 1)) if hi > lo else lo
-        item_idx = np.sort(rng.choice(cfg.n_items, size=n_r, replace=False))
-        rng.shuffle(item_idx)
-        if leaver[j]:
-            start = rng.uniform(0.0, 0.5 * cfg.horizon)
-            end = start + rng.uniform(0.25, 0.5) * (cfg.horizon - start)
-        else:
-            start = rng.uniform(0.0, 0.8 * cfg.horizon)
-            end = float(cfg.horizon)
-        times = np.linspace(start, end, n_r).astype(np.int64) if n_r > 1 else np.array(
-            [int(start)], dtype=np.int64
+        n_r, kind = int(counts[j]), drawn[j]
+        # the n_r smallest keys, in key order
+        item_idx = np.argsort(keys[j], kind="stable")[:n_r]
+        end = start[j] + next(stay) * (horizon - start[j]) if leaver[j] else horizon
+        times = np.linspace(start[j], end, n_r).astype(np.int64) if n_r > 1 else np.array(
+            [int(start[j])], dtype=np.int64
         )
-        kinds[user], traj = _trajectory(cfg, rng, cfg.trajectory_kind, n_r)
+        if kind is TrajectoryKind.ALREADY_EXPERT:
+            traj = np.full(n_r, E)
+        elif kind is TrajectoryKind.UNIFORM_TIME:
+            traj = np.minimum(np.arange(n_r) * E // (n_r - 1) + 1, E) if n_r > 1 else np.ones(1, int)
+        else:
+            # a staircase over levels 1..top: the user's first top - 1 cuts
+            top = E if kind is TrajectoryKind.STAIRCASE else max(1, E - 1)
+            steps = np.sort(cuts[j, : top - 1])
+            traj = 1 + np.searchsorted(steps, np.arange(n_r), side="right")
+        traj = traj.astype(np.int64)
         if leaver[j]:
             traj = traj[np.arange(n_r) // 2]
         item_idx = item_idx[np.lexsort((item_idx, times))]
         lv0 = traj - 1
         pred = score(params, RowIndex.of(params, lv0, j, item_idx))
-        values = pred + rng.standard_normal(n_r) * sigma[lv0]
+        values = pred + noise[first : first + n_r] * sigma[lv0]
+        first += n_r
         if cfg.clamp:
             clamped = np.clip(values, 0.0, 5.0)
             clamp_count += int(np.sum(clamped != values))
             values = clamped
-        levels[user] = traj
-        counts.append(n_r)
+        levels[user], kinds[user] = traj, kind
         item_parts.append(item_idx)
         time_parts.append(times)
         value_parts.append(values)
     dataset = Dataset(
-        users, items, np.repeat(np.arange(cfg.n_users), counts), np.concatenate(item_parts),
+        users, items, np.repeat(np.arange(U), counts), np.concatenate(item_parts),
         np.concatenate(time_parts), np.concatenate(value_parts),
     )
     truth = GroundTruth(
@@ -105,15 +123,20 @@ REFERENCE_BASE = dict(n_users=60, n_items=40, ratings_per_user=(2, 25), seed=11)
     {"alpha0": 4.8, "noise_sigma": 0.5},   # many clamped ratings
     {"alpha0": 4.8, "noise_sigma": 0.5, "clamp": False},
     {"E": 3, "noise_sigma": (0.05, 0.3, 0.8)},
+    {"E": 1},
+    {"E": 1, "trajectory_kind": TrajectoryKind.NEVER_EXPERT},
+    {"E": 2, "trajectory_kind": TrajectoryKind.NEVER_EXPERT},
     *({"trajectory_kind": kind} for kind in TrajectoryKind),
     {"n_users": 100, "n_items": 100, "ratings_per_user": (30, 60), "seed": 3},
 ], ids=lambda o: "-".join(f"{k}={getattr(v, 'value', v)}" for k, v in o.items()) or "base")
 def test_generate_matches_reference(overrides):
     cfg = SynthConfig(**{**REFERENCE_BASE, **overrides})
     ref, ref_truth = reference_generate(cfg)
-    # score's block size, then blocks so small that every corpus crosses them
-    for score_rows in (model_mod._SCORE_ROWS, 1, 3):
-        with mock.patch.object(model_mod, "_SCORE_ROWS", score_rows):
+    # the default block sizes, then blocks so small that every corpus crosses
+    # them: score's rows, and the users whose item keys are drawn at once
+    for score_rows, draw_users in product((model_mod._SCORE_ROWS, 1, 3), (synth._DRAW_USERS, 1, 3)):
+        with mock.patch.object(model_mod, "_SCORE_ROWS", score_rows), \
+                mock.patch.object(synth, "_DRAW_USERS", draw_users):
             data, truth = generate(cfg)
         for name in ("user_code", "item_code", "times", "values", "offsets"):
             got, want = getattr(data, name), getattr(ref, name)
