@@ -437,7 +437,7 @@ class TestParseReviews:
         assert rows_of(d) == [("u1", "i\r1", 3.0, 0), ("u2", "i2", 4.0, 1)]
 
     def test_parse_memory_is_bounded(self, tmp_path):
-        # the 4,000-user corpus of the benchmark's file workload, 159k rows
+        # the 4,000-user corpus of the benchmark's file workload, 160k rows
         # in 6.7 MB; a parse that holds every field at once peaks at 86 MB,
         # and one that keeps its sort temporaries to the end at 27 MB
         corpus, _ = generate(SynthConfig(n_users=4000, n_items=400, ratings_per_user=(20, 60), seed=1))
@@ -450,7 +450,7 @@ class TestParseReviews:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(d) == 159_458
+        assert len(d) == 160_068
         assert peak < 25e6
 
 
@@ -561,7 +561,7 @@ class TestWriteReviews:
         assert b"\nu0\ti2\t1.0\t2\nu0\ti4\t2.0\t4\n" in text
 
     def test_write_memory_is_bounded(self, tmp_path):
-        # the corpus of the benchmark's file workload, 159k rows; writing
+        # the corpus of the benchmark's file workload, 160k rows; writing
         # it in blocks of 65,536 rows peaked at 20 MB
         corpus, _ = generate(SynthConfig(n_users=4000, n_items=400, ratings_per_user=(20, 60), seed=1))
         tracemalloc.start()
@@ -570,7 +570,7 @@ class TestWriteReviews:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(corpus) == 159_458
+        assert len(corpus) == 160_068
         assert peak < 4e6
 
     @pytest.mark.parametrize("table, key", [

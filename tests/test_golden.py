@@ -17,11 +17,11 @@ from exprec.synth import SynthConfig, generate
 from exprec.trainer import TrainConfig, fit
 
 GOLDEN = {
-    "lf": "fbd80279c5b3e346434a5d40be39dda84dc30a671954f9bba9f7d629422f7aeb",
-    "a": "dc43148ecee2a17c007f1076b9050f5821dcba556dd4ac34035020672006dcf3",
-    "b": "b82027dcfbf7d4451a5c7692ebe36a906750e0340c72a967b6842b69e0f2ff86",
-    "c": "1f29fd323998c83f7a90315c7960ea838e2d004ceb94f85c830b91b49ea859c8",
-    "d": "4e90bab6ad180c1cd327f43755cad291cae6a0e4141ebb7231ab6d6618e33767",
+    "lf": "57e62c3e7bea70238b7545116933ed7098373b7e400898415f0c0dc0707102c1",
+    "a": "9a1d8e79910440ba3cc6a91264a983628eb75f6690b12f91b1600eaa9b7eda4c",
+    "b": "ebe0216c4b33e679fd94550e87be625220609d9a1f3ba9bb88d9c5300b9e028c",
+    "c": "71854d562834f1efb63fbb1f0474af27c136f07b59fef0b02d9c1f4f6338f727",
+    "d": "372936ab1305c5313986f5b9ce44e35f855f2d5ba3e5b0b39ccdb063b3450038",
 }
 
 

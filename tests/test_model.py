@@ -272,7 +272,7 @@ class TestScoreKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(train) == 125_810
+        assert len(train) == 126_324
         assert peak < 4.5e6
 
 
