@@ -122,13 +122,15 @@ def normalize_rating(raw: float, scale_max: float) -> float:
     """Map a raw rating onto the shared [0, 5] scale by linear rescaling.
 
     Raw zeros are accepted even though they map to 0.0 exactly; rejecting
-    them would silently drop legitimate minimum ratings.
+    them would silently drop legitimate minimum ratings.  A rating on the
+    shared scale itself is kept as it is: ``5.0 * raw / 5.0`` can move it
+    by one ulp, so a written corpus would not read back bit for bit.
     """
     if scale_max <= 0:
         raise DataError(f"invalid scale_max: {scale_max}")
     if not (0.0 <= raw <= scale_max):
         raise DataError(f"rating out of range: {raw} not in [0, {scale_max}]")
-    return 5.0 * raw / scale_max
+    return float(raw) if scale_max == 5.0 else 5.0 * raw / scale_max
 
 
 class Dataset:
@@ -378,8 +380,9 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
     times = times[keep]
     values = raw[keep]
     del raw, keep
-    values *= 5.0
-    values /= config.scale_max
+    if config.scale_max != 5.0:   # as normalize_rating: kept as read at 5
+        values *= 5.0
+        values /= config.scale_max
     return Dataset(list(user_pos), list(item_pos), user_code, item_code, times, values)
 
 

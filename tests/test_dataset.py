@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exprec import dataset as dataset_mod
 from exprec.dataset import (
@@ -198,6 +198,11 @@ class TestNormalizeRating:
 
     def test_zero_maps_to_zero(self):
         assert normalize_rating(0, 5) == 0.0
+
+    @given(st.floats(min_value=0, max_value=5))
+    @example(0.20486761968097345)   # 5.0 * raw / 5.0 gives ...342
+    def test_shared_scale_keeps_the_rating(self, raw):
+        assert normalize_rating(raw, 5.0) == raw
 
     def test_invalid_scale(self):
         with pytest.raises(DataError):
@@ -543,6 +548,14 @@ class TestWriteReviews:
         back = parse_reviews(path)
         assert rows_of(back) == rows_of(d)
 
+    def test_generated_values_read_back_bit_for_bit(self, tmp_path):
+        # parse used to rescale by 5.0 * raw / 5.0, which moved about a
+        # fifth of a generated corpus's values by one ulp
+        corpus, _ = generate(SynthConfig(n_users=300, n_items=100, seed=3))
+        write_reviews(corpus, tmp_path / "out.tsv")
+        back = parse_reviews(tmp_path / "out.tsv")
+        assert back.values.tobytes() == corpus.values.tobytes()
+
     @pytest.mark.parametrize("n", [6, 7])
     def test_small_blocks_write_the_same_bytes(self, tmp_path, n):
         # blocks of 3 rows: n = 6 fills two, n = 7 leaves a final partial
@@ -598,8 +611,7 @@ class TestWriteReviews:
 
     def test_pooled_round_trip(self, tmp_path, caplog):
         # the pooled user's repeated items survive the file: same keys,
-        # codes, times and row order (values may move in the last bit when
-        # parse renormalizes them)
+        # codes, times, values and row order
         corpus, _ = generate(SynthConfig(n_users=30, n_items=10, ratings_per_user=(2, 9), seed=3))
         pooled = pool_infrequent_users(corpus, 6)
         bg = pooled.user_code == pooled.users.index(BACKGROUND_USER)
@@ -608,9 +620,8 @@ class TestWriteReviews:
         write_reviews(pooled, path)
         back = parse_reviews(path)
         assert back.users == pooled.users and back.items == pooled.items
-        for column in ("user_code", "item_code", "times"):
-            assert np.array_equal(getattr(back, column), getattr(pooled, column)), column
-        np.testing.assert_allclose(back.values, pooled.values, rtol=1e-15, atol=0)
+        for column in ("user_code", "item_code", "times", "values"):
+            assert getattr(back, column).tobytes() == getattr(pooled, column).tobytes(), column
         assert duplicate_warnings(caplog) == []
 
 
