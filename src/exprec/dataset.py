@@ -328,8 +328,8 @@ def _floats(texts: list[str]) -> tuple[np.ndarray, int]:
 def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
     """Parse a delimiter-separated review file into a normalized Dataset.
 
-    The first line must be a header naming at least the four configured
-    columns.  Duplicate (user, item) pairs keep the earliest-timestamp row
+    The first line must be a header naming each of the four configured
+    columns once; other columns are ignored.  Duplicate (user, item) pairs keep the earliest-timestamp row
     (the first of equally early ones), and one WARNING on this module's
     logger counts the rows dropped; each product is kept at most once per
     user.  The pooled user :data:`BACKGROUND_USER` keeps every row, in
@@ -348,6 +348,8 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
         for name in (config.user_col, config.item_col, config.rating_col, config.timestamp_col):
             if name not in header:
                 raise DataError(f"missing column {name!r} in header {header}")
+            if header.count(name) > 1:
+                raise DataError(f"column {name!r} is named more than once in header {header}")
         user_pos, item_pos = {}, {}
         blocks, first_line = [], 2
         lines = _split_lines(stream)

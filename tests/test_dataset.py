@@ -320,6 +320,18 @@ class TestParseReviews:
         with pytest.raises(DataError, match="missing column"):
             parse_reviews(io.StringIO(text))
 
+    @pytest.mark.parametrize("header, name", [
+        ("user\titem\trating\ttimestamp\trating", "rating"),
+        ("user\tuser\titem\trating\ttimestamp", "user"),
+    ])
+    def test_configured_column_named_twice(self, header, name):
+        # the first of the two was read without a word
+        with pytest.raises(DataError, match=f"^column '{name}' is named more than once in header"):
+            parse_reviews(io.StringIO(header + "\nu\ti\t4\t1\t1\n"))
+        # an unconfigured column may repeat
+        d = parse_reviews(io.StringIO("user\titem\trating\ttimestamp\tx\tx\nu\ti\t4\t1\t1\t2\n"))
+        assert d.values.tolist() == [4.0]
+
     @pytest.mark.parametrize(
         "stamp, message",
         [
