@@ -21,6 +21,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .model import (
     ExperienceAssignment,
     ModelParams,
     RowIndex,
+    _split_levels,
     error_term,
     objective_and_gradient,
     penalized,
@@ -39,6 +41,12 @@ from .model import (
 
 DEFAULT_LAMBDA_GRID = (1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0)
 MODEL_FORMAT = 2  # the layout of the files FittedModel.save writes and load reads
+
+# L-BFGS-B options of every theta step, as scipy.optimize.minimize names them
+_MAXCOR = 10      # maxcor: memory pairs
+_GTOL = 1e-10     # gtol: stop at a projected gradient this small (max norm)
+_MAXLS = 20       # maxls: evaluations per line search
+_MAXFUN = 15_000  # maxfun: evaluations, checked when an iteration ends
 
 logger = logging.getLogger(__name__)
 
@@ -177,12 +185,47 @@ def _nonfinite_block(p: ModelParams) -> str | None:
     return None
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``.  The import runs on the first call, so
-    that importing exprec does not load scipy.optimize."""
-    from scipy.optimize import minimize
+def minimize(fun, x0: np.ndarray, *, maxiter: int, ftol: float) -> SimpleNamespace:
+    """Unbounded L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on ``fun(x) ->
+    (objective, gradient)``, iterating in ``x0`` (contiguous float64):
+    ``fun`` receives ``x0`` itself once per evaluation and must not keep
+    or change it.  Returns ``x`` (``x0``), its objective ``fun``, ``nit``
+    and ``nfev``.
 
-    return minimize(*args, **kwargs)
+    The reverse-communication loop of scipy's ``_minimize_lbfgsb`` over
+    its private ``setulb``, without the layer that copies x and the
+    gradient per evaluation: the iterates equal those of
+    ``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B")``
+    with the options above bit for bit.  That layer skips a request at
+    the point it evaluated last, so its ``nfev`` can be lower.  Imports
+    scipy.optimize on first use.
+    """
+    from scipy.optimize import _lbfgsb
+
+    n, m = x0.size, _MAXCOR
+    bound, nbd = np.zeros(n), np.zeros(n, np.int32)  # nbd 0: no bound is read
+    f, g = 0.0, np.zeros(n)
+    wa = np.zeros((2 * m + 5) * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    nit = nfev = 0
+    while True:
+        _lbfgsb.setulb(m, x0, bound, bound, nbd, f, g, factr, _GTOL, wa, iwa,
+                       task, lsave, isave, dsave, _MAXLS, ln_task)
+        if task[0] == 3:  # FG: evaluate at x0
+            del g  # setulb keeps what it needs of the last gradient in wa
+            f, g = fun(x0)
+            nfev += 1
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif nfev > _MAXFUN:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:  # converged, stopped, or the line search failed
+            return SimpleNamespace(x=x0, fun=f, nit=nit, nfev=nfev)
 
 
 @functools.cache
@@ -236,34 +279,27 @@ def theta_step(
     the ratings ``vals`` at ``rows`` (see :func:`training_rows`), whose
     error term at ``p`` is ``err_in``.
 
-    L-BFGS with 10 memory pairs; stops when the relative objective
-    decrease falls below ``inner_tolerance`` or after ``inner_max_iters``
-    iterations.  The returned parameters never have a larger objective
+    L-BFGS with 10 memory pairs (:func:`minimize`); stops when the
+    relative objective decrease falls below ``inner_tolerance``, after
+    ``inner_max_iters`` iterations, when the projected gradient's largest
+    entry is at most 1e-10, or when the line search ends abnormally.
+    The returned parameters never have a larger objective
     than the input, and never a larger raw error term either: a candidate
     that trades error for smoothness is rejected in favor of the input,
     which keeps the error term non-increasing across every step.
     """
     users, items, E, K = p.users, p.items, p.E, p.K
+    U, I = len(users), len(items)
 
     def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-        px = ModelParams.from_flat(x, users, items, E, K)
+        # a view of the optimizer's buffer, which it leaves alone until fun returns
+        px = ModelParams(users, items, *_split_levels(x, E, U, I, K))
         return objective_and_gradient(px, rows, vals, lam)
 
     x0 = p.flatten()
     obj_in = penalized(p, err_in, lam)
     with _one_blas_thread():
-        result = minimize(
-            fun,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": cfg.inner_max_iters,
-                "maxcor": 10,
-                "ftol": cfg.inner_tolerance,
-                "gtol": 1e-10,
-            },
-        )
+        result = minimize(fun, x0, maxiter=cfg.inner_max_iters, ftol=cfg.inner_tolerance)
     candidate = ModelParams.from_flat(result.x, users, items, E, K)
     bad = _nonfinite_block(candidate)
     if bad is not None or not np.isfinite(result.fun):

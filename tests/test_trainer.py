@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,8 +18,8 @@ from exprec import trainer
 from exprec.assign import ModelKind, assign_all
 from exprec.dataset import SplitScheme, SplitSpec, TrainingError, split
 from exprec.model import (
-    BLOCKS, ExperienceAssignment, ModelParams, error_term, objective, penalized, predictions_for,
-    smoothness_penalty, training_rows,
+    BLOCKS, ExperienceAssignment, ModelParams, error_term, objective, objective_and_gradient, penalized,
+    predictions_for, smoothness_penalty, training_rows,
 )
 from exprec.synth import SynthConfig, TrajectoryKind, generate
 from exprec.trainer import FittedModel, TrainConfig, e_step, fit, fit_single_lambda, initialize, theta_step
@@ -130,6 +131,82 @@ class TestInitialize:
         assert np.array_equal(a.flat(data), assign_all(kind, p, data).flat(data))
 
 
+class TestMinimize:
+    """``trainer.minimize`` against ``scipy.optimize.minimize``, which runs
+    the same setulb loop behind its own copies of x and g."""
+
+    CENTRE = np.array([1.0, -2.0, 0.25, 4.0])
+
+    @classmethod
+    def quadratic(cls, x):
+        # isotropic, so the second L-BFGS step lands on the minimum
+        d = x - cls.CENTRE
+        return float(d @ d), 2.0 * d
+
+    @staticmethod
+    def theta_objective():
+        data, _ = small_corpus(seed=3)
+        p, a = initialize(data, TrainConfig(E=3, K=2, seed=1))
+        rows = training_rows(p, a, data)
+
+        def fun(x):
+            px = ModelParams.from_flat(x, p.users, p.items, p.E, p.K)
+            return objective_and_gradient(px, rows, data.values, 1e-3)
+
+        return fun, p.flatten()
+
+    @staticmethod
+    def both(fun, start, maxiter, ftol):
+        """(``trainer.minimize``'s result, scipy's result, the x of every
+        call ``trainer.minimize`` made, its x0)."""
+        from scipy.optimize import minimize
+
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return fun(x)
+
+        x0 = start.copy()
+        with trainer._one_blas_thread():
+            got = trainer.minimize(counted, x0, maxiter=maxiter, ftol=ftol)
+            want = minimize(fun, start.copy(), jac=True, method="L-BFGS-B", options={
+                "maxiter": maxiter, "maxcor": 10, "ftol": ftol, "gtol": 1e-10})
+        return got, want, seen, x0
+
+    @pytest.mark.parametrize("case, maxiter, ftol, stop", [
+        ("theta", 5, 1e-12, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+        ("theta", 1000, 1e-6, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
+        ("quadratic", 1000, 1e-6, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"),
+        ("stationary", 1000, 1e-6, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"),
+    ])
+    def test_matches_scipy(self, case, maxiter, ftol, stop):
+        if case == "theta":
+            fun, start = self.theta_objective()
+        else:
+            fun, start = self.quadratic, self.CENTRE.copy() if case == "stationary" else np.zeros(4)
+        got, want, seen, x0 = self.both(fun, start, maxiter, ftol)
+        assert want.message == stop
+        assert got.x is x0 and got.x.tobytes() == want.x.tobytes()
+        assert (got.fun, got.nit, got.nfev) == (want.fun, want.nit, want.nfev)
+        assert len(seen) == got.nfev and all(x is x0 for x in seen)
+        if case == "stationary":
+            assert (got.nit, got.nfev) == (0, 1)
+
+    def test_abnormal_line_search_repeats_only_evaluations(self):
+        # a gradient of the wrong sign: the line search shrinks its step
+        # until x stops moving, and scipy skips the requests at an x equal
+        # to its last one, which trainer.minimize evaluates again
+        def uphill(x):
+            return float(x @ x), -2.0 * x
+
+        got, want, seen, x0 = self.both(uphill, np.ones(3), 1000, 1e-6)
+        assert want.message.startswith("ABNORMAL")
+        assert got.x.tobytes() == want.x.tobytes()
+        assert (got.fun, got.nit) == (want.fun, want.nit)
+        assert got.nfev >= want.nfev and len(seen) == got.nfev and all(x is x0 for x in seen)
+
+
 class TestThetaStep:
     def test_single_rating_closed_form(self):
         d = dataset_of([("u", "i", 4.2, 0)])
@@ -159,6 +236,30 @@ class TestThetaStep:
         f3 = objective(p3, a, data, 1e-4)
         assert f3 <= f2
         assert f2 - f3 <= max(1.0, abs(f2)) * 1e-4
+
+    def test_theta_step_memory_is_bounded(self):
+        # 1,000 users and 200 items at E = K = 5: 36,005 parameters and
+        # 23,273 training rows.  Beyond setulb's own workspace, the step
+        # held about 15.5 vectors of max(n_params, n_rows) floats through
+        # scipy.optimize.minimize, which copies x several times per
+        # evaluation, and holds about 6.5 without that layer
+        corpus, _ = generate(SynthConfig(n_users=1000, n_items=200, ratings_per_user=(20, 40), seed=1))
+        train, _, _ = split(corpus, SplitSpec(SplitScheme.FINAL, 0.1, 0.1, seed=1))
+        cfg = TrainConfig(model_kind="c", inner_max_iters=3, inner_tolerance=1e-12)
+        p, a = initialize(train, cfg)
+        rows = training_rows(p, a, train)
+        err = error_term(p, rows, train.values)
+        theta_step(p, rows, train.values, 1e-3, cfg, err)  # imports scipy.optimize untraced
+        tracemalloc.start()
+        try:
+            theta_step(p, rows, train.values, 1e-3, cfg, err)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, m = p.n_params, trainer._MAXCOR
+        assert (n, len(train)) == (36_005, 23_273)
+        workspace = ((2 * m + 5) * n + 11 * m * m + 8 * m) * 8 + 3 * n * 4  # wa and iwa
+        assert peak - workspace < 10 * max(n, len(train)) * 8
 
     def test_candidate_trading_error_for_smoothness_rejected(self):
         # both ratings are fit exactly at alpha = (4, 0), so any step that
