@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import numbers
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -129,8 +130,13 @@ def normalize_rating(raw: float, scale_max: float) -> float:
     if scale_max <= 0:
         raise DataError(f"invalid scale_max: {scale_max}")
     if not (0.0 <= raw <= scale_max):
-        raise DataError(f"rating out of range: {raw} not in [0, {scale_max}]")
+        raise DataError(_range_error(raw, scale_max))
     return float(raw) if scale_max == 5.0 else 5.0 * raw / scale_max
+
+
+def _range_error(raw: float, scale_max: float) -> str:
+    """The message a rating outside ``[0, scale_max]`` is rejected with."""
+    return f"rating out of range: {raw} not in [0, {scale_max}]"
 
 
 class Dataset:
@@ -338,9 +344,19 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
     blank lines are skipped but counted.  The rows are read and converted
     in blocks of ``_PARSE_ROWS`` lines, so the text held at once is one
     block's.
+
+    ``source`` is a path, opened as UTF-8 and closed again, or a text
+    stream (:class:`io.TextIOBase`), read from where it stands and left
+    open; anything else raises TypeError.
     """
-    stream = _open_text(source)
-    try:
+    if isinstance(source, (str, Path)):
+        opened = open(source, "r", encoding="utf-8")
+    elif isinstance(source, io.TextIOBase):
+        opened = nullcontext(source)
+    else:
+        raise TypeError(f"parse_reviews reads a path or a text stream, not {type(source).__name__}; "
+                        f"open the file in text mode")
+    with opened as stream:
         header_line = stream.readline()
         if not header_line.strip():
             raise DataError("empty dataset: no header row")
@@ -356,8 +372,6 @@ def parse_reviews(source, config: FormatConfig = FormatConfig()) -> Dataset:
         while block := list(islice(lines, _PARSE_ROWS)):
             blocks.append(_parse_block(block, first_line, header, config, user_pos, item_pos))
             first_line += len(block)
-    finally:
-        stream.close()
     n_rows = sum(len(times) for _, _, times, _ in blocks)
     if not n_rows:
         raise DataError("empty dataset: no data rows")
@@ -454,15 +468,6 @@ def _split_lines(stream) -> Iterator[str]:
     yield tail
 
 
-def _range_error(raw: float, scale_max: float) -> str:
-    """The message ``normalize_rating`` rejects ``raw`` with."""
-    try:
-        normalize_rating(raw, scale_max)
-    except DataError as exc:
-        return str(exc)
-    raise AssertionError(f"rating {raw} is in range")
-
-
 def pool_infrequent_users(d: Dataset, min_ratings: int = 50) -> Dataset:
     """Merge all users with fewer than ``min_ratings`` ratings into one
     background pseudo-user, which afterwards behaves like any other user.
@@ -551,16 +556,3 @@ def write_split_manifest(path, spec: SplitSpec, parts: dict[str, Dataset]) -> No
         "users": {name: len(part.users) for name, part in parts.items()},
     }
     Path(path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-
-
-def _open_text(source):
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8")
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
-    if hasattr(source, "read"):
-        first = source.read(0)
-        if isinstance(first, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8")
-        return source
-    raise TypeError(f"unsupported source type: {type(source)!r}")

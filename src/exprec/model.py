@@ -97,8 +97,8 @@ class ModelParams:
 
     @classmethod
     def from_flat(cls, vec: np.ndarray, users, items, E: int, K: int) -> "ModelParams":
-        """Blocks viewing a copy of ``vec``: the caller (L-BFGS) may reuse
-        its buffer."""
+        """Blocks viewing a writable copy of ``vec``, which the caller
+        keeps."""
         users, items = tuple(users), tuple(items)
         blocks = _split_levels(np.array(vec, dtype=np.float64), E, len(users), len(items), K)
         return cls(users, items, *blocks)

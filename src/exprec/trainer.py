@@ -291,16 +291,18 @@ def theta_step(
     users, items, E, K = p.users, p.items, p.E, p.K
     U, I = len(users), len(items)
 
+    def view(x: np.ndarray) -> ModelParams:
+        # no copy: minimize leaves x0 alone while fun runs, and returns it as x
+        return ModelParams(users, items, *_split_levels(x, E, U, I, K))
+
     def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-        # a view of the optimizer's buffer, which it leaves alone until fun returns
-        px = ModelParams(users, items, *_split_levels(x, E, U, I, K))
-        return objective_and_gradient(px, rows, vals, lam)
+        return objective_and_gradient(view(x), rows, vals, lam)
 
     x0 = p.flatten()
     obj_in = penalized(p, err_in, lam)
     with _one_blas_thread():
         result = minimize(fun, x0, maxiter=cfg.inner_max_iters, ftol=cfg.inner_tolerance)
-    candidate = ModelParams.from_flat(result.x, users, items, E, K)
+    candidate = view(result.x)
     bad = _nonfinite_block(candidate)
     if bad is not None or not np.isfinite(result.fun):
         raise TrainingError(

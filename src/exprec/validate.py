@@ -21,6 +21,9 @@ from .model import (
 )
 from .synth import brute_force_assign
 
+_DP_CASES = 200           # random instances the DP is checked on
+_GRADIENT_REL_TOL = 1e-4  # largest relative error the gradient check passes
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -39,14 +42,14 @@ def check_monotonicity(kind: ModelKind, d: Dataset, a: ExperienceAssignment) -> 
     )
 
 
-def check_dp_against_oracle(n_cases: int = 200, seed: int = 0) -> CheckResult:
+def check_dp_against_oracle(seed: int = 0) -> CheckResult:
     """The DP against brute-force enumeration on random small instances,
     every second one with integer costs in {0, 1, 2}, which tie often:
     each instance alone through the single-sequence entry (also bound as
     ``assign_community_dp``), then each E's share as one ragged batch."""
     rng = np.random.default_rng(seed)
     cases = []
-    for case in range(n_cases):
+    for case in range(_DP_CASES):
         E = int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
         costs = rng.random((E, n)) if case % 2 == 0 else rng.integers(0, 3, (E, n)).astype(float)
@@ -71,11 +74,11 @@ def check_dp_against_oracle(n_cases: int = 200, seed: int = 0) -> CheckResult:
                 )
     return CheckResult(
         "dp_vs_oracle", True,
-        f"{n_cases} random instances match: single sequence and batched",
+        f"{_DP_CASES} random instances match: single sequence and batched",
     )
 
 
-def check_gradient(seed: int = 0, rel_tol: float = 1e-4) -> CheckResult:
+def check_gradient(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     users = tuple(f"u{j}" for j in range(5))
     items = tuple(f"i{j}" for j in range(5))
@@ -104,9 +107,9 @@ def check_gradient(seed: int = 0, rel_tol: float = 1e-4) -> CheckResult:
         numeric = (up - down) / (2 * h)
         if abs(analytic[j]) > 1e-8:
             worst = max(worst, abs(numeric - analytic[j]) / abs(analytic[j]))
-    if worst < rel_tol:
+    if worst < _GRADIENT_REL_TOL:
         return CheckResult("gradient", True, f"max relative error {worst:.2e}")
-    return CheckResult("gradient", False, f"max relative error {worst:.2e} >= {rel_tol}")
+    return CheckResult("gradient", False, f"max relative error {worst:.2e} >= {_GRADIENT_REL_TOL}")
 
 
 def run_all(kind: ModelKind, d: Dataset, a: ExperienceAssignment, seed: int = 0) -> list[CheckResult]:

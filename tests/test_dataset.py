@@ -440,10 +440,27 @@ class TestParseReviews:
         assert d.users == ("u1",) and d.items == ("i1",)
         assert rows_of(d) == [("u1", "i1", 2.5, 3)]
 
-    def test_bytes_source_and_custom_delimiter(self):
-        text = "user,item,rating,timestamp\nv\tä,é,4,2\nv\tä,b,1,1\n"
-        d = parse_reviews(text.encode("utf-8"), FormatConfig(delimiter=","))
+    def test_utf8_file_and_custom_delimiter(self, tmp_path):
+        path = tmp_path / "reviews.csv"
+        path.write_text("user,item,rating,timestamp\nv\tä,é,4,2\nv\tä,b,1,1\n", encoding="utf-8")
+        d = parse_reviews(path, FormatConfig(delimiter=","))
         assert [(u, i) for u, i, _, _ in rows_of(d)] == [("v\tä", "b"), ("v\tä", "é")]
+
+    def test_caller_stream_left_open(self):
+        stream = io.StringIO("user\titem\trating\ttimestamp\nu1\ti1\t3\t0\n")
+        parse_reviews(stream)
+        assert not stream.closed
+        stream.seek(0)
+        assert stream.readline() == "user\titem\trating\ttimestamp\n"
+
+    @pytest.mark.parametrize("source", [b"user\titem\trating\ttimestamp\n",
+                                        io.BytesIO(b"user\titem\trating\ttimestamp\n")],
+                             ids=["bytes", "BytesIO"])
+    def test_binary_source_rejected(self, source):
+        name = type(source).__name__
+        with pytest.raises(TypeError, match=rf"^parse_reviews reads a path or a text stream, not {name}; "
+                                            r"open the file in text mode$"):
+            parse_reviews(source)
 
     @pytest.mark.parametrize("newline", ["\n", ""])
     def test_lines_end_at_newline_only(self, newline):

@@ -10,6 +10,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -331,6 +332,24 @@ class TestThetaStep:
         step(p, a, data, 1e-4, cfg)
         assert len(results) == 1 and results[0].nfev > 0
         assert len(calls) == results[0].nfev
+
+    def test_candidate_views_the_optimizer_result(self, monkeypatch):
+        # result.x is the buffer theta_step handed the optimizer, which no
+        # one else holds, so the candidate views it instead of copying it
+        data, _ = small_corpus(seed=3)
+        cfg = TrainConfig(seed=5, lambda_grid=(1e-4,), inner_max_iters=20)
+        p, a = initialize(data, cfg)
+        results, real_minimize = [], trainer.minimize
+
+        def recorded(*args, **kwargs):
+            results.append(real_minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(trainer, "minimize", recorded)
+        with mock.patch.object(ModelParams, "from_flat", wraps=ModelParams.from_flat) as from_flat:
+            p2 = step(p, a, data, 1e-4, cfg)
+        assert from_flat.call_count == 0
+        assert p2 is not p and all(np.shares_memory(block, results[0].x) for block in p2.blocks())
 
 
 class TestEStep:
