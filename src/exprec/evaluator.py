@@ -147,6 +147,9 @@ def compare(models: Sequence["FittedModel"], test: Dataset, train: Dataset) -> C
     """MSE for each model plus the d-over-lf and d-over-c benefit rows.
 
     All models must share the training corpus (same user and item keys).
+    A benefit row is written only when each of its two kinds appears
+    exactly once; a kind that appears more than once leaves out the rows
+    that use it, with one warning naming the kind and its lambdas.
     """
     if not models:
         raise DataError("no models to compare")
@@ -155,16 +158,25 @@ def compare(models: Sequence["FittedModel"], test: Dataset, train: Dataset) -> C
         if (m.params.users, m.params.items) != keys:
             raise DataError("models were fitted on different corpora")
     rows = []
+    lams: dict[str, list[float]] = {}
     by_kind: dict[str, float] = {}
     for m in models:
         report = mse(m, test, train)
         rows.append(
             ComparisonRow(kind=m.kind.value, lam=m.lam, mse=report.mse, std_error=report.std_error)
         )
+        lams.setdefault(m.kind.value, []).append(m.lam)
         by_kind[m.kind.value] = report.mse
     benefits: dict[str, float] = {}
-    if "d" in by_kind and "lf" in by_kind:
-        benefits["d_over_lf"] = benefit_percent(by_kind["lf"], by_kind["d"])
-    if "d" in by_kind and "c" in by_kind:
-        benefits["d_over_c"] = benefit_percent(by_kind["c"], by_kind["d"])
+    left_out: set[str] = set()
+    for base in ("lf", "c"):
+        if "d" in lams and base in lams:
+            repeated = {kind for kind in ("d", base) if len(lams[kind]) > 1}
+            if repeated:
+                left_out |= repeated
+            else:
+                benefits[f"d_over_{base}"] = benefit_percent(by_kind[base], by_kind["d"])
+    for kind in sorted(left_out):
+        warnings.warn(f"{len(lams[kind])} models of kind {kind!r} (lambda {lams[kind]}); "
+                      f"the benefit rows that use kind {kind!r} are left out")
     return Comparison(rows=rows, benefits=benefits)

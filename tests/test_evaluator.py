@@ -2,6 +2,7 @@
 
 import warnings
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,6 +244,29 @@ class TestCompare:
         assert result.benefits["d_over_lf"] == pytest.approx(100.0)
         assert result.benefits["d_over_c"] == pytest.approx(100.0)
         assert {row.kind for row in result.rows} == {"lf", "c", "d"}
+
+    def test_repeated_kind_leaves_out_its_benefit_rows(self):
+        # two kind-d models: neither d row can say which d it measures, so
+        # both are left out with one warning; with one d, both are written
+        train = dataset_of([("u", "a", 3.0, 0), ("u", "b", 3.0, 5)])
+        test = dataset_of([("u", "c", 3.0, 1)])
+        users, items = ("u",), ("a", "b", "c")
+        lf = model_with(users, items, E=1, kind=ModelKind.FLAT, assignment={"u": np.array([1, 1])})
+        c = model_with(users, items, E=2, kind=ModelKind.COMMUNITY_LEARNED,
+                       assignment={"u": np.array([1, 2])})
+        d1, d2 = (replace(model_with(users, items, E=2, assignment={"u": np.array([1, 2])}), lam=lam)
+                  for lam in (1e-3, 100.0))
+        d1.params.alpha[:], d2.params.alpha[:] = 3.0, 2.0
+        with pytest.warns(UserWarning) as caught:
+            result = compare([lf, c, d1, d2], test, train)
+        assert [str(w.message) for w in caught] == [
+            "2 models of kind 'd' (lambda [0.001, 100.0]); the benefit rows that use kind 'd' are left out"
+        ]
+        assert result.benefits == {}
+        assert [row.lam for row in result.rows] == [0.0, 0.0, 1e-3, 100.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compare([lf, c, d1], test, train).benefits == {"d_over_lf": 100.0, "d_over_c": 100.0}
 
     def test_no_models_error(self):
         d = dataset_of([("u", "a", 3.0, 0)])
