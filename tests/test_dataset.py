@@ -232,6 +232,19 @@ class TestNormalizeRating:
             if 5.0 * (b - a) / scale > 8 * math.ulp(5.0 * b / scale):
                 assert lo < hi
 
+    @example(0.0, 5e-324, 10.0)
+    @example(10.888729989337047, math.nextafter(10.888729989337047, math.inf), 10.89230390033856)
+    @given(
+        st.floats(min_value=0, allow_infinity=False),
+        st.floats(min_value=0, allow_infinity=False),
+        st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    )
+    def test_order_kept_weakly_at_every_scale(self, a, b, scale):
+        # no guard: 5 * raw and its quotient by scale are each rounded
+        # monotonically, so order is never reversed, though it may tie
+        a, b = min(a, b, scale), min(max(a, b), scale)
+        assert normalize_rating(a, scale) <= normalize_rating(b, scale)
+
 
 class TestFormatConfig:
     @pytest.mark.parametrize("scale_max", [math.inf, -math.inf, math.nan, 0, -3.0])
