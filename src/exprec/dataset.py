@@ -232,6 +232,8 @@ class Dataset:
 
     @cached_property
     def item_seq(self) -> tuple[str, ...]:
+        """Each row's item id.  Kept, like :attr:`user_index`, while the
+        benchmark's ``recovery_rho`` reads it."""
         return tuple(map(self.items.__getitem__, self.item_code.tolist()))
 
     @cached_property

@@ -130,7 +130,9 @@ class ExperienceAssignment:
     """
 
     def __init__(self, levels: Mapping[str, Sequence[int]]):
-        """From each user's level sequence, users in any order."""
+        """From each user's level sequence, users in any order.  The fit
+        builds assignments with :meth:`of` and :meth:`from_counts`; this
+        form stays for ``validate``, the tests and the benchmark's tests."""
         self.users = tuple(sorted(levels))
         parts = [np.asarray(levels[u], dtype=np.int64) for u in self.users]
         self.offsets = _frozen(np.cumsum([0, *map(len, parts)]))

@@ -320,7 +320,8 @@ def e_step(p: ModelParams, train: Dataset, kind: ModelKind) -> ExperienceAssignm
 
     For learned kinds the DP returns the error-minimizing monotone
     assignment, so the objective cannot increase; uniform kinds return
-    their fixed schedule."""
+    their fixed schedule.  Kept while ``bench/layers.py`` traces the e
+    step through this name."""
     return assign_all(kind, p, train)
 
 
@@ -351,8 +352,8 @@ def fit_single_lambda(train: Dataset, cfg: TrainConfig, lam: float) -> FittedMod
 def fit(train: Dataset, validation: Dataset, cfg: TrainConfig, *, threads: int = 1) -> FittedModel:
     """Train one model per lambda in the grid, in grid order, and keep the
     one with the smallest validation MSE (ties go to the earliest grid
-    entry).  ``threads`` must be 1; it remains only for callers that
-    still pass it.
+    entry).  ``threads`` must be 1; it remains only while
+    ``bench/workloads.py`` passes it.
 
     Every grid point restarts from the same seeded initialization, so
     results do not depend on grid order.  With a single
