@@ -21,8 +21,9 @@ minima, one Python step per level.  A sequence keeps that path only
 under a certificate that it is the path the reference returns: equal
 cost rows (all level 1), or every change-point decision winning by more
 than a rounding bound tau of both kernels.  The sequences that do not
-certify go to :func:`_monotone_dp`, the reference kernel (a right fold
-over the rows, one Python step per row), so the two never disagree.
+certify go to :func:`_monotone_dp`, the reference kernel, one at a
+time on their own rows (a right fold over the rows, one Python step per
+row, then a forward pass of at most E steps), so the two never disagree.
 """
 
 from __future__ import annotations
@@ -89,13 +90,9 @@ def uniform_user_schedule(d: Dataset, E: int) -> ExperienceAssignment:
 
 
 def _monotone_dp(costs: np.ndarray) -> np.ndarray:
-    """The DP kernel: cheapest non-decreasing level path of B sequences.
-
-    ``costs`` has shape (L, B, E), one row of E level costs per rating,
-    rows in chronological order.  Returns (L, B) 0-based levels.  A
-    sequence shorter than L is left-padded with zero rows: they add
-    nothing to any path's cost and the tie-break puts them at the lowest
-    level, so the real rows get the levels they get alone.
+    """The reference DP: the cheapest non-decreasing level path of one
+    sequence.  ``costs`` is (E, L), columns in chronological order;
+    returns the (L,) 0-based levels.
 
     Ties: among all optimal paths the lexicographically smallest is
     returned, found by a greedy forward pass over the suffix cost-to-go
@@ -103,27 +100,27 @@ def _monotone_dp(costs: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(costs).all():
         raise ValueError("non-finite cost entry")
-    L, B, E = costs.shape
-    # G[t, b, e]: cheapest completion of rows t.. of sequence b given row
-    # t sits at level e and later levels never decrease.
-    G = np.array(costs, dtype=np.float64)
-    top_down = G[:, :, ::-1]  # a view; accumulating along it gives suffix minima
-    for t in range(L - 2, -1, -1):
-        top_down[t] += np.minimum.accumulate(top_down[t + 1], axis=1)
+    # G[t, e]: cheapest completion of rows t.. given row t sits at level e
+    # and later levels never decrease.
+    G = np.array(costs.T, dtype=np.float64)
+    top_down = G[:, ::-1]  # a view; accumulating along it gives suffix minima
+    for t in range(len(G) - 2, -1, -1):
+        top_down[t] += np.minimum.accumulate(top_down[t + 1])
 
-    # P[t, b, p]: the level the forward pass picks at row t after level p
-    # at row t - 1.  Each P[t, b] is a monotone map on the levels, so the
-    # path is a prefix composition of maps, done as a log-depth scan:
-    # afterwards P[t] = P[t] o P[t - 1] o ... o P[0], and the path starts
-    # from the lowest level.
-    P = np.empty((L, B, E), dtype=np.min_scalar_type(E - 1))
-    for p in range(E):
-        P[:, :, p] = p + np.argmin(G[:, :, p:], axis=2)
-    d = 1
-    while d < L:
-        P[d:] = np.take_along_axis(P[d:], P[:-d], axis=2)
-        d *= 2
-    return P[:, :, 0].astype(np.int64)
+    # The path stays at level p while p is the first argmin of G[t, p:],
+    # and moves up at the first row where it is not: at most E steps.
+    path = np.zeros(len(G), dtype=np.int64)
+    t = p = 0
+    while t < len(G):
+        moves = np.argmin(G[t:, p:], axis=1)
+        up = np.flatnonzero(moves)
+        if not len(up):
+            break
+        t += int(up[0])
+        p += int(moves[up[0]])
+        path[t:] = p
+        t += 1
+    return path
 
 
 def assign_batch_dp(costs: CostMatrix, offsets) -> np.ndarray:
@@ -185,8 +182,8 @@ assign_community_dp = assign_user_dp
 
 def _certified_dp(costs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """0-based levels (B, L) of B sequences of ``costs`` (E, B, L), each
-    :func:`_monotone_dp`'s path.  Sequence b's rows are its last
-    ``lengths[b]``; the rows before them are zero padding.
+    :func:`_monotone_dp`'s path on its own rows.  Sequence b's rows are
+    its last ``lengths[b]``; the rows before them are zero padding.
 
     The path is computed as change points (Bellman 1961; Jackson et al.
     2005, optimal partitioning of an interval).  With 0-based levels e,
@@ -267,9 +264,8 @@ def _certified_dp(costs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
             steps[seqs, k] += 1
     levels = np.cumsum(steps[:, :L], axis=1, dtype=np.int64)
     levels[equal] = 0
-    fall_back = ~(ok | equal)
-    if fall_back.any():
-        levels[fall_back] = _monotone_dp(costs[:, fall_back].transpose(2, 1, 0)).T
+    for b in np.flatnonzero(~(ok | equal)):
+        levels[b, L - lengths[b]:] = _monotone_dp(costs[:, b, L - lengths[b]:])
     return levels
 
 

@@ -141,20 +141,13 @@ class TestUserDP:
     )
     def test_reference_matches_brute_force(self, E, lengths, seed, tied):
         # the reference kernel itself, which every front door's certificate
-        # falls back to: a batch of sequences, each left-padded with zero
-        # rows to the longest
+        # falls back to, on each sequence alone
         rng = np.random.default_rng(seed)
-        L = max(lengths)
-        padded = np.zeros((L, len(lengths), E))
-        cost_list = []
-        for b, n in enumerate(lengths):
+        for n in lengths:
             c = rng.integers(0, 3, size=(E, n)).astype(float) if tied else rng.random((E, n))
-            padded[L - n:, b] = c.T
-            cost_list.append(c)
-        levels = _monotone_dp(padded)
-        assert levels.shape == (L, len(lengths)) and levels.dtype == np.int64
-        for b, c in enumerate(cost_list):
-            assert np.array_equal(levels[L - c.shape[1]:, b] + 1, brute_force_assign(c))
+            levels = _monotone_dp(c)
+            assert levels.shape == (n,) and levels.dtype == np.int64
+            assert np.array_equal(levels + 1, brute_force_assign(c))
 
     def test_cost_monotone_in_E(self):
         rng = np.random.default_rng(7)
@@ -209,11 +202,11 @@ class TestBatchDP:
         # a reference that marks its sequences with level 0 instead of
         # deciding them, so the kernel's own paths stand apart
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(assign, "_monotone_dp", lambda c: np.full(c.shape[:2], -1))
+            mp.setattr(assign, "_monotone_dp", lambda c: np.full(c.shape[1], -1))
             column = assign_batch_dp(costs, offsets)
         for c, levels in zip(cost_list, np.split(column, offsets[1:-1])):
             fell_back = len(levels) > 0 and (levels == 0).all()
-            assert fell_back or np.array_equal(levels, _monotone_dp(c.T[:, None, :])[:, 0] + 1)
+            assert fell_back or np.array_equal(levels, _monotone_dp(c) + 1)
             # continuous costs tie within tau with negligible probability,
             # and equal rows certify by themselves
             if kind in ("random", "signed") or (kind == "equal" and (c == c[0]).all()):
@@ -236,7 +229,7 @@ class TestBatchDP:
         cost_list = [clear[0], tie, *clear[1:]]
         costs, offsets = joined_batch(cost_list)
         parts = np.split(assign_batch_dp(costs, offsets), offsets[1:-1])
-        assert calls == [(7, 1, 2)]  # the bucket's L, one sequence, E
+        assert calls == [(2, 4)]  # E and the failing sequence's own rows
         assert list(parts[1]) == [1, 1, 1, 1]
         for c, levels in zip(cost_list, parts):
             assert np.array_equal(levels, reference_dp(c))
@@ -310,7 +303,7 @@ class TestCommunityDP:
         costs = random_costs(np.random.default_rng(seed), kind, E, L)
         got = assign_community_dp(costs)
         assert got.dtype == np.int64
-        assert np.array_equal(got, _monotone_dp(costs.T[:, None, :])[:, 0] + 1)
+        assert np.array_equal(got, _monotone_dp(costs) + 1)
         if L <= 12:
             assert np.array_equal(got, brute_force_assign(costs))
 
@@ -371,7 +364,7 @@ class TestCommunityDP:
         costs[:, 0] = 0.0
         costs[1, -1] = np.nextafter(1.0, 2.0)
         got = assign_community_dp(costs)
-        assert calls == [(L, 1, 2)]
+        assert calls == [(2, L)]
         assert list(got) == [1] * L
         assert np.array_equal(got, brute_force_assign(costs))
 
@@ -380,7 +373,7 @@ class TestCommunityDP:
         # [1, 1, 1] and [1, 2, 2] both cost 1
         costs = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
         assert list(assign_community_dp(costs)) == [1, 1, 1]
-        assert calls == [(3, 1, 2)]
+        assert calls == [(2, 3)]
 
     def test_clear_margins_and_equal_rows_skip_reference(self, monkeypatch):
         calls = self.spy_reference(monkeypatch)
