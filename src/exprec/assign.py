@@ -104,8 +104,9 @@ def _monotone_dp(costs: np.ndarray) -> np.ndarray:
     # and later levels never decrease.
     G = np.array(costs.T, dtype=np.float64)
     top_down = G[:, ::-1]  # a view; accumulating along it gives suffix minima
-    for t in range(len(G) - 2, -1, -1):
-        top_down[t] += np.minimum.accumulate(top_down[t + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(len(G) - 2, -1, -1):
+            top_down[t] += np.minimum.accumulate(top_down[t + 1])
 
     # The path stays at level p while p is the first argmin of G[t, p:],
     # and moves up at the first row where it is not: at most E steps.
@@ -234,9 +235,9 @@ def _certified_dp(costs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     equal = (costs == costs[:1]).all(axis=(0, 2))
     if equal.all():
         return np.zeros((B, L), dtype=np.int64)
-    M = np.maximum(costs.max(axis=0), -costs.min(axis=0)).sum(axis=1)
-    tau = 3 * (2 * E + 1) * (lengths + 1) * (np.finfo(np.float64).eps / 2) * M
     with np.errstate(over="ignore", invalid="ignore"):
+        M = np.maximum(costs.max(axis=0), -costs.min(axis=0)).sum(axis=1)
+        tau = 3 * (2 * E + 1) * (lengths + 1) * (np.finfo(np.float64).eps / 2) * M
         ok = np.isfinite(2 * M)  # then no partial sum below can overflow
         # V[e] holds P_e until the backward pass reaches level e, then V_e
         V = np.zeros((E, B, L + 1))

@@ -1,5 +1,7 @@
 """Uniform schedules, DP assignment, and monotonicity validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,16 @@ class TestUserDP:
             levels = _monotone_dp(c)
             assert levels.shape == (n,) and levels.dtype == np.int64
             assert np.array_equal(levels + 1, brute_force_assign(c))
+
+    def test_overflowing_sums_emit_no_warning(self):
+        # finite costs whose sums overflow: the certificate's bound M and the
+        # reference's right fold both reach inf, and neither may warn
+        h = np.finfo(np.float64).max / 2
+        costs = np.array([[h, h, h], [-h, h, h]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(assign_user_dp(costs)) == [2, 2, 2]
+            assert list(_monotone_dp(costs)) == [1, 1, 1]
 
     def test_cost_monotone_in_E(self):
         rng = np.random.default_rng(7)
