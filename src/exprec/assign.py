@@ -64,9 +64,14 @@ def _uniform_levels(times: np.ndarray, t_min, t_max, E: int) -> np.ndarray:
     level E.  A degenerate span puts everything at level 1.
     """
     span = t_max - t_min
-    # integer arithmetic keeps boundary ratings on the correct side
-    levels = (times - t_min) * E // np.maximum(span, 1) + 1
-    return np.where(span > 0, np.minimum(levels, E), 1)
+    offset = times - t_min
+    # level k + 1 starts at ceil(k * span / E), taken apart so that no
+    # integer product can overflow and boundary ratings stay exact
+    step, rest = np.divmod(span, E)
+    levels = np.ones(len(times), dtype=np.int64)
+    for k in range(1, E):
+        levels += offset >= k * step - (-k * rest // E)
+    return np.where(span > 0, levels, 1)
 
 
 def uniform_community_schedule(d: Dataset, E: int) -> ExperienceAssignment:

@@ -72,6 +72,14 @@ class TestUniformCommunitySchedule:
         assert list(a.levels["early"]) == [1, 1]
         assert list(a.levels["late"]) == [2, 2]
 
+    def test_span_whose_products_overflow_int64(self):
+        # (t - t_min) * E would overflow: 2^62 * 2 wraps to -2^63
+        d = dataset_of([("u", f"i{t}", 1.0, t) for t in (0, 2**62, 2**62 + 2**61)])
+        assert list(uniform_community_schedule(d, 2).levels["u"]) == [1, 2, 2]
+        top = np.iinfo(np.int64).max
+        d = dataset_of([("u", f"i{t}", 1.0, t) for t in (0, top // 2, top // 2 + 1, top)])
+        assert list(uniform_community_schedule(d, 2).levels["u"]) == [1, 1, 2, 2]
+
 
 class TestUniformUserSchedule:
     def test_per_user_grid(self):
@@ -92,6 +100,19 @@ class TestUniformUserSchedule:
         d = dataset_of([("u", "a", 1.0, 0), ("u", "b", 1.0, 100)])
         a = uniform_user_schedule(d, 5)
         assert list(a.levels["u"]) == [1, 5]
+
+    def test_span_whose_products_overflow_int64(self):
+        # v's span is 2^62 + 2^61 - 1, so level 2 starts at its offset
+        # 2^61 + 2^60 - 1/2, and its last offset times 2 overflows
+        mid = 2**61 + 2**60
+        d = dataset_of(
+            [("u", "a", 1.0, 0), ("u", "b", 1.0, 10), ("u", "c", 1.0, 20),
+             ("v", "a", 1.0, 1), ("v", "b", 1.0, mid),
+             ("v", "c", 1.0, mid + 1), ("v", "d", 1.0, 2**62 + 2**61)]
+        )
+        a = uniform_user_schedule(d, 2)
+        assert list(a.levels["u"]) == [1, 2, 2]
+        assert list(a.levels["v"]) == [1, 1, 2, 2]
 
     def test_single_rating_user(self):
         d = dataset_of([("u", "a", 1.0, 42)])
