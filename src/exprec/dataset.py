@@ -445,7 +445,8 @@ def _parse_block(
         (lambda: ~(np.isfinite(stamps) & (np.floor(stamps) == stamps)),
          lambda j: f"non-integer timestamp {float(stamps[j])}"),
         (lambda: stamps < 0, lambda j: f"negative timestamp {int(stamps[j])}"),
-        (lambda: stamps >= 2.0**63, lambda j: f"timestamp out of range {int(stamps[j])}"),
+        # float() reads every integer below 2^53 exactly, and no larger one
+        (lambda: stamps >= 2.0**53, lambda j: f"timestamp out of range {int(stamps[j])}"),
         (lambda: ~((raw >= 0.0) & (raw <= scale_max)),
          lambda j: _range_error(float(raw[j]), scale_max)),
     )

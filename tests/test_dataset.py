@@ -362,6 +362,18 @@ class TestParseReviews:
         assert str(info.value) == message
         assert info.value.line_no == 3
 
+    @pytest.mark.parametrize("stamp", ["9007199254740993", "1700000000123456789"])
+    def test_timestamps_float_would_round_are_refused(self, stamp):
+        # 2^53 + 1 and a nanosecond Unix time; read through float(), each
+        # would become its even neighbour without a word
+        text = f"user\titem\trating\ttimestamp\nu1\ti1\t3\t0\nu1\ti2\t3\t{stamp}\n"
+        with pytest.raises(ParseError, match="^line 3: timestamp out of range "):
+            parse_reviews(io.StringIO(text))
+
+    def test_largest_exact_timestamp_reads_exactly(self):
+        text = "user\titem\trating\ttimestamp\nu1\ti1\t3\t9007199254740991\n"
+        assert parse_reviews(io.StringIO(text)).times.tolist() == [2**53 - 1]
+
     def test_blank_lines_count_in_line_numbers(self):
         text = "user\titem\trating\ttimestamp\n\nu1\ti1\t3\t0\n   \nu1\ti2\tbad\t1\n"
         with pytest.raises(ParseError) as info:
