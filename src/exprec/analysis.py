@@ -152,9 +152,8 @@ def agreement_variance(
         raise ValueError("window must be >= 0")
     E = m.params.E
     levels = m.assignment.flat(train)
-    times = train.times.astype(np.float64)
     first = np.ones(len(train), dtype=bool)   # first of its user and timestamp
-    first[1:] = times[1:] != times[:-1]
+    first[1:] = train.times[1:] != train.times[:-1]
     first[train.offsets[:-1]] = True
     rows = np.maximum.accumulate(np.where(first, np.arange(len(train)), 0))
     x = levels[rows].astype(np.float64)

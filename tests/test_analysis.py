@@ -237,6 +237,21 @@ class TestAgreementVariance:
         points = assert_matches_loop(m, train, min_cohort=2, window=0.0)
         assert [(p.experience, p.n_cohorts) for p in points] == [(2.0, 2)]
 
+    def test_timestamps_beyond_float_precision_stay_apart(self):
+        # 2^53 and 2^53 + 1 are one float64: compared as floats, every
+        # user's second rating took the first one's experience
+        def points(t0):
+            rows = [(u, item, v + dv, t0 + dt) for u, v in (("u", 1.0), ("v", 2.0), ("w", 4.0))
+                    for item, dv, dt in (("a", 0.0, 0), ("b", 1.0, 1))]
+            train = dataset_of(rows)
+            m = fitted(train.users, train.items, E=2,
+                       assignment={u: np.array([1, 2]) for u in train.users})
+            return [(p.experience, p.mean_variance, p.n_cohorts)
+                    for p in agreement_variance(m, train, min_cohort=2, window=0.0, step=1.0)]
+
+        assert points(2**53) == points(10)
+        assert [(x, n) for x, _, n in points(10)] == [(1.0, 1), (2.0, 1)]
+
     def test_planted_level_noise_recovered(self):
         sigma = np.array([0.5, 0.42, 0.35, 0.28, 0.2])
         cfg = SynthConfig(
