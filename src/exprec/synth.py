@@ -123,7 +123,7 @@ class SynthConfig:
 
     @property
     def sigma_by_level(self) -> np.ndarray:
-        if isinstance(self.noise_sigma, (int, float)):
+        if np.ndim(self.noise_sigma) == 0:   # as __post_init__ reads it
             return np.full(self.E, float(self.noise_sigma))
         sig = np.asarray(self.noise_sigma, dtype=np.float64)
         if sig.shape != (self.E,):

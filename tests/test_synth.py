@@ -297,6 +297,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SynthConfig(E=3, noise_sigma=(0.1, 0.2)).sigma_by_level
 
+    @pytest.mark.parametrize("sigma", [np.float32(0.25), np.int64(0), np.float64(0.5)])
+    def test_numpy_scalar_noise(self, sigma):
+        cfg = SynthConfig(E=3, noise_sigma=sigma)
+        assert cfg.sigma_by_level.tolist() == [float(sigma)] * 3
+
+    @pytest.mark.parametrize("flag", [True, np.bool_(False)])
+    def test_bool_noise_refused(self, flag):
+        with pytest.raises(TypeError, match="^noise_sigma takes numbers, not bools"):
+            SynthConfig(noise_sigma=flag)
+
     def test_per_block_drift(self):
         cfg = SynthConfig(level_drift={"item_bias": 0.4}, seed=1,
                           n_users=5, n_items=20, ratings_per_user=5)
