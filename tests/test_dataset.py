@@ -353,6 +353,9 @@ class TestParseReviews:
             ("nan", "line 3: non-integer timestamp nan"),
             ("-7", "line 3: negative timestamp -7"),
             ("1e19", "line 3: timestamp out of range 10000000000000000000"),
+            # 2^53 + 1 and a nanosecond Unix time, which float() rounds
+            ("9007199254740993", "line 3: timestamp out of range 9007199254740992"),
+            ("1700000000123456789", "line 3: timestamp out of range 1700000000123456768"),
         ],
     )
     def test_timestamp_errors_name_line(self, stamp, message):
@@ -361,14 +364,6 @@ class TestParseReviews:
             parse_reviews(io.StringIO(text))
         assert str(info.value) == message
         assert info.value.line_no == 3
-
-    @pytest.mark.parametrize("stamp", ["9007199254740993", "1700000000123456789"])
-    def test_timestamps_float_would_round_are_refused(self, stamp):
-        # 2^53 + 1 and a nanosecond Unix time; read through float(), each
-        # would become its even neighbour without a word
-        text = f"user\titem\trating\ttimestamp\nu1\ti1\t3\t0\nu1\ti2\t3\t{stamp}\n"
-        with pytest.raises(ParseError, match="^line 3: timestamp out of range "):
-            parse_reviews(io.StringIO(text))
 
     def test_largest_exact_timestamp_reads_exactly(self):
         text = "user\titem\trating\ttimestamp\nu1\ti1\t3\t9007199254740991\n"
