@@ -29,57 +29,47 @@ _SCORE_ROWS = 1 << 13  # ratings whose factor rows are gathered at once
 
 
 # The parameter blocks of one level, in flattening order and so in a saved
-# model's params; also the ModelParams field order after users/items.
+# model's params.
 BLOCKS = ("alpha", "user_bias", "item_bias", "user_factors", "item_factors")
-
-
-def _level_shapes(U: int, I: int, K: int) -> tuple[tuple[int, ...], ...]:
-    """Shape of one level's part of each block, in :data:`BLOCKS` order."""
-    return ((), (U,), (I,), (U, K), (I, K))
-
-
-def _split_levels(vec: np.ndarray, E: int, U: int, I: int, K: int) -> list[np.ndarray]:
-    """Cut a level-major flat vector into one (E, ...) view of it per block."""
-    shapes = _level_shapes(U, I, K)
-    sizes = [math.prod(shape) for shape in shapes]
-    per_level = sum(sizes)
-    if vec.shape != (E * per_level,):
-        raise ValueError(f"expected flat vector of length {E * per_level}, got {vec.shape}")
-    rows = vec.reshape(E, per_level)
-    bounds = np.cumsum([0, *sizes])
-    return [rows[:, a:b].reshape(E, *shape) for shape, a, b in zip(shapes, bounds, bounds[1:])]
 
 
 @dataclass(eq=False)
 class ModelParams:
-    """Parameters of E stacked per-level recommenders over fixed key sets."""
+    """Parameters of E stacked per-level recommenders over fixed key sets.
+
+    ``vec`` is the one level-major float64 vector that holds them.  The
+    blocks ``alpha`` (E,), ``user_bias`` (E, U), ``item_bias`` (E, I),
+    ``user_factors`` (E, U, K) and ``item_factors`` (E, I, K) are views of
+    it, set by the constructor, so a write through a block writes ``vec``.
+    The constructor keeps ``vec`` without a copy and raises ValueError
+    when its length is not ``E`` levels of :data:`BLOCKS`.
+    """
 
     users: tuple[str, ...]
     items: tuple[str, ...]
-    alpha: np.ndarray         # (E,)
-    user_bias: np.ndarray     # (E, U)
-    item_bias: np.ndarray     # (E, I)
-    user_factors: np.ndarray  # (E, U, K)
-    item_factors: np.ndarray  # (E, I, K)
+    E: int
+    K: int
+    vec: np.ndarray
 
     def __post_init__(self):
-        lead = self.alpha.shape[:1]  # (E,)
-        shapes = _level_shapes(len(self.users), len(self.items), self.user_factors.shape[-1])
-        for name, block, shape in zip(BLOCKS, self.blocks(), shapes):
-            if block.shape != lead + shape:
-                raise ValueError(f"{name} has shape {block.shape}, expected {lead + shape}")
+        shapes = self._level_shapes(len(self.users), len(self.items), self.K)
+        sizes = [math.prod(shape) for shape in shapes]
+        per_level = sum(sizes)
+        if self.vec.shape != (self.E * per_level,):
+            raise ValueError(f"expected flat vector of length {self.E * per_level}, got {self.vec.shape}")
+        rows = self.vec.reshape(self.E, per_level)
+        bounds = np.cumsum([0, *sizes])
+        for name, shape, a, b in zip(BLOCKS, shapes, bounds, bounds[1:]):
+            setattr(self, name, rows[:, a:b].reshape(self.E, *shape))
 
-    @property
-    def E(self) -> int:
-        return self.alpha.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.user_factors.shape[2]
+    @staticmethod
+    def _level_shapes(U: int, I: int, K: int) -> tuple[tuple[int, ...], ...]:
+        """Shape of one level's part of each block, in :data:`BLOCKS` order."""
+        return ((), (U,), (I,), (U, K), (I, K))
 
     @property
     def n_params(self) -> int:
-        return sum(block.size for block in self.blocks())
+        return self.vec.size
 
     def blocks(self) -> tuple[np.ndarray, ...]:
         """The parameter arrays in :data:`BLOCKS` order."""
@@ -88,24 +78,21 @@ class ModelParams:
     @classmethod
     def zeros(cls, users, items, E: int, K: int) -> "ModelParams":
         users, items = tuple(users), tuple(items)
-        shapes = _level_shapes(len(users), len(items), K)
-        return cls(users, items, *(np.zeros((E, *shape)) for shape in shapes))
+        shapes = cls._level_shapes(len(users), len(items), K)
+        return cls(users, items, E, K, np.zeros(E * sum(map(math.prod, shapes))))
 
     def flatten(self) -> np.ndarray:
-        rows = [block.reshape(self.E, -1) for block in self.blocks()]
-        return np.concatenate(rows, axis=1).ravel()
+        return self.vec.copy()
 
     @classmethod
     def from_flat(cls, vec: np.ndarray, users, items, E: int, K: int) -> "ModelParams":
         """Blocks viewing a writable copy of ``vec``, which the caller
         keeps."""
-        users, items = tuple(users), tuple(items)
-        blocks = _split_levels(np.array(vec, dtype=np.float64), E, len(users), len(items), K)
-        return cls(users, items, *blocks)
+        return cls(tuple(users), tuple(items), E, K, np.array(vec, dtype=np.float64))
 
     def to_base64(self) -> str:
         """:meth:`flatten` as base64 of little-endian float64."""
-        return base64.b64encode(self.flatten().astype("<f8", copy=False).tobytes()).decode("ascii")
+        return base64.b64encode(self.vec.astype("<f8", copy=False).tobytes()).decode("ascii")
 
     @classmethod
     def from_base64(cls, text, users, items, E: int, K: int) -> "ModelParams":
@@ -252,17 +239,12 @@ def predictions_for(
         # row of key -1 is all zeros
         users, uidx = np.unique(uidx, return_inverse=True)
         items, iidx = np.unique(iidx, return_inverse=True)
-
-        def rows(block, keys):
-            out = block[:, keys]
-            out[:, keys < 0] = 0.0
-            return out
-
-        p = ModelParams(
-            users=tuple(users), items=tuple(items), alpha=p.alpha,
-            user_bias=rows(p.user_bias, users), item_bias=rows(p.item_bias, items),
-            user_factors=rows(p.user_factors, users), item_factors=rows(p.item_factors, items),
-        )
+        cut = ModelParams.zeros(users, items, p.E, p.K)
+        cut.alpha[:] = p.alpha
+        for name, keys in (("user_bias", users), ("item_bias", items),
+                           ("user_factors", users), ("item_factors", items)):
+            getattr(cut, name)[:, keys >= 0] = getattr(p, name)[:, keys[keys >= 0]]
+        p = cut
     return score(p, RowIndex.of(p, np.asarray(levels, dtype=np.int64) - 1, uidx, iidx))
 
 
@@ -345,8 +327,8 @@ def objective_and_gradient(
     # never an (n, K) array
     coef = (2.0 / n) * res
     lv0, lin_u, lin_i = rows
-    grad = np.empty(p.n_params)
-    g_alpha, g_ub, g_ib, g_uf, g_if = grads = _split_levels(grad, E, U, I, K)
+    grad = ModelParams(p.users, p.items, E, K, np.empty(p.n_params))
+    g_alpha, g_ub, g_ib, g_uf, g_if = grads = grad.blocks()
     g_alpha[:] = np.bincount(lv0, weights=coef, minlength=E)
     g_ub[:] = np.bincount(lin_u, weights=coef, minlength=E * U).reshape(E, U)
     g_ib[:] = np.bincount(lin_i, weights=coef, minlength=E * I).reshape(E, I)
@@ -364,4 +346,4 @@ def objective_and_gradient(
         pen += float(np.sum(diff * diff))
         g_block[:-1] += 2.0 * lam * diff
         g_block[1:] -= 2.0 * lam * diff
-    return err + lam * pen, grad
+    return err + lam * pen, grad.vec

@@ -32,7 +32,6 @@ from .model import (
     ExperienceAssignment,
     ModelParams,
     RowIndex,
-    _split_levels,
     error_term,
     objective_and_gradient,
     penalized,
@@ -288,12 +287,9 @@ def theta_step(
     that trades error for smoothness is rejected in favor of the input,
     which keeps the error term non-increasing across every step.
     """
-    users, items, E, K = p.users, p.items, p.E, p.K
-    U, I = len(users), len(items)
-
     def view(x: np.ndarray) -> ModelParams:
         # no copy: minimize leaves x0 alone while fun runs, and returns it as x
-        return ModelParams(users, items, *_split_levels(x, E, U, I, K))
+        return ModelParams(p.users, p.items, p.E, p.K, x)
 
     def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
         return objective_and_gradient(view(x), rows, vals, lam)

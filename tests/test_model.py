@@ -3,7 +3,6 @@
 import base64
 import json
 import tracemalloc
-from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -160,11 +159,9 @@ def reference_objective_and_gradient(p, lv0, uidx, iidx, vals, lam):
     return err + lam * pen, flat
 
 
-def kernel_instance(E, K, n_users, n_items, n, seed, packed):
+def kernel_instance(E, K, n_users, n_items, n, seed):
     """A dataset of up to n ratings on distinct random (user, item)
-    pairs, random unsorted levels and random parameters; ``packed``
-    parameters are views of one flat vector, as L-BFGS hands them over,
-    otherwise separate arrays."""
+    pairs, random unsorted levels and random parameters."""
     rng = np.random.default_rng(seed)
     pairs = rng.choice(n_users * n_items, size=min(n, n_users * n_items), replace=False)
     n = len(pairs)
@@ -176,8 +173,6 @@ def kernel_instance(E, K, n_users, n_items, n, seed, packed):
     shell = ModelParams.zeros(d.users, d.items, E, K)
     x = rng.normal(0.0, 0.5, size=shell.n_params)
     p = ModelParams.from_flat(x, d.users, d.items, E, K)
-    if not packed:
-        p = ModelParams(d.users, d.items, *(block.copy() for block in p.blocks()))
     lv0 = rng.integers(0, E, n)
     return p, d, lv0
 
@@ -194,11 +189,11 @@ class TestScoreKernel:
     @given(
         E=st.integers(1, 5), K=st.integers(1, 4),
         n_users=st.integers(1, 6), n_items=st.integers(1, 6),
-        n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), packed=st.booleans(),
+        n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
         lam=st.sampled_from([0.0, 0.37, 1e3]),
     )
-    def test_matches_reference(self, E, K, n_users, n_items, n, seed, packed, lam):
-        p, d, lv0 = kernel_instance(E, K, n_users, n_items, n, seed, packed)
+    def test_matches_reference(self, E, K, n_users, n_items, n, seed, lam):
+        p, d, lv0 = kernel_instance(E, K, n_users, n_items, n, seed)
         n = len(d)
         uidx, iidx, vals = d.user_code, d.item_code, d.values
         rows = RowIndex.of(p, lv0, uidx, iidx)
@@ -233,20 +228,19 @@ class TestScoreKernel:
     @given(
         E=st.integers(1, 5), K=st.integers(1, 4),
         n_users=st.integers(1, 6), n_items=st.integers(1, 6),
-        n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), packed=st.booleans(),
+        n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
     )
-    def test_predictions_for_cold_keys(self, E, K, n_users, n_items, n, seed, packed):
-        p, d, lv0 = kernel_instance(E, K, n_users, n_items, n, seed, packed)
+    def test_predictions_for_cold_keys(self, E, K, n_users, n_items, n, seed):
+        p, d, lv0 = kernel_instance(E, K, n_users, n_items, n, seed)
         n = len(d)
         rng = np.random.default_rng(seed + 1)
         uidx = np.where(rng.random(n) < 0.3, -1, d.user_code)
         iidx = np.where(rng.random(n) < 0.3, -1, d.item_code)
         # the oracle: one extra all-zero row per block for key -1
-        blocks = [p.alpha]
-        for block in p.blocks()[1:]:
-            pad = np.zeros_like(block[:, :1])
-            blocks.append(np.concatenate([block, pad], axis=1))
-        padded = ModelParams(p.users + ("cold",), p.items + ("cold",), *blocks)
+        padded = ModelParams.zeros(p.users + ("cold",), p.items + ("cold",), E, K)
+        padded.alpha[:] = p.alpha
+        for block, pad in zip(p.blocks()[1:], padded.blocks()[1:]):
+            pad[:, :-1] = block
         want = reference_score(padded, lv0, uidx % (len(p.users) + 1), iidx % (len(p.items) + 1))[0]
         warm = reference_score(p, lv0, d.user_code, d.item_code)[0]
         for score_rows in SCORE_ROWS:
@@ -429,7 +423,9 @@ class TestFlattenRoundTrip:
 
     def test_blocks_order_is_field_and_saved_order(self):
         p, _, _, _ = random_instance(56)
-        assert BLOCKS == tuple(f.name for f in fields(ModelParams))[2:]
+        # blocks() gives the named views of the vector in BLOCKS order
+        for name, block in zip(BLOCKS, p.blocks(), strict=True):
+            assert block is getattr(p, name) and np.shares_memory(block, p.vec)
         # a saved model's params hold each level's blocks in BLOCKS order
         saved = np.frombuffer(base64.b64decode(p.to_base64()), dtype="<f8").reshape(p.E, -1)
         for e in range(p.E):
@@ -442,13 +438,22 @@ class TestFlattenRoundTrip:
         x[:] = np.nan  # L-BFGS owns and reuses the buffer
         assert np.array_equal(q.flatten(), p.flatten())
 
-    @pytest.mark.parametrize("name", BLOCKS)
-    def test_block_of_wrong_shape_raises(self, name):
+    def test_block_writes_show_in_vector_and_saved_params(self):
+        vec = np.zeros(20)  # two levels of 1 + 2 + 1 + 2 * 2 + 1 * 2 parameters
+        p = ModelParams(("a", "b"), ("x",), 2, 2, vec)
+        p.item_factors[1, 0, 1] = 7.0
+        p.user_bias[0, 1] = -3.0
+        want = np.zeros(20)
+        want[[19, 2]] = 7.0, -3.0
+        # the constructor keeps the caller's vector, and the blocks view it
+        assert vec.tolist() == want.tolist() and p.vec is vec
+        assert np.frombuffer(base64.b64decode(p.to_base64()), dtype="<f8").tolist() == want.tolist()
+
+    def test_vector_of_wrong_length_raises(self):
         p, _, _, _ = random_instance(58)
-        blocks = dict(zip(BLOCKS, p.blocks()))
-        blocks[name] = blocks[name][..., None]
-        with pytest.raises(ValueError, match=f"^{name} has shape"):
-            ModelParams(p.users, p.items, **blocks)
+        for vec in (p.vec[:-1], np.append(p.vec, 0.0), p.vec.reshape(p.E, -1)):
+            with pytest.raises(ValueError, match=f"^expected flat vector of length {p.n_params}, got"):
+                ModelParams(p.users, p.items, p.E, p.K, vec)
 
 
 class TestSerialization:
