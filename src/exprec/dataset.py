@@ -16,6 +16,7 @@ import math
 import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from functools import cached_property
 from itertools import compress, islice, repeat
@@ -440,13 +441,20 @@ def _parse_block(
     stamps, stop = _floats(time_texts[:limit])
     if stop < limit:
         limit, error = stop, f"non-numeric timestamp {time_texts[stop]!r}"
+    fractional = ~(np.isfinite(stamps) & (np.floor(stamps) == stamps))
+    too_large = stamps >= 2.0**53
+    # float() reads every integer below 2^53 exactly, and no larger one; at
+    # 2^52 and above it also rounds fractions away, so those texts are
+    # checked as decimals
+    for j in np.flatnonzero(np.abs(stamps) >= 2.0**52).tolist():
+        exact = Decimal(time_texts[j])
+        fractional[j] = not (exact.is_finite() and exact == exact.to_integral_value())
+        too_large[j] = exact >= 2**53
     scale_max = config.scale_max
     checks = (
-        (lambda: ~(np.isfinite(stamps) & (np.floor(stamps) == stamps)),
-         lambda j: f"non-integer timestamp {float(stamps[j])}"),
-        (lambda: stamps < 0, lambda j: f"negative timestamp {int(stamps[j])}"),
-        # float() reads every integer below 2^53 exactly, and no larger one
-        (lambda: stamps >= 2.0**53, lambda j: f"timestamp out of range {int(stamps[j])}"),
+        (lambda: fractional, lambda j: f"non-integer timestamp {time_texts[j].strip()}"),
+        (lambda: stamps < 0, lambda j: f"negative timestamp {time_texts[j].strip()}"),
+        (lambda: too_large, lambda j: f"timestamp out of range {time_texts[j].strip()}"),
         (lambda: ~((raw >= 0.0) & (raw <= scale_max)),
          lambda j: _range_error(float(raw[j]), scale_max)),
     )

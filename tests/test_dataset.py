@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 from collections import namedtuple
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -98,17 +99,22 @@ def reference_parse(text, config=FormatConfig()):
             raw = float(fields[col[config.rating_col]])
         except ValueError:
             raise ParseError(line_no, f"non-numeric rating {fields[col[config.rating_col]]!r}")
+        ts_text = fields[col[config.timestamp_col]]
         try:
-            ts_f = float(fields[col[config.timestamp_col]])
+            float(ts_text)
         except ValueError:
-            raise ParseError(
-                line_no, f"non-numeric timestamp {fields[col[config.timestamp_col]]!r}"
-            )
-        if not ts_f.is_integer():
-            raise ParseError(line_no, f"non-integer timestamp {ts_f}")
-        ts = int(ts_f)
+            raise ParseError(line_no, f"non-numeric timestamp {ts_text!r}")
+        try:
+            ts = Fraction(ts_text)  # the exact value of the text
+        except ValueError:  # nan and inf
+            ts = None
+        if ts is None or ts.denominator != 1:
+            raise ParseError(line_no, f"non-integer timestamp {ts_text.strip()}")
         if ts < 0:
-            raise ParseError(line_no, f"negative timestamp {ts}")
+            raise ParseError(line_no, f"negative timestamp {ts_text.strip()}")
+        if ts >= 2**53:
+            raise ParseError(line_no, f"timestamp out of range {ts_text.strip()}")
+        ts = int(ts)
         try:
             value = normalize_rating(raw, config.scale_max)
         except DataError as exc:
@@ -179,10 +185,11 @@ ROWS = st.lists(
 FILE_LINES = st.lists(
     st.one_of(
         st.tuples(IDS, st.sampled_from(["x", " y", "ü"]), st.sampled_from(["1", "2.5", "4"]),
-                  st.sampled_from(["0", "3", "3.0", " 7 "])),
+                  st.sampled_from(["0", "3", "3.0", " 7 ", "9007199254740991"])),
         st.tuples(st.just("u"), st.just("x"),
                   st.sampled_from(["1", "bad", "6", "nan", "-1"]),
-                  st.sampled_from(["2", "soon", "2.5", "-3", "inf"])),
+                  st.sampled_from(["2", "soon", "2.5", "-3", "inf", "4503599627370496.5",
+                                   "9007199254740993", "1e19"])),
     ).map("\t".join) | st.sampled_from(["", "  ", "u\tx\t1", "u\tx\t1\t2\t3"]),
     max_size=25,
 )
@@ -352,10 +359,14 @@ class TestParseReviews:
             ("12.5", "line 3: non-integer timestamp 12.5"),
             ("nan", "line 3: non-integer timestamp nan"),
             ("-7", "line 3: negative timestamp -7"),
-            ("1e19", "line 3: timestamp out of range 10000000000000000000"),
-            # 2^53 + 1 and a nanosecond Unix time, which float() rounds
-            ("9007199254740993", "line 3: timestamp out of range 9007199254740992"),
-            ("1700000000123456789", "line 3: timestamp out of range 1700000000123456768"),
+            # named as written, not as float() rounds them: 1e19, 2^53 + 1,
+            # a nanosecond Unix time, and fractions at and above 2^52
+            ("1e19", "line 3: timestamp out of range 1e19"),
+            ("9007199254740993", "line 3: timestamp out of range 9007199254740993"),
+            ("1700000000123456789", "line 3: timestamp out of range 1700000000123456789"),
+            ("4503599627370496.5", "line 3: non-integer timestamp 4503599627370496.5"),
+            ("4503599627370497.5", "line 3: non-integer timestamp 4503599627370497.5"),
+            ("1e999", "line 3: timestamp out of range 1e999"),
         ],
     )
     def test_timestamp_errors_name_line(self, stamp, message):
@@ -368,6 +379,9 @@ class TestParseReviews:
     def test_largest_exact_timestamp_reads_exactly(self):
         text = "user\titem\trating\ttimestamp\nu1\ti1\t3\t9007199254740991\n"
         assert parse_reviews(io.StringIO(text)).times.tolist() == [2**53 - 1]
+        # whole values in other spellings, below and at 2^52, read as before
+        text = "user\titem\trating\ttimestamp\nu1\ti1\t3\t3.0\nu1\ti2\t3\t1e3\nu1\ti3\t3\t4503599627370496.0\n"
+        assert parse_reviews(io.StringIO(text)).times.tolist() == [3, 1000, 2**52]
 
     def test_blank_lines_count_in_line_numbers(self):
         text = "user\titem\trating\ttimestamp\n\nu1\ti1\t3\t0\n   \nu1\ti2\tbad\t1\n"
