@@ -74,7 +74,8 @@ class FormatConfig:
     """Column map for delimiter-separated review files with a header row.
     ``scale_max`` is the top of the file's rating scale, a finite real
     number > 0; the delimiter holds no line break, and the four column
-    names are distinct."""
+    names are distinct strings that a header can hold: none has outer
+    whitespace or holds the delimiter or a line break."""
 
     delimiter: str = "\t"
     user_col: str = "user"
@@ -95,6 +96,12 @@ class FormatConfig:
         if not delim or "\n" in delim or "\r" in delim:
             raise DataError(f"delimiter must be non-empty and hold no line break, got {delim!r}")
         names = (self.user_col, self.item_col, self.rating_col, self.timestamp_col)
+        for name in names:
+            if not isinstance(name, str):
+                raise TypeError(f"column names must be strings, got {name!r}")
+            if name != name.strip() or delim in name or "\n" in name or "\r" in name:
+                raise DataError(f"column name {name!r} cannot be read from a header: it holds "
+                                f"the delimiter {delim!r}, a line break or outer whitespace")
         if len(set(names)) < len(names):
             raise DataError(f"the four column names must be distinct, got {names}")
 
@@ -535,9 +542,12 @@ def write_reviews(d: Dataset, path, config: FormatConfig = FormatConfig()) -> No
     reads: the four configured columns, with ratings on the normalized
     scale.  Raises :class:`DataError`, before the file is opened, for an
     id that would not read back as itself: one holding the delimiter or a
-    line break, or outer whitespace."""
+    line break, or outer whitespace; and for a delimiter made only of
+    characters that a written rating or timestamp can hold."""
     path = Path(path)
     delim = config.delimiter
+    if set(delim) <= set("0123456789.e+-"):
+        raise DataError(f"delimiter {delim!r} cannot be written: a rating or timestamp may hold it")
     for kind, ids in (("user", d.users), ("item", d.items)):
         bad = next((key for key in ids if delim in key or "\n" in key or "\r" in key
                     or key != key.strip()), None)

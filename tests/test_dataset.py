@@ -288,6 +288,21 @@ class TestFormatConfig:
         with pytest.raises(DataError, match=r"^the four column names must be distinct, got \("):
             FormatConfig(**{field: name})
 
+    @pytest.mark.parametrize("delimiter, field, name", [
+        ("\t", "user_col", " user"), ("\t", "item_col", "item "), ("\t", "user_col", "us\ter"),
+        (",", "rating_col", "taste,score"), ("\t", "timestamp_col", "time\nstamp"),
+        ("e", "user_col", "user"),
+    ])
+    def test_column_name_no_header_can_hold_refused(self, delimiter, field, name):
+        # " user" and "us\ter" were accepted, and no header could name
+        # them: parse said "missing column" while the header showed the name
+        with pytest.raises(DataError, match=f"^column name {re.escape(repr(name))} cannot be read from a header"):
+            FormatConfig(delimiter=delimiter, **{field: name})
+
+    def test_column_names_must_be_strings(self):
+        with pytest.raises(TypeError, match=r"^column names must be strings, got 5$"):
+            FormatConfig(user_col=5)
+
 
 class TestParseReviews:
     def test_basic_row_normalization(self):
@@ -660,6 +675,26 @@ class TestWriteReviews:
         with pytest.raises(DataError, match=f"^{table} id {re.escape(repr(key))} cannot be written"):
             write_reviews(d, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("delimiter", [".", "5", "e", "+-", "1e"])
+    def test_delimiter_a_value_can_hold_raises_before_the_file_is_opened(self, tmp_path, delimiter):
+        # "." and "5" wrote files that parse refused, "e" a header
+        # that no longer named its columns
+        config = FormatConfig(delimiter, user_col="u", item_col="i", rating_col="r", timestamp_col="t")
+        path = tmp_path / "out.txt"
+        with pytest.raises(DataError, match=f"^delimiter {re.escape(repr(delimiter))} cannot be written"):
+            write_reviews(dataset_of([("a", "b", 4.5, 15)]), path, config)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("delimiter", [",", ";", " | "])
+    def test_other_delimiters_round_trip(self, tmp_path, delimiter):
+        d = dataset_of([("a", "b", 4.5, 15), ("c", "b", 1e-05, 2**52)])
+        path = tmp_path / "out.txt"
+        write_reviews(d, path, FormatConfig(delimiter))
+        back = parse_reviews(path, FormatConfig(delimiter))
+        assert back.users == d.users and back.items == d.items
+        for column in ("user_code", "item_code", "times", "values"):
+            assert getattr(back, column).tobytes() == getattr(d, column).tobytes(), column
 
     def test_inner_space_and_custom_delimiter_round_trip(self, tmp_path):
         # an inner space is kept, and a tab is no delimiter of a comma file
