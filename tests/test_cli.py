@@ -599,6 +599,26 @@ class TestIngestCommand:
         assert sum(manifest["rows"].values()) == n_rows
         assert capsys.readouterr().err == f"pooled {n_rows} ratings into __background__\n"
 
+    def test_format_flags_read_the_input_and_every_output_is_default_format(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        rows = ["who,what,score,when"] + [f"u{k % 3},i{k},{k % 21},{k}" for k in range(30)]
+        raw.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "clean.tsv"
+        assert main(["ingest", "--input", str(raw), "--out", str(out), "--delimiter", ",",
+                     "--user-col", "who", "--item-col", "what", "--rating-col", "score",
+                     "--timestamp-col", "when", "--scale-max", "20", "--min-ratings", "1"]) == 0
+        # split reads the written file with no format flags
+        assert main(["split", "--input", str(out), "--out-dir", str(tmp_path / "split")]) == 0
+        written = [out, *sorted((tmp_path / "split").glob("*.tsv"))]
+        assert len(written) == 4
+        for path in written:
+            header, *lines = path.read_text().splitlines()
+            assert header == "user\titem\trating\ttimestamp"
+            assert all(0 <= float(line.split("\t")[2]) <= 5 for line in lines)
+        d = parse_reviews(out)
+        by_item = dict(zip((d.items[c] for c in d.item_code), d.values.tolist()))
+        assert by_item == {f"i{k}": 5.0 * (k % 21) / 20 for k in range(30)}
+
     def test_infinite_scale_max_exits_2(self, tmp_path, capsys):
         # it used to write every rating as 0.0
         raw = tmp_path / "raw.tsv"
