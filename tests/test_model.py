@@ -455,6 +455,19 @@ class TestFlattenRoundTrip:
             with pytest.raises(ValueError, match=f"^expected flat vector of length {p.n_params}, got"):
                 ModelParams(p.users, p.items, p.E, p.K, vec)
 
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_block_of_wrong_shape_raises(self, name):
+        # each level's part of block ``name`` holds one entry too many, as
+        # when its shape was taken with one user, item or factor too many
+        p, _, _, _ = random_instance(58)
+        levels = [
+            np.concatenate([np.append(block[e], 0.0) if n == name else block[e].ravel()
+                            for n, block in zip(BLOCKS, p.blocks())])
+            for e in range(p.E)
+        ]
+        with pytest.raises(ValueError, match=f"^expected flat vector of length {p.n_params}, got"):
+            ModelParams(p.users, p.items, p.E, p.K, np.concatenate(levels))
+
 
 class TestSerialization:
     def test_params_round_trip_exactly(self):
