@@ -6,7 +6,10 @@ unreadable file, 3 training failure.  INFO log records print as their
 message on stderr, and WARNING records and library warnings as one
 ``warning:`` line each.  Model kinds are spelled
 lf/a/b/c/d on the command line: flat, community-uniform, user-uniform,
-community-learned, user-learned.
+community-learned, user-learned.  Only ingest reads other file formats
+(its flags name the delimiter, the columns and the rating scale); every
+rating file a command writes, and every other command reads, is exprec's
+own: tab-separated ``user item rating timestamp`` on the 0-5 scale.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .assign import ModelKind
 from .dataset import (
     BACKGROUND_USER,
     DataError,
-    Dataset,
     FormatConfig,
     SplitScheme,
     SplitSpec,
@@ -82,10 +84,6 @@ def _config(cls, args, flags: dict):
         raise DataError(f"{where}{exc}") from None
 
 
-def _load_dataset(path, args) -> Dataset:
-    return parse_reviews(path, _format_config(args))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="exprec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -105,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", type=float, default=0.1)
     p.add_argument("--validation-fraction", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    _add_format_flags(p)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("fit", help="train one model kind with lambda selected on validation")
@@ -122,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-max-iters", type=int, default=None)
     p.add_argument("--config", default=None, help="JSON file of TrainConfig fields; flags override")
     p.add_argument("--out", required=True)
-    _add_format_flags(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("evaluate", help="test MSE of a fitted model")
@@ -131,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--scheme", default=None)
     p.add_argument("--out", required=True)
-    _add_format_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="MSE table and benefit rows for several models")
@@ -139,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--out", default=None, help="CSV destination; stdout when omitted")
-    _add_format_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("analyze", help="expert/novice analyses as CSV tables")
@@ -153,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--gap", type=int, default=182 * 86400)
     p.add_argument("--prefixes", default="10,100")
-    _add_format_flags(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with known ground truth")
@@ -169,25 +162,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--seed", type=int, default=0)
-    _add_format_flags(p)
     p.set_defaults(func=cmd_validate)
 
     return parser
 
 
 def cmd_ingest(args) -> int:
-    d = _load_dataset(args.input, args)
+    d = parse_reviews(args.input, _format_config(args))
     pooled = pool_infrequent_users(d, args.min_ratings)
     if pooled is not d:
         n_bg = int((pooled.offsets[1:] - pooled.offsets[:-1])[pooled.users.index(BACKGROUND_USER)])
         print(f"pooled {n_bg} ratings into {BACKGROUND_USER}", file=sys.stderr)
-    # output is on the normalized scale: read it back with --scale-max 5
     write_reviews(pooled, args.out)
     return 0
 
 
 def cmd_split(args) -> int:
-    d = _load_dataset(args.input, args)
+    d = parse_reviews(args.input)
     spec = SplitSpec(
         scheme=args.scheme,
         test_fraction=args.test_fraction,
@@ -214,8 +205,8 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_fit(args) -> int:
     cfg = _train_config(args)  # a bad config fails before any parse
-    train = _load_dataset(args.input, args)
-    valid = _load_dataset(args.valid, args)
+    train = parse_reviews(args.input)
+    valid = parse_reviews(args.valid)
     model = fit(train, valid, cfg)
     model.save(args.out)
     print(f"selected lambda={model.lam}", file=sys.stderr)
@@ -224,8 +215,8 @@ def cmd_fit(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = FittedModel.load(args.model)
-    test = _load_dataset(args.test, args)
-    train = _load_dataset(args.train, args)
+    test = parse_reviews(args.test)
+    train = parse_reviews(args.train)
     report = mse(model, test, train, scheme=args.scheme)
     Path(args.out).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
     return 0
@@ -233,8 +224,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     models = [FittedModel.load(path) for path in args.models]
-    test = _load_dataset(args.test, args)
-    train = _load_dataset(args.train, args)
+    test = parse_reviews(args.test)
+    train = parse_reviews(args.train)
     result = compare(models, test, train)
     rows = [["kind", "lambda", "mse", "std_error"]]
     for row in result.rows:
@@ -276,7 +267,7 @@ def _load_genres(path) -> dict[str, str]:
 
 def cmd_analyze(args) -> int:
     model = FittedModel.load(args.model)
-    train = _load_dataset(args.train, args)
+    train = parse_reviews(args.train)
     # a mismatched train file, a bad window or bad prefixes fail before
     # any output
     agreement = analysis_mod.agreement_variance(
@@ -344,7 +335,7 @@ def cmd_synth(args) -> int:
 
 def cmd_validate(args) -> int:
     model = FittedModel.load(args.model)
-    train = _load_dataset(args.train, args)
+    train = parse_reviews(args.train)
     results = validate_mod.run_all(model.kind, train, model.assignment, seed=args.seed)
     width = max(len(r.name) for r in results)
     failed = False

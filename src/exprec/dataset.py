@@ -537,29 +537,25 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     return tuple(d.subset(np.flatnonzero(part)) for part in (train, val, test))
 
 
-def write_reviews(d: Dataset, path, config: FormatConfig = FormatConfig()) -> None:
-    """Write a dataset in the same header-driven format ``parse_reviews``
-    reads: the four configured columns, with ratings on the normalized
-    scale.  Raises :class:`DataError`, before the file is opened, for an
-    id that would not read back as itself: one holding the delimiter or a
-    line break, or outer whitespace; and for a delimiter made only of
-    characters that a written rating or timestamp can hold."""
+def write_reviews(d: Dataset, path) -> None:
+    """Write a dataset in exprec's own format, which ``parse_reviews``
+    reads with no :class:`FormatConfig`: tab-separated, the header
+    ``user item rating timestamp``, ratings on the normalized scale.
+    Raises :class:`DataError`, before the file is opened, for an id that
+    would not read back as itself: one holding a tab or a line break, or
+    outer whitespace."""
     path = Path(path)
-    delim = config.delimiter
-    if set(delim) <= set("0123456789.e+-"):
-        raise DataError(f"delimiter {delim!r} cannot be written: a rating or timestamp may hold it")
     for kind, ids in (("user", d.users), ("item", d.items)):
-        bad = next((key for key in ids if delim in key or "\n" in key or "\r" in key
+        bad = next((key for key in ids if "\t" in key or "\n" in key or "\r" in key
                     or key != key.strip()), None)
         if bad is not None:
-            raise DataError(f"{kind} id {bad!r} cannot be written: it holds the delimiter, "
+            raise DataError(f"{kind} id {bad!r} cannot be written: it holds a tab, "
                             f"a line break or outer whitespace")
     with path.open("w", encoding="utf-8") as fh:
-        header = (config.user_col, config.item_col, config.rating_col, config.timestamp_col)
-        fh.write(delim.join(header) + "\n")
+        fh.write("user\titem\trating\ttimestamp\n")
         for lo in range(0, len(d), _WRITE_ROWS):
             rows = slice(lo, lo + _WRITE_ROWS)
-            fh.write("\n".join(map(delim.join, zip(
+            fh.write("\n".join(map("\t".join, zip(
                 map(d.users.__getitem__, d.user_code[rows].tolist()),
                 map(d.items.__getitem__, d.item_code[rows].tolist()),
                 map(repr, d.values[rows].tolist()),

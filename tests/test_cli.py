@@ -72,6 +72,21 @@ class TestUsageErrors:
     def test_unknown_subcommand_exits_1(self):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["split", "--input", "r", "--out-dir", "o"],
+        ["fit", "--input", "t", "--valid", "v", "--out", "m"],
+        ["evaluate", "--model", "m", "--test", "t", "--train", "r", "--out", "o"],
+        ["compare", "--model", "m", "--test", "t", "--train", "r"],
+        ["analyze", "--model", "m", "--train", "r", "--out-dir", "o"],
+        ["validate", "--model", "m", "--train", "r"],
+    ], ids=lambda argv: argv[0])
+    def test_format_flags_are_ingest_only(self, argv, capsys):
+        # every other command reads exprec's own format; the arguments
+        # without the flag parse
+        build_parser().parse_args(argv)
+        assert main([*argv, "--delimiter", ","]) == 1
+        assert "unrecognized arguments: --delimiter ," in capsys.readouterr().err
+
 
 class TestMissingFile:
     @pytest.mark.parametrize("case", ["evaluate --test", "evaluate --model", "fit --config"])
@@ -201,6 +216,7 @@ class TestConfigFile:
     def test_flag_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["fit", "--input", "t", "--valid", "v", "--out", "m"])
         assert _train_config(args) == TrainConfig()
+        args = build_parser().parse_args(["ingest", "--input", "r", "--out", "c"])
         assert _format_config(args) == FormatConfig()
 
 
