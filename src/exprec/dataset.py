@@ -450,13 +450,17 @@ def _parse_block(
         limit, error = stop, f"non-numeric timestamp {time_texts[stop]!r}"
     fractional = ~(np.isfinite(stamps) & (np.floor(stamps) == stamps))
     too_large = stamps >= 2.0**53
-    # float() reads every integer below 2^53 exactly, and no larger one; at
-    # 2^52 and above it also rounds fractions away, so those texts are
-    # checked as decimals
-    for j in np.flatnonzero(np.abs(stamps) >= 2.0**52).tolist():
-        exact = Decimal(time_texts[j])
-        fractional[j] = not (exact.is_finite() and exact == exact.to_integral_value())
-        too_large[j] = exact >= 2**53
+    # float() reads a text of digits alone exactly below 2^53, and as 2^53
+    # or more above; any other text may have lost a fraction or its size
+    # to rounding (2251799813685248.1, 1e-400, 1e999), so it is checked as
+    # a decimal
+    texts = time_texts[:limit]
+    if not "".join(texts).isdigit():
+        for j, text in enumerate(texts):
+            if not text.isdigit():
+                exact = Decimal(text)
+                fractional[j] = not (exact.is_finite() and exact == exact.to_integral_value())
+                too_large[j] = exact.is_finite() and exact >= 2**53
     scale_max = config.scale_max
     checks = (
         (lambda: fractional, lambda j: f"non-integer timestamp {time_texts[j].strip()}"),

@@ -189,7 +189,8 @@ FILE_LINES = st.lists(
         st.tuples(st.just("u"), st.just("x"),
                   st.sampled_from(["1", "bad", "6", "nan", "-1"]),
                   st.sampled_from(["2", "soon", "2.5", "-3", "inf", "4503599627370496.5",
-                                   "9007199254740993", "1e19"])),
+                                   "9007199254740993", "1e19", "2251799813685248.1",
+                                   "1.00000000000000000001", "1e-400", "-1e-400"])),
     ).map("\t".join) | st.sampled_from(["", "  ", "u\tx\t1", "u\tx\t1\t2\t3"]),
     max_size=25,
 )
@@ -382,6 +383,11 @@ class TestParseReviews:
             ("4503599627370496.5", "line 3: non-integer timestamp 4503599627370496.5"),
             ("4503599627370497.5", "line 3: non-integer timestamp 4503599627370497.5"),
             ("1e999", "line 3: timestamp out of range 1e999"),
+            # fractions that float() rounds away below 2^52
+            ("2251799813685248.1", "line 3: non-integer timestamp 2251799813685248.1"),
+            ("1.00000000000000000001", "line 3: non-integer timestamp 1.00000000000000000001"),
+            ("1e-400", "line 3: non-integer timestamp 1e-400"),
+            ("-1e-400", "line 3: non-integer timestamp -1e-400"),
         ],
     )
     def test_timestamp_errors_name_line(self, stamp, message):
@@ -397,6 +403,8 @@ class TestParseReviews:
         # whole values in other spellings, below and at 2^52, read as before
         text = "user\titem\trating\ttimestamp\nu1\ti1\t3\t3.0\nu1\ti2\t3\t1e3\nu1\ti3\t3\t4503599627370496.0\n"
         assert parse_reviews(io.StringIO(text)).times.tolist() == [3, 1000, 2**52]
+        text = "user\titem\trating\ttimestamp\nu1\ti1\t3\t 12 \nu2\ti1\t3\t-0\nu3\ti1\t3\t1_000\n"
+        assert parse_reviews(io.StringIO(text)).times.tolist() == [12, 0, 1000]
 
     def test_blank_lines_count_in_line_numbers(self):
         text = "user\titem\trating\ttimestamp\n\nu1\ti1\t3\t0\n   \nu1\ti2\tbad\t1\n"
