@@ -75,7 +75,8 @@ class FormatConfig:
     ``scale_max`` is the top of the file's rating scale, a finite real
     number > 0; the delimiter holds no line break, and the four column
     names are distinct strings that a header can hold: none has outer
-    whitespace or holds the delimiter or a line break."""
+    whitespace or a line break, and the first delimiter in a name followed
+    by the delimiter is the one after it (``"xa"`` with ``"aa"`` is not)."""
 
     delimiter: str = "\t"
     user_col: str = "user"
@@ -99,9 +100,11 @@ class FormatConfig:
         for name in names:
             if not isinstance(name, str):
                 raise TypeError(f"column names must be strings, got {name!r}")
-            if name != name.strip() or delim in name or "\n" in name or "\r" in name:
-                raise DataError(f"column name {name!r} cannot be read from a header: it holds "
-                                f"the delimiter {delim!r}, a line break or outer whitespace")
+            if (name != name.strip() or (name + delim).find(delim) < len(name)
+                    or "\n" in name or "\r" in name):
+                raise DataError(f"column name {name!r} cannot be read from a header: the delimiter "
+                                f"{delim!r} starts inside it, or it holds a line break or outer "
+                                f"whitespace")
         if len(set(names)) < len(names):
             raise DataError(f"the four column names must be distinct, got {names}")
 

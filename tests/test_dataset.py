@@ -293,12 +293,22 @@ class TestFormatConfig:
         ("\t", "user_col", " user"), ("\t", "item_col", "item "), ("\t", "user_col", "us\ter"),
         (",", "rating_col", "taste,score"), ("\t", "timestamp_col", "time\nstamp"),
         ("e", "user_col", "user"),
+        # the name's tail and the delimiter hold an earlier delimiter:
+        # "xa" + "aa" splits as "x" and "a..."
+        ("aa", "user_col", "xa"), ("aba", "item_col", "xab"), (" | ", "rating_col", "a |"),
     ])
     def test_column_name_no_header_can_hold_refused(self, delimiter, field, name):
         # " user" and "us\ter" were accepted, and no header could name
         # them: parse said "missing column" while the header showed the name
         with pytest.raises(DataError, match=f"^column name {re.escape(repr(name))} cannot be read from a header"):
             FormatConfig(delimiter=delimiter, **{field: name})
+
+    @pytest.mark.parametrize("delimiter, name", [("aba", "xa"), (",", "who"), ("aa", "x")])
+    def test_column_name_a_header_can_hold_accepted(self, delimiter, name):
+        config = FormatConfig(delimiter=delimiter, user_col=name)
+        text = delimiter.join([name, "item", "rating", "timestamp"]) + "\n"
+        text += delimiter.join(["u", "i", "4", "1"]) + "\n"
+        assert rows_of(parse_reviews(io.StringIO(text), config)) == [("u", "i", 4.0, 1)]
 
     def test_column_names_must_be_strings(self):
         with pytest.raises(TypeError, match=r"^column names must be strings, got 5$"):
