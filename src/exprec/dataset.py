@@ -456,9 +456,10 @@ def _parse_block(
     # float() reads a text of digits alone exactly below 2^53, and as 2^53
     # or more above; any other text may have lost a fraction or its size
     # to rounding (2251799813685248.1, 1e-400, 1e999), so it is checked as
-    # a decimal
+    # a decimal.  A block of ASCII digits alone passes at once, as bytes:
+    # bytes.isdigit is several times faster than str.isdigit
     texts = time_texts[:limit]
-    if not "".join(texts).isdigit():
+    if not "".join(texts).encode().isdigit():
         for j, text in enumerate(texts):
             if not text.isdigit():
                 exact = Decimal(text)
