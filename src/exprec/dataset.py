@@ -75,8 +75,8 @@ class FormatConfig:
     ``scale_max`` is the top of the file's rating scale, a finite real
     number > 0; the delimiter holds no line break, and the four column
     names are distinct strings that a header can hold: none has outer
-    whitespace or a line break, and the first delimiter in a name followed
-    by the delimiter is the one after it (``"xa"`` with ``"aa"`` is not)."""
+    whitespace or a line break, and no delimiter starts inside one, even
+    one that runs past its end (``"xa"`` with ``"aa"``)."""
 
     delimiter: str = "\t"
     user_col: str = "user"
