@@ -13,8 +13,6 @@ from .assign import (
     assign_user_dp,
     find_monotonicity_violation,
     prediction_costs,
-    uniform_community_schedule,
-    uniform_user_schedule,
 )
 from .dataset import (
     BACKGROUND_USER,
@@ -92,7 +90,5 @@ __all__ = [
     "split",
     "theta_step",
     "training_rows",
-    "uniform_community_schedule",
-    "uniform_user_schedule",
     "write_reviews",
 ]

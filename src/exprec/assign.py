@@ -8,7 +8,10 @@ Five model kinds control how ratings map to experience levels:
 * ``c``    community evolution at learned change points
 * ``d``    per-user evolution at learned change points
 
-The learned kinds minimize squared prediction error over all monotone
+Each kind but ``lf`` crosses a layout, one sequence over the community's
+timeline or one per user (:func:`_sequences`), with a rule: a uniform
+grid over each sequence's time span, or learned change points.  The
+learned kinds minimize squared prediction error over all monotone
 non-decreasing level sequences with an O(n * E) dynamic program; among
 equally cheap sequences the lexicographically smallest wins (lower
 levels preferred earlier), which keeps training reproducible.
@@ -56,14 +59,28 @@ class ModelKind(str, Enum):
         return self in (ModelKind.COMMUNITY_UNIFORM, ModelKind.COMMUNITY_LEARNED)
 
 
-def _uniform_levels(times: np.ndarray, t_min, t_max, E: int) -> np.ndarray:
-    """Level per timestamp on an E-interval grid over [t_min, t_max];
-    the bounds are scalars or one pair per timestamp.
+def _sequences(kind: ModelKind, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``d`` in the order a kind's levels may not decrease
+    along, and the offsets that cut that order into its sequences: the
+    global time order as one sequence for community kinds, each user's
+    rows in place for per-user kinds."""
+    if kind.is_community:
+        return d.global_time_order(), np.array([0, len(d)])
+    return np.arange(len(d)), d.offsets
 
-    Intervals are half-open with the last one closed, so t_max lands on
-    level E.  A degenerate span puts everything at level 1.
+
+def _uniform_levels(times: np.ndarray, offsets: np.ndarray, E: int) -> np.ndarray:
+    """Level per timestamp on an E-interval grid spanning each sequence
+    ``times[offsets[j]:offsets[j + 1]]``, whose times do not decrease,
+    from its first to its last timestamp.
+
+    Intervals are half-open with the last one closed, so a sequence's
+    last timestamp lands on level E.  A degenerate span puts everything
+    at level 1.
     """
-    span = t_max - t_min
+    lengths = np.diff(offsets)
+    t_min = times[np.repeat(offsets[:-1], lengths)]
+    span = times[np.repeat(offsets[1:] - 1, lengths)] - t_min
     offset = times - t_min
     # level k + 1 starts at ceil(k * span / E), taken apart so that no
     # integer product can overflow and boundary ratings stay exact
@@ -72,26 +89,6 @@ def _uniform_levels(times: np.ndarray, t_min, t_max, E: int) -> np.ndarray:
     for k in range(1, E):
         levels += offset >= k * step - (-k * rest // E)
     return np.where(span > 0, levels, 1)
-
-
-def uniform_community_schedule(d: Dataset, E: int) -> ExperienceAssignment:
-    """Model (a): levels from E equal-width bins over the corpus time span."""
-    if E < 1:
-        raise ValueError("E must be >= 1")
-    if len(d) == 0:
-        raise ValueError("empty dataset")
-    return ExperienceAssignment.of(d, _uniform_levels(d.times, d.times.min(), d.times.max(), E))
-
-
-def uniform_user_schedule(d: Dataset, E: int) -> ExperienceAssignment:
-    """Model (b): the same grid, but spanning each user's own history."""
-    if E < 1:
-        raise ValueError("E must be >= 1")
-    if len(d) == 0:
-        raise ValueError("empty dataset")
-    first = d.times[d.offsets[:-1]][d.user_code]
-    last = d.times[d.offsets[1:] - 1][d.user_code]
-    return ExperienceAssignment.of(d, _uniform_levels(d.times, first, last, E))
 
 
 def _monotone_dp(costs: np.ndarray) -> np.ndarray:
@@ -295,19 +292,15 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
     kind = require_member("kind", ModelKind, kind)
     if kind is ModelKind.FLAT:
         return ExperienceAssignment.of(d, np.ones(len(d), dtype=np.int64))
-    if kind is ModelKind.COMMUNITY_UNIFORM:
-        return uniform_community_schedule(d, p.E)
-    if kind is ModelKind.USER_UNIFORM:
-        return uniform_user_schedule(d, p.E)
-
-    costs = prediction_costs(p, d)
-    if kind is ModelKind.USER_LEARNED:
-        return ExperienceAssignment.of(d, assign_batch_dp(costs, d.offsets))
-    # COMMUNITY_LEARNED: one sequence over the global time order
-    order = d.global_time_order()
-    # np.take keeps the row-major layout, which the kernel's reductions
-    # over levels need to be fast; costs[:, order] would be column-major
-    path = assign_community_dp(np.take(costs, order, axis=1))
+    order, offsets = _sequences(kind, d)
+    if not kind.is_learned:
+        path = _uniform_levels(d.times[order], offsets, p.E)
+    elif kind is ModelKind.USER_LEARNED:
+        path = assign_batch_dp(prediction_costs(p, d), offsets)  # order is the row order
+    else:
+        # np.take keeps the row-major layout, which the kernel's reductions
+        # over levels need to be fast; costs[:, order] would be column-major
+        path = assign_community_dp(np.take(prediction_costs(p, d), order, axis=1))
     column = np.empty(len(d), dtype=np.int64)
     column[order] = path
     return ExperienceAssignment.of(d, column)
@@ -326,10 +319,9 @@ def find_monotonicity_violation(
     ``kind`` may be a member's value string.
     """
     kind = require_member("kind", ModelKind, kind)
-    order = d.global_time_order() if kind.is_community else np.arange(len(d))
+    order, offsets = _sequences(kind, d)
     drops = np.diff(a.flat(d)[order]) < 0
-    if not kind.is_community:
-        drops &= np.diff(d.user_code) == 0  # a new user may start lower
+    drops[offsets[1:-1] - 1] = False  # a new sequence may start lower
     bad = np.flatnonzero(drops)
     if not len(bad):
         return None

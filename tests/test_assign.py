@@ -17,8 +17,6 @@ from exprec.assign import (
     assert_monotone,
     find_monotonicity_violation,
     prediction_costs,
-    uniform_community_schedule,
-    uniform_user_schedule,
 )
 from exprec.dataset import BACKGROUND_USER, pool_infrequent_users
 from exprec.model import ExperienceAssignment, ModelParams
@@ -48,43 +46,48 @@ def joined_batch(cost_list):
     return np.concatenate(cost_list, axis=1), offsets
 
 
+def schedule(kind, d, E):
+    """A uniform kind's levels: ``assign_all`` reads only E of the model."""
+    return assign_all(kind, ModelParams.zeros(d.users, d.items, E, 1), d)
+
+
 class TestUniformCommunitySchedule:
     def test_half_open_intervals(self):
         d = dataset_of([("u", f"i{t}", 1.0, t) for t in (0, 25, 50, 75, 100)])
-        a = uniform_community_schedule(d, 2)
+        a = schedule("a", d, 2)
         assert list(a.levels["u"]) == [1, 1, 2, 2, 2]
 
     def test_single_interval(self):
         d = dataset_of([("u", f"i{t}", 1.0, t) for t in (3, 9, 4)])
-        a = uniform_community_schedule(d, 1)
+        a = schedule("a", d, 1)
         assert list(a.levels["u"]) == [1, 1, 1]
 
     def test_degenerate_span(self):
         d = dataset_of([("u", f"i{j}", 1.0, 10) for j in range(3)])
-        a = uniform_community_schedule(d, 3)
+        a = schedule("a", d, 3)
         assert list(a.levels["u"]) == [1, 1, 1]
 
     def test_grid_is_corpus_wide(self):
         d = dataset_of(
             [("early", "a", 1.0, 0), ("early", "b", 1.0, 10), ("late", "c", 1.0, 90), ("late", "d", 1.0, 100)]
         )
-        a = uniform_community_schedule(d, 2)
+        a = schedule("a", d, 2)
         assert list(a.levels["early"]) == [1, 1]
         assert list(a.levels["late"]) == [2, 2]
 
     def test_span_whose_products_overflow_int64(self):
         # (t - t_min) * E would overflow: 2^62 * 2 wraps to -2^63
         d = dataset_of([("u", f"i{t}", 1.0, t) for t in (0, 2**62, 2**62 + 2**61)])
-        assert list(uniform_community_schedule(d, 2).levels["u"]) == [1, 2, 2]
+        assert list(schedule("a", d, 2).levels["u"]) == [1, 2, 2]
         top = np.iinfo(np.int64).max
         d = dataset_of([("u", f"i{t}", 1.0, t) for t in (0, top // 2, top // 2 + 1, top)])
-        assert list(uniform_community_schedule(d, 2).levels["u"]) == [1, 1, 2, 2]
+        assert list(schedule("a", d, 2).levels["u"]) == [1, 1, 2, 2]
 
 
 class TestUniformUserSchedule:
     def test_per_user_grid(self):
         d = dataset_of([("u", f"i{t}", 1.0, t) for t in (0, 50, 100)])
-        a = uniform_user_schedule(d, 2)
+        a = schedule("b", d, 2)
         assert list(a.levels["u"]) == [1, 2, 2]
 
     def test_disjoint_eras_get_full_range(self):
@@ -92,13 +95,13 @@ class TestUniformUserSchedule:
             [("u", "a", 1.0, 0), ("u", "b", 1.0, 10),
              ("v", "a", 1.0, 1000), ("v", "b", 1.0, 1010)]
         )
-        a = uniform_user_schedule(d, 5)
+        a = schedule("b", d, 5)
         assert list(a.levels["u"]) == [1, 5]
         assert list(a.levels["v"]) == [1, 5]
 
     def test_two_rating_endpoints(self):
         d = dataset_of([("u", "a", 1.0, 0), ("u", "b", 1.0, 100)])
-        a = uniform_user_schedule(d, 5)
+        a = schedule("b", d, 5)
         assert list(a.levels["u"]) == [1, 5]
 
     def test_span_whose_products_overflow_int64(self):
@@ -110,13 +113,13 @@ class TestUniformUserSchedule:
              ("v", "a", 1.0, 1), ("v", "b", 1.0, mid),
              ("v", "c", 1.0, mid + 1), ("v", "d", 1.0, 2**62 + 2**61)]
         )
-        a = uniform_user_schedule(d, 2)
+        a = schedule("b", d, 2)
         assert list(a.levels["u"]) == [1, 2, 2]
         assert list(a.levels["v"]) == [1, 1, 2, 2]
 
     def test_single_rating_user(self):
         d = dataset_of([("u", "a", 1.0, 42)])
-        a = uniform_user_schedule(d, 5)
+        a = schedule("b", d, 5)
         assert list(a.levels["u"]) == [1]
 
 
@@ -494,6 +497,14 @@ class TestAssignAll:
         d, p = TestMonotonicityValidator.random_instance()
         want = assign_all(kind, p, d).flat(d)
         assert np.array_equal(assign_all(kind.value, p, d).flat(d), want)
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_empty_dataset_gets_an_empty_assignment(self, kind):
+        # the uniform kinds used to raise "empty dataset"
+        d = dataset_of([])
+        a = assign_all(kind, ModelParams.zeros((), (), 3, 2), d)
+        assert a.flat(d).shape == (0,) and a.users == ()
+        assert find_monotonicity_violation(kind, d, a) is None
 
     def test_unknown_kind_named(self):
         p, d = tiny_model_and_data()
