@@ -312,8 +312,7 @@ def objective_and_gradient(
 
     Each rating contributes only to its assigned level's parameters; the
     smoothness term contributes 2*lam*(theta_e - theta_{e+1}) to level e
-    and the negation to level e+1.  The penalty's value is summed in the
-    same loop, and the objective equals :func:`penalized`'s bit for bit.
+    and the negation to level e+1.  The objective is :func:`penalized`'s.
     """
     E, K = p.E, p.K
     U, I = len(p.users), len(p.items)
@@ -340,10 +339,8 @@ def objective_and_gradient(
             lin_i, weights=coef * p.user_factors[..., k].take(lin_u), minlength=E * I
         ).reshape(E, I)
 
-    pen = 0.0
     for block, g_block in zip(p.blocks(), grads):
         diff = block[:-1] - block[1:]
-        pen += float(np.sum(diff * diff))
         g_block[:-1] += 2.0 * lam * diff
         g_block[1:] -= 2.0 * lam * diff
-    return err + lam * pen, grad.vec
+    return penalized(p, err, lam), grad.vec
