@@ -20,6 +20,7 @@ import json
 import logging
 import sys
 import warnings
+from contextlib import nullcontext
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -227,26 +228,26 @@ def cmd_compare(args) -> int:
     test = parse_reviews(args.test)
     train = parse_reviews(args.train)
     result = compare(models, test, train)
-    rows = [["kind", "lambda", "mse", "std_error"]]
-    for row in result.rows:
-        rows.append([row.kind, repr(row.lam), repr(row.mse), repr(row.std_error)])
-    for name, value in result.benefits.items():
-        rows.append([f"benefit_{name}", "", f"{value:.2f}%", ""])
-    text = "\n".join(",".join(str(c) for c in r) for r in rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    rows = [[row.kind, row.lam, row.mse, row.std_error] for row in result.rows]
+    rows += ([f"benefit_{name}", "", f"{value:.2f}%", ""] for name, value in result.benefits.items())
+    _write_csv(args.out, ["kind", "lambda", "mse", "std_error"], rows)
     return 0
 
 
-def _write_csv(path, cls, rows):
-    """A header naming the fields of the dataclass ``cls``, then one line
-    per row; csv writes a float as its repr."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(f.name for f in fields(cls))
-        writer.writerows(astuple(row) for row in rows)
+def _write_csv(path, header, rows):
+    """``header``, then each of ``rows``, as CSV lines ending in ``\\n``, to
+    the file ``path``, or to stdout when it is None; csv writes a float
+    as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_table(path, cls, rows):
+    """The dataclass instances ``rows`` of ``cls`` as CSV, under a header
+    naming its fields."""
+    _write_csv(path, [f.name for f in fields(cls)], map(astuple, rows))
 
 
 def _load_genres(path) -> dict[str, str]:
@@ -284,18 +285,18 @@ def cmd_analyze(args) -> int:
 
     if model.params.E >= 2:
         scores = analysis_mod.acquired_taste_scores(model, train, args.min_ratings)
-        _write_csv(out / "taste_scores.csv", analysis_mod.TasteScore, scores)
+        _write_table(out / "taste_scores.csv", analysis_mod.TasteScore, scores)
         if args.genres:
             summary = analysis_mod.genre_bias_summary(scores, _load_genres(args.genres))
-            _write_csv(out / "genre_summary.csv", analysis_mod.GenreSummary, summary)
+            _write_table(out / "genre_summary.csv", analysis_mod.GenreSummary, summary)
     else:
         print("skipping taste scores: model has a single level", file=sys.stderr)
 
-    _write_csv(out / "agreement.csv", analysis_mod.AgreementPoint, agreement)
+    _write_table(out / "agreement.csv", analysis_mod.AgreementPoint, agreement)
 
     if model.kind.is_learned:
         rows, counts = analysis_mod.progression_stats(model, train)
-        _write_csv(out / "progression.csv", analysis_mod.ProgressionRow, rows)
+        _write_table(out / "progression.csv", analysis_mod.ProgressionRow, rows)
         print(f"progression cohorts: {counts}", file=sys.stderr)
     else:
         print("skipping progression: schedule-driven model kind", file=sys.stderr)
@@ -305,7 +306,7 @@ def cmd_analyze(args) -> int:
         for prefix in prefixes
         for point in analysis_mod.retention_curves(model, train, gap=args.gap, prefix=prefix)
     ]
-    _write_csv(out / "retention.csv", analysis_mod.RetentionPoint, retention)
+    _write_table(out / "retention.csv", analysis_mod.RetentionPoint, retention)
     return 0
 
 

@@ -366,6 +366,20 @@ class TestAnalyzeCommand:
                      "progression.csv", "retention.csv"):
             assert (out_dir / name).exists(), name
 
+    def test_csv_lines_end_in_newline_alone(self, split_dir, model_path, tmp_path):
+        # analyze's tables ended their lines with \r\n, compare's with \n
+        out_dir = tmp_path / "analysis"
+        train, test = str(split_dir / "train.tsv"), str(split_dir / "test.tsv")
+        assert main(["analyze", "--model", str(model_path), "--train", train,
+                     "--min-ratings", "1", "--min-cohort", "2", "--out-dir", str(out_dir)]) == 0
+        assert main(["compare", "--model", str(model_path), "--test", test, "--train", train,
+                     "--out", str(out_dir / "compare.csv")]) == 0
+        tables = sorted(out_dir.glob("*.csv"))
+        assert len(tables) == 5
+        for path in tables:
+            text = path.read_bytes()
+            assert b"\r" not in text and text.endswith(b"\n"), path.name
+
     def test_genre_file_header_and_blank_lines_skipped(self, tmp_path):
         # only the first non-blank line may be a header; blank lines
         # anywhere are skipped
