@@ -185,12 +185,14 @@ ROWS = st.lists(
 FILE_LINES = st.lists(
     st.one_of(
         st.tuples(IDS, st.sampled_from(["x", " y", "ü"]), st.sampled_from(["1", "2.5", "4"]),
-                  st.sampled_from(["0", "3", "3.0", " 7 ", "9007199254740991"])),
+                  st.sampled_from(["0", "3", "3.0", " 7 ", "9007199254740991", "12.", "-0.0",
+                                   "0.000", "9007199254740991.0"])),
         st.tuples(st.just("u"), st.just("x"),
                   st.sampled_from(["1", "bad", "6", "nan", "-1"]),
                   st.sampled_from(["2", "soon", "2.5", "-3", "inf", "4503599627370496.5",
                                    "9007199254740993", "1e19", "2251799813685248.1",
-                                   "1.00000000000000000001", "1e-400", "-1e-400"])),
+                                   "1.00000000000000000001", "1e-400", "-1e-400",
+                                   "4503599627370496.50", "9007199254740992.0"])),
     ).map("\t".join) | st.sampled_from(["", "  ", "u\tx\t1", "u\tx\t1\t2\t3"]),
     max_size=25,
 )
@@ -398,6 +400,9 @@ class TestParseReviews:
             ("1.00000000000000000001", "line 3: non-integer timestamp 1.00000000000000000001"),
             ("1e-400", "line 3: non-integer timestamp 1e-400"),
             ("-1e-400", "line 3: non-integer timestamp -1e-400"),
+            # digits, a dot and zeros read as the digits, 2^53 too
+            ("9007199254740992.0", "line 3: timestamp out of range 9007199254740992.0"),
+            ("4503599627370496.50", "line 3: non-integer timestamp 4503599627370496.50"),
         ],
     )
     def test_timestamp_errors_name_line(self, stamp, message):
@@ -415,6 +420,8 @@ class TestParseReviews:
         assert parse_reviews(io.StringIO(text)).times.tolist() == [3, 1000, 2**52]
         text = "user\titem\trating\ttimestamp\nu1\ti1\t3\t 12 \nu2\ti1\t3\t-0\nu3\ti1\t3\t1_000\n"
         assert parse_reviews(io.StringIO(text)).times.tolist() == [12, 0, 1000]
+        text = "user\titem\trating\ttimestamp\nu1\ti1\t3\t12.\nu2\ti1\t3\t-0.0\nu3\ti1\t3\t9007199254740991.00\n"
+        assert parse_reviews(io.StringIO(text)).times.tolist() == [12, 0, 2**53 - 1]
 
     def test_blank_lines_count_in_line_numbers(self):
         text = "user\titem\trating\ttimestamp\n\nu1\ti1\t3\t0\n   \nu1\ti2\tbad\t1\n"
