@@ -453,16 +453,15 @@ def _parse_block(
         limit, error = stop, f"non-numeric timestamp {time_texts[stop]!r}"
     fractional = ~(np.isfinite(stamps) & (np.floor(stamps) == stamps))
     too_large = stamps >= 2.0**53
-    # float() reads digits alone, or digits, a dot and zeros, exactly below
-    # 2^53 and as 2^53 or more above; any other text may have lost a
-    # fraction or its size to rounding (2251799813685248.1, 1e-400, 1e999),
-    # so it is checked as a decimal.  A block of ASCII digits alone passes
-    # at once, as bytes: bytes.isdigit is several times faster than str.isdigit
+    # float() reads a text of digits alone exactly below 2^53, and as 2^53
+    # or more above; any other text may have lost a fraction or its size
+    # to rounding (2251799813685248.1, 1e-400, 1e999), so it is checked as
+    # a decimal.  A block of ASCII digits alone passes at once, as bytes:
+    # bytes.isdigit is several times faster than str.isdigit
     texts = time_texts[:limit]
     if not "".join(texts).encode().isdigit():
         for j, text in enumerate(texts):
-            whole, _, zeros = text.partition(".")
-            if not whole.isdigit() or zeros.strip("0"):
+            if not text.isdigit():
                 exact = Decimal(text)
                 fractional[j] = not (exact.is_finite() and exact == exact.to_integral_value())
                 too_large[j] = exact.is_finite() and exact >= 2**53

@@ -400,9 +400,12 @@ class TestParseReviews:
             ("1.00000000000000000001", "line 3: non-integer timestamp 1.00000000000000000001"),
             ("1e-400", "line 3: non-integer timestamp 1e-400"),
             ("-1e-400", "line 3: non-integer timestamp -1e-400"),
-            # digits, a dot and zeros read as the digits, 2^53 too
+            # digits, a dot and zeros: whole values, out of range at 2^53
+            # and past float's range, where float() reads inf
             ("9007199254740992.0", "line 3: timestamp out of range 9007199254740992.0"),
             ("4503599627370496.50", "line 3: non-integer timestamp 4503599627370496.50"),
+            pytest.param("1" + "0" * 400 + ".0", "line 3: timestamp out of range 1" + "0" * 400 + ".0",
+                         id="ten-to-the-400.0"),
         ],
     )
     def test_timestamp_errors_name_line(self, stamp, message):
