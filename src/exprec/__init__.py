@@ -9,7 +9,6 @@ training that alternates the two.
 from .assign import (
     ModelKind,
     assign_all,
-    assign_community_dp,
     assign_user_dp,
     find_monotonicity_violation,
     prediction_costs,
@@ -68,7 +67,6 @@ __all__ = [
     "TrainingError",
     "TrajectoryKind",
     "assign_all",
-    "assign_community_dp",
     "assign_test_levels",
     "assign_user_dp",
     "benefit_percent",

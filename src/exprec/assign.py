@@ -16,9 +16,10 @@ non-decreasing level sequences with an O(n * E) dynamic program; among
 equally cheap sequences the lexicographically smallest wins (lower
 levels preferred earlier), which keeps training reproducible.
 
-The learned kinds run one kernel, :func:`_certified_dp`, on a batch of
-sequences: kind ``d`` on each user's ratings, bucketed by length, and
-kind ``c`` on the whole corpus timeline as a batch of one.  Each path is
+The learned kinds run one entry, :func:`assign_user_dp`, and through it
+one kernel, :func:`_certified_dp`, on a batch of sequences: kind ``d``
+on each user's ratings, bucketed by length, and kind ``c`` on the whole
+corpus timeline as a batch of one.  Each path is
 at most E - 1 change points, found with per-level prefix sums and suffix
 minima, one Python step per level.  A sequence keeps that path only
 under a certificate that it is the path the reference returns: equal
@@ -126,56 +127,50 @@ def _monotone_dp(costs: np.ndarray) -> np.ndarray:
     return path
 
 
-def assign_batch_dp(costs: CostMatrix, offsets) -> np.ndarray:
+def assign_user_dp(costs: CostMatrix, offsets) -> np.ndarray:
     """1-based levels of every sequence ``costs[:, offsets[j]:offsets[j + 1]]``,
     in one column: each sequence gets the path :func:`_monotone_dp`
-    returns for it alone.  ``offsets`` run from 0 to ``costs.shape[1]``.
+    returns for it alone, the lexicographically smallest among equally
+    cheap ones.  ``costs`` has one row per level and one column per
+    rating, each sequence's columns in chronological order; the integer
+    ``offsets`` rise from 0 to ``costs.shape[1]``.
 
     One kernel call per bucket of similar lengths: a bucket holds lengths
     in [2^k, 2^(k+1)), so zero padding at most doubles its rows and one
-    long sequence does not set L for all.
+    long sequence does not set L for all.  A bucket of one sequence needs
+    no padding, so the kernel reads it as a view of ``costs``.  Kind c
+    calls this as :func:`assign_community_dp` with one sequence, the
+    whole corpus timeline sorted by (timestamp, user, item).
     """
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2:
         raise ValueError("cost matrix must be 2-dimensional")
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.diff(offsets)
-    if offsets[0] != 0 or offsets[-1] != costs.shape[1] or (lengths < 0).any():
+    offsets = np.asarray(offsets)
+    if not (offsets.ndim == 1 and len(offsets) and offsets.dtype.kind in "iu"
+            and offsets[0] == 0 and offsets[-1] == costs.shape[1]
+            and (offsets[1:] >= offsets[:-1]).all()):
         raise ValueError("offsets must rise from 0 to the number of columns")
+    offsets = offsets.astype(np.int64)
+    lengths = np.diff(offsets)
     column = np.empty(costs.shape[1], dtype=np.int64)
     buckets = np.frexp(lengths)[1]  # k + 1 for 2^k <= length < 2^(k+1), 0 for 0
     for k in np.unique(buckets):
         members = np.flatnonzero(buckets == k)
         lens = lengths[members]
         L, B = int(lens.max()), len(members)
-        # row r of member j is its column offsets[j + 1] - L + r, so the
-        # real rows fill the last lens[j] of L rows
-        seq = np.repeat(np.arange(B), lens)
-        row = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - L, lens)
-        cols = row + np.repeat(offsets[members + 1] - L, lens)
-        batch = np.zeros((costs.shape[0], B, L))
-        batch[:, seq, row] = costs[:, cols]
+        if B == 1:
+            cols = slice(*offsets[members[0]:members[0] + 2])
+            batch, seq, row = costs[:, None, cols], 0, slice(None)
+        else:
+            # row r of member j is its column offsets[j + 1] - L + r, so the
+            # real rows fill the last lens[j] of L rows
+            seq = np.repeat(np.arange(B), lens)
+            row = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - L, lens)
+            cols = row + np.repeat(offsets[members + 1] - L, lens)
+            batch = np.zeros((costs.shape[0], B, L))
+            batch[:, seq, row] = costs[:, cols]
         column[cols] = _certified_dp(batch, lens)[seq, row] + 1
     return column
-
-
-def assign_user_dp(costs: CostMatrix) -> np.ndarray:
-    """Cheapest non-decreasing level sequence for one ordered rating list:
-    :func:`assign_batch_dp` on a batch of one.  A single sequence needs
-    no padding, so the kernel reads ``costs`` as a view, without the
-    batch's gathered copy.
-
-    ``costs`` has one row per level and one column per rating, columns in
-    chronological order.  Returns 1-based levels, :func:`_monotone_dp`'s
-    path: the lexicographically smallest among equally cheap sequences.
-    Kind c calls it as :func:`assign_community_dp` on columns sorted by
-    (timestamp, user, item), so the path segments the whole corpus
-    timeline into at most E contiguous eras.
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 2:
-        raise ValueError("cost matrix must be 2-dimensional")
-    return _certified_dp(costs[:, None, :], np.array([costs.shape[1]]))[0] + 1
 
 
 # one definition under two names, so that each name can be traced apart;
@@ -296,11 +291,11 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
     if not kind.is_learned:
         path = _uniform_levels(d.times[order], offsets, p.E)
     elif kind is ModelKind.USER_LEARNED:
-        path = assign_batch_dp(prediction_costs(p, d), offsets)  # order is the row order
+        path = assign_user_dp(prediction_costs(p, d), offsets)  # order is the row order
     else:
         # np.take keeps the row-major layout, which the kernel's reductions
         # over levels need to be fast; costs[:, order] would be column-major
-        path = assign_community_dp(np.take(prediction_costs(p, d), order, axis=1))
+        path = assign_community_dp(np.take(prediction_costs(p, d), order, axis=1), offsets)
     column = np.empty(len(d), dtype=np.int64)
     column[order] = path
     return ExperienceAssignment.of(d, column)

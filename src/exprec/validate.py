@@ -2,8 +2,8 @@
 
 Three independent checks: the loaded model's assignment satisfies its
 kind's monotonicity constraint on the given corpus, the assignment DP
-(its single-sequence entry, which kind c runs, and the batched one,
-which kind d runs) matches brute-force enumeration on random small
+(on a single sequence, as kind c runs it, and on a ragged batch, as
+kind d runs it) matches brute-force enumeration on random small
 instances, and the analytic gradient matches central finite differences
 on a random small instance.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assign import ModelKind, assign_batch_dp, assign_user_dp, find_monotonicity_violation
+from .assign import ModelKind, assign_user_dp, find_monotonicity_violation
 from .dataset import Dataset
 from .model import (
     ExperienceAssignment, ModelParams, objective, objective_and_gradient, training_rows,
@@ -45,8 +45,8 @@ def check_monotonicity(kind: ModelKind, d: Dataset, a: ExperienceAssignment) -> 
 def check_dp_against_oracle(seed: int = 0) -> CheckResult:
     """The DP against brute-force enumeration on random small instances,
     every second one with integer costs in {0, 1, 2}, which tie often:
-    each instance alone through the single-sequence entry (also bound as
-    ``assign_community_dp``), then each E's share as one ragged batch."""
+    each instance alone, as one sequence, then each E's share as one
+    ragged batch."""
     rng = np.random.default_rng(seed)
     cases = []
     for case in range(_DP_CASES):
@@ -54,7 +54,7 @@ def check_dp_against_oracle(seed: int = 0) -> CheckResult:
         n = int(rng.integers(1, 9))
         costs = rng.random((E, n)) if case % 2 == 0 else rng.integers(0, 3, (E, n)).astype(float)
         want = brute_force_assign(costs)
-        got = assign_user_dp(costs)
+        got = assign_user_dp(costs, [0, n])
         if not np.array_equal(got, want):
             return CheckResult(
                 "dp_vs_oracle", False,
@@ -65,7 +65,7 @@ def check_dp_against_oracle(seed: int = 0) -> CheckResult:
         group = [c for c in cases if c[1].shape[0] == E]
         joined = np.concatenate([costs for _, costs, _ in group], axis=1)
         offsets = np.cumsum([0] + [costs.shape[1] for _, costs, _ in group])
-        column = assign_batch_dp(joined, offsets)
+        column = assign_user_dp(joined, offsets)
         for (case, _, want), got in zip(group, np.split(column, offsets[1:-1])):
             if not np.array_equal(got, want):
                 return CheckResult(

@@ -11,7 +11,6 @@ from exprec.assign import (
     ModelKind,
     _monotone_dp,
     assign_all,
-    assign_batch_dp,
     assign_community_dp,
     assign_user_dp,
     assert_monotone,
@@ -37,6 +36,11 @@ def reference_dp(costs):
         prev += int(np.argmin(G[prev:, t]))
         levels[t] = prev
     return levels + 1
+
+
+def whole(costs):
+    """The offsets of one sequence over every column of ``costs``."""
+    return [0, costs.shape[1]]
 
 
 def joined_batch(cost_list):
@@ -127,21 +131,21 @@ class TestUserDP:
     def test_derived_example(self):
         # enumeration of {111, 112, 122, 222} gives costs {2, 1, 0, 1}
         costs = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-        assert list(assign_user_dp(costs)) == [1, 2, 2]
+        assert list(assign_user_dp(costs, [0, 3])) == [1, 2, 2]
 
     def test_lexicographic_tie_break(self):
-        assert list(assign_user_dp(np.ones((3, 5)))) == [1] * 5
+        assert list(assign_user_dp(np.ones((3, 5)), [0, 5])) == [1] * 5
 
     def test_single_level(self):
-        assert list(assign_user_dp(np.random.default_rng(0).random((1, 4)))) == [1] * 4
+        assert list(assign_user_dp(np.random.default_rng(0).random((1, 4)), [0, 4])) == [1] * 4
 
     def test_empty_sequence(self):
-        assert len(assign_user_dp(np.empty((3, 0)))) == 0
+        assert len(assign_user_dp(np.empty((3, 0)), [0, 0])) == 0
 
     def test_non_finite_cost(self):
         costs = np.array([[0.0, np.nan], [1.0, 0.0]])
         with pytest.raises(ValueError, match="non-finite"):
-            assign_user_dp(costs)
+            assign_user_dp(costs, [0, 2])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -154,7 +158,7 @@ class TestUserDP:
         rng = np.random.default_rng(seed)
         # integer costs in {0, 1, 2} tie often, continuous ones never
         costs = rng.integers(0, 3, size=(E, n)).astype(float) if tied else rng.random((E, n))
-        dp = assign_user_dp(costs)
+        dp = assign_user_dp(costs, [0, n])
         oracle = brute_force_assign(costs)
         assert np.array_equal(dp, oracle)
 
@@ -182,7 +186,7 @@ class TestUserDP:
         costs = np.array([[h, h, h], [-h, h, h]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert list(assign_user_dp(costs)) == [2, 2, 2]
+            assert list(assign_user_dp(costs, [0, 3])) == [2, 2, 2]
             assert list(_monotone_dp(costs)) == [1, 1, 1]
 
     def test_cost_monotone_in_E(self):
@@ -194,7 +198,7 @@ class TestUserDP:
             prev_cost = np.inf
             for E in range(1, 6):
                 costs = base[:E]
-                path = assign_user_dp(costs) - 1
+                path = assign_user_dp(costs, [0, n]) - 1
                 total = costs[path, cols].sum()
                 assert total <= prev_cost + 1e-12
                 prev_cost = total
@@ -210,10 +214,10 @@ class TestBatchDP:
         cost_list = [rng.integers(0, 3, size=(E, n)).astype(float)
                      for n in rng.permutation(lengths)]
         costs, offsets = joined_batch(cost_list)
-        column = assign_batch_dp(costs, offsets)
+        column = assign_user_dp(costs, offsets)
         assert column.dtype == np.int64 and len(column) == costs.shape[1]
         for c, levels in zip(cost_list, np.split(column, offsets[1:-1])):
-            assert np.array_equal(levels, assign_user_dp(c))
+            assert np.array_equal(levels, assign_user_dp(c, whole(c)))
             if c.shape[1] <= 12:
                 assert np.array_equal(levels, brute_force_assign(c))
             if c.shape[1] > 0:
@@ -239,7 +243,7 @@ class TestBatchDP:
         # deciding them, so the kernel's own paths stand apart
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assign, "_monotone_dp", lambda c: np.full(c.shape[1], -1))
-            column = assign_batch_dp(costs, offsets)
+            column = assign_user_dp(costs, offsets)
         for c, levels in zip(cost_list, np.split(column, offsets[1:-1])):
             fell_back = len(levels) > 0 and (levels == 0).all()
             assert fell_back or np.array_equal(levels, _monotone_dp(c) + 1)
@@ -264,7 +268,7 @@ class TestBatchDP:
         tie[1, -1] = np.nextafter(1.0, 2.0)
         cost_list = [clear[0], tie, *clear[1:]]
         costs, offsets = joined_batch(cost_list)
-        parts = np.split(assign_batch_dp(costs, offsets), offsets[1:-1])
+        parts = np.split(assign_user_dp(costs, offsets), offsets[1:-1])
         assert calls == [(2, 4)]  # E and the failing sequence's own rows
         assert list(parts[1]) == [1, 1, 1, 1]
         for c, levels in zip(cost_list, parts):
@@ -273,8 +277,11 @@ class TestBatchDP:
     def test_long_sequence_matches_reference(self):
         rng = np.random.default_rng(11)
         for costs in (rng.random((5, 3000)), rng.integers(0, 3, size=(4, 3000)).astype(float)):
-            assert np.array_equal(assign_user_dp(costs), reference_dp(costs))
-            assert np.array_equal(assign_batch_dp(costs, [0, 3000]), reference_dp(costs))
+            assert np.array_equal(assign_user_dp(costs, [0, 3000]), reference_dp(costs))
+            # and padded beside a shorter sequence of its length bucket
+            joined, offsets = joined_batch([costs[:, :2048], costs])
+            column = assign_user_dp(joined, offsets)
+            assert np.array_equal(column[2048:], reference_dp(costs))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -283,31 +290,60 @@ class TestBatchDP:
         st.integers(min_value=0, max_value=2**32 - 1),
         st.sampled_from(["random", "tied", "signed"]),
     )
-    def test_single_sequence_entry_matches_a_batch_of_one(self, E, n, seed, kind):
-        # the entry skips the batch's padded copy, and its fallback too
-        # must give the batch's levels, whatever the matrix's memory order
-        costs = random_costs(np.random.default_rng(seed), kind, E, n)
-        got = assign_user_dp(costs)
+    def test_sequence_alone_matches_it_padded_beside_a_partner(self, E, n, seed, kind):
+        # alone in its length bucket, a sequence is read as a view of the
+        # costs; beside the bucket's longest length it is gathered into a
+        # padded copy.  Both, and their fallbacks too, must give the same
+        # levels, whatever the matrix's memory order
+        rng = np.random.default_rng(seed)
+        costs = random_costs(rng, kind, E, n)
+        partner = random_costs(rng, kind, E, (1 << n.bit_length()) - 1)
+        assert np.frexp(partner.shape[1])[1] == np.frexp(n)[1]
+        got = assign_user_dp(costs, [0, n])
         assert got.dtype == np.int64
-        assert np.array_equal(got, assign_batch_dp(costs, [0, n]))
-        assert np.array_equal(assign_user_dp(np.asfortranarray(costs)), got)
+        joined, offsets = joined_batch([partner, costs])
+        for order in (np.ascontiguousarray, np.asfortranarray):
+            assert np.array_equal(assign_user_dp(order(costs), [0, n]), got)
+            assert np.array_equal(assign_user_dp(order(joined), offsets)[offsets[1]:], got)
+
+    def test_one_sequence_bucket_is_read_as_a_view(self, monkeypatch):
+        shared = []
+        real = assign._certified_dp
+
+        def spy(batch, lengths):
+            shared.append(np.shares_memory(batch, costs))
+            return real(batch, lengths)
+
+        monkeypatch.setattr(assign, "_certified_dp", spy)
+        costs = np.random.default_rng(23).random((3, 100))
+        # lengths 3 and 2 share a bucket and are gathered into a padded
+        # copy; 95 is alone in its bucket
+        column = assign_user_dp(costs, [0, 3, 5, 100])
+        assert shared == [False, True]
+        assert np.array_equal(column[5:], reference_dp(costs[:, 5:]))
+        # kind c's whole timeline is one sequence
+        shared.clear()
+        assert np.array_equal(assign_community_dp(costs, [0, 100]), reference_dp(costs))
+        assert shared == [True]
 
     @pytest.mark.parametrize("shape", [(5,), (2, 1, 5)])
     def test_cost_matrix_must_be_two_dimensional(self, shape):
-        for entry in (assign_user_dp, lambda costs: assign_batch_dp(costs, [0, 5])):
+        for offsets in ([0, 5], [0, 2, 5]):
             with pytest.raises(ValueError, match="^cost matrix must be 2-dimensional$"):
-                entry(np.zeros(shape))
+                assign_user_dp(np.zeros(shape), offsets)
 
     def test_non_finite_cost_in_batch(self):
         costs = np.zeros((2, 5))
         costs[1, 3] = np.inf
         with pytest.raises(ValueError, match="non-finite cost entry"):
-            assign_batch_dp(costs, [0, 3, 5])
+            assign_user_dp(costs, [0, 3, 5])
 
-    @pytest.mark.parametrize("offsets", [[0, 3], [1, 5], [0, 4, 3, 5], [0, 6]])
+    @pytest.mark.parametrize(
+        "offsets", [[0, 3], [1, 5], [0, 4, 3, 5], [0, 6], [], [[0, 5]], [0, 1.5, 5]]
+    )
     def test_offsets_must_cover_the_columns(self, offsets):
-        with pytest.raises(ValueError, match="offsets must rise"):
-            assign_batch_dp(np.zeros((2, 5)), offsets)
+        with pytest.raises(ValueError, match="^offsets must rise from 0 to the number of columns$"):
+            assign_user_dp(np.zeros((2, 5)), offsets)
 
 
 def random_costs(rng, kind, E, L):
@@ -323,10 +359,10 @@ def random_costs(rng, kind, E, L):
 class TestCommunityDP:
     def test_derived_example(self):
         costs = np.array([[0.0, 0.0, 9.0, 9.0], [9.0, 9.0, 0.0, 0.0]])
-        assert list(assign_community_dp(costs)) == [1, 1, 2, 2]
+        assert list(assign_community_dp(costs, [0, 4])) == [1, 1, 2, 2]
 
     def test_single_level(self):
-        assert list(assign_community_dp(np.ones((1, 3)))) == [1, 1, 1]
+        assert list(assign_community_dp(np.ones((1, 3)), [0, 3])) == [1, 1, 1]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -337,7 +373,7 @@ class TestCommunityDP:
     )
     def test_matches_reference_and_brute_force(self, E, L, seed, kind):
         costs = random_costs(np.random.default_rng(seed), kind, E, L)
-        got = assign_community_dp(costs)
+        got = assign_community_dp(costs, [0, L])
         assert got.dtype == np.int64
         assert np.array_equal(got, _monotone_dp(costs) + 1)
         if L <= 12:
@@ -345,12 +381,12 @@ class TestCommunityDP:
 
     @pytest.mark.parametrize("E", [1, 2, 5])
     def test_empty_sequence(self, E):
-        got = assign_community_dp(np.empty((E, 0)))
+        got = assign_community_dp(np.empty((E, 0)), [0, 0])
         assert got.dtype == np.int64 and len(got) == 0
 
     def test_single_column_takes_first_cheapest_level(self):
-        assert list(assign_community_dp(np.array([[3.0], [1.0], [2.0]]))) == [2]
-        assert list(assign_community_dp(np.array([[3.0], [1.0], [1.0]]))) == [2]
+        assert list(assign_community_dp(np.array([[3.0], [1.0], [2.0]]), [0, 1])) == [2]
+        assert list(assign_community_dp(np.array([[3.0], [1.0], [1.0]]), [0, 1])) == [2]
 
     @pytest.mark.parametrize("E", [2, 5])
     def test_equal_rows_stay_at_level_one(self, E):
@@ -358,26 +394,26 @@ class TestCommunityDP:
         # and prefix sums of equal rows still round differently per length
         row = np.random.default_rng(E).random(20_000) * 3
         costs = np.tile(row, (E, 1))
-        assert np.array_equal(assign_community_dp(costs), np.ones(20_000, dtype=np.int64))
+        assert np.array_equal(assign_community_dp(costs, [0, 20_000]), np.ones(20_000, dtype=np.int64))
         signed_zeros = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]])
-        assert list(assign_community_dp(signed_zeros)) == [1, 1, 1]
+        assert list(assign_community_dp(signed_zeros, [0, 3])) == [1, 1, 1]
 
     def test_long_sequence_matches_reference(self):
         rng = np.random.default_rng(13)
         for kind in ("random", "tied", "signed"):
             costs = random_costs(rng, kind, 5, 4000)
-            assert np.array_equal(assign_community_dp(costs), reference_dp(costs))
+            assert np.array_equal(assign_community_dp(costs, [0, 4000]), reference_dp(costs))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cost(self, bad):
         costs = np.ones((3, 6))
         costs[1, 4] = bad
         with pytest.raises(ValueError, match="non-finite cost entry"):
-            assign_community_dp(costs)
+            assign_community_dp(costs, [0, 6])
         # equal rows are checked too, before any shortcut
         costs[:, 4] = bad
         with pytest.raises(ValueError, match="non-finite cost entry"):
-            assign_community_dp(costs)
+            assign_community_dp(costs, [0, 6])
 
     @staticmethod
     def spy_reference(monkeypatch):
@@ -399,7 +435,7 @@ class TestCommunityDP:
         costs = np.ones((2, L))
         costs[:, 0] = 0.0
         costs[1, -1] = np.nextafter(1.0, 2.0)
-        got = assign_community_dp(costs)
+        got = assign_community_dp(costs, [0, L])
         assert calls == [(2, L)]
         assert list(got) == [1] * L
         assert np.array_equal(got, brute_force_assign(costs))
@@ -408,7 +444,7 @@ class TestCommunityDP:
         calls = self.spy_reference(monkeypatch)
         # [1, 1, 1] and [1, 2, 2] both cost 1
         costs = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        assert list(assign_community_dp(costs)) == [1, 1, 1]
+        assert list(assign_community_dp(costs, [0, 3])) == [1, 1, 1]
         assert calls == [(2, 3)]
 
     def test_clear_margins_and_equal_rows_skip_reference(self, monkeypatch):
@@ -419,8 +455,8 @@ class TestCommunityDP:
         for e, cols in enumerate((slice(0, 1000), slice(1000, 2000), slice(2000, 3000))):
             costs[e, cols] -= 1.0
         want = np.repeat([1, 2, 3], 1000)
-        assert np.array_equal(assign_community_dp(costs), want)
-        assert np.array_equal(assign_community_dp(np.tile(costs[0], (3, 1))), np.ones(3000))
+        assert np.array_equal(assign_community_dp(costs, [0, 3000]), want)
+        assert np.array_equal(assign_community_dp(np.tile(costs[0], (3, 1)), [0, 3000]), np.ones(3000))
         assert calls == []
         assert np.array_equal(want, reference_dp(costs))
 
@@ -488,7 +524,8 @@ class TestAssignAll:
         costs = prediction_costs(p, d)
         assert set(a.levels) == set(d.users)
         for user in d.users:
-            want = assign_user_dp(costs[:, d.user_index[user]])
+            rows = costs[:, d.user_index[user]]
+            want = assign_user_dp(rows, whole(rows))
             assert np.array_equal(a.levels[user], want)
 
     @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)

@@ -457,14 +457,21 @@ class TestValidateCommand:
         assert rc == 0
         assert out.count("PASS") == 3
 
-    @pytest.mark.parametrize("kernel, name", [("assign_user_dp", "single sequence"),
-                                              ("assign_batch_dp", "batched")],
-                             ids=["assign_user_dp", "assign_batch_dp"])
-    def test_wrong_dp_kernel_named(self, split_dir, model_path, monkeypatch, capsys, kernel, name):
+    @pytest.mark.parametrize("name", ["single sequence", "batched"],
+                             ids=["single_sequence", "batched"])
+    def test_wrong_dp_kernel_named(self, split_dir, model_path, monkeypatch, capsys, name):
         # a kernel that never leaves level 1 fails on the first instance
-        # whose optimum does
-        monkeypatch.setattr(validate, kernel,
-                            lambda costs, *offsets: np.ones(costs.shape[1], dtype=np.int64))
+        # whose optimum does; one that is right on a single sequence but
+        # never leaves level 1 in a longer batch passes the single
+        # instances and fails the batched check
+        right = validate.assign_user_dp
+
+        def wrong(costs, offsets):
+            if name == "batched" and len(offsets) == 2:
+                return right(costs, offsets)
+            return np.ones(costs.shape[1], dtype=np.int64)
+
+        monkeypatch.setattr(validate, "assign_user_dp", wrong)
         rc = main(["validate", "--model", str(model_path), "--train", str(split_dir / "train.tsv")])
         out = capsys.readouterr().out
         assert rc == 2

@@ -324,7 +324,7 @@ class TestBruteForce:
             E = int(rng.integers(1, 5))
             n = int(rng.integers(1, 9))
             costs = rng.random((E, n))
-            assert np.array_equal(assign_user_dp(costs), brute_force_assign(costs))
+            assert np.array_equal(assign_user_dp(costs, [0, n]), brute_force_assign(costs))
 
     def test_single_level(self):
         assert list(brute_force_assign(np.ones((1, 4)))) == [1, 1, 1, 1]
