@@ -451,13 +451,13 @@ def _parse_block(
     stamps, stop = _floats(time_texts[:limit])
     if stop < limit:
         limit, error = stop, f"non-numeric timestamp {time_texts[stop]!r}"
-    fractional = ~(np.isfinite(stamps) & (np.floor(stamps) == stamps))
+    fractional = np.floor(stamps) != stamps  # NaN is; inf is too large instead
     too_large = stamps >= 2.0**53
     # float() reads a text of digits alone exactly below 2^53, and as 2^53
-    # or more above; any other text may have lost a fraction or its size
-    # to rounding (2251799813685248.1, 1e-400, 1e999), so it is checked as
-    # a decimal.  A block of ASCII digits alone passes at once, as bytes:
-    # bytes.isdigit is several times faster than str.isdigit
+    # or more above (inf from about 1.8e308); any other text may have lost
+    # a fraction or its size to rounding (2251799813685248.1, 1e-400,
+    # 1e999), so it is checked as a decimal.  A block of ASCII digits alone
+    # passes at once as bytes, whose isdigit is several times faster than str's
     texts = time_texts[:limit]
     if not "".join(texts).encode().isdigit():
         for j, text in enumerate(texts):

@@ -406,6 +406,10 @@ class TestParseReviews:
             ("4503599627370496.50", "line 3: non-integer timestamp 4503599627370496.50"),
             pytest.param("1" + "0" * 400 + ".0", "line 3: timestamp out of range 1" + "0" * 400 + ".0",
                          id="ten-to-the-400.0"),
+            # digits alone past float's range: float() reads inf, which is
+            # too large, not a fraction
+            pytest.param("1" + "0" * 400, "line 3: timestamp out of range 1" + "0" * 400,
+                         id="ten-to-the-400"),
         ],
     )
     def test_timestamp_errors_name_line(self, stamp, message):
