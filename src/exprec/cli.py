@@ -126,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--train", required=True)
-    p.add_argument("--scheme", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -218,7 +217,7 @@ def cmd_evaluate(args) -> int:
     model = FittedModel.load(args.model)
     test = parse_reviews(args.test)
     train = parse_reviews(args.train)
-    report = mse(model, test, train, scheme=args.scheme)
+    report = mse(model, test, train)
     Path(args.out).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
     return 0
 

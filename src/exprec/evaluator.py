@@ -33,7 +33,6 @@ class EvalReport:
     std_error: float
     per_level: dict[int, LevelStats]
     n_test: int
-    scheme: str | None = None
     clamped_mse: float | None = None
 
     def to_json_dict(self) -> dict:
@@ -41,7 +40,6 @@ class EvalReport:
             "mse": self.mse,
             "std_error": self.std_error,
             "n_test": self.n_test,
-            "scheme": self.scheme,
             "clamped_mse": self.clamped_mse,
             "per_level": {
                 str(level): {"mse": stats.mse, "count": stats.count}
@@ -87,9 +85,7 @@ def assign_test_levels(m: "FittedModel", test: Dataset, train: Dataset) -> np.nd
     return out
 
 
-def mse(
-    m: "FittedModel", test: Dataset, train: Dataset, scheme: str | None = None
-) -> EvalReport:
+def mse(m: "FittedModel", test: Dataset, train: Dataset) -> EvalReport:
     """Mean squared error over the test set, with a per-level breakdown.
 
     Per-level statistics partition the test squared errors by assigned
@@ -119,7 +115,6 @@ def mse(
         std_error=std_error,
         per_level=per_level,
         n_test=n,
-        scheme=scheme,
         clamped_mse=float(np.mean(clamped)),
     )
 

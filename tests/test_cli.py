@@ -281,6 +281,17 @@ class TestFitEvaluateCompare:
         assert report["mse"] >= 0
         assert sum(v["count"] for v in report["per_level"].values()) == report["n_test"]
 
+    def test_evaluate_report_holds_only_its_measurements(self, corpus, split_dir, model_path):
+        # no free-text label: every key is computed from the model and files
+        root, _, _ = corpus
+        report_path = root / "report_keys.json"
+        assert main([
+            "evaluate", "--model", str(model_path), "--test", str(split_dir / "test.tsv"),
+            "--train", str(split_dir / "train.tsv"), "--out", str(report_path),
+        ]) == 0
+        report = json.loads(report_path.read_text())
+        assert set(report) == {"mse", "std_error", "n_test", "clamped_mse", "per_level"}
+
     def test_compare_includes_benefits(self, corpus, split_dir, model_path, capsys):
         root, _, _ = corpus
         flat_path = root / "flat.json"
