@@ -451,7 +451,7 @@ def _parse_block(
     stamps, stop = _floats(time_texts[:limit])
     if stop < limit:
         limit, error = stop, f"non-numeric timestamp {time_texts[stop]!r}"
-    fractional = np.floor(stamps) != stamps  # NaN is; inf is too large instead
+    fractional = np.floor(stamps) != stamps  # true for NaN; inf is left to too_large
     too_large = stamps >= 2.0**53
     # float() reads a text of digits alone exactly below 2^53, and as 2^53
     # or more above (inf from about 1.8e308); any other text may have lost
