@@ -17,11 +17,11 @@ equally cheap sequences the lexicographically smallest wins (lower
 levels preferred earlier), which keeps training reproducible.
 
 The learned kinds run one entry, :func:`assign_user_dp`, and through it
-one kernel, :func:`_certified_dp`, on a batch of sequences: kind ``d``
-on each user's ratings, bucketed by length, and kind ``c`` on the whole
-corpus timeline as a batch of one.  Each path is
-at most E - 1 change points, found with per-level prefix sums and suffix
-minima, one Python step per level.  A sequence keeps that path only
+one kernel, :func:`_certified_dp`, once per bucket of similar sequence
+lengths: kind ``d`` on each user's ratings, and kind ``c`` on the whole
+corpus timeline, which as a bucket of one is read as a view.  Each path
+is at most E - 1 change points, found with per-level prefix sums and
+suffix minima, one Python step per level.  A sequence keeps that path only
 under a certificate that it is the path the reference returns: equal
 cost rows (all level 1), or every change-point decision winning by more
 than a rounding bound tau of both kernels.  The sequences that do not
