@@ -232,11 +232,13 @@ def retention_curves(
     more than ``gap`` seconds.  Only users with at least ``prefix``
     ratings contribute, so every index draws on the same population.
     Raises TypeError for a ``prefix`` that is not an integer and
-    ValueError for one below 1.
+    ValueError for one below 1 or for a negative ``gap``.
     """
     require_integer("prefix", prefix)
     if prefix < 1:
         raise ValueError(f"prefix must be >= 1, got {prefix!r}")
+    if gap < 0:
+        raise ValueError(f"gap must be >= 0, got {gap!r}")
     corpus_end = int(d.times.max())
     levels = m.assignment.flat(d)
     long_enough = np.diff(d.offsets) >= prefix

@@ -268,8 +268,8 @@ def _load_genres(path) -> dict[str, str]:
 def cmd_analyze(args) -> int:
     model = FittedModel.load(args.model)
     train = parse_reviews(args.train)
-    # a mismatched train file, a bad window or bad prefixes fail before
-    # any output
+    # a mismatched train file, a bad window, bad prefixes or a negative
+    # gap fail before any output
     agreement = analysis_mod.agreement_variance(
         model, train, min_cohort=args.min_cohort, window=args.window, step=args.step
     )
@@ -279,6 +279,11 @@ def cmd_analyze(args) -> int:
         prefixes = [0]
     if min(prefixes) < 1:
         raise DataError(f"prefixes must be comma-separated positive integers, got {args.prefixes!r}")
+    retention = [
+        point
+        for prefix in prefixes
+        for point in analysis_mod.retention_curves(model, train, gap=args.gap, prefix=prefix)
+    ]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -300,11 +305,6 @@ def cmd_analyze(args) -> int:
     else:
         print("skipping progression: schedule-driven model kind", file=sys.stderr)
 
-    retention = [
-        point
-        for prefix in prefixes
-        for point in analysis_mod.retention_curves(model, train, gap=args.gap, prefix=prefix)
-    ]
     _write_table(out / "retention.csv", analysis_mod.RetentionPoint, retention)
     return 0
 

@@ -338,18 +338,19 @@ class TestRetention:
             points = retention_curves(m, train, gap=2, prefix=10)
         assert {p.cohort for p in points} == {"stayed"}
 
-    @pytest.mark.parametrize("prefix, error, message", [
-        (0, ValueError, "^prefix must be >= 1"),  # 0 and -3 returned [] without a word
-        (-3, ValueError, "^prefix must be >= 1"),
-        (2.0, TypeError, "^prefix must be an integer"),  # an IndexError from numpy
-        (True, TypeError, "^prefix must be an integer"),  # taken as 1
+    @pytest.mark.parametrize("prefix, error, message, gap", [
+        (0, ValueError, "^prefix must be >= 1", 1),  # 0 and -3 returned [] without a word
+        (-3, ValueError, "^prefix must be >= 1", 1),
+        (2.0, TypeError, "^prefix must be an integer", 1),  # an IndexError from numpy
+        (True, TypeError, "^prefix must be an integer", 1),  # taken as 1
+        (2, ValueError, "^gap must be >= 0", -1),  # counted every user as left
     ])
-    def test_bad_prefix_rejected(self, prefix, error, message):
+    def test_bad_prefix_rejected(self, prefix, error, message, gap):
         train = dataset_of([("u", f"i{k}", 3.0, k) for k in range(3)])
         m = fitted(("u",), tuple(f"i{k}" for k in range(3)), E=2,
                    assignment={"u": np.array([1, 1, 2])})
         with pytest.raises(error, match=message):
-            retention_curves(m, train, gap=1, prefix=prefix)
+            retention_curves(m, train, gap=gap, prefix=prefix)
 
     def test_planted_slow_leavers_sit_below_stayers(self):
         cfg = SynthConfig(n_users=120, n_items=60, ratings_per_user=20, seed=12,

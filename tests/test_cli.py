@@ -437,7 +437,8 @@ class TestAnalyzeCommand:
         assert all(line.startswith(("warning: ", "progression cohorts: ")) for line in err.splitlines())
 
 
-    @pytest.mark.parametrize("flag, value", [("--step", "0"), ("--step", "-0.1"), ("--window", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--step", "0"), ("--step", "-0.1"), ("--window", "-1"),
+                                            ("--gap", "-1")])
     def test_bad_window_exits_2_before_any_output(self, split_dir, model_path, tmp_path, capsys,
                                                   flag, value):
         out_dir = tmp_path / "analysis"
