@@ -4,15 +4,12 @@ second to import.  Each check runs in a fresh interpreter and reads
 ``sys.modules``, not a clock, so a busy host cannot flake it."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import exprec
 import exprec.cli
+from fresh import run_python
 
 DEFERRED = ("scipy.stats", "scipy.optimize")
 
@@ -41,13 +38,7 @@ for stage, argv in json.loads(sys.argv[1]):
 
 
 def run_stages(stages) -> list:
-    env = dict(os.environ)
-    src = str(Path(exprec.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(stages)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_python("-c", SCRIPT, json.dumps(stages))
     assert proc.returncode == 0, proc.stderr
     return [json.loads(line[6:]) for line in proc.stdout.splitlines() if line.startswith("stage ")]
 

@@ -4,11 +4,8 @@ import json
 import logging
 import math
 import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -24,6 +21,7 @@ from exprec.model import (
 )
 from exprec.synth import SynthConfig, TrajectoryKind, generate
 from exprec.trainer import FittedModel, TrainConfig, e_step, fit, fit_single_lambda, initialize, theta_step
+from fresh import run_python
 from rows import dataset_of
 
 
@@ -751,13 +749,9 @@ print(hashlib.sha256((json.dumps(model.to_json_dict()) + "\\n").encode()).hexdig
 class TestBlasThreads:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores to split a dot product")
     def test_fit_bytes_do_not_depend_on_blas_thread_count(self):
-        src = str(Path(trainer.__file__).resolve().parents[1])
         hashes = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            proc = subprocess.run([sys.executable, "-c", BLAS_FIT], capture_output=True, text=True,
-                                  env=env, timeout=300)
+            proc = run_python("-c", BLAS_FIT, OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr == ""
             hashes.append(proc.stdout)
