@@ -1,8 +1,11 @@
 """End-to-end command line behavior and exit codes."""
 
+import hashlib
+import io
 import json
 import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from exprec.dataset import FormatConfig, TrainingError, parse_reviews
 from exprec.model import ExperienceAssignment, ModelParams
 from exprec.synth import SynthConfig, generate
 from exprec.trainer import FittedModel, TrainConfig
+from fresh import run_python
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +63,76 @@ def model_path(corpus, split_dir):
     ])
     assert rc == 0
     return path
+
+
+KINDS = ("lf", "a", "b", "c", "d")
+
+# the files the pipeline writes itself, as a user would; the commands
+# write every other file in its directory
+PIPELINE_INPUTS = {"with_raw.txt", "genres.tsv", "fit.json", "synth.json"}
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """synth → ingest → split → fit → evaluate → compare → validate →
+    analyze on a 40-user corpus, with every model kind, config files for
+    fit and synth, and a 400-user corpus.  Returns the run's directory and
+    the stdout and stderr of the commands whose output the tests read."""
+    root = tmp_path_factory.mktemp("run")
+    streams = {}
+
+    def run(command):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(command.split())
+        assert rc == 0, (command, err.getvalue())
+        return out.getvalue(), err.getvalue()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        run("synth --users 40 --seed 1 --out corpus.tsv --truth truth.json")
+        run("ingest --input corpus.tsv --out ingested.tsv --min-ratings 50")
+        run("split --input ingested.tsv --out-dir split --seed 1")
+        # the earlier five-column format: a raw column beside the ratings,
+        # as ingest --scale-max 20 wrote it
+        header, *rows = Path("ingested.tsv").read_text().splitlines()
+        Path("with_raw.txt").write_text(header + "\traw\n" + "".join(
+            f"{row}\t{4 * float(row.split()[2])!r}\n" for row in rows))
+        run("split --input with_raw.txt --out-dir split_raw --seed 1")
+        inputs = "--input split/train.tsv --valid split/valid.tsv"
+        streams["fit"] = run(f"fit {inputs} --model d --E 3 --K 2 --lambda-grid 1,10 --seed 1 --out d.json")
+        run("evaluate --model d.json --test split/test.tsv --train split/train.tsv --out eval.json")
+        # the pooled users' own ids are not in the model: their rows take the
+        # cold-key path and the background user's levels
+        run("evaluate --model d.json --test corpus.tsv --train split/train.tsv --out corpus_eval.json")
+        run(f"fit {inputs} --model lf --K 2 --lambda-grid 1 --seed 1 --out lf.json")
+        streams["compare"] = run("compare --model d.json --model lf.json --test split/test.tsv "
+                                 "--train split/train.tsv")
+        items = sorted({line.split("\t")[1] for line in Path("split/train.tsv").read_text().splitlines()[1:]})
+        Path("genres.tsv").write_text("".join(
+            f"{item}\t{'ale' if j % 2 else 'lager'}\n" for j, item in enumerate(items)))
+        run("analyze --model d.json --train split/train.tsv --genres genres.tsv --min-ratings 5 "
+            "--out-dir analysis")
+        # a list grid and a kind's value string
+        Path("fit.json").write_text(json.dumps({"model_kind": "c", "E": 3, "K": 2, "lambda_grid": [1, 10],
+                                                "seed": 1, "max_outer_iters": 3}))
+        run(f"fit {inputs} --config fit.json --out c.json")
+        for kind in ("a", "b"):
+            run(f"fit {inputs} --model {kind} --E 3 --K 2 --lambda-grid 1 --seed 1 --out {kind}.json")
+        for kind in KINDS:
+            streams[f"validate {kind}"] = run(f"validate --model {kind}.json --train split/train.tsv")
+        Path("synth.json").write_text(json.dumps({"n_users": 30, "n_items": 40, "ratings_per_user": [8, 14],
+                                                  "trajectory_kind": "staircase"}))
+        run("synth --config synth.json --out staircase.tsv --truth staircase.json")
+        # 18,146 rows, five parse blocks of up to 4,096 lines; users fill
+        # length buckets up to 64 ratings beside the long pooled user
+        run("synth --users 400 --seed 2 --out large.tsv --truth large.json")
+        run("ingest --input large.tsv --out large_ingested.tsv")
+        run("split --input large_ingested.tsv --out-dir large_split --seed 2")
+        run("fit --input large_split/train.tsv --valid large_split/valid.tsv --model d --E 3 --K 2 "
+            "--lambda-grid 1 --max-outer-iters 3 --inner-max-iters 20 --seed 2 --out large_d.json")
+        run("analyze --model large_d.json --train large_split/train.tsv --out-dir large_analysis")
+    return root, streams
 
 
 class TestUsageErrors:
@@ -292,22 +366,8 @@ class TestFitEvaluateCompare:
         report = json.loads(report_path.read_text())
         assert set(report) == {"mse", "std_error", "n_test", "clamped_mse", "per_level"}
 
-    def test_compare_includes_benefits(self, corpus, split_dir, model_path, capsys):
-        root, _, _ = corpus
-        flat_path = root / "flat.json"
-        rc = main([
-            "fit", "--input", str(split_dir / "train.tsv"), "--valid", str(split_dir / "valid.tsv"),
-            "--model", "lf", "--E", "3", "--K", "2", "--seed", "1",
-            "--lambda-grid", "1e-5", "--out", str(flat_path),
-        ])
-        assert rc == 0
-        rc = main([
-            "compare", "--model", str(flat_path), "--model", str(model_path),
-            "--test", str(split_dir / "test.tsv"), "--train", str(split_dir / "train.tsv"),
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "benefit_d_over_lf" in out
+    def test_compare_includes_benefits(self, pipeline):
+        assert "benefit_d_over_lf" in pipeline[1]["compare"][0]
 
     def test_compare_out_writes_what_stdout_shows(self, split_dir, model_path, tmp_path, capsys):
         args = ["compare", "--model", str(model_path), "--model", str(model_path),
@@ -361,21 +421,9 @@ class TestFitEvaluateCompare:
 
 
 class TestAnalyzeCommand:
-    def test_writes_tables(self, corpus, split_dir, model_path, tmp_path):
-        out_dir = tmp_path / "analysis"
-        genres = tmp_path / "genres.tsv"
-        d = parse_reviews(split_dir / "train.tsv", FormatConfig(scale_max=5.0))
-        lines = [f"{item}\t{'ale' if j % 2 else 'lager'}" for j, item in enumerate(d.items)]
-        genres.write_text("\n".join(lines) + "\n")
-        rc = main([
-            "analyze", "--model", str(model_path), "--train", str(split_dir / "train.tsv"),
-            "--genres", str(genres), "--out-dir", str(out_dir),
-            "--min-ratings", "1", "--min-cohort", "2", "--prefixes", "5",
-        ])
-        assert rc == 0
-        for name in ("taste_scores.csv", "genre_summary.csv", "agreement.csv",
-                     "progression.csv", "retention.csv"):
-            assert (out_dir / name).exists(), name
+    def test_writes_tables(self, pipeline):
+        assert sorted(path.name for path in (pipeline[0] / "analysis").iterdir()) == [
+            "agreement.csv", "genre_summary.csv", "progression.csv", "retention.csv", "taste_scores.csv"]
 
     def test_csv_lines_end_in_newline_alone(self, split_dir, model_path, tmp_path):
         # analyze's tables ended their lines with \r\n, compare's with \n
@@ -463,11 +511,13 @@ class TestAnalyzeCommand:
 
 
 class TestValidateCommand:
-    def test_valid_model_passes(self, corpus, split_dir, model_path, capsys):
-        rc = main(["validate", "--model", str(model_path), "--train", str(split_dir / "train.tsv")])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert out.count("PASS") == 3
+    def test_valid_model_passes(self, pipeline):
+        # community kinds' monotonicity check runs over the global time
+        # order, per-user kinds' over each user's ratings
+        _, streams = pipeline
+        for kind in KINDS:
+            out, _ = streams[f"validate {kind}"]
+            assert len(re.findall(r"^[a-z_]+ +PASS  ", out, re.M)) == 3, kind
 
     @pytest.mark.parametrize("name", ["single sequence", "batched"],
                              ids=["single_sequence", "batched"])
@@ -649,13 +699,21 @@ class TestIngestCommand:
         assert capsys.readouterr().err == f"pooled {n_rows} ratings into __background__\n"
 
     def test_format_flags_read_the_input_and_every_output_is_default_format(self, tmp_path):
+        rows = [(f"u{k % 3}", f"i{k}", k % 21, k) for k in range(30)]
         raw = tmp_path / "raw.csv"
-        rows = ["who,what,score,when"] + [f"u{k % 3},i{k},{k % 21},{k}" for k in range(30)]
-        raw.write_text("\n".join(rows) + "\n")
+        # timestamps written as <t>.0, which the parse checks as decimals
+        raw.write_text("who,what,score,when\n" + "".join(f"{u},{i},{r},{t}.0\n" for u, i, r, t in rows))
         out = tmp_path / "clean.tsv"
         assert main(["ingest", "--input", str(raw), "--out", str(out), "--delimiter", ",",
                      "--user-col", "who", "--item-col", "what", "--rating-col", "score",
                      "--timestamp-col", "when", "--scale-max", "20", "--min-ratings", "1"]) == 0
+        # the same rows in the default format ingest to the same bytes
+        default = tmp_path / "raw.tsv"
+        default.write_text("user\titem\trating\ttimestamp\n"
+                           + "".join(f"{u}\t{i}\t{r}\t{t}\n" for u, i, r, t in rows))
+        assert main(["ingest", "--input", str(default), "--out", str(tmp_path / "default.tsv"),
+                     "--scale-max", "20", "--min-ratings", "1"]) == 0
+        assert (tmp_path / "default.tsv").read_bytes() == out.read_bytes()
         # split reads the written file with no format flags
         assert main(["split", "--input", str(out), "--out-dir", str(tmp_path / "split")]) == 0
         written = [out, *sorted((tmp_path / "split").glob("*.tsv"))]
@@ -665,8 +723,8 @@ class TestIngestCommand:
             assert header == "user\titem\trating\ttimestamp"
             assert all(0 <= float(line.split("\t")[2]) <= 5 for line in lines)
         d = parse_reviews(out)
-        by_item = dict(zip((d.items[c] for c in d.item_code), d.values.tolist()))
-        assert by_item == {f"i{k}": 5.0 * (k % 21) / 20 for k in range(30)}
+        by_item = dict(zip((d.items[c] for c in d.item_code), zip(d.values.tolist(), d.times.tolist())))
+        assert by_item == {f"i{k}": (5.0 * (k % 21) / 20, k) for k in range(30)}
 
     def test_infinite_scale_max_exits_2(self, tmp_path, capsys):
         # it used to write every rating as 0.0
@@ -677,3 +735,122 @@ class TestIngestCommand:
         assert rc == 2
         assert capsys.readouterr().err == "error: scale_max must be finite and > 0, got inf\n"
         assert not out.exists()
+
+
+# sha256 of every file the pipeline's commands write and of the stdout
+# that compare and validate print.  Taken with the numpy and scipy versions
+# test_golden.py names; re-pin only from a commit known to be correct.
+PIPELINE_SHA256 = {
+    "a.json": "768a0d0a957321b7cbaaba98141f853655c22ecb5f4b5d224012ad7e8425a88c",
+    "analysis/agreement.csv": "6c2345990f1940cfaf53092d40d366fd363050d0246245140f53a408764e44d5",
+    "analysis/genre_summary.csv": "dede55b7cad2e1f46be5d7c6b72bbf9c4abafb009b2d1567e9e4a937cd2ffa66",
+    "analysis/progression.csv": "0dd49b20f36961a030a3de01bdba091705137b9a1810c0eeb3926ac0cc34b1b8",
+    "analysis/retention.csv": "9775fb02f26420767dac7424b507ab17509a554217a92ec77cc5ec75b1c52284",
+    "analysis/taste_scores.csv": "505e2ccf57a36138e5c3f11bdb852e199d6f11d9c9ad16c9e4c82b42636d0556",
+    "b.json": "76f004d3cb80c450b2f9eec1250a3114db5deda23bb267cd8f89b3675c443104",
+    "c.json": "dbd80f2c1615d6ec0326910188197a4bf781abc1302cd3e553e1653e7eaab826",
+    "compare stdout": "fd1234d8a1117774bfc0aac2fdaf894129c6b52d58474df693acc5de0672890c",
+    "corpus.tsv": "2f40e6c575cce15232a7b4ec5ee110a15eab7eb941a320387d0fe16bac1d29f8",
+    "corpus_eval.json": "6f65120f6ac3d8f0f83868aac64142b63e8cec00b55100d93d5dc625f1bcdf32",
+    "d.json": "578fb629020219004cbd32fe208fd14264f7126364f73142f841e4e79d14d25e",
+    "eval.json": "c82f5349d10392a47ba3e630da20fd1507b77aa9b8b7165e04d0bd5a44153870",
+    "ingested.tsv": "4a11250580a3a8d18a0bef7e8d397f9f224062cc717e248f092755cfc1ac8c9e",
+    "large.json": "495071ac0d5f25468f025497e7c7e56e5f8edd9bb327defde21b13a438625a54",
+    "large.tsv": "f865f0be207fcdba294cc815ff326e8b9cf9b97ce3f9497408cbf4a8689503b8",
+    "large_analysis/agreement.csv": "09e5b2805df6d8b4accbf7ef1e4be5e7ae57b458d0be7e013e451522bef3a078",
+    "large_analysis/progression.csv": "9a2d57f9633549a13680f8fe1d83dcca5ab03deb8c4759a6dd5445e8646d564d",
+    "large_analysis/retention.csv": "27c3318b6fd8eff20a29723a957c27c3f6a87bf7d43c5986e51de6f4b9f95a5c",
+    "large_analysis/taste_scores.csv": "afd5501bf67552f21517c3ac225478031ba73fd46f9610a93c70c1b013b0c272",
+    "large_d.json": "7caa87021b1c479105699710e6bb6d348419d7c9b10f1faaa96bc9c74bf97d46",
+    "large_ingested.tsv": "90c7d59845059e656b2eff393d8e2154b836e79ea5e57144f5163bf14ab9593f",
+    "large_split/split.json": "771dbe39b178640bdd9de1ed10d86696f7c1664ee9a8d5dc027eb689577021ea",
+    "large_split/test.tsv": "5a4881ec5f2bf70a0fbef018a597d7b459ab839622687ea90ac1b5d9e9aecdaa",
+    "large_split/train.tsv": "d4c3a32b6da83c8583e0694ce5fb54c1951f250338c935a1e5698a390b23b589",
+    "large_split/valid.tsv": "f126e0c8398bb2a57b01674190a2399f2737056483153b1466081586f69b2c77",
+    "lf.json": "33e90092d3bfbc36ef44adb24310bbd39c9b8cd51a8d0c5f0cc497969aeb8f15",
+    "split/split.json": "95a9604f19961827bc02dc8d01362f1e128a95b7a379bfaa7b7ead84f6d020ea",
+    "split/test.tsv": "0b6399724b6e7e2c42a4bee9317a52226ca53385366325fd69ac3f60983a4404",
+    "split/train.tsv": "8dc797c49d24b146cf48b7678b09cad0a838aad03f31e01587935919830a0e18",
+    "split/valid.tsv": "7ef92dd3242f4376bc7673cd713f1722eab821a1a6bfd9e57857d5259f9d2fe7",
+    "split_raw/split.json": "95a9604f19961827bc02dc8d01362f1e128a95b7a379bfaa7b7ead84f6d020ea",
+    "split_raw/test.tsv": "0b6399724b6e7e2c42a4bee9317a52226ca53385366325fd69ac3f60983a4404",
+    "split_raw/train.tsv": "8dc797c49d24b146cf48b7678b09cad0a838aad03f31e01587935919830a0e18",
+    "split_raw/valid.tsv": "7ef92dd3242f4376bc7673cd713f1722eab821a1a6bfd9e57857d5259f9d2fe7",
+    "staircase.json": "e518c3b2cb9d14ed999daf7d95fd56ac88523dc09e7f3d3080fd11f95dd350b0",
+    "staircase.tsv": "922a1f05c1e99459586df50a26d20c31740433ebe613c4d8a272284da40e501d",
+    "truth.json": "c5667d2320c404bd5c5b457125f5e6ac824033165015ec373cdd3437ff5d286b",
+    "validate a stdout": "d383536a79a0c69afe9f93ff0c9f2a469803cedccef24abf5a984781627de65b",
+    "validate b stdout": "d383536a79a0c69afe9f93ff0c9f2a469803cedccef24abf5a984781627de65b",
+    "validate c stdout": "d383536a79a0c69afe9f93ff0c9f2a469803cedccef24abf5a984781627de65b",
+    "validate d stdout": "d383536a79a0c69afe9f93ff0c9f2a469803cedccef24abf5a984781627de65b",
+    "validate lf stdout": "d383536a79a0c69afe9f93ff0c9f2a469803cedccef24abf5a984781627de65b",
+}
+
+
+class TestPipeline:
+    def test_written_bytes_are_pinned(self, pipeline):
+        root, streams = pipeline
+        written = {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*")
+                   if path.is_file() and path.name not in PIPELINE_INPUTS}
+        written.update((f"{name} stdout", out.encode()) for name, (out, _) in streams.items()
+                       if name != "fit")
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in written.items()} == PIPELINE_SHA256
+
+    def test_raw_column_splits_to_the_same_bytes(self, pipeline):
+        # parse reads only the configured columns
+        root, _ = pipeline
+        for part in ("train.tsv", "valid.tsv", "test.tsv", "split.json"):
+            assert (root / "split_raw" / part).read_bytes() == (root / "split" / part).read_bytes(), part
+
+    def test_fit_prints_one_record_per_outer_iteration(self, pipeline):
+        # starting at iter=1 once per λ, then the selected λ
+        *records, selected = pipeline[1]["fit"][1].splitlines()
+        assert all(re.fullmatch(r"iter=[0-9]+ obj=\S+ changed=[0-9]+", line) for line in records)
+        assert sum(line.startswith("iter=1 ") for line in records) == 2
+        assert selected.startswith("selected lambda=")
+
+    def test_whole_corpus_is_scored(self, pipeline):
+        root, _ = pipeline
+        n_rows = len((root / "corpus.tsv").read_text().splitlines()) - 1
+        assert json.loads((root / "corpus_eval.json").read_text())["n_test"] == n_rows
+
+    def test_large_ingest_keeps_every_row(self, pipeline):
+        # a synthetic corpus holds no duplicates
+        root, _ = pipeline
+        synthesized, ingested = (len((root / name).read_text().splitlines()) - 1
+                                 for name in ("large.tsv", "large_ingested.tsv"))
+        assert ingested == synthesized > 4096
+
+    @pytest.mark.parametrize("table", ["analysis/genre_summary.csv", "large_analysis/agreement.csv"])
+    def test_tables_not_empty(self, pipeline, table):
+        root, _ = pipeline
+        assert len((root / table).read_text().splitlines()) > 1
+
+    def test_every_rating_file_in_default_format(self, pipeline):
+        # whatever format the commands read, they write the default columns
+        root, _ = pipeline
+        written = [path for path in root.rglob("*.tsv") if path.name != "genres.tsv"]
+        assert len(written) > 10
+        for path in written:
+            assert path.read_text().split("\n", 1)[0] == "user\titem\trating\ttimestamp", path
+
+
+def test_entry_point_exit_codes(pipeline, tmp_path):
+    # python -m exprec.cli exits with main's code: 0, 1 on a usage error
+    # and 2 on a bad input, before any output
+    root, _ = pipeline
+    cli, split, out = ("-m", "exprec.cli"), root / "split", tmp_path / "out"
+    proc = run_python(*cli, "synth", "--users", "5", "--out", str(tmp_path / "s.tsv"),
+                      "--truth", str(tmp_path / "s.json"))
+    assert proc.returncode == 0 and (tmp_path / "s.tsv").exists(), proc.stderr
+    proc = run_python(*cli, "split", "--input", str(root / "corpus.tsv"), "--out-dir", str(out),
+                      "--delimiter", ",")
+    assert proc.returncode == 1 and "unrecognized arguments: --delimiter ," in proc.stderr
+    # a format 1 model file: per-level maps, no "format" key
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps({"model_kind": "d", "E": 1, "K": 1, "lambda": 1.0,
+                              "levels": [{"alpha": 3.0}], "assignment": {}}))
+    proc = run_python(*cli, "evaluate", "--model", str(v1), "--test", str(split / "test.tsv"),
+                      "--train", str(split / "train.tsv"), "--out", str(out))
+    assert proc.returncode == 2 and proc.stderr == "error: model file has format 1, not 2\n"
+    assert not out.exists()
