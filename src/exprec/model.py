@@ -305,6 +305,30 @@ def objective(p: ModelParams, a: ExperienceAssignment, train: Dataset, lam: floa
     return penalized(p, error_term(p, training_rows(p, a, train), train.values), lam)
 
 
+def _scatter(coef, at, other, factors, g_bias, g_factors) -> None:
+    """Write one side's bias and factor gradients, ``g_bias`` (E, keys)
+    and ``g_factors`` (E, keys, K): their row ``at[j]`` gets ``coef[j]``
+    and ``coef[j]`` times row ``other[j]`` of the other side's
+    ``factors``, summed over the ratings j.
+
+    Both are one product: a COO array holding ``coef[j]`` at (``at[j]``,
+    ``other[j]``) times the other side's factor table with a column of
+    ones appended.  scipy's COO times dense kernel adds the entries in
+    rating order and never merges a repeated pair, so each entry sums
+    the same products in the same order as a weighted ``np.bincount``, to
+    the last bit; merging the repeats first (``sum_duplicates``,
+    ``tocsr``) would change the bits.
+    """
+    from scipy.sparse import coo_array  # loaded on first use, as trainer.minimize loads setulb
+
+    K = factors.shape[-1]
+    table = np.ones((factors.size // K, K + 1))
+    table[:, :K] = factors.reshape(-1, K)
+    prod = coo_array((coef, (at, other)), shape=(g_bias.size, len(table))) @ table
+    g_factors[:] = prod[:, :K].reshape(g_factors.shape)
+    g_bias[:] = prod[:, K].reshape(g_bias.shape)
+
+
 def objective_and_gradient(
     p: ModelParams, rows: RowIndex, vals: np.ndarray, lam: float
 ) -> tuple[float, np.ndarray]:
@@ -313,31 +337,21 @@ def objective_and_gradient(
     Each rating contributes only to its assigned level's parameters; the
     smoothness term contributes 2*lam*(theta_e - theta_{e+1}) to level e
     and the negation to level e+1.  The objective is :func:`penalized`'s.
+    Each side's bias and factor gradients are one sparse product, see
+    :func:`_scatter`.
     """
     E, K = p.E, p.K
-    U, I = len(p.users), len(p.items)
-    n = len(vals)
+    coef = score(p, rows)
+    coef -= vals
+    err = float(np.mean(coef * coef))
+    coef *= 2.0 / len(vals)  # the residuals' weight in the mean, in place
 
-    res = score(p, rows) - vals
-    err = float(np.mean(res * res))
-
-    # bincount over combined (level, key) indexes is much faster than
-    # np.add.at; each factor's weights are one gathered factor column,
-    # never an (n, K) array
-    coef = (2.0 / n) * res
     lv0, lin_u, lin_i = rows
     grad = ModelParams(p.users, p.items, E, K, np.empty(p.n_params))
     g_alpha, g_ub, g_ib, g_uf, g_if = grads = grad.blocks()
     g_alpha[:] = np.bincount(lv0, weights=coef, minlength=E)
-    g_ub[:] = np.bincount(lin_u, weights=coef, minlength=E * U).reshape(E, U)
-    g_ib[:] = np.bincount(lin_i, weights=coef, minlength=E * I).reshape(E, I)
-    for k in range(K):
-        g_uf[:, :, k] = np.bincount(
-            lin_u, weights=coef * p.item_factors[..., k].take(lin_i), minlength=E * U
-        ).reshape(E, U)
-        g_if[:, :, k] = np.bincount(
-            lin_i, weights=coef * p.user_factors[..., k].take(lin_u), minlength=E * I
-        ).reshape(E, I)
+    _scatter(coef, lin_u, lin_i, p.item_factors, g_ub, g_uf)
+    _scatter(coef, lin_i, lin_u, p.user_factors, g_ib, g_if)
 
     for block, g_block in zip(p.blocks(), grads):
         diff = block[:-1] - block[1:]

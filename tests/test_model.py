@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse  # noqa: F401  the gradient's first call loads it; tracemalloc must not count that
 from hypothesis import given, settings, strategies as st
 
 from exprec import model as model_mod
@@ -177,6 +178,12 @@ def kernel_instance(E, K, n_users, n_items, n, seed):
     return p, d, lv0
 
 
+def random_params(users, items, E, K, seed=0):
+    """Parameters drawn from N(0, 0.3^2) over the given key sets."""
+    x = np.random.default_rng(seed).normal(0.0, 0.3, ModelParams.zeros(users, items, E, K).n_params)
+    return ModelParams.from_flat(x, users, items, E, K)
+
+
 # score's block size, then blocks so small that every instance crosses them
 SCORE_ROWS = (model_mod._SCORE_ROWS, 1, 3)
 
@@ -268,6 +275,68 @@ class TestScoreKernel:
             tracemalloc.stop()
         assert len(train) == 126_324
         assert peak < 4.5e6
+
+    def test_objective_memory_is_bounded_at_five_levels(self):
+        # community-c's training set, 88k ratings at random levels with
+        # E = 5 and K = 5: the gradient's sparse products hold (E * keys,
+        # K + 1) arrays, 0.6 MB on the user side, and peaked at 2.6 MB in
+        # all; one (n, K + 1) array of weights alone would take 4.2 MB
+        corpus, _ = generate(SynthConfig(n_users=2500, n_items=400, ratings_per_user=(30, 60), seed=1))
+        train, _, _ = split(corpus, SplitSpec(SplitScheme.FINAL, 0.1, 0.1))
+        del corpus
+        p = random_params(train.users, train.items, 5, 5)
+        lv0 = np.random.default_rng(1).integers(0, 5, len(train))
+        rows = RowIndex.of(p, lv0, train.user_code, train.item_code)
+        tracemalloc.start()
+        try:
+            objective_and_gradient(p, rows, train.values, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(train) == 88_116
+        assert peak < 3.5e6
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        E=st.integers(1, 5), K=st.integers(1, 4),
+        n_users=st.integers(1, 4), n_items=st.integers(1, 4),
+        n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+        lam=st.sampled_from([0.0, 0.37, 1e3]),
+    )
+    def test_repeated_pairs_match_reference(self, E, K, n_users, n_items, n, seed, lam):
+        # pairs drawn with replacement, the first rated at least twice, as
+        # the pooled user rates an item more than once; a Dataset allows
+        # that for the pooled user alone, so the rows are built directly.
+        # Each pair keeps one level, so that a repeated pair is a repeated
+        # (user row, item row) of the gradient's scatters, which a scatter
+        # that merged the pair's coefficients first would round differently
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, n_users * n_items, n)
+        pairs[-1] = pairs[0]
+        uidx, iidx, vals = pairs // n_items, pairs % n_items, rng.uniform(0, 5, n)
+        lv0 = rng.integers(0, E, n_users * n_items)[pairs]
+        p = random_params([f"u{j}" for j in range(n_users)], [f"i{j}" for j in range(n_items)], E, K, seed)
+        obj, grad = objective_and_gradient(p, RowIndex.of(p, lv0, uidx, iidx), vals, lam)
+        ref_obj, ref_grad = reference_objective_and_gradient(p, lv0, uidx, iidx, vals, lam)
+        assert obj == ref_obj
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_pooled_training_set_matches_reference(self):
+        # user-d's training set, 34k ratings pooled at 20, at random
+        # levels with E = 5: the pooled user rates some items more than
+        # once, and some of those repeats share a level
+        corpus, _ = generate(SynthConfig(n_users=1000, n_items=400, ratings_per_user=(5, 80), seed=1))
+        train, _, _ = split(pool_infrequent_users(corpus, 20), SplitSpec(SplitScheme.FINAL, 0.1, 0.1))
+        uidx, iidx, vals = train.user_code, train.item_code, train.values
+        p = random_params(train.users, train.items, 5, 5)
+        lv0 = np.random.default_rng(1).integers(0, 5, len(train))
+        rows = RowIndex.of(p, lv0, uidx, iidx)
+        assert len(np.unique(rows.lin_u * (5 * len(train.items)) + rows.lin_i)) < len(train) == 34_415
+        for lam in (0.0, 1e-3):
+            obj, grad = objective_and_gradient(p, rows, vals, lam)
+            ref_obj, ref_grad = reference_objective_and_gradient(p, lv0, uidx, iidx, vals, lam)
+            assert obj == ref_obj
+            assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestSmoothness:
