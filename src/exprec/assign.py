@@ -320,9 +320,14 @@ def find_monotonicity_violation(
     bad = np.flatnonzero(drops)
     if not len(bad):
         return None
-    pos = int(order[bad[0] + 1])
+    return _row_owner(d, order[bad[0] + 1])
+
+
+def _row_owner(d: Dataset, pos: int) -> tuple[str, int]:
+    """The user of row ``pos`` of ``d`` and the row's index among that
+    user's ratings."""
     j = int(d.user_code[pos])
-    return d.users[j], pos - int(d.offsets[j])
+    return d.users[j], int(pos) - int(d.offsets[j])
 
 
 def assert_monotone(kind: ModelKind, d: Dataset, a: ExperienceAssignment) -> None:

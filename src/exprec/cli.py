@@ -47,14 +47,6 @@ from .trainer import FittedModel, TrainConfig, fit
 MODEL_CHOICES = [k.value for k in ModelKind]
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on usage errors."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _add_format_flags(p: argparse.ArgumentParser):
     """One flag per :class:`FormatConfig` field, ``--user-col`` for
     ``user_col``, with the field's default."""
@@ -86,7 +78,7 @@ def _config(cls, args, flags: dict):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="exprec", description=__doc__)
+    parser = argparse.ArgumentParser(prog="exprec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse, normalize, and pool a raw review file")
@@ -161,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the invariant suite on a model and corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--train", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="draws the gradient check's perturbation and coordinates")
     p.set_defaults(func=cmd_validate)
 
     return parser
@@ -336,7 +329,7 @@ def cmd_synth(args) -> int:
 def cmd_validate(args) -> int:
     model = FittedModel.load(args.model)
     train = parse_reviews(args.train)
-    results = validate_mod.run_all(model.kind, train, model.assignment, seed=args.seed)
+    results = validate_mod.run_all(model, train, seed=args.seed)
     width = max(len(r.name) for r in results)
     failed = False
     for r in results:

@@ -1,27 +1,29 @@
 """Self-check suite behind the ``validate`` CLI command.
 
-Three independent checks: the loaded model's assignment satisfies its
-kind's monotonicity constraint on the given corpus, the assignment DP
-(on a single sequence, as kind c runs it, and on a ragged batch, as
-kind d runs it) matches brute-force enumeration on random small
-instances, and the analytic gradient matches central finite differences
-on a random small instance.
+Three checks of a loaded model on its train file: its assignment
+satisfies its kind's monotonicity constraint, it is the assignment the
+e step gives for the model's parameters, and the analytic gradient of
+its training objective matches central finite differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .assign import ModelKind, assign_user_dp, find_monotonicity_violation
-from .dataset import Dataset
-from .model import (
-    ExperienceAssignment, ModelParams, objective, objective_and_gradient, training_rows,
+from .assign import (
+    ModelKind, _monotone_dp, _row_owner, _sequences, assign_all, find_monotonicity_violation,
+    prediction_costs,
 )
-from .synth import brute_force_assign
+from .model import ExperienceAssignment, ModelParams, objective, objective_and_gradient, training_rows
 
-_DP_CASES = 200           # random instances the DP is checked on
+if TYPE_CHECKING:
+    from .dataset import Dataset
+    from .trainer import FittedModel
+
+_GRADIENT_COORDS = 20     # parameters the gradient check differentiates
 _GRADIENT_REL_TOL = 1e-4  # largest relative error the gradient check passes
 
 
@@ -42,79 +44,74 @@ def check_monotonicity(kind: ModelKind, d: Dataset, a: ExperienceAssignment) -> 
     )
 
 
-def check_dp_against_oracle(seed: int = 0) -> CheckResult:
-    """The DP against brute-force enumeration on random small instances,
-    every second one with integer costs in {0, 1, 2}, which tie often:
-    each instance alone, as one sequence, then each E's share as one
-    ragged batch."""
+def check_assignment(model: FittedModel, d: Dataset) -> CheckResult:
+    """The model's levels against the ones its kind's e step gives for its
+    parameters: for learned kinds the reference DP, :func:`_monotone_dp`,
+    on each sequence of the model's prediction costs, cut as the e step
+    cuts them; for the other kinds the kind's schedule.  A failure names
+    the first user and index, within the user's ratings, that differ
+    along those sequences."""
+    kind, p = model.kind, model.params
+    order, offsets = _sequences(kind, d)
+    have = model.assignment.flat(d)[order]
+    if kind.is_learned:
+        costs = np.take(prediction_costs(p, d), order, axis=1)
+        want = np.empty(len(d), dtype=np.int64)
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            want[lo:hi] = _monotone_dp(costs[:, lo:hi]) + 1
+        source = "the reference DP"
+    else:
+        want = assign_all(kind, p, d).flat(d)[order]
+        source = f"kind {kind.value}'s schedule"
+    differ = np.flatnonzero(have != want)
+    if not len(differ):
+        n = len(offsets) - 1
+        return CheckResult("assignment", True,
+                           f"{len(d)} levels in {n} sequence{'s' * (n != 1)} match {source}")
+    k = differ[0]
+    user, index = _row_owner(d, order[k])
+    return CheckResult("assignment", False,
+                       f"level {have[k]} at user={user}, index={index}; {source} gives {want[k]}")
+
+
+def check_gradient(model: FittedModel, d: Dataset, seed: int = 0) -> CheckResult:
+    """:func:`objective_and_gradient` against central differences of
+    :func:`objective` on ``_GRADIENT_COORDS`` coordinates drawn from
+    ``seed``, at the model's assignment and lambda on ``d``.  The point is
+    the model's parameters plus N(0, 0.1^2) noise drawn from ``seed``: at
+    a fitted optimum the gradient is near zero, where a relative error
+    means nothing."""
+    p, a, lam = model.params, model.assignment, model.lam
     rng = np.random.default_rng(seed)
-    cases = []
-    for case in range(_DP_CASES):
-        E = int(rng.integers(1, 5))
-        n = int(rng.integers(1, 9))
-        costs = rng.random((E, n)) if case % 2 == 0 else rng.integers(0, 3, (E, n)).astype(float)
-        want = brute_force_assign(costs)
-        got = assign_user_dp(costs, [0, n])
-        if not np.array_equal(got, want):
-            return CheckResult(
-                "dp_vs_oracle", False,
-                f"case {case} single sequence: dp={got.tolist()} oracle={want.tolist()}",
-            )
-        cases.append((case, costs, want))
-    for E in sorted({costs.shape[0] for _, costs, _ in cases}):
-        group = [c for c in cases if c[1].shape[0] == E]
-        joined = np.concatenate([costs for _, costs, _ in group], axis=1)
-        offsets = np.cumsum([0] + [costs.shape[1] for _, costs, _ in group])
-        column = assign_user_dp(joined, offsets)
-        for (case, _, want), got in zip(group, np.split(column, offsets[1:-1])):
-            if not np.array_equal(got, want):
-                return CheckResult(
-                    "dp_vs_oracle", False,
-                    f"case {case} batched: dp={got.tolist()} oracle={want.tolist()}",
-                )
-    return CheckResult(
-        "dp_vs_oracle", True,
-        f"{_DP_CASES} random instances match: single sequence and batched",
-    )
+    x = p.vec + rng.normal(0.0, 0.1, p.n_params)
+    coords = rng.choice(p.n_params, size=min(_GRADIENT_COORDS, p.n_params), replace=False)
 
+    def at(vec: np.ndarray) -> ModelParams:
+        return ModelParams(p.users, p.items, p.E, p.K, vec)
 
-def check_gradient(seed: int = 0) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    users = tuple(f"u{j}" for j in range(5))
-    items = tuple(f"i{j}" for j in range(5))
-    E, K = 3, 2
-    # every user rates every item, one rating per time step in row order
-    n = len(users) * len(items)
-    d = Dataset(users, items, np.arange(n) // len(items), np.arange(n) % len(items),
-                np.arange(n), rng.uniform(0, 5, n))
-    a = ExperienceAssignment(
-        {u: np.sort(rng.integers(1, E + 1, size=5)) for u in users}
-    )
-    p = ModelParams.zeros(users, items, E, K)
-    flat = rng.normal(0.0, 0.5, size=p.n_params)
-    p = ModelParams.from_flat(flat, users, items, E, K)
-    lam = 0.37
-
-    analytic = objective_and_gradient(p, training_rows(p, a, d), d.values, lam)[1]
+    analytic = objective_and_gradient(at(x), training_rows(p, a, d), d.values, lam)[1]
     h = 1e-5
     worst = 0.0
-    for j in range(len(flat)):
-        bump = flat.copy()
+    for j in coords:
+        bump = x.copy()
         bump[j] += h
-        up = objective(ModelParams.from_flat(bump, users, items, E, K), a, d, lam)
+        up = objective(at(bump), a, d, lam)
         bump[j] -= 2 * h
-        down = objective(ModelParams.from_flat(bump, users, items, E, K), a, d, lam)
+        down = objective(at(bump), a, d, lam)
         numeric = (up - down) / (2 * h)
-        if abs(analytic[j]) > 1e-8:
-            worst = max(worst, abs(numeric - analytic[j]) / abs(analytic[j]))
+        # relative to the larger of the two, so that a zero gradient fails
+        scale = max(abs(numeric), abs(analytic[j]))
+        if scale > 1e-8:
+            worst = max(worst, abs(numeric - analytic[j]) / scale)
+    detail = f"max relative error {worst:.2e} on {len(coords)} coordinates"
     if worst < _GRADIENT_REL_TOL:
-        return CheckResult("gradient", True, f"max relative error {worst:.2e}")
-    return CheckResult("gradient", False, f"max relative error {worst:.2e} >= {_GRADIENT_REL_TOL}")
+        return CheckResult("gradient", True, detail)
+    return CheckResult("gradient", False, f"{detail} >= {_GRADIENT_REL_TOL}")
 
 
-def run_all(kind: ModelKind, d: Dataset, a: ExperienceAssignment, seed: int = 0) -> list[CheckResult]:
+def run_all(model: FittedModel, d: Dataset, seed: int = 0) -> list[CheckResult]:
     return [
-        check_monotonicity(kind, d, a),
-        check_dp_against_oracle(seed=seed),
-        check_gradient(seed=seed),
+        check_monotonicity(model.kind, d, model.assignment),
+        check_assignment(model, d),
+        check_gradient(model, d, seed=seed),
     ]

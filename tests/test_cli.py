@@ -518,27 +518,42 @@ class TestValidateCommand:
         for kind in KINDS:
             out, _ = streams[f"validate {kind}"]
             assert len(re.findall(r"^[a-z_]+ +PASS  ", out, re.M)) == 3, kind
+        # every check but monotonicity reads the model
+        assert len({streams[f"validate {kind}"] for kind in KINDS}) == len(KINDS)
 
-    @pytest.mark.parametrize("name", ["single sequence", "batched"],
-                             ids=["single_sequence", "batched"])
-    def test_wrong_dp_kernel_named(self, split_dir, model_path, monkeypatch, capsys, name):
-        # a kernel that never leaves level 1 fails on the first instance
-        # whose optimum does; one that is right on a single sequence but
-        # never leaves level 1 in a longer batch passes the single
-        # instances and fails the batched check
-        right = validate.assign_user_dp
+    @pytest.mark.parametrize("kind, source", [("b", "kind b's schedule"), ("d", "the reference DP")])
+    def test_levels_not_the_e_steps_fail_named(self, pipeline, tmp_path, capsys, kind, source):
+        # one rating of the first user with a level-1 rating moves up to
+        # level 2: each user's levels stay monotone, but are not the ones
+        # the kind's e step gives for the model's parameters
+        root, _ = pipeline
+        doc = json.loads((root / f"{kind}.json").read_text())
+        j, counts = next((j, c) for j, c in enumerate(doc["assignment"]) if c[0] > 0)
+        counts[:2] = counts[0] - 1, counts[1] + 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["validate", "--model", str(bad), "--train", str(root / "split" / "train.tsv")])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert re.search(r"^monotonicity +PASS  ", out, re.M)
+        user, index = doc["users"][j], counts[0]
+        assert re.search(rf"^assignment +FAIL  level 2 at user={user}, index={index}; {source} gives 1$",
+                         out, re.M)
 
-        def wrong(costs, offsets):
-            if name == "batched" and len(offsets) == 2:
-                return right(costs, offsets)
-            return np.ones(costs.shape[1], dtype=np.int64)
+    @pytest.mark.parametrize("factor, error", [(1.01, "9.90e-03"), (0.0, "1.00e+00")])
+    def test_wrong_gradient_fails(self, split_dir, model_path, monkeypatch, capsys, factor, error):
+        right = validate.objective_and_gradient
 
-        monkeypatch.setattr(validate, "assign_user_dp", wrong)
+        def scaled(*args):
+            obj, grad = right(*args)
+            return obj, factor * grad
+
+        monkeypatch.setattr(validate, "objective_and_gradient", scaled)
         rc = main(["validate", "--model", str(model_path), "--train", str(split_dir / "train.tsv")])
         out = capsys.readouterr().out
         assert rc == 2
-        line = next(line for line in out.splitlines() if line.startswith("dp_vs_oracle"))
-        assert "FAIL" in line and f" {name}: dp=[1" in line
+        assert re.search(rf"^gradient +FAIL  max relative error {re.escape(error)} on 20 coordinates >= 0\.0001$",
+                         out, re.M)
 
     def test_corrupted_assignment_exits_2(self, corpus, split_dir, tmp_path, capsys):
         # counts keep each user's levels monotone, but a kind c model must be
@@ -779,11 +794,11 @@ PIPELINE_SHA256 = {
     "staircase.json": "e518c3b2cb9d14ed999daf7d95fd56ac88523dc09e7f3d3080fd11f95dd350b0",
     "staircase.tsv": "922a1f05c1e99459586df50a26d20c31740433ebe613c4d8a272284da40e501d",
     "truth.json": "c5667d2320c404bd5c5b457125f5e6ac824033165015ec373cdd3437ff5d286b",
-    "validate a stdout": "d383536a79a0c69afe9f93ff0c9f2a469803cedccef24abf5a984781627de65b",
-    "validate b stdout": "d383536a79a0c69afe9f93ff0c9f2a469803cedccef24abf5a984781627de65b",
-    "validate c stdout": "d383536a79a0c69afe9f93ff0c9f2a469803cedccef24abf5a984781627de65b",
-    "validate d stdout": "d383536a79a0c69afe9f93ff0c9f2a469803cedccef24abf5a984781627de65b",
-    "validate lf stdout": "d383536a79a0c69afe9f93ff0c9f2a469803cedccef24abf5a984781627de65b",
+    "validate a stdout": "57a4101b230a22e237f7215795b7b50c92465b9c2c7d44d5734daa4d1c7d5be0",
+    "validate b stdout": "9bf16db1591f8df025b8289b8e83f13990727d6d54ef74a1f7f1ec4830b28cdb",
+    "validate c stdout": "154c20506841144be1d46ec8d048a179abc00fe74d3f5f893c5fdb9a24b2ef5c",
+    "validate d stdout": "69f40c6774eb7abe6702656b5e21efac1d69126e41911212d3279dc5613e8cd8",
+    "validate lf stdout": "6fa437f966975cf339612557113ee66bbbd0b2a769d92562e9b9f5c352574bbf",
 }
 
 

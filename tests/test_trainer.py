@@ -155,9 +155,10 @@ class TestMinimize:
         return fun, p.flatten()
 
     @staticmethod
-    def both(fun, start, maxiter, ftol):
+    def both(fun, start, maxiter, ftol, maxfun=trainer._MAXFUN):
         """(``trainer.minimize``'s result, scipy's result, the x of every
-        call ``trainer.minimize`` made, its x0)."""
+        call ``trainer.minimize`` made, its x0); both stop at the end of an
+        iteration after more than ``maxfun`` evaluations."""
         from scipy.optimize import minimize
 
         seen = []
@@ -167,10 +168,10 @@ class TestMinimize:
             return fun(x)
 
         x0 = start.copy()
-        with trainer._one_blas_thread():
+        with trainer._one_blas_thread(), mock.patch.object(trainer, "_MAXFUN", maxfun):
             got = trainer.minimize(counted, x0, maxiter=maxiter, ftol=ftol)
             want = minimize(fun, start.copy(), jac=True, method="L-BFGS-B", options={
-                "maxiter": maxiter, "maxcor": 10, "ftol": ftol, "gtol": 1e-10})
+                "maxiter": maxiter, "maxcor": 10, "ftol": ftol, "gtol": 1e-10, "maxfun": maxfun})
         return got, want, seen, x0
 
     @pytest.mark.parametrize("case, maxiter, ftol, stop", [
@@ -178,13 +179,18 @@ class TestMinimize:
         ("theta", 1000, 1e-6, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
         ("quadratic", 1000, 1e-6, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"),
         ("stationary", 1000, 1e-6, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"),
+        # the evaluation limit, checked when an iteration ends
+        *((f"theta maxfun={maxfun}", 1000, 1e-12, "STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT")
+          for maxfun in (1, 3, 7)),
     ])
     def test_matches_scipy(self, case, maxiter, ftol, stop):
+        case, _, maxfun = case.partition(" maxfun=")
+        maxfun = int(maxfun or trainer._MAXFUN)
         if case == "theta":
             fun, start = self.theta_objective()
         else:
             fun, start = self.quadratic, self.CENTRE.copy() if case == "stationary" else np.zeros(4)
-        got, want, seen, x0 = self.both(fun, start, maxiter, ftol)
+        got, want, seen, x0 = self.both(fun, start, maxiter, ftol, maxfun)
         assert want.message == stop
         assert got.x is x0 and got.x.tobytes() == want.x.tobytes()
         assert (got.fun, got.nit, got.nfev) == (want.fun, want.nit, want.nfev)
