@@ -4,15 +4,13 @@ Models how users' tastes evolve as they gain experience: a separate
 latent-factor recommender per experience level, monotone level
 assignments learned by dynamic programming, and coordinate-ascent
 training that alternates the two.
+
+The package exposes the pipeline: generate or parse a corpus, split it,
+fit, evaluate and check.  The steps inside a fit (the theta and e steps,
+the cost matrix, the objective) are imported from their modules.
 """
 
-from .assign import (
-    ModelKind,
-    assign_all,
-    assign_user_dp,
-    find_monotonicity_violation,
-    prediction_costs,
-)
+from .assign import ModelKind, assign_all, find_monotonicity_violation
 from .dataset import (
     BACKGROUND_USER,
     DataError,
@@ -22,30 +20,15 @@ from .dataset import (
     SplitScheme,
     SplitSpec,
     TrainingError,
-    normalize_rating,
     parse_reviews,
     pool_infrequent_users,
     split,
     write_reviews,
 )
-from .evaluator import EvalReport, assign_test_levels, benefit_percent, compare, mse
-from .model import (
-    ExperienceAssignment,
-    ModelParams,
-    objective,
-    smoothness_penalty,
-    training_rows,
-)
-from .synth import (
-    GroundTruth,
-    RecoveryScore,
-    SynthConfig,
-    TrajectoryKind,
-    brute_force_assign,
-    generate,
-    recovery_score,
-)
-from .trainer import FittedModel, TrainConfig, e_step, fit, initialize, theta_step
+from .evaluator import EvalReport, compare, mse
+from .model import ExperienceAssignment, ModelParams
+from .synth import GroundTruth, RecoveryScore, SynthConfig, TrajectoryKind, generate, recovery_score
+from .trainer import FittedModel, TrainConfig, fit
 
 __all__ = [
     "BACKGROUND_USER",
@@ -67,26 +50,14 @@ __all__ = [
     "TrainingError",
     "TrajectoryKind",
     "assign_all",
-    "assign_test_levels",
-    "assign_user_dp",
-    "benefit_percent",
-    "brute_force_assign",
     "compare",
-    "e_step",
     "find_monotonicity_violation",
     "fit",
     "generate",
-    "initialize",
     "mse",
-    "normalize_rating",
-    "objective",
     "parse_reviews",
     "pool_infrequent_users",
-    "prediction_costs",
     "recovery_score",
-    "smoothness_penalty",
     "split",
-    "theta_step",
-    "training_rows",
     "write_reviews",
 ]

@@ -243,7 +243,9 @@ def retention_curves(
     levels = m.assignment.flat(d)
     long_enough = np.diff(d.offsets) >= prefix
     start, stop = d.offsets[:-1][long_enough], d.offsets[1:][long_enough]
-    prefixes = levels[start[:, None] + np.arange(prefix)]  # one row per user
+    # one row per user; with no user that long the index stays empty, so
+    # its size follows the data, not ``prefix``
+    prefixes = levels[start[:, None] + np.arange(prefix if len(start) else 0)]
     left = corpus_end - d.times[stop - 1] > gap
 
     points: list[RetentionPoint] = []

@@ -267,13 +267,18 @@ def _certified_dp(costs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return levels
 
 
-def prediction_costs(p: ModelParams, d: Dataset) -> CostMatrix:
-    """Squared prediction error of every rating under every level: (E, n)."""
+def prediction_costs(
+    p: ModelParams, d: Dataset, order: np.ndarray | slice = slice(None)
+) -> CostMatrix:
+    """Squared prediction error of every rating under every level: (E, n).
+    Column t holds row ``order[t]`` of ``d``, by default row t.  Each
+    level's errors go into its row already in that order, so a sequence
+    order needs no second, re-ordered copy of the matrix."""
     uidx, iidx = _strict_encode(p, d)
     costs = np.empty((p.E, len(d)))
     for e in range(p.E):
         res = score(p, RowIndex.of(p, e, uidx, iidx)) - d.values
-        costs[e] = res * res
+        costs[e] = (res * res)[order]
     return costs
 
 
@@ -290,12 +295,9 @@ def assign_all(kind: ModelKind, p: ModelParams, d: Dataset) -> ExperienceAssignm
     order, offsets = _sequences(kind, d)
     if not kind.is_learned:
         path = _uniform_levels(d.times[order], offsets, p.E)
-    elif kind is ModelKind.USER_LEARNED:
-        path = assign_user_dp(prediction_costs(p, d), offsets)  # order is the row order
     else:
-        # np.take keeps the row-major layout, which the kernel's reductions
-        # over levels need to be fast; costs[:, order] would be column-major
-        path = assign_community_dp(np.take(prediction_costs(p, d), order, axis=1), offsets)
+        dp = assign_community_dp if kind.is_community else assign_user_dp
+        path = dp(prediction_costs(p, d, order), offsets)
     column = np.empty(len(d), dtype=np.int64)
     column[order] = path
     return ExperienceAssignment.of(d, column)

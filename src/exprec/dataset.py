@@ -215,11 +215,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.times)
 
-    def per_user(self, column: np.ndarray) -> list[np.ndarray]:
-        """``column`` (one entry per row) cut into each user's run of rows,
-        in ``users`` order; the parts are views."""
-        return np.split(column, self.offsets[1:-1]) if self.users else []
-
     @cached_property
     def _time_order(self) -> np.ndarray:
         # rows of equal time already stand in (user, item) order, and the
@@ -250,7 +245,7 @@ class Dataset:
     @cached_property
     def user_index(self) -> Mapping[str, np.ndarray]:
         rows = _frozen(np.arange(len(self)))
-        return MappingProxyType(dict(zip(self.users, self.per_user(rows))))
+        return MappingProxyType(dict(zip(self.users, np.split(rows, self.offsets[1:-1]))))
 
 
 def key_positions(table: Sequence[str], keys: Sequence[str]) -> np.ndarray:

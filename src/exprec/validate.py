@@ -55,7 +55,7 @@ def check_assignment(model: FittedModel, d: Dataset) -> CheckResult:
     order, offsets = _sequences(kind, d)
     have = model.assignment.flat(d)[order]
     if kind.is_learned:
-        costs = np.take(prediction_costs(p, d), order, axis=1)
+        costs = prediction_costs(p, d, order)
         want = np.empty(len(d), dtype=np.int64)
         for lo, hi in zip(offsets[:-1], offsets[1:]):
             want[lo:hi] = _monotone_dp(costs[:, lo:hi]) + 1

@@ -1,6 +1,7 @@
 """Acquired-taste scores, genre summaries, agreement, progression, retention."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,8 +122,9 @@ def loop_agreement(m, train, min_cohort=5, window=0.5, step=0.1):
     replaced, kept as its reference: (experience, mean_variance,
     n_cohorts) per emitted point."""
     x = np.empty(len(train))
+    cuts = train.offsets[1:-1]
     for times, levels, out in zip(
-        train.per_user(train.times), train.per_user(m.assignment.flat(train)), train.per_user(x)
+        np.split(train.times, cuts), np.split(m.assignment.flat(train), cuts), np.split(x, cuts)
     ):
         out[:] = interpolate_trajectory(times, levels, times)
     # each item's rows, ascending; items in order of first rating
@@ -364,6 +366,21 @@ class TestRetention:
         # later ratings separate the cohorts clearly
         assert left[10] < stay[10]
         assert sum(left.values()) < sum(stay.values())
+
+    def test_memory_follows_the_data_not_the_prefix(self):
+        # no user has 10^7 ratings, yet the prefix index took 80 MB
+        data, truth = generate(SynthConfig(n_users=30, n_items=40, ratings_per_user=(8, 16), seed=3))
+        m = truth_model(data, truth)
+        assert np.diff(data.offsets).max() == 16
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="is empty"):
+                points = retention_curves(m, data, prefix=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points == []
+        assert peak < 1e6
 
     def test_labeling_partitions_users(self):
         cfg = SynthConfig(n_users=30, n_items=40, ratings_per_user=12, seed=3)

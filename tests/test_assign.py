@@ -651,6 +651,25 @@ class TestPredictionCosts:
         assert sub.users != p.users and sub.items != p.items
         assert np.array_equal(prediction_costs(p, sub), prediction_costs(p, full)[:, keep])
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", [ModelKind.COMMUNITY_LEARNED, ModelKind.USER_LEARNED],
+                             ids=lambda k: k.value)
+    def test_costs_in_sequence_order(self, kind, seed):
+        # the columns come out in the kind's e-step order, or a random one,
+        # bit for bit the row-order matrix's columns taken in that order
+        data, _ = generate(SynthConfig(n_users=40, n_items=50, ratings_per_user=(2, 30), seed=seed))
+        d = pool_infrequent_users(data, min_ratings=5)
+        rng = np.random.default_rng(seed)
+        p = ModelParams.from_flat(
+            rng.normal(0, 0.5, size=ModelParams.zeros(d.users, d.items, 4, 3).n_params),
+            d.users, d.items, 4, 3,
+        )
+        full = prediction_costs(p, d)
+        for order in (assign._sequences(kind, d)[0], rng.permutation(len(d))):
+            got = prediction_costs(p, d, order)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), np.take(full, order, axis=1).view(np.int64))
+
     def test_unknown_keys_named(self):
         p, d = tiny_model_and_data(E=2)
         stranger = dataset_of([("a", "x", 1.0, 0), ("zed", "x", 1.0, 1)])

@@ -5,7 +5,10 @@ check loads scipy.sparse alone, about 0.2 s.  Each check runs in a fresh
 interpreter and reads ``sys.modules``, not a clock, so a busy host cannot
 flake it."""
 
+import ast
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +98,51 @@ def test_fit_and_recovery_score_load_their_module(tmp_path):
     stage, modules, rho = out[2]
     assert (stage, modules) == ("recovery_score", ["scipy.optimize", "scipy.sparse", "scipy.stats"])
     assert rho == pytest.approx(1.0)
+
+
+# the package's names: the pipeline's steps and the types they take and return
+PACKAGE_API = [
+    "BACKGROUND_USER", "DataError", "Dataset", "EvalReport", "ExperienceAssignment",
+    "FittedModel", "FormatConfig", "GroundTruth", "ModelKind", "ModelParams", "ParseError",
+    "RecoveryScore", "SplitScheme", "SplitSpec", "SynthConfig", "TrainConfig",
+    "TrainingError", "TrajectoryKind", "assign_all", "compare", "find_monotonicity_violation",
+    "fit", "generate", "mse", "parse_reviews", "pool_infrequent_users", "recovery_score",
+    "split", "write_reviews",
+]
+# the names the benchmark's traced run patches on the package, where the
+# benchmark's own calls look them up
+BENCH_PATCHED = {
+    "generate", "write_reviews", "parse_reviews", "pool_infrequent_users", "split",
+    "assign_all", "find_monotonicity_violation", "fit", "mse",
+}
+# steps inside a fit and helpers, imported from their modules only
+MODULE_ONLY = [
+    ("assign_test_levels", "evaluator"), ("assign_user_dp", "assign"),
+    ("benefit_percent", "evaluator"), ("brute_force_assign", "synth"), ("e_step", "trainer"),
+    ("initialize", "trainer"), ("normalize_rating", "dataset"), ("objective", "model"),
+    ("prediction_costs", "assign"), ("smoothness_penalty", "model"), ("theta_step", "trainer"),
+    ("training_rows", "model"),
+]
+
+
+def bench_patched_names() -> set:
+    """The attributes bench/layers.py's TRACED table patches on ``exprec``."""
+    layers = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    table = next(node.value for node in ast.parse(layers.read_text()).body
+                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED")
+    return {entry.elts[2].value for entry in table.elts
+            if any(getattr(owner, "id", None) == "exprec" for owner in entry.elts[1].elts)}
+
+
+def test_package_exports_the_pipeline():
+    assert exprec.__all__ == PACKAGE_API
+    assert [name for name in PACKAGE_API if not hasattr(exprec, name)] == []
+    assert bench_patched_names() == BENCH_PATCHED
+    assert BENCH_PATCHED <= set(PACKAGE_API)
+
+
+@pytest.mark.parametrize("name, module", MODULE_ONLY, ids=[name for name, _ in MODULE_ONLY])
+def test_internals_import_from_their_module_only(name, module):
+    with pytest.raises(ImportError):
+        exec(f"from exprec import {name}", {})
+    assert callable(getattr(importlib.import_module(f"exprec.{module}"), name))
